@@ -137,23 +137,38 @@ bench-check:
 	$(GO) run ./cmd/scaf-bench $(BENCH_GATE_ARGS) -json BENCH.fresh.json
 	$(GO) run ./cmd/scaf-benchdiff $(BENCH_BASELINE) BENCH.fresh.json
 
-# Allocation gate on the single-query hot path. BenchmarkTopQuery times
-# one top-level mod-ref query on a warm orchestrator — the unit the
-# serving layer issues millions of times — and its allocs/op are exact
-# and machine-independent, so the ceiling below is a hard pin, not a
-# tolerance band. Raise it only with a justification in the commit that
-# does (seed was 64 allocs/op; interning + pooling brought it to 16).
-BENCH_MEM_MAX_ALLOCS ?= 24
-bench-mem:
-	$(GO) test ./internal/bench/ -run '^$$' -bench '^BenchmarkTopQuery$$' \
-		-benchmem -benchtime 2000x | tee BENCH.mem.txt
-	@allocs=$$(awk '/^BenchmarkTopQuery[^A-Za-z]/ {print $$(NF-1)}' BENCH.mem.txt); \
-	if [ -z "$$allocs" ]; then echo "bench-mem: no BenchmarkTopQuery result"; exit 1; fi; \
-	if [ "$$allocs" -gt $(BENCH_MEM_MAX_ALLOCS) ]; then \
-		echo "bench-mem: BenchmarkTopQuery allocs/op = $$allocs, above the $(BENCH_MEM_MAX_ALLOCS) ceiling"; exit 1; \
+# Allocation gate on two hot paths whose allocs/op are exact. Each
+# ceiling is a literal in its pin line below, so no variable from the
+# environment or the command line can loosen it; raise one only with a
+# justification in the commit that does.
+#   - BenchmarkTopQuery times one top-level mod-ref query on a warm
+#     orchestrator — the unit the serving layer issues millions of times
+#     (seed was 64 allocs/op; interning + pooling brought it to 16). Its
+#     ceiling is the 24 it was introduced with.
+#   - BenchmarkAnalyzeWarmHit times one SCAF /analyze of 129.compress
+#     served whole from the fleet tier as stored bytes, through the
+#     server's handler (decoding and re-encoding the stored result cost
+#     1931 allocs/op; splicing the bytes brought it to 50). Its ceiling
+#     is the measured count: exactly 50 with Go 1.24 at GOMAXPROCS 1, 2
+#     and 4 and at 50 to 2000 iterations.
+
+# bench_mem_pin runs benchmark $(2) of package $(1) for $(3) iterations
+# and fails when its allocs/op exceed the ceiling $(4).
+define bench_mem_pin
+	$(GO) test $(1) -run '^$$' -bench '^$(2)$$' -benchmem -benchtime $(3) | tee -a BENCH.mem.txt
+	@allocs=$$(awk '/^$(2)[^A-Za-z]/ {print $$(NF-1)}' BENCH.mem.txt); \
+	if [ -z "$$allocs" ]; then echo "bench-mem: no $(2) result"; exit 1; fi; \
+	if [ "$$allocs" -gt $(4) ]; then \
+		echo "bench-mem: $(2) allocs/op = $$allocs, above the $(4) ceiling"; exit 1; \
 	else \
-		echo "bench-mem: BenchmarkTopQuery allocs/op = $$allocs (ceiling $(BENCH_MEM_MAX_ALLOCS))"; \
+		echo "bench-mem: $(2) allocs/op = $$allocs (ceiling $(4))"; \
 	fi
+endef
+
+bench-mem:
+	@rm -f BENCH.mem.txt
+	$(call bench_mem_pin,./internal/bench/,BenchmarkTopQuery,2000x,24)
+	$(call bench_mem_pin,./internal/server/,BenchmarkAnalyzeWarmHit,200x,50)
 
 # Differential-testing oracle sweep (the CI gate): soundness,
 # monotonicity, serial/parallel/shared-cache/server answer drift,

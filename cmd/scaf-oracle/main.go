@@ -80,7 +80,7 @@ func main() {
 	}
 
 	failures := 0
-	var queries, applied, compared, lies, execMisspecs int
+	var queries, applied, compared, lies, execMisspecs, survivingLoops int
 	var specIters, warmHits, elasticHits int64
 	for i := 0; i < *seeds; i++ {
 		seed := *start + int64(i)
@@ -96,6 +96,7 @@ func main() {
 		specIters += rep.ExecSpecIters
 		execMisspecs += rep.ExecMisspecs
 		warmHits += rep.PersistWarmHits
+		survivingLoops += rep.PersistSurvivingLoops
 		elasticHits += rep.ElasticWarmHits
 		if *verbose {
 			fmt.Printf("seed %d: %d hot loops, %d queries, %d transforms\n",
@@ -109,8 +110,8 @@ func main() {
 			}
 		}
 		if n := i + 1; n%50 == 0 || n == *seeds {
-			fmt.Printf("[%d/%d] %d failures, %d queries checked, %d transforms applied, %d loop comparisons, %d lies quarantined, %d spec iters, %d misspecs recovered, %d warm hits, %d elastic hits\n",
-				n, *seeds, failures, queries, applied, compared, lies, specIters, execMisspecs, warmHits, elasticHits)
+			fmt.Printf("[%d/%d] %d failures, %d queries checked, %d transforms applied, %d loop comparisons, %d lies quarantined, %d spec iters, %d misspecs recovered, %d surviving loops, %d warm hits, %d elastic hits\n",
+				n, *seeds, failures, queries, applied, compared, lies, specIters, execMisspecs, survivingLoops, warmHits, elasticHits)
 		}
 	}
 	if failures > 0 {

@@ -114,6 +114,10 @@ type Interp struct {
 	globals map[*ir.Global]uint64
 	steps   int64
 	output  []string
+	// phis is exec's reusable buffer for a block's parallel phi copy. It
+	// serves every frame: phi operands are evaluated without calls, so
+	// no nested exec runs while it holds values, and a Fork gets its own.
+	phis []uint64
 }
 
 func (it *Interp) alloc(o *Object) {
@@ -221,7 +225,10 @@ func (it *Interp) exec(fr *Frame, block, prev *ir.Block, stackObjs *[]*Object, r
 			nphi++
 		}
 		if nphi > 0 {
-			vals := make([]uint64, nphi)
+			if cap(it.phis) < nphi {
+				it.phis = make([]uint64, nphi)
+			}
+			vals := it.phis[:nphi]
 			for i := 0; i < nphi; i++ {
 				inc := ir.PhiIncoming(block.Instrs[i], prev)
 				if inc == nil {

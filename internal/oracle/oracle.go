@@ -228,9 +228,12 @@ type Report struct {
 	RecoveryRounds int
 	// PersistWarmHits counts answers the warm-restart pass served from a
 	// reloaded snapshot; PersistBlocked counts revoked entries the reload
-	// physically refused. Nonvacuity signals for the persist pass.
-	PersistWarmHits int64
-	PersistBlocked  int64
+	// physically refused; PersistSurvivingLoops counts reloaded loop
+	// entries a fresh clean session can match (each seed with any must
+	// show warm hits). Nonvacuity signals for the persist pass.
+	PersistWarmHits       int64
+	PersistBlocked        int64
+	PersistSurvivingLoops int
 	// ElasticWarmHits counts loop-lookaside hits the joined backend served
 	// after a live membership change. Nonvacuity signal for the elastic
 	// pass: byte identity must come from the streamed state, not silent

@@ -182,10 +182,11 @@ func checkPersist(cfg Config, rep *Report, a *analysis) {
 	survivingLoops := 0
 	for _, e := range local.SnapshotEntries() {
 		parts := strings.SplitN(e.Key, "|", 4)
-		if len(parts) == 4 && parts[2] == cleanFP && strings.HasPrefix(parts[3], "loop|") {
+		if len(parts) == 4 && parts[2] == cleanFP && server.IsLoopKey(e.Key) {
 			survivingLoops++
 		}
 	}
+	rep.PersistSurvivingLoops += survivingLoops
 
 	// Warm phase: a fresh instance, a fresh session (same ID sequence),
 	// and every gold must be served byte-identically.

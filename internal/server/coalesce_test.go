@@ -131,7 +131,7 @@ func TestAnalyzeCoalescesOntoInFlight(t *testing.T) {
 	}
 
 	sentinel := WireLoopResult{Loop: loop, NoDepPct: 123.5}
-	c.val = sentinel
+	c.val = encodeLoopResult(sentinel)
 	srv.flights.mu.Lock()
 	delete(srv.flights.m, key)
 	srv.flights.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"time"
 
 	"scaf"
@@ -109,9 +110,24 @@ func (sess *session) fleetPrefix(scheme scaf.Scheme) string {
 	return sess.fleetDigest + "|" + scheme.String() + "|" + sess.fleetFingerprint()
 }
 
-// fleetLoopKey keys one hot loop's whole wire result.
+// loopKeyNS opens the part after the session prefix of a key holding one
+// hot loop's whole result. The namespace names the value's encoding:
+// under "loopb" the value is encodeLoopResult's served bytes. An entry of
+// an older encoding (json.Marshal's, which HTML-escapes, under "loop"),
+// from a snapshot or an older peer, can therefore only miss.
+const loopKeyNS = "loopb|"
+
+// fleetLoopKey keys one hot loop's whole result.
 func (sess *session) fleetLoopKey(scheme scaf.Scheme, l *cfg.Loop) string {
-	return sess.fleetPrefix(scheme) + "|loop|" + l.Name()
+	return sess.fleetPrefix(scheme) + "|" + loopKeyNS + l.Name()
+}
+
+// IsLoopKey reports whether a fleet cache key holds one hot loop's whole
+// result in the encoding this package serves, i.e. is a key fleetLoopKey
+// makes: "<digest>|<scheme>|<fingerprint>|loopb|<loop>".
+func IsLoopKey(key string) bool {
+	parts := strings.SplitN(key, "|", 4)
+	return len(parts) == 4 && strings.HasPrefix(parts[3], loopKeyNS)
 }
 
 // fleetModRefKey keys one canonical top-level mod-ref proposition, or
@@ -297,44 +313,34 @@ func (p *fleetPeer) PutModRef(q *core.ModRefQuery, asserts []string, r core.ModR
 	p.tier.Put(key, asserts, b)
 }
 
-// fleetLoopLookup serves one whole loop result from the tier: the stored
-// value is the exact marshaled WireLoopResult a backend produced, and
-// unmarshal→marshal of that struct is byte-stable, so the response is
-// identical to resolving locally.
-func (sess *session) fleetLoopLookup(key string) (WireLoopResult, bool) {
-	if sess.fleet == nil {
-		return WireLoopResult{}, false
-	}
+// fleetLoopLookup returns one loop's served bytes from the tier. The
+// value is spliced into the /analyze reply as it is, never decoded:
+// the key pins the session's program, scheme and recovery state, so
+// any instance that published under it encoded the same result to the
+// same bytes. A value that is not exactly one JSON object, such as one
+// truncated in a snapshot, a streamed segment or a peer reply, is a
+// miss, never served.
+func (sess *session) fleetLoopLookup(key string) ([]byte, bool) {
 	b, ok := sess.fleet.Get(key)
-	if !ok {
-		return WireLoopResult{}, false
+	if !ok || !isJSONObject(b) {
+		return nil, false
 	}
-	var wr WireLoopResult
-	if err := json.Unmarshal(b, &wr); err != nil {
-		return WireLoopResult{}, false
-	}
-	return wr, true
+	return b, true
 }
 
-// fleetLoopPublish publishes one freshly-resolved loop result under key,
-// provided it is canonical: no deadline was set (caller), nothing timed
-// out, no module panicked, and no recovery event landed mid-resolution
-// (the key was computed before resolving; a changed fingerprint means the
-// key no longer names the session's current state). The entry is indexed
-// under every assertion its queries are predicated on, so fleet-wide
-// invalidation removes it exactly.
-func (sess *session) fleetLoopPublish(key string, scheme scaf.Scheme, l *cfg.Loop, wr WireLoopResult, delta core.Stats) {
-	if sess.fleet == nil {
-		return
-	}
+// fleetLoopPublish publishes one freshly-resolved loop result's served
+// bytes b under key, provided it is canonical: no deadline was set
+// (caller), nothing timed out, no module panicked, and no recovery event
+// landed mid-resolution (the key was computed before resolving; a
+// changed fingerprint means the key no longer names the session's
+// current state). The entry is indexed under every assertion its
+// queries are predicated on, so fleet-wide invalidation removes it
+// exactly.
+func (sess *session) fleetLoopPublish(key string, scheme scaf.Scheme, l *cfg.Loop, wr WireLoopResult, b []byte, delta core.Stats) {
 	if delta.Timeouts > 0 || delta.ModulePanics > 0 {
 		return
 	}
 	if sess.fleetLoopKey(scheme, l) != key {
-		return
-	}
-	b, err := json.Marshal(wr)
-	if err != nil {
 		return
 	}
 	sess.fleet.Put(key, loopAssertKeys(wr), b)

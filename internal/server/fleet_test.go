@@ -50,8 +50,8 @@ func newFleetPair(t *testing.T) (sA, sB *Server, tsA, tsB *httptest.Server) {
 // must serve /analyze whole from the loop lookaside and /query through the
 // mod-ref codec, byte-identical to the first session's fresh resolution.
 // This is the codec round-trip test — the served bytes went through
-// encodeFleetModRef/decodeFleetModRef and marshal/unmarshal of the wire
-// loop result, and any codec asymmetry would break the byte comparison.
+// encodeFleetModRef/decodeFleetModRef and the loop lookaside's stored
+// bytes, and any codec asymmetry would break the byte comparison.
 func TestFleetLookasideAndCodec(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "solo"}})
 	t.Cleanup(func() { srv.fleet.Close() })
@@ -265,5 +265,63 @@ func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 	if n := sB.fleetLoopHits.Load(); n != hitsBefore {
 		t.Fatalf("fresh session was served a revoked fleet entry (%d -> %d lookaside hits)",
 			hitsBefore, n)
+	}
+}
+
+// TestFleetCorruptLoopValueMisses: a loop value in the shard that is not
+// exactly one JSON object is a miss, never served. With every stored
+// loop result corrupted (truncated, doubled, newline-padded), analyzes
+// must recompute and answer byte-identically to a cold single instance,
+// and the loop lookaside must not count a hit.
+func TestFleetCorruptLoopValueMisses(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "solo"}})
+	t.Cleanup(func() { srv.fleet.Close() })
+	_, cold := newTestServer(t, Config{})
+
+	req := CreateSessionRequest{Bench: "129.compress"}
+	info := createSession(t, ts, req)
+	createSession(t, cold, req)
+	path := "/sessions/" + info.ID + "/analyze"
+	schemes := []string{"caf", "confluence", "scaf"}
+	gold := map[string][]byte{}
+	for _, sc := range schemes {
+		_, gold[sc] = do(t, cold, "POST", path, AnalyzeRequest{Scheme: sc})
+		if _, warm := do(t, ts, "POST", path, AnalyzeRequest{Scheme: sc}); !bytes.Equal(warm, gold[sc]) {
+			t.Fatalf("%s: fleet analyze diverged from cold:\ngot  %.300s\nwant %.300s", sc, warm, gold[sc])
+		}
+	}
+
+	local := srv.fleet.Local()
+	entries := local.SnapshotEntries()
+	local.Flush()
+	corrupted := 0
+	for _, e := range entries {
+		if IsLoopKey(e.Key) {
+			v := e.Value
+			switch corrupted % 3 {
+			case 0:
+				e.Value = v[:len(v)/2]
+			case 1:
+				e.Value = append(append([]byte(nil), v...), v...)
+			case 2:
+				e.Value = append(append([]byte(nil), v...), '\n')
+			}
+			corrupted++
+		}
+		local.Put(e)
+	}
+	if corrupted < 3 {
+		t.Fatalf("vacuous: only %d loop entries in the shard", corrupted)
+	}
+
+	hits0 := srv.fleetLoopHits.Load()
+	for _, sc := range schemes {
+		status, got := do(t, ts, "POST", path, AnalyzeRequest{Scheme: sc})
+		if status != http.StatusOK || !bytes.Equal(got, gold[sc]) {
+			t.Fatalf("%s: analyze over corrupt shard: %d\ngot  %.300s\nwant %.300s", sc, status, got, gold[sc])
+		}
+	}
+	if n := srv.fleetLoopHits.Load(); n != hits0 {
+		t.Fatalf("a corrupt loop value was served: fleet_loop_hits %d -> %d", hits0, n)
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"scaf"
 	"scaf/internal/fleet"
+	"scaf/internal/persist"
 )
 
 // bootPersistServer boots a persistent fleet-of-one instance over dir.
@@ -342,4 +344,70 @@ func TestRouterCloseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSnapshotOldLoopEncodingNeverServed: a snapshot written before loop
+// results were stored in served form holds them under the "|loop|"
+// namespace as json.Marshal output, which HTML-escapes the "->" of
+// control-speculation assertions. Restoring such a snapshot for a real
+// session must never serve those bytes: the analyze recomputes,
+// fleet_loop_hits stays put, and the reply is byte-identical to a cold
+// single instance.
+func TestSnapshotOldLoopEncodingNeverServed(t *testing.T) {
+	req := CreateSessionRequest{Bench: "129.compress"}
+	areq := AnalyzeRequest{Scheme: "scaf"}
+	_, cold := newTestServer(t, Config{})
+	info := createSession(t, cold, req)
+	path := "/sessions/" + info.ID + "/analyze"
+	_, gold := do(t, cold, "POST", path, areq)
+
+	// The old entries: each loop result as json.Marshal encoded it, keyed
+	// by the prefix a fleet session of this create request has.
+	gen, gts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "p0"}})
+	t.Cleanup(func() { gen.fleet.Close() })
+	createSession(t, gts, req)
+	gen.mu.Lock()
+	prefix := gen.sessions[info.ID].fleetPrefix(scaf.SchemeSCAF)
+	gen.mu.Unlock()
+	var old []fleet.Entry
+	escaped := false
+	for _, wr := range decode[AnalyzeResponse](t, gold).Results {
+		v, err := json.Marshal(wr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		escaped = escaped || bytes.Contains(v, []byte(`-\u003e`))
+		key := prefix + "|loop|" + wr.Loop
+		if IsLoopKey(key) {
+			t.Fatalf("old-encoding key %q is in the served loop namespace", key)
+		}
+		old = append(old, fleet.Entry{Key: key, Value: v, Asserts: loopAssertKeys(wr)})
+	}
+	if len(old) == 0 || !escaped {
+		t.Fatalf("vacuous: %d loop results, any HTML-escaped: %v", len(old), escaped)
+	}
+
+	dir := t.TempDir()
+	st, err := persist.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(persist.Snapshot{Entries: old}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	srv, ts := bootPersistServer(dir)
+	defer drainPersist(t, srv, ts)
+	if n := srv.fleet.Local().Len(); n != len(old) {
+		t.Fatalf("restored %d entries, want the %d old-encoding ones", n, len(old))
+	}
+	createSession(t, ts, req)
+	status, got := do(t, ts, "POST", path, areq)
+	if status != http.StatusOK || !bytes.Equal(got, gold) {
+		t.Fatalf("analyze over old-encoding snapshot: %d\ngot  %.300s\nwant %.300s", status, got, gold)
+	}
+	if n := srv.fleetLoopHits.Load(); n != 0 {
+		t.Fatalf("old-encoding entries were served: fleet_loop_hits = %d", n)
+	}
 }

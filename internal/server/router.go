@@ -783,18 +783,6 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 	rt.relay(w, id, st, hdr, resp)
 }
 
-// routerAnalyzeResponse mirrors AnalyzeResponse with the per-loop results
-// kept as raw bytes, so a merged fan-out response serializes exactly as a
-// single backend's batch response would (the splice never re-marshals a
-// loop result).
-type routerAnalyzeResponse struct {
-	Session        string            `json:"session"`
-	Scheme         string            `json:"scheme"`
-	Results        []json.RawMessage `json:"results"`
-	DeadlineMisses int64             `json:"deadline_misses,omitempty"`
-	CoalesceHits   int64             `json:"coalesce_hits,omitempty"`
-}
-
 // handleAnalyze fans a batch request out loop-by-loop across the fleet
 // and splices the results back in request order.
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -872,7 +860,15 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	merged := routerAnalyzeResponse{}
+	// Splice: each sub-reply must be the one-result reply for this
+	// session and scheme; its result goes into the merged envelope as
+	// bytes, through the writer the backends use, so the merged reply is
+	// byte-identical to a single backend's batch reply. A 200 sub-reply
+	// means its backend accepted req.Scheme, so it parses here too.
+	scheme, _ := parseScheme(req.Scheme)
+	head := append(appendAnalyzeHead(nil, sid, scheme.String()), '[')
+	var deadlineMisses, coalesceHits int64
+	results := make([][]byte, 0, len(parts))
 	for _, p := range parts {
 		if p.status != http.StatusOK {
 			// Relay the first failure verbatim (deterministic 4xx from the
@@ -880,20 +876,18 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			rt.relay(w, p.id, p.status, p.hdr, p.body)
 			return
 		}
-		var sub routerAnalyzeResponse
-		if err := json.Unmarshal(p.body, &sub); err != nil || len(sub.Results) != 1 {
+		sub, ok := parseLoopReply(p.body, head)
+		if !ok {
 			writeError(w, &httpError{status: http.StatusBadGateway,
 				detail: ErrorDetail{Code: "fleet_inconsistent",
 					Message: fmt.Sprintf("backend %s returned a malformed loop result", p.id)}})
 			return
 		}
-		merged.Session = sub.Session
-		merged.Scheme = sub.Scheme
-		merged.Results = append(merged.Results, sub.Results[0])
-		merged.DeadlineMisses += sub.DeadlineMisses
-		merged.CoalesceHits += sub.CoalesceHits
+		results = append(results, sub.result)
+		deadlineMisses += sub.deadlineMisses
+		coalesceHits += sub.coalesceHits
 	}
-	writeJSON(w, http.StatusOK, merged)
+	writeAnalyzeResponse(w, sid, scheme.String(), results, deadlineMisses, coalesceHits)
 }
 
 // ---- aggregate endpoints ----

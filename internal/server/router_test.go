@@ -10,6 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scaf"
+	"scaf/internal/ir"
+	"scaf/internal/spec"
 )
 
 // fleetBackend is one restartable fleet instance: the listen address is
@@ -224,6 +228,74 @@ func TestRouterFleetInconsistency(t *testing.T) {
 	}
 	if e := decode[ErrorResponse](t, raw); e.Error.Code != "fleet_inconsistent" {
 		t.Fatalf("code %q, want fleet_inconsistent", e.Error.Code)
+	}
+}
+
+// leakSource leaks two malloc objects per iteration of its one loop.
+const leakSource = `
+int* sa;
+int* sb;
+int out;
+int main() {
+  for (int i = 0; i < 150; i = i + 1) {
+    sa = malloc(int, 4);
+    sb = malloc(int, 4);
+    int* a = sa;
+    int* b = sb;
+    a[0] = i;
+    b[0] = i;
+    out = out + a[0] + b[0];
+  }
+  return out;
+}
+`
+
+// TestRouterViolatingCreateMatchesSingleInstance: a create whose client
+// assertions fail validation many times over (two short-lived
+// assertions, two objects surviving every iteration) is refused through
+// the router with the single instance's exact 422 body. The backends
+// validate independently, so this holds only if every validation run
+// reports its violations in the same order; otherwise the broadcast
+// disagrees and the router answers 502 fleet_inconsistent.
+func TestRouterViolatingCreateMatchesSingleInstance(t *testing.T) {
+	sys, err := scaf.Load("leak", leakSource, scaf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := sys.Mod.FuncNamed("main")
+	var sites []int
+	main.Instrs(func(in *ir.Instr) {
+		if in.Op == ir.OpMalloc {
+			sites = append(sites, in.ID)
+		}
+	})
+	loops := sys.Prog.Forests[main].All
+	if len(sites) != 2 || len(loops) != 1 {
+		t.Fatalf("want 2 malloc sites in 1 loop, got %d in %d", len(sites), len(loops))
+	}
+	header := loops[0].Header.String()
+	req := CreateSessionRequest{Name: "leak", Source: leakSource, Plan: "off"}
+	for i := range sites {
+		req.Assertions = append(req.Assertions, WireAssertion{
+			Module: spec.NameShortLived, Kind: fmt.Sprintf("sl-%d", i), Cost: 1,
+			Points: []WirePoint{{Fn: "main", Instr: &sites[i]}, {Fn: "main", Block: header}},
+		})
+	}
+
+	_, _, tsr := newFleetCluster(t, 2, "hash")
+	_, ref := newTestServer(t, Config{})
+	refStatus, refBody := do(t, ref, "POST", "/sessions", req)
+	if refStatus != http.StatusUnprocessableEntity {
+		t.Fatalf("single instance: status %d, want 422 (body %.300s)", refStatus, refBody)
+	}
+	if e := decode[ErrorResponse](t, refBody); len(e.Error.Violations) < 2 {
+		t.Fatalf("vacuous: %d violations", len(e.Error.Violations))
+	}
+	for i := 0; i < 5; i++ {
+		st, body := do(t, tsr, "POST", "/sessions", req)
+		if st != refStatus || !bytes.Equal(body, refBody) {
+			t.Fatalf("create %d through the router: %d %.300s\nwant %d %.300s", i, st, body, refStatus, refBody)
+		}
 	}
 }
 

@@ -535,9 +535,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	deadline := s.deadlineFor(req.DeadlineMS)
-	resp := AnalyzeResponse{Session: sess.id, Scheme: scheme.String()}
+	var results [][]byte
+	var deadlineMisses, coalesceHits int64
 	for _, l := range loops {
-		var wr WireLoopResult
+		var b []byte
 		if deadline.IsZero() {
 			// Deadline-free: the answer is a pure function of (session,
 			// scheme, loop, recovery epoch), so concurrent identical
@@ -548,39 +549,39 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				sess.id, sess.epoch.Load(), scheme.String(), l.Name())
 			l := l
 			v, shared, _ := s.flights.do(key, func() (any, error) {
-				// Fleet lookaside: the whole loop's wire result, keyed by
+				// Fleet lookaside: the loop's served bytes, keyed by
 				// (digest, scheme, quarantine fingerprint, loop), may have
-				// been resolved by a peer already. The stored bytes are the
-				// exact marshaled result, so a hit is byte-identical.
+				// been resolved by a peer already.
 				var fleetKey string
 				if sess.fleet != nil {
 					fleetKey = sess.fleetLoopKey(scheme, l)
-					if wr, ok := sess.fleetLoopLookup(fleetKey); ok {
+					if b, ok := sess.fleetLoopLookup(fleetKey); ok {
 						s.fleetLoopHits.Add(1)
-						return wr, nil
+						return b, nil
 					}
 				}
 				wr, delta := sess.analyzeLoop(scheme, l, time.Time{})
+				b := encodeLoopResult(wr)
 				if sess.fleet != nil {
-					sess.fleetLoopPublish(fleetKey, scheme, l, wr, delta)
+					sess.fleetLoopPublish(fleetKey, scheme, l, wr, b, delta)
 				}
-				return wr, nil
+				return b, nil
 			})
 			if shared {
 				s.coalesceHits.Add(1)
-				resp.CoalesceHits++
+				coalesceHits++
 			}
-			wr = v.(WireLoopResult)
+			b = v.([]byte)
 		} else {
-			var delta core.Stats
-			wr, delta = sess.analyzeLoop(scheme, l, deadline)
-			resp.DeadlineMisses += delta.Timeouts
+			wr, delta := sess.analyzeLoop(scheme, l, deadline)
+			b = encodeLoopResult(wr)
+			deadlineMisses += delta.Timeouts
 			s.deadlineMisses.Add(delta.Timeouts)
 		}
-		resp.Results = append(resp.Results, wr)
+		results = append(results, b)
 		s.loopsServed.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnalyzeResponse(w, sess.id, scheme.String(), results, deadlineMisses, coalesceHits)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,7 @@ package validate
 
 import (
 	"fmt"
+	"sort"
 
 	"scaf/internal/cfg"
 	"scaf/internal/core"
@@ -80,10 +81,11 @@ type monitor struct {
 	deadEdges map[profile.EdgeKey]*core.Assertion
 	// predictable loads → (expected value, assertion).
 	valueChecks map[*ir.Instr]valueCheck
-	// read-only sites per loop header block.
-	roSites map[siteLoopKey]*core.Assertion
-	// short-lived sites per loop header block, plus live-object tracking.
-	slSites map[siteLoopKey]*core.Assertion
+	// read-only sites per loop header block, in install order.
+	roSites []siteCheck
+	// short-lived sites per loop header block, in install order, plus
+	// live-object tracking.
+	slSites []siteCheck
 	slLive  map[*interp.Object]slWindow
 	// residue masks per pointer-defining instruction.
 	residues map[ir.Value]residueCheck
@@ -102,6 +104,26 @@ type residueCheck struct {
 type siteLoopKey struct {
 	site   profile.Site
 	header *ir.Block
+}
+
+// siteCheck is one read-only or short-lived check. Checks are kept in a
+// slice, not a map, so that the order of violations (and which ones
+// survive the cap) is the same on every run.
+type siteCheck struct {
+	siteLoopKey
+	a *core.Assertion
+}
+
+// addSiteCheck installs a check for k, replacing the assertion of an
+// earlier check on the same site and loop.
+func addSiteCheck(cs []siteCheck, k siteLoopKey, a *core.Assertion) []siteCheck {
+	for i := range cs {
+		if cs[i].siteLoopKey == k {
+			cs[i].a = a
+			return cs
+		}
+	}
+	return append(cs, siteCheck{k, a})
 }
 
 type slWindow struct {
@@ -135,8 +157,6 @@ func pointSite(p core.Point) (profile.Site, bool) {
 func (m *monitor) install(asserts []core.Assertion) error {
 	m.deadEdges = map[profile.EdgeKey]*core.Assertion{}
 	m.valueChecks = map[*ir.Instr]valueCheck{}
-	m.roSites = map[siteLoopKey]*core.Assertion{}
-	m.slSites = map[siteLoopKey]*core.Assertion{}
 	m.slLive = map[*interp.Object]slWindow{}
 	m.residues = map[ir.Value]residueCheck{}
 
@@ -177,9 +197,9 @@ func (m *monitor) install(asserts []core.Assertion) error {
 			}
 			k := siteLoopKey{site: site, header: header}
 			if a.Module == spec.NameReadOnly {
-				m.roSites[k] = a
+				m.roSites = addSiteCheck(m.roSites, k, a)
 			} else {
-				m.slSites[k] = a
+				m.slSites = addSiteCheck(m.slSites, k, a)
 			}
 		case spec.NameResidue:
 			for _, p := range a.Points {
@@ -237,14 +257,14 @@ func (m *monitor) checkAccess(in *ir.Instr, addr uint64, o *interp.Object, isSto
 		// the heap check (the paper's Fig. 7a mask-and-compare); a write
 		// that actually lands in a protected object is a misspeculation.
 		site := profile.SiteOf(o)
-		for k, a := range m.roSites {
-			_, _, active := m.activeLoop(k.header)
+		for _, c := range m.roSites {
+			_, _, active := m.activeLoop(c.header)
 			if !active {
 				continue
 			}
 			m.rep.Checks++
-			if k.site == site {
-				m.violate(*a, "write to read-only object of %s during protected loop", site)
+			if c.site == site {
+				m.violate(*c.a, "write to read-only object of %s during protected loop", site)
 			}
 		}
 	}
@@ -266,12 +286,12 @@ func (m *monitor) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *in
 
 func (m *monitor) Alloc(o *interp.Object) {
 	site := profile.SiteOf(o)
-	for k, a := range m.slSites {
-		if k.site != site {
+	for _, c := range m.slSites {
+		if c.site != site {
 			continue
 		}
-		if act, iter, active := m.activeLoop(k.header); active {
-			m.slLive[o] = slWindow{a: a, header: k.header, act: act, iter: iter}
+		if act, iter, active := m.activeLoop(c.header); active {
+			m.slLive[o] = slWindow{a: c.a, header: c.header, act: act, iter: iter}
 		}
 	}
 }
@@ -282,22 +302,26 @@ func (m *monitor) Free(in *ir.Instr, o *interp.Object) {
 
 // IterEnd enforces the short-lived allocated==freed count: one counter
 // check per guarded iteration, and any guarded object still live when its
-// iteration ends is a misspeculation.
+// iteration ends is a misspeculation, reported in allocation order.
 func (m *monitor) IterEnd(e *profile.LoopEntry) {
-	for k := range m.slSites {
-		if k.header == e.Loop.Header {
+	for _, c := range m.slSites {
+		if c.header == e.Loop.Header {
 			m.rep.Checks++
 		}
 	}
+	var survivors []*interp.Object
 	for o, w := range m.slLive {
-		if w.header != e.Loop.Header || w.act != e.Act {
-			continue
+		if w.header == e.Loop.Header && w.act == e.Act && w.iter <= e.Iter {
+			survivors = append(survivors, o)
 		}
-		if w.iter <= e.Iter {
-			m.violate(*w.a, "object of %s survived iteration %d of its loop",
-				profile.SiteOf(o), w.iter)
-			delete(m.slLive, o)
-		}
+	}
+	if len(survivors) > 1 {
+		sort.Slice(survivors, func(i, j int) bool { return survivors[i].ID < survivors[j].ID })
+	}
+	for _, o := range survivors {
+		m.violate(*m.slLive[o].a, "object of %s survived iteration %d of its loop",
+			profile.SiteOf(o), m.slLive[o].iter)
+		delete(m.slLive, o)
 	}
 }
 

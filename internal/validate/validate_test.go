@@ -443,9 +443,33 @@ void main() {
 
 // TestViolationOrderingAndCap: violations are reported in execution order
 // — the order recovery code would observe them — and the report caps at
-// 100 so a hot misspeculating loop cannot flood it.
+// 100 so a hot misspeculating loop cannot flood it. Where one event
+// breaks several checks at once, the order is still fixed: objects that
+// outlive their iteration in allocation order, writes to a protected
+// object in the order its read-only checks were installed. Every Check
+// of the same plan gives the same report, so fleet instances validating
+// one create agree byte for byte.
 func TestViolationOrderingAndCap(t *testing.T) {
-	prog, data := load(t, `
+	type tc struct {
+		prog    *cfg.Program
+		data    *profile.Data
+		asserts []core.Assertion
+		// kinds is the Kind sequence the capped report must repeat.
+		kinds  []string
+		detail string
+	}
+	mallocs := func(prog *cfg.Program) []*ir.Instr {
+		var out []*ir.Instr
+		prog.Mod.FuncNamed("main").Instrs(func(in *ir.Instr) {
+			if in.Op == ir.OpMalloc {
+				out = append(out, in)
+			}
+		})
+		return out
+	}
+	cases := map[string]func(t *testing.T) tc{
+		"value": func(t *testing.T) tc {
+			prog, data := load(t, `
 int cfg1;
 int cfg2;
 int out;
@@ -458,52 +482,137 @@ void main() {
     }
     print(out);
 }`)
-	main := prog.Mod.FuncNamed("main")
-	loadOf := func(name string) *ir.Instr {
-		var found *ir.Instr
-		main.Instrs(func(in *ir.Instr) {
-			if in.Op == ir.OpLoad && in.Args[0] == ir.Value(prog.Mod.GlobalNamed(name)) {
-				found = in
+			main := prog.Mod.FuncNamed("main")
+			loadOf := func(name string) *ir.Instr {
+				var found *ir.Instr
+				main.Instrs(func(in *ir.Instr) {
+					if in.Op == ir.OpLoad && in.Args[0] == ir.Value(prog.Mod.GlobalNamed(name)) {
+						found = in
+					}
+				})
+				if found == nil {
+					t.Fatalf("no load of %s", name)
+				}
+				return found
+			}
+			asserts := []core.Assertion{
+				{Module: spec.NameValuePred, Kind: "v1", Points: []core.Point{{Instr: loadOf("cfg1")}}},
+				{Module: spec.NameValuePred, Kind: "v2", Points: []core.Point{{Instr: loadOf("cfg2")}}},
+			}
+			// Break both predictions.
+			for _, name := range []string{"cfg1", "cfg2"} {
+				g := prog.Mod.GlobalNamed(name)
+				main.Instrs(func(in *ir.Instr) {
+					if in.Op == ir.OpStore && in.Args[1] == ir.Value(g) {
+						in.Args[0] = ir.CI(1000)
+					}
+				})
+			}
+			// 120 iterations x 2 failing checks = 240 misspeculations.
+			return tc{prog, data, asserts, []string{"v1", "v2"}, "returned 1000, predicted 5"}
+		},
+		"short-lived": func(t *testing.T) tc {
+			// Two objects leak per iteration: 150 x 2 = 300 misspeculations.
+			prog, data := load(t, `
+int* sa;
+int* sb;
+int out;
+void main() {
+    for (int i = 0; i < 150; i++) {
+        sa = malloc(int, 4);
+        sb = malloc(int, 4);
+        int* a = sa;
+        int* b = sb;
+        a[0] = i;
+        b[0] = i;
+        out = out + a[0] + b[0];
+    }
+    print(out);
+}`)
+			ms := mallocs(prog)
+			header := prog.Forests[prog.Mod.FuncNamed("main")].All[0].Header
+			sl := func(kind string, site *ir.Instr) core.Assertion {
+				return core.Assertion{Module: spec.NameShortLived, Kind: kind,
+					Points: []core.Point{{Instr: site}, {Block: header}}}
+			}
+			// Installed in the reverse of allocation order: the report
+			// must follow allocation order.
+			asserts := []core.Assertion{sl("sl-b", ms[1]), sl("sl-a", ms[0])}
+			return tc{prog, data, asserts, []string{"sl-a", "sl-b"}, "survived iteration 0"}
+		},
+		"read-only": func(t *testing.T) tc {
+			// Every inner iteration writes the object both loops protect:
+			// 10 x 16 writes x 2 checks = 320 misspeculations.
+			prog, data := load(t, `
+int* table;
+int out;
+void main() {
+    table = malloc(int, 16);
+    for (int j = 0; j < 10; j++) {
+        for (int i = 0; i < 16; i++) {
+            int* t = table;
+            t[i] = i + j;
+            out = out + t[i];
+        }
+    }
+    print(out);
+}`)
+			site := mallocs(prog)[0]
+			var outer, inner *ir.Block
+			for _, l := range prog.Forests[prog.Mod.FuncNamed("main")].All {
+				if l.Depth == 1 {
+					outer = l.Header
+				} else {
+					inner = l.Header
+				}
+			}
+			if outer == nil || inner == nil {
+				t.Fatal("want a two-deep loop nest")
+			}
+			ro := func(kind string, header *ir.Block) core.Assertion {
+				return core.Assertion{Module: spec.NameReadOnly, Kind: kind,
+					Points: []core.Point{{Instr: site}, {Block: header}}}
+			}
+			asserts := []core.Assertion{ro("ro-inner", inner), ro("ro-outer", outer)}
+			return tc{prog, data, asserts, []string{"ro-inner", "ro-outer"}, "write to read-only object"}
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := build(t)
+			var first *Report
+			for run := 0; run < 20; run++ {
+				rep, err := Check(c.prog, c.data, c.asserts, interp.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Violations) != 100 {
+					t.Fatalf("got %d violations, want the cap of 100", len(rep.Violations))
+				}
+				if first == nil {
+					first = rep
+					continue
+				}
+				for i := range rep.Violations {
+					g, w := rep.Violations[i], first.Violations[i]
+					if g.Assertion.Kind != w.Assertion.Kind || g.Detail != w.Detail {
+						t.Fatalf("run %d: violation %d is %s %q, first run had %s %q",
+							run, i, g.Assertion.Kind, g.Detail, w.Assertion.Kind, w.Detail)
+					}
+				}
+				if rep.Checks != first.Checks {
+					t.Fatalf("run %d: %d checks, first run had %d", run, rep.Checks, first.Checks)
+				}
+			}
+			for i, v := range first.Violations {
+				if want := c.kinds[i%len(c.kinds)]; v.Assertion.Kind != want {
+					t.Fatalf("violation %d is %q, want %q (ordering broken)", i, v.Assertion.Kind, want)
+				}
+			}
+			if !strings.Contains(first.Violations[0].Detail, c.detail) {
+				t.Errorf("detail: %s", first.Violations[0].Detail)
 			}
 		})
-		if found == nil {
-			t.Fatalf("no load of %s", name)
-		}
-		return found
-	}
-	asserts := []core.Assertion{
-		{Module: spec.NameValuePred, Kind: "v1", Points: []core.Point{{Instr: loadOf("cfg1")}}},
-		{Module: spec.NameValuePred, Kind: "v2", Points: []core.Point{{Instr: loadOf("cfg2")}}},
-	}
-	// Break both predictions.
-	for _, name := range []string{"cfg1", "cfg2"} {
-		g := prog.Mod.GlobalNamed(name)
-		main.Instrs(func(in *ir.Instr) {
-			if in.Op == ir.OpStore && in.Args[1] == ir.Value(g) {
-				in.Args[0] = ir.CI(1000)
-			}
-		})
-	}
-	rep, err := Check(prog, data, asserts, interp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 120 iterations x 2 failing checks = 240 misspeculations, capped.
-	if len(rep.Violations) != 100 {
-		t.Fatalf("got %d violations, want the cap of 100", len(rep.Violations))
-	}
-	// Execution order: cfg1's load precedes cfg2's in every iteration.
-	for i, v := range rep.Violations {
-		want := "v1"
-		if i%2 == 1 {
-			want = "v2"
-		}
-		if v.Assertion.Kind != want {
-			t.Fatalf("violation %d is %q, want %q (ordering broken)", i, v.Assertion.Kind, want)
-		}
-	}
-	if !strings.Contains(rep.Violations[0].Detail, "returned 1000, predicted 5") {
-		t.Errorf("detail: %s", rep.Violations[0].Detail)
 	}
 }
 
