@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos runtime fleet elastic loadgen persist bench bench-json bench-baseline bench-check bench-mem oracle clean
+.PHONY: all build vet test race chaos runtime fleet elastic loadgen persist perfbench-smoke bench bench-json bench-baseline bench-check bench-mem oracle clean
 
 all: vet build test
 
@@ -98,6 +98,22 @@ persist:
 	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestTierClose'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -persist
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzSnapshotCorruption$$' -fuzztime 30s
+
+# Benchmark-module smoke: perfbench is a Go module of its own, so build,
+# vet and test above never compile it, and a renamed internal/server name
+# it uses would only break the benchmark. Vet and test the module, then
+# run each fleet workload for two seconds; a run fails the target unless
+# its last line (the result JSON) reports "correct":true and "failed":0.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+	@for w in fleet-churn fleet-warm; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "perfbench-smoke $$w: $$last"; \
+		case "$$last" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) printf '%s\n' "$$out"; echo "perfbench-smoke: $$w run was not correct with 0 failed ops"; exit 1;; \
+		esac; \
+	done
 
 # Wall-clock comparison of serial vs parallel suite analysis. Needs
 # GOMAXPROCS >= 4 to show a speedup.

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -87,5 +89,58 @@ func TestTierCloseDuringGet(t *testing.T) {
 	tier.Put("d|s|f|after", nil, []byte("post-close"))
 	if v, ok := tier.Get("d|s|f|after"); !ok || string(v) != "post-close" {
 		t.Fatal("closed tier lost its local shard")
+	}
+}
+
+// TestTierFlushWaitsForAutoFlush: Flush is a barrier even while the
+// auto-flusher runs. The peer's publish endpoint blocks, so the
+// flusher's batch is stuck in flight; an explicit Flush issued then must
+// not return until that batch has been delivered.
+func TestTierFlushWaitsForAutoFlush(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && r.URL.Path == "/fleet/cache" {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		w.Write([]byte(`{"inserted":1}`))
+	}))
+	defer ts.Close()
+
+	tier := NewTier(TierConfig{
+		Self:      "a",
+		Peers:     map[string]string{"b": ts.URL},
+		AutoFlush: time.Millisecond,
+		Timeout:   10 * time.Second,
+	})
+	defer tier.Close()
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("d|s|f|k%d", i); tier.Owner(k) == "b" {
+			key = k
+		}
+	}
+	tier.Put(key, nil, []byte("v"))
+	<-entered // the flusher has taken the batch and is blocked sending it
+
+	flushed := make(chan struct{})
+	go func() {
+		tier.Flush()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+		close(release)
+		t.Fatal("Flush returned while the auto-flushed batch was still in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-flushed
+	if st := tier.Stats(); st.Published != 1 || st.Batches != 1 {
+		t.Fatalf("after Flush: published=%d batches=%d, want 1 and 1", st.Published, st.Batches)
 	}
 }

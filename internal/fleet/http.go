@@ -91,7 +91,7 @@ type Handler struct {
 }
 
 // maxPeerBody bounds peer request bodies; batches are capped well below
-// this by the tier's MaxBatch.
+// this by DefaultMaxBatch.
 const maxPeerBody = 32 << 20
 
 // Register mounts the protocol on mux under prefix (normally "/fleet/").

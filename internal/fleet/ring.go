@@ -22,7 +22,7 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring. Each node is projected onto
-// the ring at VNodes points (FNV-1a of "node#i"); a key is owned by the
+// the ring at vnodes points (FNV-1a of "node#i"); a key is owned by the
 // first point clockwise from its own hash. Immutability keeps placement a
 // pure function of (nodes, vnodes, key) — the router and every backend
 // compute identical owners with no coordination.

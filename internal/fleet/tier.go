@@ -14,17 +14,12 @@ type TierConfig struct {
 	Self string
 	// Peers maps the other instances' node IDs to their base URLs.
 	Peers map[string]string
-	// VNodes is the ring's virtual-node count (0 = DefaultVNodes).
-	VNodes int
 	// Timeout bounds each peer RPC (0 = DefaultPeerTimeout).
 	Timeout time.Duration
 	// AutoFlush, when positive, drains pending publications to peers on
 	// this period from a background goroutine. Zero means publications
 	// accumulate until an explicit Flush — what deterministic tests want.
 	AutoFlush time.Duration
-	// MaxBatch caps entries per publication batch; an overfull pending
-	// queue triggers an inline drain. 0 = DefaultMaxBatch.
-	MaxBatch int
 	// OpTimeout bounds each remote lookup issued from the query path
 	// (0 = DefaultOpTimeout). Tighter than Timeout on purpose: a remote
 	// hit is an optimization, and a peer slow enough to miss this budget
@@ -33,8 +28,9 @@ type TierConfig struct {
 	OpTimeout time.Duration
 }
 
-// DefaultMaxBatch bounds one publication RPC to a size that stays well
-// under maxPeerBody even with large wire values.
+// DefaultMaxBatch caps entries per publication batch, bounding one
+// publication RPC to a size that stays well under maxPeerBody even with
+// large wire values; an overfull pending queue triggers an inline drain.
 const DefaultMaxBatch = 256
 
 // DefaultOpTimeout is the query-path remote-lookup budget: long enough
@@ -62,7 +58,6 @@ const DefaultOpTimeout = 500 * time.Millisecond
 type Tier struct {
 	self        string
 	local       *Cache
-	vnodes      int
 	peerTimeout time.Duration
 	opTimeout   time.Duration
 
@@ -78,7 +73,12 @@ type Tier struct {
 
 	mu      sync.Mutex
 	pending map[string][]Entry
-	max     int
+
+	// flushMu serializes Flush, which makes it a barrier: a Flush that
+	// races the auto-flusher's waits for the batches that one already
+	// took out of pending, instead of finding pending empty and
+	// returning while they are still in flight.
+	flushMu sync.Mutex
 
 	localHits, remoteHits, misses    atomic.Int64
 	remoteErrors, published, batches atomic.Int64
@@ -112,24 +112,18 @@ func NewTier(cfg TierConfig) *Tier {
 		nodes = append(nodes, id)
 		peers[id] = NewClient(base, cfg.Timeout)
 	}
-	max := cfg.MaxBatch
-	if max <= 0 {
-		max = DefaultMaxBatch
-	}
 	opTimeout := cfg.OpTimeout
 	if opTimeout <= 0 {
 		opTimeout = DefaultOpTimeout
 	}
 	t := &Tier{
 		self:        cfg.Self,
-		ring:        NewRing(nodes, cfg.VNodes),
+		ring:        NewRing(nodes, 0),
 		local:       NewCache(),
-		vnodes:      cfg.VNodes,
 		peerTimeout: cfg.Timeout,
 		opTimeout:   opTimeout,
 		peers:       peers,
 		pending:     make(map[string][]Entry),
-		max:         max,
 		stop:        make(chan struct{}),
 	}
 	// The flusher starts whenever a period is set — not only when peers
@@ -169,7 +163,7 @@ func (t *Tier) AddPeer(id, base string) {
 		return
 	}
 	t.peers[id] = NewClient(base, t.peerTimeout)
-	t.ring = NewRing(append(t.ring.Nodes(), id), t.vnodes)
+	t.ring = NewRing(append(t.ring.Nodes(), id), 0)
 }
 
 // RemovePeer removes a peer from the membership view and rebuilds the
@@ -193,7 +187,7 @@ func (t *Tier) RemovePeer(id string) {
 			break
 		}
 	}
-	t.ring = NewRing(nodes, t.vnodes)
+	t.ring = NewRing(nodes, 0)
 	t.pmu.Unlock()
 	t.mu.Lock()
 	delete(t.pending, id)
@@ -267,17 +261,21 @@ func (t *Tier) Put(key string, asserts []string, value []byte) {
 	}
 	t.mu.Lock()
 	t.pending[owner] = append(t.pending[owner], e)
-	over := len(t.pending[owner]) >= t.max
+	over := len(t.pending[owner]) >= DefaultMaxBatch
 	t.mu.Unlock()
 	if over {
 		t.Flush()
 	}
 }
 
-// Flush synchronously drains all pending publication batches. Peers that
-// error lose their batch — the entries remain served from the local
-// shard, and canonical entries can always be re-derived.
+// Flush synchronously drains all pending publication batches: when it
+// returns, every batch queued before the call has been delivered or
+// dropped, including one the auto-flusher was already sending. Peers
+// that error lose their batch — the entries remain served from the
+// local shard, and canonical entries can always be re-derived.
 func (t *Tier) Flush() {
+	t.flushMu.Lock()
+	defer t.flushMu.Unlock()
 	t.mu.Lock()
 	batches := t.pending
 	t.pending = make(map[string][]Entry)

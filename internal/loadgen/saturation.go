@@ -1,14 +1,8 @@
 package loadgen
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"time"
 
 	"scaf/internal/server"
 )
@@ -141,23 +135,17 @@ func Saturate(cfg SaturationConfig) (*SaturationReport, error) {
 }
 
 func saturateOne(cfg SaturationConfig, n int) (*SaturationPoint, error) {
-	var dirs []string
+	var dir string
 	if cfg.Persist {
-		for i := 0; i < n; i++ {
-			d, err := os.MkdirTemp("", "scaf-loadgen-snap-")
-			if err != nil {
-				return nil, err
-			}
-			dirs = append(dirs, d)
+		d, err := os.MkdirTemp("", "scaf-loadgen-snap-")
+		if err != nil {
+			return nil, err
 		}
-		defer func() {
-			for _, d := range dirs {
-				os.RemoveAll(d)
-			}
-		}()
+		defer os.RemoveAll(d)
+		dir = d
 	}
 
-	pt, _, err := sweepFleet(cfg, n, dirs)
+	pt, _, err := sweepFleet(cfg, n, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +159,7 @@ func saturateOne(cfg SaturationConfig, n int) (*SaturationPoint, error) {
 	if cfg.Persist {
 		// The cold pass's shutdown drained every backend, writing its
 		// snapshot; this boot reloads them and reruns the same workload.
-		wpt, loaded, err := sweepFleet(cfg, n, dirs)
+		wpt, loaded, err := sweepFleet(cfg, n, dir)
 		if err != nil {
 			return nil, fmt.Errorf("warm boot: %w", err)
 		}
@@ -189,19 +177,24 @@ func saturateOne(cfg SaturationConfig, n int) (*SaturationPoint, error) {
 	return pt, nil
 }
 
-// sweepFleet boots one fleet (persistent when dirs is non-nil), offers
+// backendConfig sizes every backend of a sweep's fleets.
+func backendConfig(cfg SaturationConfig) server.Config {
+	return server.Config{Workers: cfg.Workers, MaxQueue: 4 * cfg.Workers}
+}
+
+// sweepFleet boots one fleet (persistent when dir is non-empty), offers
 // the workload, collects the point, and drains the fleet before
 // returning — in persist mode the drain is what writes the snapshots the
 // next boot warms from, so it cannot be deferred past the caller.
-func sweepFleet(cfg SaturationConfig, n int, dirs []string) (*SaturationPoint, int64, error) {
-	fl, err := bootFleet(n, cfg.Workers, dirs, false)
+func sweepFleet(cfg SaturationConfig, n int, dir string) (*SaturationPoint, int64, error) {
+	fl, err := server.StartLoopbackFleet(n, false, dir, backendConfig(cfg), server.RouterConfig{})
 	if err != nil {
 		return nil, 0, err
 	}
-	defer fl.shutdown()
+	defer fl.Close()
 
 	load := cfg.Load
-	load.BaseURL = fl.url
+	load.BaseURL = fl.URL
 	run, err := Run(load)
 	if err != nil {
 		return nil, 0, err
@@ -213,30 +206,17 @@ func sweepFleet(cfg SaturationConfig, n int, dirs []string) (*SaturationPoint, i
 		Measured:      run.Measured,
 	}
 	var loaded int64
-	for _, srv := range fl.backends {
-		if t := srv.Fleet(); t != nil {
-			st := t.Stats()
-			pt.FleetLocalHits += st.LocalHits
-			pt.FleetRemoteHits += st.RemoteHits
-			pt.FleetMisses += st.Misses
+	for _, id := range fl.IDs() {
+		m, err := fl.Metrics(id)
+		if err != nil {
+			return nil, 0, err
 		}
-		if ps := srv.PersistStats(); ps != nil {
-			loaded += ps.Loaded
-		}
-	}
-	var rm server.RouterMetrics
-	if raw, err := fleetGET(fl.url + "/metrics"); err == nil {
-		if json.Unmarshal(raw, &rm) == nil {
-			for _, braw := range rm.Backends {
-				var bm struct {
-					Server struct {
-						FleetLoopHits int64 `json:"fleet_loop_hits"`
-					} `json:"server"`
-				}
-				if json.Unmarshal(braw, &bm) == nil {
-					pt.FleetLoopHits += bm.Server.FleetLoopHits
-				}
-			}
+		pt.FleetLocalHits += m.Fleet.LocalHits
+		pt.FleetRemoteHits += m.Fleet.RemoteHits
+		pt.FleetMisses += m.Fleet.Misses
+		pt.FleetLoopHits += m.Server.FleetLoopHits
+		if m.Persist != nil {
+			loaded += m.Persist.Loaded
 		}
 	}
 	if total := pt.FleetLocalHits + pt.FleetRemoteHits + pt.FleetMisses; total > 0 {
@@ -249,16 +229,16 @@ func sweepFleet(cfg SaturationConfig, n int, dirs []string) (*SaturationPoint, i
 // scripted join/leave overlapping the workload: join the spare a third of
 // the way through the schedule, depart an original owner at two thirds.
 func sweepMembership(cfg SaturationConfig, n int) (*MembershipPoint, error) {
-	fl, err := bootFleet(n, cfg.Workers, nil, true)
+	fl, err := server.StartLoopbackFleet(n, true, "", backendConfig(cfg), server.RouterConfig{})
 	if err != nil {
 		return nil, err
 	}
-	defer fl.shutdown()
+	defer fl.Close()
 
 	load := cfg.Load
-	load.BaseURL = fl.url
+	load.BaseURL = fl.URL
 	load.Membership = []MembershipEvent{
-		{After: load.Requests / 3, Op: "join", ID: "j0", URL: fl.spareURL},
+		{After: load.Requests / 3, Op: "join", ID: server.SpareID, URL: fl.BackendURL(server.SpareID)},
 		{After: 2 * load.Requests / 3, Op: "leave", ID: "b0"},
 	}
 	run, err := Run(load)
@@ -270,115 +250,10 @@ func sweepMembership(cfg SaturationConfig, n int) (*MembershipPoint, error) {
 		Measured:      run.Measured,
 		Moved503:      run.Measured.Moved503,
 	}
-	var rm server.RouterMetrics
-	if raw, err := fleetGET(fl.url + "/metrics"); err == nil && json.Unmarshal(raw, &rm) == nil {
+	if rm, err := fl.RouterMetrics(); err == nil {
 		mp.Joins = rm.Router.Joins
 		mp.Leaves = rm.Router.Leaves
 		mp.Rollbacks = rm.Router.Rollbacks
 	}
 	return mp, nil
-}
-
-// inprocFleet is one booted fleet: n backends + router, all on loopback,
-// plus (membership mode) one spare backend outside the router's member
-// set, standing by for the scripted join.
-type inprocFleet struct {
-	url      string
-	spareURL string
-	backends []*server.Server
-	shutdown func()
-}
-
-// bootFleet reserves loopback addresses, wires n backends as mutual cache
-// peers, fronts them with a hash-routing Router, and serves everything on
-// plain http.Servers. A non-nil dirs gives backend i the snapshot
-// directory dirs[i], so draining the fleet persists each shard. With
-// spare, one extra backend "j0" boots knowing the members as peers but
-// outside the router's member set — the membership script joins it live.
-func bootFleet(n, workers int, dirs []string, spare bool) (*inprocFleet, error) {
-	total := n
-	if spare {
-		total++
-	}
-	listeners := make([]net.Listener, total+1) // [0..total-1] backends, [total] router
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = l
-	}
-	ids := make([]string, total)
-	urls := map[string]string{}
-	for i := 0; i < n; i++ {
-		ids[i] = fmt.Sprintf("b%d", i)
-		urls[ids[i]] = "http://" + listeners[i].Addr().String()
-	}
-	if spare {
-		ids[n] = "j0"
-	}
-
-	fl := &inprocFleet{url: "http://" + listeners[total].Addr().String()}
-	if spare {
-		fl.spareURL = "http://" + listeners[n].Addr().String()
-	}
-	var servers []*http.Server
-	for i, id := range ids {
-		peers := map[string]string{}
-		for pid, u := range urls {
-			// Members peer with each other; the spare knows every member
-			// (they learn of it through the join's membership push).
-			if pid != id {
-				peers[pid] = u
-			}
-		}
-		scfg := server.Config{Workers: workers, MaxQueue: 4 * workers}
-		if n > 1 || spare {
-			scfg.Fleet = &server.FleetConfig{
-				Self: id, Peers: peers, Timeout: 5 * time.Second, AutoFlush: 20 * time.Millisecond,
-			}
-		} else {
-			// A fleet of one still runs the tier (local shard only) so the
-			// lookaside counters stay comparable across sizes.
-			scfg.Fleet = &server.FleetConfig{Self: id}
-		}
-		if dirs != nil && i < len(dirs) {
-			scfg.Fleet.CacheDir = dirs[i]
-		}
-		srv := server.New(scfg)
-		fl.backends = append(fl.backends, srv)
-		hs := &http.Server{Handler: srv.Handler()}
-		servers = append(servers, hs)
-		go hs.Serve(listeners[i])
-	}
-	rt := server.NewRouter(server.RouterConfig{Backends: urls, Route: "hash"})
-	rhs := &http.Server{Handler: rt.Handler()}
-	servers = append(servers, rhs)
-	go rhs.Serve(listeners[total])
-
-	fl.shutdown = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		// Client pools close before the HTTP servers: spare pooled
-		// connections read as StateNew server-side, and Shutdown only
-		// reaps those after a five-second grace.
-		http.DefaultClient.CloseIdleConnections()
-		rt.Close()
-		for _, srv := range fl.backends {
-			srv.Shutdown(ctx)
-		}
-		for _, hs := range servers {
-			hs.Shutdown(ctx)
-		}
-	}
-	return fl, nil
-}
-
-func fleetGET(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
 }

@@ -1,32 +1,27 @@
 package oracle
 
 // The elastic pass proves that live membership change is invisible at the
-// byte level. It boots the same two-backend fleet as checkFleetDrift plus
-// one spare backend, collects serial golds through the router, then joins
-// the spare WHILE concurrent clients hammer those golds — every request
-// must end in the gold bytes, with bounded 503 backend_down retries (the
-// drained-cutover window) as the only permitted detour. After the join the
-// golds must replay byte-identically through the grown fleet, and the
-// joiner must actually serve from the state the cutover streamed to it
-// (nonvacuity: its loop lookaside hits, checked whenever the new ring
-// moves at least one analyze key onto it). Then one original backend
-// leaves and the shrunk fleet must still serve the same bytes. Throughout,
-// the router must report zero broadcast inconsistencies and zero rollbacks
-// — a planned move never manufactures split brain.
+// byte level. It continues on the fleet the fleet pass has just checked,
+// which boots with one spare backend: the spare joins WHILE concurrent
+// clients hammer the golds — every request must end in the gold bytes,
+// with bounded 503 backend_down retries (the drained-cutover window) as
+// the only permitted detour. After the join the golds must replay
+// byte-identically through the grown fleet, and the joiner must actually
+// serve from the state the cutover streamed to it (nonvacuity: its loop
+// lookaside hits, checked whenever the router now places at least one
+// analyze loop on it). Then one original backend leaves and the shrunk
+// fleet must still serve the same bytes. Throughout, the router must
+// report zero broadcast inconsistencies and zero rollbacks — a planned
+// move never manufactures split brain.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
-	"scaf/internal/fleet"
 	"scaf/internal/server"
 )
 
@@ -34,143 +29,45 @@ import (
 // burn before the window counts as unbounded (a violation).
 const elasticRetryCap = 400
 
-func checkElasticDrift(cfg Config, rep *Report, a *analysis) {
-	refSrv := server.New(server.Config{Workers: 2})
-	refH := refSrv.Handler()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		refSrv.Shutdown(ctx)
-	}()
-
-	ef, err := bootElasticFleet()
-	if err != nil {
-		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("elastic fleet boot: %v", err)})
-		return
-	}
-	defer ef.shutdown()
-
-	createBody, _ := json.Marshal(map[string]any{
-		"name": a.name, "source": a.src, "plan": "off",
-		"hot_loops": map[string]float64{
-			"min_weight_frac": cfg.HotLoops.MinWeightFrac,
-			"min_avg_iters":   cfg.HotLoops.MinAvgIters,
-		},
-	})
-	refStatus, refBody := do(refH, "POST", "/sessions", createBody)
-	fltStatus, fltBody := ef.fl.do("POST", "/sessions", createBody)
-	if refStatus != fltStatus || !bytes.Equal(refBody, fltBody) {
-		rep.violate(Violation{Kind: KindDriftElastic,
-			Detail: fmt.Sprintf("session create diverges: single %d %s, fleet %d %s",
-				refStatus, refBody, fltStatus, fltBody)})
-		return
-	}
-	if refStatus != http.StatusCreated {
-		return // load failure on both paths is covered by the server pass
-	}
-	var info server.SessionInfo
-	if err := json.Unmarshal(refBody, &info); err != nil {
-		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("bad session info: %v", err)})
-		return
-	}
-
-	// Serial phase: golds through the static two-backend fleet.
-	type gold struct {
-		scheme string
-		path   string
-		body   []byte
-		want   []byte
-		query  bool // coalesce marker is timing, not semantics
-	}
-	var golds []gold
-	for _, scheme := range cfg.Schemes {
-		reqBody, _ := json.Marshal(map[string]any{"scheme": scheme.String()})
-		path := "/sessions/" + info.ID + "/analyze"
-		rs, rb := do(refH, "POST", path, reqBody)
-		fs, fb := ef.fl.do("POST", path, reqBody)
-		if rs != fs || !bytes.Equal(rb, fb) {
-			rep.violate(Violation{Kind: KindDriftElastic, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("analyze envelope diverges:\n  single: %d %s\n  fleet:  %d %s", rs, rb, fs, fb)})
-			continue
-		}
-		if rs != http.StatusOK {
-			continue
-		}
-		golds = append(golds, gold{scheme: scheme.String(), path: path, body: reqBody, want: rb})
-		var resp server.AnalyzeResponse
-		if err := json.Unmarshal(rb, &resp); err != nil {
-			rep.violate(Violation{Kind: KindDriftElastic, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("bad analyze response: %v", err)})
-			continue
-		}
-		n := 0
-		for _, lr := range resp.Results {
-			for _, q := range lr.Queries {
-				if n >= fleetQueryCap {
-					break
-				}
-				n++
-				qb, _ := json.Marshal(server.QueryRequest{
-					Scheme: scheme.String(), Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel,
-				})
-				qpath := "/sessions/" + info.ID + "/query"
-				rqs, rqb := do(refH, "POST", qpath, qb)
-				fqs, fqb := ef.fl.do("POST", qpath, qb)
-				if rqs != fqs || !bytes.Equal(rqb, fqb) {
-					rep.violate(Violation{Kind: KindDriftElastic, Scheme: scheme.String(), Loop: lr.Loop,
-						Detail: fmt.Sprintf("query diverges:\n  single: %d %s\n  fleet:  %d %s", rqs, rqb, fqs, fqb)})
-					continue
-				}
-				if rqs == http.StatusOK {
-					golds = append(golds, gold{scheme: scheme.String(), path: qpath, body: qb, want: rqb, query: true})
-				}
-			}
-		}
-	}
+// checkElasticDrift runs the join and leave on fl, whose static members
+// have just served golds byte-identically to the reference.
+func checkElasticDrift(cfg Config, rep *Report, fl *server.LoopbackFleet, c routerClient, info server.SessionInfo, golds []gold) {
 	if len(golds) == 0 {
 		return
 	}
-	// Let the backends' AutoFlush publish resolved entries to their ring
-	// owners, so the join actually has warm segments to stream.
-	time.Sleep(50 * time.Millisecond)
+	// Deliver every queued publication to its ring owner, so the join
+	// has warm segments to stream.
+	fl.Flush()
 
 	// Join phase: grow the fleet while concurrent clients replay every
 	// gold. A bounded run of 503 backend_down on moving segments is the
 	// only detour the cutover may show them; the final bytes must be gold.
-	var (
-		wg  sync.WaitGroup
-		vmu sync.Mutex
-		sem = make(chan struct{}, 8)
-	)
-	for _, g := range golds {
-		wg.Add(1)
-		go func(g gold) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			s, b, retries := ef.retryDo("POST", g.path, g.body)
-			got, want := b, g.want
-			if g.query {
-				got, want = stripCoalesce(got), stripCoalesce(want)
-			}
-			if s != http.StatusOK || !bytes.Equal(got, want) {
-				vmu.Lock()
-				rep.violate(Violation{Kind: KindDriftElastic, Scheme: g.scheme,
-					Detail: fmt.Sprintf("answer under live join diverges after %d retries:\n  gold: %s\n  got:  %d %s",
-						retries, g.want, s, b)})
-				vmu.Unlock()
-			}
-		}(g)
+	type reply struct {
+		status int
+		body   []byte
 	}
-	joinBody, _ := json.Marshal(server.JoinRequest{ID: "j0", URL: ef.joinerURL})
-	js, jb := ef.fl.do("POST", "/fleet/join", joinBody)
-	wg.Wait()
-	if js != http.StatusOK {
-		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("join failed: %d %s", js, jb)})
+	joined := make(chan reply, 1)
+	go func() {
+		joinBody, _ := json.Marshal(server.JoinRequest{ID: server.SpareID, URL: fl.BackendURL(server.SpareID)})
+		st, body := c.do("POST", "/fleet/join", joinBody)
+		joined <- reply{st, body}
+	}()
+	fire(rep, golds, func(g gold) *Violation {
+		st, body, retries := c.retryDo(g.path, g.body)
+		if st == http.StatusOK && goldEqual(g, body) {
+			return nil
+		}
+		return &Violation{Kind: KindDriftElastic, Scheme: g.scheme.String(), Loop: g.loop,
+			Detail: fmt.Sprintf("answer under live join diverges after %d retries:\n  gold: %s\n  got:  %d %s",
+				retries, g.want, st, body)}
+	})
+	join := <-joined
+	if join.status != http.StatusOK {
+		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("join failed: %d %s", join.status, join.body)})
 		return
 	}
 	var joinRep server.MoveReport
-	if err := json.Unmarshal(jb, &joinRep); err != nil {
+	if err := json.Unmarshal(join.body, &joinRep); err != nil {
 		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("bad join report: %v", err)})
 		return
 	}
@@ -180,15 +77,11 @@ func checkElasticDrift(cfg Config, rep *Report, a *analysis) {
 	replay := func(phase string) bool {
 		ok := true
 		for _, g := range golds {
-			s, b := ef.fl.do("POST", g.path, g.body)
-			got, want := b, g.want
-			if g.query {
-				got, want = stripCoalesce(got), stripCoalesce(want)
-			}
-			if s != http.StatusOK || !bytes.Equal(got, want) {
+			st, body := c.do("POST", g.path, g.body)
+			if st != http.StatusOK || !goldEqual(g, body) {
 				ok = false
-				rep.violate(Violation{Kind: KindDriftElastic, Scheme: g.scheme,
-					Detail: fmt.Sprintf("%s answer diverges:\n  gold: %s\n  got:  %d %s", phase, g.want, s, b)})
+				rep.violate(Violation{Kind: KindDriftElastic, Scheme: g.scheme.String(), Loop: g.loop,
+					Detail: fmt.Sprintf("%s answer diverges:\n  gold: %s\n  got:  %d %s", phase, g.want, st, body)})
 			}
 		}
 		return ok
@@ -197,23 +90,22 @@ func checkElasticDrift(cfg Config, rep *Report, a *analysis) {
 		return
 	}
 
-	// Nonvacuity: if the grown ring moved at least one analyze segment
-	// onto the joiner, the post-join replay above routed those loops to it
-	// and its loop lookaside — warmed by the streamed segments and its new
-	// peers — must have hit. Byte equality achieved by silently recomputing
+	// Nonvacuity: if the grown ring places at least one analyze loop on
+	// the joiner, the post-join replay above routed it there and its loop
+	// lookaside — warmed by the streamed segments and its new peers —
+	// must have hit. Byte equality achieved by silently recomputing
 	// everything from scratch would pass the replay; this catches it.
-	grown := fleet.NewRing([]string{"b0", "b1", "j0"}, 0)
 	movedAnalyze := 0
 	for _, scheme := range cfg.Schemes {
-		for _, l := range a.hot {
-			if grown.Owner("a|"+info.ID+"|"+scheme.String()+"|"+l.Name()) == "j0" {
+		for _, l := range info.HotLoops {
+			if fl.Router.AnalyzeOwner(info.ID, scheme.String(), l.Name) == server.SpareID {
 				movedAnalyze++
 			}
 		}
 	}
 	if movedAnalyze > 0 {
-		var jm server.MetricsResponse
-		if err := ef.joinerMetrics(&jm); err != nil {
+		jm, err := fl.Metrics(server.SpareID)
+		if err != nil {
 			rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("joiner metrics: %v", err)})
 			return
 		}
@@ -228,9 +120,8 @@ func checkElasticDrift(cfg Config, rep *Report, a *analysis) {
 	// Leave phase: the dual. An original owner departs, handing its
 	// segments to the survivors; the shrunk fleet must still serve gold.
 	leaveBody, _ := json.Marshal(server.LeaveRequest{ID: "b0"})
-	ls, lb := ef.fl.do("POST", "/fleet/leave", leaveBody)
-	if ls != http.StatusOK {
-		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("leave failed: %d %s", ls, lb)})
+	if st, body := c.do("POST", "/fleet/leave", leaveBody); st != http.StatusOK {
+		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("leave failed: %d %s", st, body)})
 		return
 	}
 	if !replay("post-leave") {
@@ -240,10 +131,9 @@ func checkElasticDrift(cfg Config, rep *Report, a *analysis) {
 	// A planned move must never manufacture split brain or wedge the
 	// router: zero broadcast inconsistencies, zero rollbacks, no move
 	// still pending.
-	ms, mb := ef.fl.do("GET", "/metrics", nil)
-	var rm server.RouterMetrics
-	if ms != http.StatusOK || json.Unmarshal(mb, &rm) != nil {
-		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("router metrics unreadable: %d %s", ms, mb)})
+	rm, err := fl.RouterMetrics()
+	if err != nil {
+		rep.violate(Violation{Kind: KindDriftElastic, Detail: fmt.Sprintf("router metrics unreadable: %v", err)})
 		return
 	}
 	rc := rm.Router
@@ -254,136 +144,33 @@ func checkElasticDrift(cfg Config, rep *Report, a *analysis) {
 	}
 }
 
-// elasticFleet is the fleet-pass topology plus one spare backend the join
-// phase grows into.
-type elasticFleet struct {
-	fl        *oracleFleet
-	joinerURL string
-	client    *http.Client
-	shutdown  func()
+// goldEqual compares a reply with g's gold bytes; for a query the
+// coalesce marker is timing, not semantics, and is ignored.
+func goldEqual(g gold, body []byte) bool {
+	if g.query {
+		return bytes.Equal(stripCoalesce(body), stripCoalesce(g.want))
+	}
+	return bytes.Equal(body, g.want)
 }
 
-// retryDo replays one request through the router, retrying bounded 503
-// backend_down responses (the drained-cutover window) after the advertised
-// Retry-After. It returns the final status, body, and retry count.
-func (ef *elasticFleet) retryDo(method, path string, body []byte) (int, []byte, int) {
+// retryDo posts one request through the router, retrying bounded 503
+// backend_down responses (the drained-cutover window) after the
+// advertised Retry-After. It returns the final status, body, and retry
+// count.
+func (c routerClient) retryDo(path string, body []byte) (int, []byte, int) {
 	for retries := 0; ; retries++ {
-		req, err := http.NewRequest(method, ef.fl.url+path, bytes.NewReader(body))
-		if err != nil {
-			return 0, []byte(err.Error()), retries
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := ef.client.Do(req)
-		if err != nil {
-			return 0, []byte(err.Error()), retries
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return 0, []byte(err.Error()), retries
-		}
-		if resp.StatusCode != http.StatusServiceUnavailable || retries >= elasticRetryCap {
-			return resp.StatusCode, b, retries
+		st, retryAfter, b := c.send("POST", path, body)
+		if st != http.StatusServiceUnavailable || retries >= elasticRetryCap {
+			return st, b, retries
 		}
 		// Honor Retry-After, capped so the pass stays fast on loopback
 		// (the router advertises whole seconds; the window is far shorter).
 		delay := 25 * time.Millisecond
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
+		if ra, err := strconv.Atoi(retryAfter); err == nil && ra > 0 {
 			if d := time.Duration(ra) * time.Second / 20; d > delay {
 				delay = d
 			}
 		}
 		time.Sleep(delay)
 	}
-}
-
-// joinerMetrics reads the joiner backend's /metrics directly (not through
-// the router), so its lookaside counters are observed, not inferred.
-func (ef *elasticFleet) joinerMetrics(m *server.MetricsResponse) error {
-	resp, err := ef.client.Get(ef.joinerURL + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, b)
-	}
-	return json.Unmarshal(b, m)
-}
-
-// bootElasticFleet boots two member backends and a router, like
-// bootOracleFleet, plus a spare backend (peers: both members) standing by
-// for the live join.
-func bootElasticFleet() (*elasticFleet, error) {
-	ids := []string{"b0", "b1", "j0"}
-	listeners := make([]net.Listener, len(ids)+1)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, p := range listeners[:i] {
-				p.Close()
-			}
-			return nil, err
-		}
-		listeners[i] = l
-	}
-	urls := map[string]string{}
-	for i, id := range ids {
-		urls[id] = "http://" + listeners[i].Addr().String()
-	}
-
-	var backends []*server.Server
-	var httpSrvs []*http.Server
-	for i, id := range ids {
-		peers := map[string]string{}
-		for _, pid := range ids {
-			// Members peer with each other; the spare knows the members
-			// (they learn of it through the join's membership push).
-			if pid != id && pid != "j0" {
-				peers[pid] = urls[pid]
-			}
-		}
-		srv := server.New(server.Config{Workers: 2, Fleet: &server.FleetConfig{
-			Self: id, Peers: peers, Timeout: 5 * time.Second, AutoFlush: 10 * time.Millisecond,
-		}})
-		backends = append(backends, srv)
-		hs := &http.Server{Handler: srv.Handler()}
-		httpSrvs = append(httpSrvs, hs)
-		go hs.Serve(listeners[i])
-	}
-	rt := server.NewRouter(server.RouterConfig{
-		Backends:     map[string]string{"b0": urls["b0"], "b1": urls["b1"]},
-		Route:        "hash",
-		DrainTimeout: 15 * time.Second,
-	})
-	rhs := &http.Server{Handler: rt.Handler()}
-	httpSrvs = append(httpSrvs, rhs)
-	go rhs.Serve(listeners[len(ids)])
-
-	client := &http.Client{Timeout: 30 * time.Second}
-	ef := &elasticFleet{
-		fl: &oracleFleet{
-			url:    "http://" + listeners[len(ids)].Addr().String(),
-			client: client,
-		},
-		joinerURL: urls["j0"],
-		client:    client,
-	}
-	ef.shutdown = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		client.CloseIdleConnections()
-		rt.Close()
-		for _, srv := range backends {
-			srv.Shutdown(ctx)
-		}
-		for _, hs := range httpSrvs {
-			hs.Shutdown(ctx)
-		}
-	}
-	return ef, nil
 }

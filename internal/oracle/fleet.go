@@ -4,19 +4,18 @@ package oracle
 // that check proves one daemon's HTTP answers equal the library's, this
 // one proves a sharded fleet — two backends wired as cache peers behind a
 // consistent-hash scaf-router — is indistinguishable, at the byte level,
-// from a single cold instance. Every response body is compared verbatim:
-// the create envelope (broadcast consensus), the analyze envelope (the
-// router splices per-shard fan-out results back into one batch), and every
-// dependence query, first serially and then under concurrent fire, where
-// remote cache hits and coalescing are actually exercised.
+// from the seed's cold reference instance. Every gold is replayed
+// verbatim: the create envelope (broadcast consensus), the analyze
+// envelopes (the router splices per-shard fan-out results back into one
+// batch), and every dependence query, first serially and then under
+// concurrent fire, where remote cache hits and coalescing are actually
+// exercised. The elastic pass continues on the same fleet.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -24,114 +23,93 @@ import (
 	"scaf/internal/server"
 )
 
-// fleetQueryCap bounds the per-scheme query set replayed through the
-// fleet; random oracle programs rarely exceed it.
-const fleetQueryCap = 64
-
-// checkFleetDrift boots the reference instance and the fleet, replays an
-// identical session lifecycle against both, and reports any byte
-// divergence as KindDriftFleet.
-func checkFleetDrift(cfg Config, rep *Report, a *analysis) {
-	refSrv := server.New(server.Config{Workers: 2})
-	refH := refSrv.Handler()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		refSrv.Shutdown(ctx)
-	}()
-
-	fl, err := bootOracleFleet()
+// checkFleetDrift boots the loopback fleet (with the spare when the
+// elastic pass runs), replays the gold set through its router, and
+// reports any byte divergence. The serial replay runs for either pass;
+// its findings are drift-fleet, or drift-elastic when only the elastic
+// pass is on.
+func checkFleetDrift(cfg Config, rep *Report, gs *goldSet) {
+	kind := KindDriftFleet
+	if !cfg.Fleet {
+		kind = KindDriftElastic
+	}
+	fl, err := server.StartLoopbackFleet(2, cfg.Elastic, "", server.Config{Workers: 2},
+		server.RouterConfig{DrainTimeout: 15 * time.Second})
 	if err != nil {
-		rep.violate(Violation{Kind: KindDriftFleet, Detail: fmt.Sprintf("fleet boot: %v", err)})
+		rep.violate(Violation{Kind: kind, Detail: fmt.Sprintf("fleet boot: %v", err)})
 		return
 	}
-	defer fl.shutdown()
+	defer fl.Close()
+	c := routerClient{base: fl.URL, hc: &http.Client{Timeout: 30 * time.Second}}
 
-	createBody, _ := json.Marshal(map[string]any{
-		"name": a.name, "source": a.src, "plan": "off",
-		"hot_loops": map[string]float64{
-			"min_weight_frac": cfg.HotLoops.MinWeightFrac,
-			"min_avg_iters":   cfg.HotLoops.MinAvgIters,
-		},
-	})
-	refStatus, refBody := do(refH, "POST", "/sessions", createBody)
-	fltStatus, fltBody := fl.do("POST", "/sessions", createBody)
-	if refStatus != fltStatus || !bytes.Equal(refBody, fltBody) {
-		rep.violate(Violation{Kind: KindDriftFleet,
+	st, body := c.do("POST", "/sessions", gs.create)
+	if st != gs.createStatus || !bytes.Equal(body, gs.createReply) {
+		rep.violate(Violation{Kind: kind,
 			Detail: fmt.Sprintf("session create diverges: single %d %s, fleet %d %s",
-				refStatus, refBody, fltStatus, fltBody)})
+				gs.createStatus, gs.createReply, st, body)})
 		return
 	}
-	if refStatus != http.StatusCreated {
-		rep.violate(Violation{Kind: KindDriftFleet,
-			Detail: fmt.Sprintf("session load failed on both paths: status %d: %s", refStatus, refBody)})
-		return
-	}
-	var info server.SessionInfo
-	if err := json.Unmarshal(refBody, &info); err != nil {
-		rep.violate(Violation{Kind: KindDriftFleet, Detail: fmt.Sprintf("bad session info: %v", err)})
+	if gs.createStatus != http.StatusCreated {
+		if cfg.Fleet {
+			rep.violate(Violation{Kind: KindDriftFleet,
+				Detail: fmt.Sprintf("session load failed on both paths: status %d: %s", st, body)})
+		}
 		return
 	}
 
-	// Serial phase: analyze envelopes and every harvested query.
-	type gold struct {
-		path string
-		body []byte
-		want []byte
+	// Serial phase: every gold, in the order the reference served it.
+	var served []gold // golds the fleet matched with a 200
+	for _, g := range gs.golds {
+		st, body := c.do("POST", g.path, g.body)
+		if st != g.status || !bytes.Equal(body, g.want) {
+			what := "analyze envelope"
+			if g.query {
+				what = "query " + string(g.body)
+			}
+			rep.violate(Violation{Kind: kind, Scheme: g.scheme.String(), Loop: g.loop,
+				Detail: fmt.Sprintf("%s diverges:\n  single: %d %s\n  fleet:  %d %s", what, g.status, g.want, st, body)})
+			continue
+		}
+		if st != http.StatusOK {
+			if !g.query && cfg.Fleet {
+				rep.violate(Violation{Kind: KindDriftFleet, Scheme: g.scheme.String(),
+					Detail: fmt.Sprintf("analyze failed on both paths: status %d: %s", st, body)})
+			}
+			continue
+		}
+		served = append(served, g)
 	}
-	var golds []gold
-	for _, scheme := range cfg.Schemes {
-		reqBody, _ := json.Marshal(map[string]any{"scheme": scheme.String()})
-		path := "/sessions/" + info.ID + "/analyze"
-		rs, rb := do(refH, "POST", path, reqBody)
-		fs, fb := fl.do("POST", path, reqBody)
-		if rs != fs || !bytes.Equal(rb, fb) {
-			rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("analyze envelope diverges:\n  single: %d %s\n  fleet:  %d %s", rs, rb, fs, fb)})
-			continue
-		}
-		if rs != http.StatusOK {
-			rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("analyze failed on both paths: status %d: %s", rs, rb)})
-			continue
-		}
-		var resp server.AnalyzeResponse
-		if err := json.Unmarshal(rb, &resp); err != nil {
-			rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("bad analyze response: %v", err)})
-			continue
-		}
-		n := 0
-		for _, lr := range resp.Results {
-			for _, q := range lr.Queries {
-				if n >= fleetQueryCap {
-					break
-				}
-				n++
-				qb, _ := json.Marshal(server.QueryRequest{
-					Scheme: scheme.String(), Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel,
-				})
-				qpath := "/sessions/" + info.ID + "/query"
-				rqs, rqb := do(refH, "POST", qpath, qb)
-				fqs, fqb := fl.do("POST", qpath, qb)
-				if rqs != fqs || !bytes.Equal(rqb, fqb) {
-					rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(), Loop: lr.Loop,
-						Detail: fmt.Sprintf("query %s/%s %s diverges:\n  single: %d %s\n  fleet:  %d %s",
-							q.I1, q.I2, q.Rel, rqs, rqb, fqs, fqb)})
-					continue
-				}
-				if rqs == http.StatusOK {
-					golds = append(golds, gold{path: qpath, body: qb, want: rqb})
-				}
+
+	if cfg.Fleet {
+		// Parallel phase: the query golds must survive concurrent fire
+		// through the router, where shard fan-out, remote cache hits, and
+		// query coalescing all interleave. Coalesce markers live in the
+		// response envelope's optional fields, so a coalesced hit that
+		// changed the bytes would be caught here.
+		var queries []gold
+		for _, g := range served {
+			if g.query {
+				queries = append(queries, g)
 			}
 		}
+		fire(rep, queries, func(g gold) *Violation {
+			st, body := c.do("POST", g.path, g.body)
+			if st == http.StatusOK && goldEqual(g, body) {
+				return nil
+			}
+			return &Violation{Kind: KindDriftFleet, Scheme: g.scheme.String(), Loop: g.loop,
+				Detail: fmt.Sprintf("parallel query diverges from serial gold:\n  serial:   %s\n  parallel: %d %s",
+					g.want, st, body)}
+		})
 	}
+	if cfg.Elastic {
+		checkElasticDrift(cfg, rep, fl, c, gs.info, served)
+	}
+}
 
-	// Parallel phase: the serial gold bytes must survive concurrent fire
-	// through the router, where shard fan-out, remote cache hits, and
-	// query coalescing all interleave. Coalesce markers live in the
-	// response envelope's optional fields, so a coalesced hit that changed
-	// the bytes would be caught here.
+// fire runs check on every gold from eight concurrent clients and
+// reports each finding it returns.
+func fire(rep *Report, golds []gold, check func(gold) *Violation) {
 	var (
 		wg  sync.WaitGroup
 		mu  sync.Mutex
@@ -143,12 +121,9 @@ func checkFleetDrift(cfg Config, rep *Report, a *analysis) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			s, b := fl.do("POST", g.path, g.body)
-			if s != http.StatusOK || !bytes.Equal(stripCoalesce(b), stripCoalesce(g.want)) {
+			if v := check(g); v != nil {
 				mu.Lock()
-				rep.violate(Violation{Kind: KindDriftFleet,
-					Detail: fmt.Sprintf("parallel query diverges from serial gold:\n  serial:   %s\n  parallel: %d %s",
-						g.want, s, b)})
+				rep.violate(*v)
 				mu.Unlock()
 			}
 		}(g)
@@ -173,90 +148,34 @@ func stripCoalesce(body []byte) []byte {
 	return out
 }
 
-// oracleFleet is two peer backends behind a router, all on loopback.
-type oracleFleet struct {
-	url      string
-	client   *http.Client
-	shutdown func()
+// routerClient drives a loopback fleet's router over the network.
+type routerClient struct {
+	base string
+	hc   *http.Client
 }
 
-func (f *oracleFleet) do(method, path string, body []byte) (int, []byte) {
-	req, err := http.NewRequest(method, f.url+path, bytes.NewReader(body))
+// send issues one request and returns the status, the Retry-After
+// header and the body; a transport failure reads as status 0 with the
+// error as the body.
+func (c routerClient) send(method, path string, body []byte) (int, string, []byte) {
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, []byte(err.Error())
+		return 0, "", []byte(err.Error())
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
+	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, []byte(err.Error())
+		return 0, "", []byte(err.Error())
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, []byte(err.Error())
+		return 0, "", []byte(err.Error())
 	}
-	return resp.StatusCode, b
+	return resp.StatusCode, resp.Header.Get("Retry-After"), b
 }
 
-func bootOracleFleet() (*oracleFleet, error) {
-	const n = 2
-	listeners := make([]net.Listener, n+1)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, p := range listeners[:i] {
-				p.Close()
-			}
-			return nil, err
-		}
-		listeners[i] = l
-	}
-	urls := map[string]string{}
-	for i := 0; i < n; i++ {
-		urls[fmt.Sprintf("b%d", i)] = "http://" + listeners[i].Addr().String()
-	}
-
-	var backends []*server.Server
-	var httpSrvs []*http.Server
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("b%d", i)
-		peers := map[string]string{}
-		for pid, u := range urls {
-			if pid != id {
-				peers[pid] = u
-			}
-		}
-		srv := server.New(server.Config{Workers: 2, Fleet: &server.FleetConfig{
-			Self: id, Peers: peers, Timeout: 5 * time.Second, AutoFlush: 10 * time.Millisecond,
-		}})
-		backends = append(backends, srv)
-		hs := &http.Server{Handler: srv.Handler()}
-		httpSrvs = append(httpSrvs, hs)
-		go hs.Serve(listeners[i])
-	}
-	rt := server.NewRouter(server.RouterConfig{Backends: urls, Route: "hash"})
-	rhs := &http.Server{Handler: rt.Handler()}
-	httpSrvs = append(httpSrvs, rhs)
-	go rhs.Serve(listeners[n])
-
-	fl := &oracleFleet{
-		url:    "http://" + listeners[n].Addr().String(),
-		client: &http.Client{Timeout: 30 * time.Second},
-	}
-	fl.shutdown = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		// Client-side connection pools close first: a spare pooled
-		// connection is StateNew on its server, and Shutdown waits five
-		// seconds before reaping those.
-		fl.client.CloseIdleConnections()
-		rt.Close()
-		for _, srv := range backends {
-			srv.Shutdown(ctx)
-		}
-		for _, hs := range httpSrvs {
-			hs.Shutdown(ctx)
-		}
-	}
-	return fl, nil
+func (c routerClient) do(method, path string, body []byte) (int, []byte) {
+	st, _, b := c.send(method, path, body)
+	return st, b
 }

@@ -20,12 +20,14 @@ package oracle
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"time"
 
 	"scaf"
 	"scaf/internal/cfg"
@@ -61,35 +63,33 @@ type Config struct {
 	// Server re-resolves through the internal/server HTTP path (an
 	// in-process handler; no network) and compares at the level of
 	// serialized wire bytes. Incompatible with ExtraModules — the daemon
-	// builds its own orchestrators.
+	// builds its own orchestrators. Server, Fleet, Persist and Elastic
+	// share one cold reference instance per program and its one set of
+	// golds (see goldSet).
 	Server bool
 	// Fleet re-resolves through a sharded fleet — two scaf-serve backends
 	// wired as cache peers behind a consistent-hash scaf-router on
 	// loopback — and byte-compares every response body (create, spliced
-	// analyze envelopes, queries, serial and parallel) against a single
-	// cold instance. Incompatible with ExtraModules, like Server.
+	// analyze envelopes, queries, serial and parallel) against the
+	// reference instance's. Incompatible with ExtraModules, like Server.
 	Fleet bool
 	// Persist runs the warm-restart pass: a persistent fleet-of-one
 	// instance serves the session, drains (snapshotting its shard),
 	// restarts from the same directory, and the warm instance's bytes
-	// must equal a cold single instance's — including across a restart
+	// must equal the reference instance's — including across a restart
 	// that straddles an /observe quarantine, where the revoked entries
 	// must be physical misses after reload. Incompatible with
 	// ExtraModules, like Server and Fleet.
 	Persist bool
-	// Elastic runs the live-membership pass: the fleet topology plus one
-	// spare backend, joined through POST /fleet/join while concurrent
-	// clients replay serial golds (bounded 503 retries are the only
-	// permitted detour), then shrunk through POST /fleet/leave — every
-	// answer byte-compared against the static fleet's, with the joiner
-	// required to actually serve from its streamed segments. Incompatible
-	// with ExtraModules, like Server and Fleet.
+	// Elastic runs the live-membership pass on the fleet topology plus one
+	// spare backend (the same fleet boot as Fleet's, whose static members
+	// are byte-compared serially first): the spare is joined through POST
+	// /fleet/join while concurrent clients replay the golds (bounded 503
+	// retries are the only permitted detour), then the fleet is shrunk
+	// through POST /fleet/leave — every answer byte-compared against the
+	// golds, with the joiner required to actually serve from its streamed
+	// segments. Incompatible with ExtraModules, like Server and Fleet.
 	Elastic bool
-	// ValidatePlan additionally builds the speculation plan on session
-	// load (the server's plan=validate path) and re-runs the program with
-	// the plan's runtime checks enforced; a misspeculating plan on the
-	// training input is a soundness bug.
-	ValidatePlan bool
 	// Transforms is the metamorphic layer: each transform is applied to
 	// the source, validated by re-running the interpreter and comparing
 	// observable behavior, and only then do preserved-answer checks count.
@@ -159,7 +159,6 @@ const (
 	KindDriftFleet       = "drift-fleet"       // fleet answers != single instance
 	KindDriftPersist     = "drift-persist"     // warm-restart answers != cold instance
 	KindDriftElastic     = "drift-elastic"     // answers drift across a live join/leave
-	KindPlanInvalid      = "plan-invalid"      // speculation plan misspeculated on its own training input
 	KindMetamorphic      = "metamorphic"       // transform changed preserved answers
 	KindTransformInvalid = "transform-invalid" // transform changed observable behavior (harness bug)
 	KindRecoveryTaint    = "recovery-taint"    // quarantined speculation still reaches answers
@@ -313,17 +312,17 @@ func CheckProgram(cfg Config, name, src string) (*Report, error) {
 			checkParallelDrift(cfg, rep, base, scheme, true)
 		}
 	}
-	if cfg.Server && cfg.ExtraModules == nil {
-		checkServerDrift(cfg, rep, base)
-	}
-	if cfg.Fleet && cfg.ExtraModules == nil {
-		checkFleetDrift(cfg, rep, base)
-	}
-	if cfg.Persist && cfg.ExtraModules == nil {
-		checkPersist(cfg, rep, base)
-	}
-	if cfg.Elastic && cfg.ExtraModules == nil {
-		checkElasticDrift(cfg, rep, base)
+	if cfg.ExtraModules == nil && (cfg.Server || cfg.Fleet || cfg.Persist || cfg.Elastic) {
+		gs := collectGolds(cfg, rep, base)
+		if cfg.Server {
+			checkServerDrift(rep, base, gs)
+		}
+		if cfg.Fleet || cfg.Elastic {
+			checkFleetDrift(cfg, rep, gs)
+		}
+		if cfg.Persist {
+			checkPersist(rep, gs)
+		}
 	}
 	if cfg.Recovery {
 		for _, scheme := range cfg.Schemes {
@@ -634,9 +633,9 @@ func execDiverged(a *analysis, r *runtime.Report) string {
 //
 // Honest pass: the scheme's plans drive the speculative-parallel runtime
 // and the result must be byte-equal to serial — and must not misspeculate,
-// since the plan was trained on this very input (the runtime analogue of
-// KindPlanInvalid). Chaos pass: a seeded fault-injection module lies its
-// way into the plans, forcing real misspeculations; every recovery round
+// since the plan was trained on this very input (KindExecMisspec). Chaos
+// pass: a seeded fault-injection module lies its way into the plans,
+// forcing real misspeculations; every recovery round
 // must still end byte-equal (abort → quarantine → serial re-execution is
 // exclusion, not approximation), and rerunning with the accumulated
 // quarantine must reach a misspeculation-free execution within a bounded
@@ -721,51 +720,71 @@ func compareRecovered(rep *Report, a *analysis, scheme scaf.Scheme, results []*p
 	}
 }
 
-// checkServerDrift loads the program as a session of an in-process
-// analysis daemon and compares the HTTP answers — byte-level, through the
-// same wire encoding as the serial results — for every scheme.
-func checkServerDrift(cfg Config, rep *Report, a *analysis) {
-	srv := server.New(server.Config{Workers: 2})
-	h := srv.Handler()
+// goldSet is what one cold single instance serves for the program: the
+// session create, then per scheme the analyze batch and up to
+// fleetQueryCap of its queries, in that order. Each seed boots one such
+// reference; the server, fleet, elastic and persist passes all check
+// against its one gold set.
+type goldSet struct {
+	create       []byte // the create request body
+	createStatus int
+	createReply  []byte
+	info         server.SessionInfo // ID is empty unless the create succeeded
+	golds        []gold
+	// results holds each scheme's decoded analyze results.
+	results map[scaf.Scheme][]server.WireLoopResult
+}
 
-	plan := "off"
-	if cfg.ValidatePlan {
-		plan = "validate"
-	}
-	createBody, _ := json.Marshal(map[string]any{
-		"name": a.name, "source": a.src, "plan": plan,
+// gold is one request the reference served and its reply.
+type gold struct {
+	scheme scaf.Scheme
+	loop   string // queries only
+	query  bool
+	path   string
+	body   []byte
+	status int
+	want   []byte
+}
+
+// fleetQueryCap bounds the per-scheme query set replayed through the
+// serving passes; random oracle programs rarely exceed it.
+const fleetQueryCap = 64
+
+// collectGolds loads the program into a fresh reference instance and
+// records its replies. Replies the reference cannot decode itself are
+// drift-server findings.
+func collectGolds(cfg Config, rep *Report, a *analysis) *goldSet {
+	srv := server.New(server.Config{Workers: 2})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	h := srv.Handler()
+	gs := &goldSet{results: map[scaf.Scheme][]server.WireLoopResult{}}
+	gs.create, _ = json.Marshal(map[string]any{
+		"name": a.name, "source": a.src, "plan": "off",
 		"hot_loops": map[string]float64{
 			"min_weight_frac": cfg.HotLoops.MinWeightFrac,
 			"min_avg_iters":   cfg.HotLoops.MinAvgIters,
 		},
 	})
-	status, body := do(h, "POST", "/sessions", createBody)
-	if status == http.StatusUnprocessableEntity && cfg.ValidatePlan {
-		rep.violate(Violation{Kind: KindPlanInvalid,
-			Detail: fmt.Sprintf("speculation plan failed its own training-input validation: %s", body)})
-		return
-	}
-	if status != http.StatusCreated {
-		rep.violate(Violation{Kind: KindDriftServer,
-			Detail: fmt.Sprintf("session load failed: status %d: %s", status, body)})
-		return
+	gs.createStatus, gs.createReply = do(h, "POST", "/sessions", gs.create)
+	if gs.createStatus != http.StatusCreated {
+		return gs
 	}
 	var info server.SessionInfo
-	if err := json.Unmarshal(body, &info); err != nil {
+	if err := json.Unmarshal(gs.createReply, &info); err != nil {
 		rep.violate(Violation{Kind: KindDriftServer, Detail: fmt.Sprintf("bad session info: %v", err)})
-		return
+		return gs
 	}
-	if len(info.HotLoops) != len(a.hot) {
-		rep.violate(Violation{Kind: KindDriftServer,
-			Detail: fmt.Sprintf("server sees %d hot loops, library sees %d", len(info.HotLoops), len(a.hot))})
-		return
-	}
+	gs.info = info
 	for _, scheme := range cfg.Schemes {
 		reqBody, _ := json.Marshal(map[string]any{"scheme": scheme.String()})
-		status, body := do(h, "POST", "/sessions/"+info.ID+"/analyze", reqBody)
-		if status != http.StatusOK {
-			rep.violate(Violation{Kind: KindDriftServer, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("analyze failed: status %d: %s", status, body)})
+		path := "/sessions/" + info.ID + "/analyze"
+		st, body := do(h, "POST", path, reqBody)
+		gs.golds = append(gs.golds, gold{scheme: scheme, path: path, body: reqBody, status: st, want: body})
+		if st != http.StatusOK {
 			continue
 		}
 		var resp server.AnalyzeResponse
@@ -774,10 +793,61 @@ func checkServerDrift(cfg Config, rep *Report, a *analysis) {
 				Detail: fmt.Sprintf("bad analyze response: %v", err)})
 			continue
 		}
-		got := wireJSON(resp.Results)
-		want := wireJSON(a.wire[scheme])
+		gs.results[scheme] = resp.Results
+		n := 0
+		for _, lr := range resp.Results {
+			for _, q := range lr.Queries {
+				if n >= fleetQueryCap {
+					break
+				}
+				n++
+				qb, _ := json.Marshal(server.QueryRequest{
+					Scheme: scheme.String(), Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel,
+				})
+				qpath := "/sessions/" + info.ID + "/query"
+				qst, qbody := do(h, "POST", qpath, qb)
+				gs.golds = append(gs.golds, gold{scheme: scheme, loop: lr.Loop, query: true,
+					path: qpath, body: qb, status: qst, want: qbody})
+			}
+		}
+	}
+	return gs
+}
+
+// checkServerDrift compares the reference instance's HTTP answers —
+// byte-level, through the same wire encoding as the serial results —
+// against the library's, for every scheme.
+func checkServerDrift(rep *Report, a *analysis, gs *goldSet) {
+	if gs.createStatus != http.StatusCreated {
+		rep.violate(Violation{Kind: KindDriftServer,
+			Detail: fmt.Sprintf("session load failed: status %d: %s", gs.createStatus, gs.createReply)})
+		return
+	}
+	if gs.info.ID == "" {
+		return // the unreadable session info is already reported
+	}
+	if len(gs.info.HotLoops) != len(a.hot) {
+		rep.violate(Violation{Kind: KindDriftServer,
+			Detail: fmt.Sprintf("server sees %d hot loops, library sees %d", len(gs.info.HotLoops), len(a.hot))})
+		return
+	}
+	for _, g := range gs.golds {
+		if g.query {
+			continue
+		}
+		if g.status != http.StatusOK {
+			rep.violate(Violation{Kind: KindDriftServer, Scheme: g.scheme.String(),
+				Detail: fmt.Sprintf("analyze failed: status %d: %s", g.status, g.want)})
+			continue
+		}
+		results, ok := gs.results[g.scheme]
+		if !ok {
+			continue // the unreadable reply is already reported
+		}
+		got := wireJSON(results)
+		want := wireJSON(a.wire[g.scheme])
 		if !bytes.Equal(got, want) {
-			rep.violate(Violation{Kind: KindDriftServer, Scheme: scheme.String(),
+			rep.violate(Violation{Kind: KindDriftServer, Scheme: g.scheme.String(),
 				Detail: fmt.Sprintf("HTTP answers diverge from library:\n  library: %s\n  http:    %s", want, got)})
 		}
 	}

@@ -5,12 +5,12 @@ package oracle
 // byte-indistinguishable from a cold one. One persistent fleet-of-one
 // instance serves a session and is drained (writing its snapshot); a
 // second instance boots from the same directory and must serve the exact
-// bytes a cold single instance serves — with the loop lookaside actually
-// hitting the reloaded entries, so the equality is not achieved by
-// quietly recomputing. The restart deliberately straddles an /observe
-// quarantine: after reload the revoked entries must be physical misses
-// (absent from the shard and un-reinsertable), and the fresh session must
-// reproduce the clean-slate bytes.
+// bytes the seed's cold reference instance served — with the loop
+// lookaside actually hitting the reloaded entries, so the equality is not
+// achieved by quietly recomputing. The restart deliberately straddles an
+// /observe quarantine: after reload the revoked entries must be physical
+// misses (absent from the shard and un-reinsertable), and the fresh
+// session must reproduce the clean-slate bytes.
 
 import (
 	"bytes"
@@ -27,7 +27,7 @@ import (
 	"scaf/internal/server"
 )
 
-func checkPersist(cfg Config, rep *Report, a *analysis) {
+func checkPersist(rep *Report, gs *goldSet) {
 	dir, err := os.MkdirTemp("", "scaf-oracle-persist-")
 	if err != nil {
 		rep.violate(Violation{Kind: KindDriftPersist, Detail: fmt.Sprintf("temp cache dir: %v", err)})
@@ -44,85 +44,33 @@ func checkPersist(cfg Config, rep *Report, a *analysis) {
 		return server.New(server.Config{Workers: 2, Fleet: &server.FleetConfig{Self: "p0", CacheDir: dir}})
 	}
 
-	refSrv := server.New(server.Config{Workers: 2})
-	refH := refSrv.Handler()
-	defer shutdown(refSrv)
-
 	srv1 := bootPersist()
 	h1 := srv1.Handler()
-
-	createBody, _ := json.Marshal(map[string]any{
-		"name": a.name, "source": a.src, "plan": "off",
-		"hot_loops": map[string]float64{
-			"min_weight_frac": cfg.HotLoops.MinWeightFrac,
-			"min_avg_iters":   cfg.HotLoops.MinAvgIters,
-		},
-	})
-	refStatus, refBody := do(refH, "POST", "/sessions", createBody)
-	pStatus, pBody := do(h1, "POST", "/sessions", createBody)
-	if refStatus != pStatus || !bytes.Equal(refBody, pBody) {
+	pStatus, pBody := do(h1, "POST", "/sessions", gs.create)
+	if gs.createStatus != pStatus || !bytes.Equal(gs.createReply, pBody) {
 		shutdown(srv1)
 		rep.violate(Violation{Kind: KindDriftPersist,
 			Detail: fmt.Sprintf("session create diverges: cold %d %s, persistent %d %s",
-				refStatus, refBody, pStatus, pBody)})
+				gs.createStatus, gs.createReply, pStatus, pBody)})
 		return
 	}
-	if refStatus != http.StatusCreated {
+	if gs.info.ID == "" {
 		shutdown(srv1)
 		return // load failure is covered by the server pass
 	}
-	var info server.SessionInfo
-	if err := json.Unmarshal(refBody, &info); err != nil {
-		shutdown(srv1)
-		rep.violate(Violation{Kind: KindDriftPersist, Detail: fmt.Sprintf("bad session info: %v", err)})
-		return
-	}
 
-	// Cold phase: collect golds from the reference while the persistent
-	// instance warms its shard with the same traffic.
-	type gold struct {
-		scheme string
-		path   string
-		body   []byte
-		want   []byte
-	}
-	var golds []gold
-	for _, scheme := range cfg.Schemes {
-		reqBody, _ := json.Marshal(map[string]any{"scheme": scheme.String()})
-		path := "/sessions/" + info.ID + "/analyze"
-		rs, rb := do(refH, "POST", path, reqBody)
-		ps, pb := do(h1, "POST", path, reqBody)
-		if rs != ps || !bytes.Equal(rb, pb) {
-			rep.violate(Violation{Kind: KindDriftPersist, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("cold-phase analyze diverges:\n  cold:       %d %s\n  persistent: %d %s", rs, rb, ps, pb)})
-			continue
-		}
-		if rs != http.StatusOK {
-			continue
-		}
-		golds = append(golds, gold{scheme: scheme.String(), path: path, body: reqBody, want: rb})
-		var resp server.AnalyzeResponse
-		if err := json.Unmarshal(rb, &resp); err != nil {
-			rep.violate(Violation{Kind: KindDriftPersist, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("bad analyze response: %v", err)})
-			continue
-		}
-		n := 0
-		for _, lr := range resp.Results {
-			for _, q := range lr.Queries {
-				if n >= fleetQueryCap {
-					break
-				}
-				n++
-				qb, _ := json.Marshal(server.QueryRequest{
-					Scheme: scheme.String(), Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel,
-				})
-				qpath := "/sessions/" + info.ID + "/query"
-				rqs, rqb := do(refH, "POST", qpath, qb)
-				if rqs == http.StatusOK {
-					golds = append(golds, gold{scheme: scheme.String(), path: qpath, body: qb, want: rqb})
-				}
+	// Cold phase: the persistent instance warms its shard with the
+	// analyze golds, and must already serve their bytes.
+	var golds []gold // replayed against the warm instance
+	for _, g := range gs.golds {
+		if !g.query {
+			if ps, pb := do(h1, "POST", g.path, g.body); ps != g.status || !bytes.Equal(pb, g.want) {
+				rep.violate(Violation{Kind: KindDriftPersist, Scheme: g.scheme.String(),
+					Detail: fmt.Sprintf("cold-phase analyze diverges:\n  cold:       %d %s\n  persistent: %d %s", g.status, g.want, ps, pb)})
 			}
+		}
+		if g.status == http.StatusOK {
+			golds = append(golds, g)
 		}
 	}
 
@@ -138,7 +86,7 @@ func checkPersist(cfg Config, rep *Report, a *analysis) {
 	if revKey != "" {
 		ob, _ := json.Marshal(server.ObserveRequest{Violations: []server.WireViolation{
 			{Assertion: revKey, Detail: "persist oracle: straddled restart"}}})
-		if st, body := do(h1, "POST", "/sessions/"+info.ID+"/observe", ob); st != http.StatusOK {
+		if st, body := do(h1, "POST", "/sessions/"+gs.info.ID+"/observe", ob); st != http.StatusOK {
 			rep.violate(Violation{Kind: KindDriftPersist,
 				Detail: fmt.Sprintf("observe before drain failed: %d %s", st, body)})
 			revKey = ""
@@ -190,17 +138,17 @@ func checkPersist(cfg Config, rep *Report, a *analysis) {
 
 	// Warm phase: a fresh instance, a fresh session (same ID sequence),
 	// and every gold must be served byte-identically.
-	wStatus, wBody := do(h2, "POST", "/sessions", createBody)
-	if wStatus != refStatus || !bytes.Equal(wBody, refBody) {
+	wStatus, wBody := do(h2, "POST", "/sessions", gs.create)
+	if wStatus != gs.createStatus || !bytes.Equal(wBody, gs.createReply) {
 		rep.violate(Violation{Kind: KindDriftPersist,
 			Detail: fmt.Sprintf("warm session create diverges: cold %d %s, warm %d %s",
-				refStatus, refBody, wStatus, wBody)})
+				gs.createStatus, gs.createReply, wStatus, wBody)})
 		return
 	}
 	for _, g := range golds {
 		ws, wb := do(h2, "POST", g.path, g.body)
 		if ws != http.StatusOK || !bytes.Equal(wb, g.want) {
-			rep.violate(Violation{Kind: KindDriftPersist, Scheme: g.scheme,
+			rep.violate(Violation{Kind: KindDriftPersist, Scheme: g.scheme.String(),
 				Detail: fmt.Sprintf("warm-restart answer diverges from cold:\n  cold: %s\n  warm: %d %s", g.want, ws, wb)})
 		}
 	}

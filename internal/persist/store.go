@@ -201,35 +201,43 @@ func (s *Store) SnapshotPath() string { return filepath.Join(s.dir, SnapshotFile
 // JournalPath returns the revoked-set journal's path.
 func (s *Store) JournalPath() string { return filepath.Join(s.dir, JournalFile) }
 
-// Save atomically replaces the snapshot file with snap (temp file +
-// rename, so a crash mid-save leaves the previous snapshot intact).
+// Save atomically replaces the snapshot file with snap (see
+// WriteFileAtomic: a crash mid-save leaves the previous snapshot intact).
 func (s *Store) Save(snap Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data := Encode(snap)
-	tmp, err := os.CreateTemp(s.dir, SnapshotFile+".tmp-")
-	if err != nil {
+	if err := WriteFileAtomic(s.dir, SnapshotFile, Encode(snap)); err != nil {
 		s.saveErrors.Add(1)
 		return err
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.SnapshotPath())
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		s.saveErrors.Add(1)
-		return werr
 	}
 	s.saves.Add(1)
 	s.entries.Store(int64(len(snap.Entries)))
 	return nil
+}
+
+// WriteFileAtomic replaces dir/name with data: it writes and fsyncs a
+// temp file in dir, then renames it over name. The file is therefore
+// never empty or partial after a crash or power loss, and its old
+// contents survive any failure before the rename.
+func WriteFileAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Load reads the snapshot and merges the revoked-set journal on top.

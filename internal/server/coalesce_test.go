@@ -104,7 +104,7 @@ func TestFlightGroupConcurrentFollowers(t *testing.T) {
 // returns the in-flight value verbatim, counted as a coalesce hit.
 func TestAnalyzeCoalescesOntoInFlight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 	loop := info.HotLoops[0].Name
 
 	key := "analyze|" + info.ID + "|e0|SCAF|" + loop
@@ -119,7 +119,7 @@ func TestAnalyzeCoalescesOntoInFlight(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+		status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 			AnalyzeRequest{Scheme: "scaf", Loops: []string{loop}})
 		got <- result{status, raw}
 	}()
@@ -158,7 +158,7 @@ func TestAnalyzeCoalescesOntoInFlight(t *testing.T) {
 	srv.flights.mu.Unlock()
 	donec := make(chan result, 1)
 	go func() {
-		status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+		status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 			AnalyzeRequest{Scheme: "scaf", Loops: []string{loop}, DeadlineMS: 60000})
 		donec <- result{status, raw}
 	}()

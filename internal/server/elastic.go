@@ -454,9 +454,8 @@ func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpErr
 // segmentRequest asks a backend to export the slice of its local cache
 // shard that owner will hold under the ring built from nodes.
 type segmentRequest struct {
-	Nodes  []string `json:"nodes"`
-	VNodes int      `json:"vnodes,omitempty"`
-	Owner  string   `json:"owner"`
+	Nodes []string `json:"nodes"`
+	Owner string   `json:"owner"`
 }
 
 // SegmentRestoreResponse reports what a segment restore accepted.
@@ -488,7 +487,7 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 	seg := persist.Segment(persist.Snapshot{
 		Revoked: local.RevokedKeys(),
 		Entries: local.SnapshotEntries(),
-	}, fleet.NewRing(req.Nodes, req.VNodes), req.Owner)
+	}, fleet.NewRing(req.Nodes, 0), req.Owner)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(persist.Encode(seg))
 }

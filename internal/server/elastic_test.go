@@ -11,99 +11,28 @@ import (
 	"time"
 )
 
-// newElasticCluster is newFleetCluster with the knobs the membership
-// tests need: tier auto-flush (so cross-owner publishes actually land on
-// their owners before a segment export) and a router persist directory
-// (so membership changes can be proven durable).
-func newElasticCluster(t *testing.T, n int) ([]*fleetBackend, *Router, *httptest.Server, string) {
-	t.Helper()
-	backends := make([]*fleetBackend, n)
-	for i := range backends {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends[i] = &fleetBackend{id: fmt.Sprintf("b%d", i), addr: l.Addr().String()}
-		l.Close()
-	}
-	urls := map[string]string{}
-	for _, b := range backends {
-		urls[b.id] = b.url()
-	}
-	for _, b := range backends {
-		peers := map[string]string{}
-		for id, u := range urls {
-			if id != b.id {
-				peers[id] = u
-			}
-		}
-		b.cfg = Config{Fleet: &FleetConfig{Self: b.id, Peers: peers,
-			Timeout: 5 * time.Second, AutoFlush: 5 * time.Millisecond}}
-		b.start(t)
-		b := b
-		t.Cleanup(func() {
-			if b.ts != nil {
-				b.stop()
-			}
-		})
-	}
-	dir := t.TempDir()
-	rt := NewRouter(RouterConfig{Backends: urls, Route: "hash", CacheDir: dir,
-		DrainTimeout: 10 * time.Second})
-	tsr := httptest.NewServer(rt.Handler())
-	t.Cleanup(tsr.Close)
-	t.Cleanup(rt.Close)
-	return backends, rt, tsr, dir
-}
-
-// newSpareBackend boots one extra fleet instance that is not yet a
-// member: the joiner. Its tier peers are the current members; the
-// router's membership push teaches everyone the rest.
-func newSpareBackend(t *testing.T, id string, backends []*fleetBackend) *fleetBackend {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &fleetBackend{id: id, addr: l.Addr().String()}
-	l.Close()
-	peers := map[string]string{}
-	for _, b := range backends {
-		peers[b.id] = b.url()
-	}
-	sp.cfg = Config{Fleet: &FleetConfig{Self: id, Peers: peers,
-		Timeout: 5 * time.Second, AutoFlush: 5 * time.Millisecond}}
-	sp.start(t)
-	t.Cleanup(func() {
-		if sp.ts != nil {
-			sp.stop()
-		}
-	})
-	return sp
-}
-
 // warmElasticFleet creates several sessions through the router and
 // analyzes each one, so the backends publish loop-result entries into
-// the cache tier; returns the session infos and each one's analyze gold.
+// the cache tier, then flushes those publications to their owners;
+// returns the session infos and each one's analyze gold.
 // Each session gets a distinct source (the fleet digest covers source
 // bytes, not the session name), so the published keys spread across the
 // ring instead of collapsing onto one digest.
-func warmElasticFleet(t *testing.T, tsr *httptest.Server, n int) ([]SessionInfo, [][]byte) {
+func warmElasticFleet(t *testing.T, fl *LoopbackFleet, n int) ([]SessionInfo, [][]byte) {
 	t.Helper()
 	infos := make([]SessionInfo, n)
 	golds := make([][]byte, n)
 	for i := range infos {
 		src := strings.Replace(smallSource, "r < 40", fmt.Sprintf("r < %d", 40+i), 1)
-		infos[i] = createSession(t, tsr, CreateSessionRequest{
+		infos[i] = createSession(t, fl.URL, CreateSessionRequest{
 			Name: fmt.Sprintf("elastic-%d", i), Source: src, Plan: "off"})
-		st, raw := do(t, tsr, "POST", "/sessions/"+infos[i].ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+		st, raw := do(t, fl.URL, "POST", "/sessions/"+infos[i].ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 		if st != http.StatusOK {
 			t.Fatalf("warm analyze %d: %d %.300s", i, st, raw)
 		}
 		golds[i] = raw
 	}
-	// Let the tiers' auto-flush land queued cross-owner publishes.
-	time.Sleep(50 * time.Millisecond)
+	fl.Flush()
 	return infos, golds
 }
 
@@ -113,11 +42,12 @@ func warmElasticFleet(t *testing.T, tsr *httptest.Server, n int) ([]SessionInfo,
 // fleet, (b) the joiner serves warm hits from its streamed segments
 // (nonvacuity), and (c) the grown membership survives a router restart.
 func TestElasticJoin(t *testing.T) {
-	backends, rt, tsr, dir := newElasticCluster(t, 2)
-	spare := newSpareBackend(t, "j0", backends)
-	infos, golds := warmElasticFleet(t, tsr, 6)
+	dir := t.TempDir()
+	fl := startFleet(t, 2, true, RouterConfig{CacheDir: dir, DrainTimeout: 10 * time.Second})
+	rt := fl.Router
+	infos, golds := warmElasticFleet(t, fl, 6)
 
-	st, raw := do(t, tsr, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.url()})
+	st, raw := do(t, fl.URL, "POST", "/fleet/join", JoinRequest{ID: SpareID, URL: fl.BackendURL(SpareID)})
 	if st != http.StatusOK {
 		t.Fatalf("join: %d %.400s", st, raw)
 	}
@@ -133,8 +63,7 @@ func TestElasticJoin(t *testing.T) {
 	}
 
 	// The joiner holds the replayed session registry.
-	direct := httptest.NewServer(spare.srv.Handler())
-	defer direct.Close()
+	direct := fl.BackendURL(SpareID)
 	_, sraw := do(t, direct, "GET", "/sessions", nil)
 	if got := decode[[]SessionInfo](t, sraw); len(got) != len(infos) {
 		t.Fatalf("joiner holds %d sessions, want %d", len(got), len(infos))
@@ -144,7 +73,7 @@ func TestElasticJoin(t *testing.T) {
 	// same sessions must produce the same bytes, with the joiner serving
 	// whole loops from the cache tier it was streamed.
 	for i, info := range infos {
-		st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+		st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 		if st != http.StatusOK || !bytes.Equal(raw, golds[i]) {
 			t.Fatalf("analyze %d diverged across join: %d\ngot  %.300s\nwant %.300s", i, st, raw, golds[i])
 		}
@@ -156,7 +85,7 @@ func TestElasticJoin(t *testing.T) {
 	}
 
 	// Router counters surface the move; no inconsistency, ever.
-	_, rraw := do(t, tsr, "GET", "/metrics", nil)
+	_, rraw := do(t, fl.URL, "GET", "/metrics", nil)
 	rm := decode[RouterMetrics](t, rraw)
 	if rm.Router.Joins != 1 || rm.Router.Rollbacks != 0 || rm.Router.Inconsistent != 0 {
 		t.Fatalf("router counters after join: %+v", rm.Router)
@@ -169,14 +98,14 @@ func TestElasticJoin(t *testing.T) {
 	// two-backend flag learns j0 back from its snapshot.
 	rt.Close()
 	rt2 := NewRouter(RouterConfig{
-		Backends: map[string]string{"b0": backends[0].url(), "b1": backends[1].url()},
+		Backends: map[string]string{"b0": fl.BackendURL("b0"), "b1": fl.BackendURL("b1")},
 		CacheDir: dir,
 	})
 	defer rt2.Close()
 	rt2.mu.Lock()
 	ids := append([]string(nil), rt2.ids...)
 	rt2.mu.Unlock()
-	if len(ids) != 3 || ids[2] != "j0" {
+	if len(ids) != 3 || ids[2] != SpareID {
 		t.Fatalf("restarted router lost the joined member: %v", ids)
 	}
 }
@@ -185,16 +114,16 @@ func TestElasticJoin(t *testing.T) {
 // segment streaming: the move must roll back — membership, ring, and
 // service exactly as before — and a retry with a fresh joiner succeeds.
 func TestElasticJoinKillJoinerMidStream(t *testing.T) {
-	backends, rt, tsr, _ := newElasticCluster(t, 2)
-	spare := newSpareBackend(t, "j0", backends)
-	infos, golds := warmElasticFleet(t, tsr, 4)
+	fl := startFleet(t, 2, true, RouterConfig{CacheDir: t.TempDir(), DrainTimeout: 10 * time.Second})
+	rt := fl.Router
+	infos, golds := warmElasticFleet(t, fl, 4)
 
 	rt.moveHook = func(op, phase, id string) {
 		if op == "join" && phase == "streaming" {
-			spare.stop()
+			fl.Stop(SpareID)
 		}
 	}
-	st, raw := do(t, tsr, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.url()})
+	st, raw := do(t, fl.URL, "POST", "/fleet/join", JoinRequest{ID: SpareID, URL: fl.BackendURL(SpareID)})
 	if st == http.StatusOK {
 		t.Fatalf("join with a dead joiner succeeded: %.300s", raw)
 	}
@@ -206,13 +135,13 @@ func TestElasticJoinKillJoinerMidStream(t *testing.T) {
 	}
 
 	// The fleet is exactly as before: two members, no fence, same bytes.
-	_, rraw := do(t, tsr, "GET", "/metrics", nil)
+	_, rraw := do(t, fl.URL, "GET", "/metrics", nil)
 	rm := decode[RouterMetrics](t, rraw)
 	if len(rm.Router.Members) != 2 || rm.Router.Pending != "" || rm.Router.Joins != 0 {
 		t.Fatalf("membership after rollback: %+v", rm.Router)
 	}
 	for i, info := range infos {
-		st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+		st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 		if st != http.StatusOK || !bytes.Equal(raw, golds[i]) {
 			t.Fatalf("analyze %d degraded by the rolled-back join", i)
 		}
@@ -220,8 +149,10 @@ func TestElasticJoinKillJoinerMidStream(t *testing.T) {
 
 	// Retry with a restarted (empty) joiner: must go through cleanly.
 	rt.moveHook = nil
-	spare.start(t)
-	st, raw = do(t, tsr, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.url()})
+	if err := fl.Restart(SpareID); err != nil {
+		t.Fatal(err)
+	}
+	st, raw = do(t, fl.URL, "POST", "/fleet/join", JoinRequest{ID: SpareID, URL: fl.BackendURL(SpareID)})
 	if st != http.StatusOK {
 		t.Fatalf("retry join: %d %.400s", st, raw)
 	}
@@ -235,16 +166,16 @@ func TestElasticJoinKillJoinerMidStream(t *testing.T) {
 // segments degrade to the usual 503 shard refusal, never to a wedged or
 // inconsistent fleet.
 func TestElasticJoinKillOwnerMidDrain(t *testing.T) {
-	backends, rt, tsr, _ := newElasticCluster(t, 2)
-	spare := newSpareBackend(t, "j0", backends)
-	infos, _ := warmElasticFleet(t, tsr, 3)
+	fl := startFleet(t, 2, true, RouterConfig{CacheDir: t.TempDir(), DrainTimeout: 10 * time.Second})
+	rt := fl.Router
+	infos, _ := warmElasticFleet(t, fl, 3)
 
 	rt.moveHook = func(op, phase, id string) {
 		if op == "join" && phase == "draining" {
-			backends[1].stop()
+			fl.Stop("b1")
 		}
 	}
-	st, raw := do(t, tsr, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.url()})
+	st, raw := do(t, fl.URL, "POST", "/fleet/join", JoinRequest{ID: SpareID, URL: fl.BackendURL(SpareID)})
 	if st != http.StatusOK {
 		t.Fatalf("join across an owner death: %d %.400s", st, raw)
 	}
@@ -255,12 +186,12 @@ func TestElasticJoinKillOwnerMidDrain(t *testing.T) {
 	// Reads still flow: every analyze either answers the canonical bytes
 	// or refuses with the bounded 503 for the dead owner's segments.
 	for _, info := range infos {
-		st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+		st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 		if st != http.StatusOK && st != http.StatusServiceUnavailable {
 			t.Fatalf("analyze after owner death: %d %.300s", st, raw)
 		}
 	}
-	_, rraw := do(t, tsr, "GET", "/metrics", nil)
+	_, rraw := do(t, fl.URL, "GET", "/metrics", nil)
 	rm := decode[RouterMetrics](t, rraw)
 	if rm.Router.Inconsistent != 0 || rm.Router.Joins != 1 {
 		t.Fatalf("router counters: %+v", rm.Router)
@@ -272,9 +203,9 @@ func TestElasticJoinKillOwnerMidDrain(t *testing.T) {
 // move_in_progress, joining a member and removing the last member
 // refuse, removing a non-member 404s.
 func TestElasticMoveExclusion(t *testing.T) {
-	backends, rt, tsr, _ := newElasticCluster(t, 2)
-	spare := newSpareBackend(t, "j0", backends)
-	warmElasticFleet(t, tsr, 2)
+	fl := startFleet(t, 2, true, RouterConfig{CacheDir: t.TempDir(), DrainTimeout: 10 * time.Second})
+	rt := fl.Router
+	warmElasticFleet(t, fl, 2)
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -290,18 +221,18 @@ func TestElasticMoveExclusion(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		st, raw := do(t, tsr, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.url()})
+		st, raw := do(t, fl.URL, "POST", "/fleet/join", JoinRequest{ID: SpareID, URL: fl.BackendURL(SpareID)})
 		done <- result{st, raw}
 	}()
 	<-entered
 
 	// A second join and a leave while the first join is mid-move.
-	if st, raw := do(t, tsr, "POST", "/fleet/join", JoinRequest{ID: "j1", URL: "http://127.0.0.1:1"}); st != http.StatusConflict {
+	if st, raw := do(t, fl.URL, "POST", "/fleet/join", JoinRequest{ID: "j1", URL: "http://127.0.0.1:1"}); st != http.StatusConflict {
 		t.Fatalf("double join: %d %.300s", st, raw)
 	} else if e := decode[ErrorResponse](t, raw); e.Error.Code != "move_in_progress" {
 		t.Fatalf("double join code %q", e.Error.Code)
 	}
-	if st, raw := do(t, tsr, "POST", "/fleet/leave", LeaveRequest{ID: "b0"}); st != http.StatusConflict {
+	if st, raw := do(t, fl.URL, "POST", "/fleet/leave", LeaveRequest{ID: "b0"}); st != http.StatusConflict {
 		t.Fatalf("leave during join: %d %.300s", st, raw)
 	} else if e := decode[ErrorResponse](t, raw); e.Error.Code != "move_in_progress" {
 		t.Fatalf("leave-during-join code %q", e.Error.Code)
@@ -312,22 +243,22 @@ func TestElasticMoveExclusion(t *testing.T) {
 	}
 
 	rt.moveHook = nil
-	if st, raw := do(t, tsr, "POST", "/fleet/join", JoinRequest{ID: "b0", URL: backends[0].url()}); st != http.StatusConflict {
+	if st, raw := do(t, fl.URL, "POST", "/fleet/join", JoinRequest{ID: "b0", URL: fl.BackendURL("b0")}); st != http.StatusConflict {
 		t.Fatalf("join of a member: %d %.300s", st, raw)
 	} else if e := decode[ErrorResponse](t, raw); e.Error.Code != "already_member" {
 		t.Fatalf("member-join code %q", e.Error.Code)
 	}
-	if st, _ := do(t, tsr, "POST", "/fleet/leave", LeaveRequest{ID: "zz"}); st != http.StatusNotFound {
+	if st, _ := do(t, fl.URL, "POST", "/fleet/leave", LeaveRequest{ID: "zz"}); st != http.StatusNotFound {
 		t.Fatalf("leave of a stranger: %d", st)
 	}
 
 	// Shrink to one member, then refuse to go to zero.
-	for _, id := range []string{"j0", "b1"} {
-		if st, raw := do(t, tsr, "POST", "/fleet/leave", LeaveRequest{ID: id}); st != http.StatusOK {
+	for _, id := range []string{SpareID, "b1"} {
+		if st, raw := do(t, fl.URL, "POST", "/fleet/leave", LeaveRequest{ID: id}); st != http.StatusOK {
 			t.Fatalf("leave %s: %d %.400s", id, st, raw)
 		}
 	}
-	if st, raw := do(t, tsr, "POST", "/fleet/leave", LeaveRequest{ID: "b0"}); st != http.StatusConflict {
+	if st, raw := do(t, fl.URL, "POST", "/fleet/leave", LeaveRequest{ID: "b0"}); st != http.StatusConflict {
 		t.Fatalf("leave of the last member: %d %.300s", st, raw)
 	} else if e := decode[ErrorResponse](t, raw); e.Error.Code != "last_member" {
 		t.Fatalf("last-member code %q", e.Error.Code)
@@ -339,10 +270,11 @@ func TestElasticMoveExclusion(t *testing.T) {
 // bytes; removing an already-dead member completes without streaming
 // (cold successors, never a wedge).
 func TestElasticLeave(t *testing.T) {
-	backends, rt, tsr, _ := newElasticCluster(t, 3)
-	infos, golds := warmElasticFleet(t, tsr, 6)
+	fl := startFleet(t, 3, false, RouterConfig{CacheDir: t.TempDir(), DrainTimeout: 10 * time.Second})
+	rt := fl.Router
+	infos, golds := warmElasticFleet(t, fl, 6)
 
-	st, raw := do(t, tsr, "POST", "/fleet/leave", LeaveRequest{ID: "b0"})
+	st, raw := do(t, fl.URL, "POST", "/fleet/leave", LeaveRequest{ID: "b0"})
 	if st != http.StatusOK {
 		t.Fatalf("leave: %d %.400s", st, raw)
 	}
@@ -354,7 +286,7 @@ func TestElasticLeave(t *testing.T) {
 		t.Fatalf("live leave streamed no warm entries to successors: %+v", rep)
 	}
 	for i, info := range infos {
-		st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+		st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 		if st != http.StatusOK || !bytes.Equal(raw, golds[i]) {
 			t.Fatalf("analyze %d diverged across leave: %d", i, st)
 		}
@@ -362,8 +294,8 @@ func TestElasticLeave(t *testing.T) {
 
 	// Dead-member removal: kill b1, then remove it. No streaming is
 	// possible; the move must still complete.
-	backends[1].stop()
-	st, raw = do(t, tsr, "POST", "/fleet/leave", LeaveRequest{ID: "b1"})
+	fl.Stop("b1")
+	st, raw = do(t, fl.URL, "POST", "/fleet/leave", LeaveRequest{ID: "b1"})
 	if st != http.StatusOK {
 		t.Fatalf("leave of a dead member: %d %.400s", st, raw)
 	}
@@ -373,7 +305,7 @@ func TestElasticLeave(t *testing.T) {
 	}
 	// The survivor serves everything (cold where segments were lost).
 	for _, info := range infos {
-		if st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"}); st != http.StatusOK {
+		if st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"}); st != http.StatusOK {
 			t.Fatalf("analyze on the shrunk fleet: %d %.300s", st, raw)
 		}
 	}
@@ -407,7 +339,7 @@ func TestRouterProbeBackoff(t *testing.T) {
 	}
 	rts := httptest.NewServer(rt.Handler())
 	defer rts.Close()
-	_, raw := do(t, rts, "GET", "/metrics", nil)
+	_, raw := do(t, rts.URL, "GET", "/metrics", nil)
 	m := decode[RouterMetrics](t, raw)
 	pi, ok := m.Router.Probes["b0"]
 	if !ok || pi.Failures != 3 || pi.BackoffMS == 0 {

@@ -123,7 +123,7 @@ func TestRouterRejectsMalformedLoopReply(t *testing.T) {
 			tsr := httptest.NewServer(rt.Handler())
 			defer tsr.Close()
 
-			status, raw := do(t, tsr, "POST", "/sessions/s1/analyze",
+			status, raw := do(t, tsr.URL, "POST", "/sessions/s1/analyze",
 				AnalyzeRequest{Scheme: "scaf", Loops: []string{envelopeResults[0].Loop}})
 			if tc.ok {
 				if status != http.StatusOK || !bytes.Equal(raw, valid) {

@@ -32,7 +32,7 @@ func TestServerMatchesLibrary(t *testing.T) {
 			}
 
 			_, ts := newTestServer(t, Config{})
-			info := createSession(t, ts, CreateSessionRequest{Bench: name, Plan: "off"})
+			info := createSession(t, ts.URL, CreateSessionRequest{Bench: name, Plan: "off"})
 			if len(info.HotLoops) != len(b.Hot) {
 				t.Fatalf("server sees %d hot loops, library %d", len(info.HotLoops), len(b.Hot))
 			}
@@ -53,7 +53,7 @@ func TestServerMatchesLibrary(t *testing.T) {
 				// Twice through the server: the second pass answers from the
 				// session's warm cache and must not drift either.
 				for pass := 0; pass < 2; pass++ {
-					status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+					status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 						AnalyzeRequest{Scheme: scheme.String()})
 					if status != http.StatusOK {
 						t.Fatalf("%s analyze pass %d: status %d, body %s", scheme, pass, status, raw)

@@ -44,8 +44,7 @@ type FleetConfig struct {
 	// modules, build variants) into every session digest. Instances with
 	// different salts never share cache entries.
 	Salt string
-	// VNodes, Timeout, AutoFlush tune the tier (zeros pick fleet defaults).
-	VNodes    int
+	// Timeout and AutoFlush tune the tier (zeros pick fleet defaults).
 	Timeout   time.Duration
 	AutoFlush time.Duration
 	// CacheDir, when non-empty, makes the local shard durable: the boot

@@ -3,47 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 )
-
-// newFleetPair boots two servers joined as a two-instance fleet over real
-// loopback HTTP. The listeners are bound before either server is built so
-// each Config can name the other's base URL.
-func newFleetPair(t *testing.T) (sA, sB *Server, tsA, tsB *httptest.Server) {
-	t.Helper()
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	urlA := "http://" + lA.Addr().String()
-	urlB := "http://" + lB.Addr().String()
-
-	sA = New(Config{Fleet: &FleetConfig{
-		Self: "a", Peers: map[string]string{"b": urlB}, Timeout: 5 * time.Second,
-	}})
-	sB = New(Config{Fleet: &FleetConfig{
-		Self: "b", Peers: map[string]string{"a": urlA}, Timeout: 5 * time.Second,
-	}})
-
-	start := func(l net.Listener, s *Server) *httptest.Server {
-		ts := httptest.NewUnstartedServer(s.Handler())
-		ts.Listener.Close()
-		ts.Listener = l
-		ts.Start()
-		t.Cleanup(ts.Close)
-		t.Cleanup(func() { s.fleet.Close() })
-		return ts
-	}
-	return sA, sB, start(lA, sA), start(lB, sB)
-}
 
 // TestFleetLookasideAndCodec exercises the whole fleet data plane inside
 // one instance (no peers, purely local shard): a second identical session
@@ -57,17 +19,17 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 	t.Cleanup(func() { srv.fleet.Close() })
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	info1 := createSession(t, ts, req)
-	info2 := createSession(t, ts, req)
+	info1 := createSession(t, ts.URL, req)
+	info2 := createSession(t, ts.URL, req)
 
-	gold := analyzeJSON(t, ts, info1.ID)
+	gold := analyzeJSON(t, ts.URL, info1.ID)
 	if n := srv.fleetLoopHits.Load(); n != 0 {
 		t.Fatalf("cold analyze hit the lookaside %d times", n)
 	}
 
 	// Session 2 shares the program digest, so its analyze must be served
 	// whole from the tier without resolving anything.
-	got := analyzeJSON(t, ts, info2.ID)
+	got := analyzeJSON(t, ts.URL, info2.ID)
 	if !bytes.Equal(got, gold) {
 		t.Fatalf("lookaside-served analyze diverged:\ngot  %.400s\nwant %.400s", got, gold)
 	}
@@ -87,7 +49,7 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 	// Session 2's core caches are cold (its analyze never resolved), so a
 	// single /query must be served through the mod-ref codec: encode on
 	// publish by session 1, decode against session 2's module, render.
-	status, raw := do(t, ts, "POST", "/sessions/"+info2.ID+"/query", QueryRequest{
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info2.ID+"/query", QueryRequest{
 		Scheme: "scaf", Loop: results[0].Loop, I1: ref.I1, I2: ref.I2, Rel: ref.Rel,
 	})
 	if status != http.StatusOK {
@@ -100,7 +62,7 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 		t.Fatalf("codec-served query diverged from its fresh twin:\ngot  %s\nwant %s", gotJSON, refJSON)
 	}
 
-	_, raw = do(t, ts, "GET", "/metrics", nil)
+	_, raw = do(t, ts.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	if m.Server.FleetLoopHits == 0 {
 		t.Fatalf("fleet_loop_hits not surfaced: %+v", m.Server)
@@ -122,7 +84,9 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 // to A's fresh resolution — both the whole-loop lookaside on /analyze and
 // the mod-ref codec on /query.
 func TestFleetCrossInstanceRemoteHit(t *testing.T) {
-	sA, sB, tsA, tsB := newFleetPair(t)
+	fl := startFleet(t, 2, false, RouterConfig{})
+	sA, sB := fl.Backend("b0"), fl.Backend("b1")
+	tsA, tsB := fl.BackendURL("b0"), fl.BackendURL("b1")
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 	infoA := createSession(t, tsA, req)
@@ -186,7 +150,9 @@ func TestFleetCrossInstanceRemoteHit(t *testing.T) {
 // had those assertions excluded from the start, even though B never saw a
 // local observe report.
 func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
-	sA, sB, tsA, tsB := newFleetPair(t)
+	fl := startFleet(t, 2, false, RouterConfig{})
+	sA, sB := fl.Backend("b0"), fl.Backend("b1")
+	tsA, tsB := fl.BackendURL("b0"), fl.BackendURL("b1")
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 	infoA := createSession(t, tsA, req)
@@ -279,14 +245,14 @@ func TestFleetCorruptLoopValueMisses(t *testing.T) {
 	_, cold := newTestServer(t, Config{})
 
 	req := CreateSessionRequest{Bench: "129.compress"}
-	info := createSession(t, ts, req)
-	createSession(t, cold, req)
+	info := createSession(t, ts.URL, req)
+	createSession(t, cold.URL, req)
 	path := "/sessions/" + info.ID + "/analyze"
 	schemes := []string{"caf", "confluence", "scaf"}
 	gold := map[string][]byte{}
 	for _, sc := range schemes {
-		_, gold[sc] = do(t, cold, "POST", path, AnalyzeRequest{Scheme: sc})
-		if _, warm := do(t, ts, "POST", path, AnalyzeRequest{Scheme: sc}); !bytes.Equal(warm, gold[sc]) {
+		_, gold[sc] = do(t, cold.URL, "POST", path, AnalyzeRequest{Scheme: sc})
+		if _, warm := do(t, ts.URL, "POST", path, AnalyzeRequest{Scheme: sc}); !bytes.Equal(warm, gold[sc]) {
 			t.Fatalf("%s: fleet analyze diverged from cold:\ngot  %.300s\nwant %.300s", sc, warm, gold[sc])
 		}
 	}
@@ -316,7 +282,7 @@ func TestFleetCorruptLoopValueMisses(t *testing.T) {
 
 	hits0 := srv.fleetLoopHits.Load()
 	for _, sc := range schemes {
-		status, got := do(t, ts, "POST", path, AnalyzeRequest{Scheme: sc})
+		status, got := do(t, ts.URL, "POST", path, AnalyzeRequest{Scheme: sc})
 		if status != http.StatusOK || !bytes.Equal(got, gold[sc]) {
 			t.Fatalf("%s: analyze over corrupt shard: %d\ngot  %.300s\nwant %.300s", sc, status, got, gold[sc])
 		}

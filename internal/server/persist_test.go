@@ -42,8 +42,8 @@ func TestServerWarmRestartByteIdentical(t *testing.T) {
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
 	srv1, ts1 := bootPersistServer(dir)
-	info1 := createSession(t, ts1, req)
-	gold := analyzeJSON(t, ts1, info1.ID)
+	info1 := createSession(t, ts1.URL, req)
+	gold := analyzeJSON(t, ts1.URL, info1.ID)
 	entriesBefore := srv1.fleet.Local().Len()
 	if entriesBefore == 0 {
 		t.Fatal("vacuous: analyze published nothing to the shard")
@@ -64,8 +64,8 @@ func TestServerWarmRestartByteIdentical(t *testing.T) {
 	// digest and a clean fingerprint on both sides) must be served from
 	// the snapshot: same bytes, and the loop lookaside must hit.
 	hits0 := srv2.fleetLoopHits.Load()
-	info2 := createSession(t, ts2, req)
-	if got := analyzeJSON(t, ts2, info2.ID); !bytes.Equal(got, gold) {
+	info2 := createSession(t, ts2.URL, req)
+	if got := analyzeJSON(t, ts2.URL, info2.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("warm analyze diverged from cold gold\ngot  %.300s\nwant %.300s", got, gold)
 	}
 	if srv2.fleetLoopHits.Load() == hits0 {
@@ -73,7 +73,7 @@ func TestServerWarmRestartByteIdentical(t *testing.T) {
 	}
 
 	// The counters are operator-visible.
-	_, raw := do(t, ts2, "GET", "/metrics", nil)
+	_, raw := do(t, ts2.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	if m.Persist == nil || m.Persist.Loaded == 0 {
 		t.Fatalf("/metrics does not surface persist counters: %.300s", raw)
@@ -90,8 +90,8 @@ func TestServerRestartStraddlingObserve(t *testing.T) {
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
 	srv1, ts1 := bootPersistServer(dir)
-	info1 := createSession(t, ts1, req)
-	gold := analyzeJSON(t, ts1, info1.ID)
+	info1 := createSession(t, ts1.URL, req)
+	gold := analyzeJSON(t, ts1.URL, info1.ID)
 
 	var results []WireLoopResult
 	if err := json.Unmarshal(gold, &results); err != nil {
@@ -105,7 +105,7 @@ func TestServerRestartStraddlingObserve(t *testing.T) {
 	for _, k := range keys {
 		vs = append(vs, WireViolation{Assertion: k, Detail: "observed pre-restart"})
 	}
-	if status, raw := do(t, ts1, "POST", "/sessions/"+info1.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
+	if status, raw := do(t, ts1.URL, "POST", "/sessions/"+info1.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
 		t.Fatalf("observe: status %d, body %s", status, raw)
 	}
 	drainPersist(t, srv1, ts1)
@@ -140,8 +140,8 @@ func TestServerRestartStraddlingObserve(t *testing.T) {
 	// lookaside would serve it. It must instead recompute — same bytes,
 	// no new loop hits.
 	hits0 := srv2.fleetLoopHits.Load()
-	info2 := createSession(t, ts2, req)
-	if got := analyzeJSON(t, ts2, info2.ID); !bytes.Equal(got, gold) {
+	info2 := createSession(t, ts2.URL, req)
+	if got := analyzeJSON(t, ts2.URL, info2.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("post-restart session did not reproduce clean-slate bytes")
 	}
 	if n := srv2.fleetLoopHits.Load(); n != hits0 {
@@ -159,8 +159,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
 	srv1, ts1 := bootPersistServer(dir)
-	info1 := createSession(t, ts1, req)
-	gold := analyzeJSON(t, ts1, info1.ID)
+	info1 := createSession(t, ts1.URL, req)
+	gold := analyzeJSON(t, ts1.URL, info1.ID)
 	var results []WireLoopResult
 	if err := json.Unmarshal(gold, &results); err != nil {
 		t.Fatal(err)
@@ -177,8 +177,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 	for _, k := range keys {
 		vs = append(vs, WireViolation{Assertion: k, Detail: "observed then crashed"})
 	}
-	info2 := createSession(t, ts2, req)
-	if status, raw := do(t, ts2, "POST", "/sessions/"+info2.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
+	info2 := createSession(t, ts2.URL, req)
+	if status, raw := do(t, ts2.URL, "POST", "/sessions/"+info2.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
 		t.Fatalf("observe: status %d, body %s", status, raw)
 	}
 	ts2.Close() // no Shutdown: the stale snapshot stays on disk
@@ -203,8 +203,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 		t.Fatalf("expected journal-blocked entries to count as rejected: %+v", st)
 	}
 	hits0 := srv3.fleetLoopHits.Load()
-	info3 := createSession(t, ts3, req)
-	if got := analyzeJSON(t, ts3, info3.ID); !bytes.Equal(got, gold) {
+	info3 := createSession(t, ts3.URL, req)
+	if got := analyzeJSON(t, ts3.URL, info3.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("post-crash session did not reproduce clean-slate bytes")
 	}
 	if n := srv3.fleetLoopHits.Load(); n != hits0 {
@@ -218,8 +218,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 func TestServerShutdownIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := bootPersistServer(dir)
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource})
-	analyzeJSON(t, ts, info.ID)
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource})
+	analyzeJSON(t, ts.URL, info.ID)
 	ts.Close()
 
 	var wg sync.WaitGroup
@@ -247,8 +247,8 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	srv1 := New(Config{Fleet: &FleetConfig{Self: "p0", CacheDir: dir, SnapshotEvery: 5 * time.Millisecond}})
 	ts1 := httptest.NewServer(srv1.Handler())
-	info := createSession(t, ts1, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
-	gold := analyzeJSON(t, ts1, info.ID)
+	info := createSession(t, ts1.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	gold := analyzeJSON(t, ts1.URL, info.ID)
 
 	// Wait for a periodic snapshot that actually contains the published
 	// entries (an early tick can legitimately write an empty one).
@@ -266,8 +266,8 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	if srv2.PersistStats().Loaded == 0 {
 		t.Fatal("periodic snapshot did not load on the next boot")
 	}
-	info2 := createSession(t, ts2, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
-	if got := analyzeJSON(t, ts2, info2.ID); !bytes.Equal(got, gold) {
+	info2 := createSession(t, ts2.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	if got := analyzeJSON(t, ts2.URL, info2.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("warm boot from periodic snapshot diverged")
 	}
 	// The abandoned first server still holds its goroutine; shut it down
@@ -288,8 +288,8 @@ func TestRouterPersistJournal(t *testing.T) {
 	bsrv1, bts1 := newTestServer(t, Config{})
 	rt1 := NewRouter(RouterConfig{Backends: map[string]string{"b0": bts1.URL}, CacheDir: dir})
 	rts1 := httptest.NewServer(rt1.Handler())
-	info := createSession(t, rts1, req)
-	gold := analyzeJSON(t, rts1, info.ID)
+	info := createSession(t, rts1.URL, req)
+	gold := analyzeJSON(t, rts1.URL, info.ID)
 	rts1.Close()
 	rt1.Close()
 	rt1.Close() // double Close: must be a no-op
@@ -307,7 +307,7 @@ func TestRouterPersistJournal(t *testing.T) {
 	rt2.markDown("b0")
 	rt2.Probe() // rejoin: replays the persisted journal into the empty backend
 
-	status, raw := do(t, rts2, "GET", "/metrics", nil)
+	status, raw := do(t, rts2.URL, "GET", "/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d %s", status, raw)
 	}
@@ -315,7 +315,7 @@ func TestRouterPersistJournal(t *testing.T) {
 	if m.Router.Sessions != 1 || m.Router.Rejoins != 1 || len(m.Router.Down) != 0 {
 		t.Fatalf("restarted router did not rejoin from the persisted journal: %+v", m.Router)
 	}
-	if got := analyzeJSON(t, rts2, info.ID); !bytes.Equal(got, gold) {
+	if got := analyzeJSON(t, rts2.URL, info.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("replayed backend serves different bytes than the original fleet")
 	}
 }
@@ -333,7 +333,7 @@ func TestRouterCloseConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			do(t, rts, "GET", "/healthz", nil)
+			do(t, rts.URL, "GET", "/healthz", nil)
 		}()
 	}
 	for i := 0; i < 8; i++ {
@@ -357,15 +357,15 @@ func TestSnapshotOldLoopEncodingNeverServed(t *testing.T) {
 	req := CreateSessionRequest{Bench: "129.compress"}
 	areq := AnalyzeRequest{Scheme: "scaf"}
 	_, cold := newTestServer(t, Config{})
-	info := createSession(t, cold, req)
+	info := createSession(t, cold.URL, req)
 	path := "/sessions/" + info.ID + "/analyze"
-	_, gold := do(t, cold, "POST", path, areq)
+	_, gold := do(t, cold.URL, "POST", path, areq)
 
 	// The old entries: each loop result as json.Marshal encoded it, keyed
 	// by the prefix a fleet session of this create request has.
 	gen, gts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "p0"}})
 	t.Cleanup(func() { gen.fleet.Close() })
-	createSession(t, gts, req)
+	createSession(t, gts.URL, req)
 	gen.mu.Lock()
 	prefix := gen.sessions[info.ID].fleetPrefix(scaf.SchemeSCAF)
 	gen.mu.Unlock()
@@ -402,8 +402,8 @@ func TestSnapshotOldLoopEncodingNeverServed(t *testing.T) {
 	if n := srv.fleet.Local().Len(); n != len(old) {
 		t.Fatalf("restored %d entries, want the %d old-encoding ones", n, len(old))
 	}
-	createSession(t, ts, req)
-	status, got := do(t, ts, "POST", path, areq)
+	createSession(t, ts.URL, req)
+	status, got := do(t, ts.URL, "POST", path, areq)
 	if status != http.StatusOK || !bytes.Equal(got, gold) {
 		t.Fatalf("analyze over old-encoding snapshot: %d\ngot  %.300s\nwant %.300s", status, got, gold)
 	}

@@ -62,9 +62,9 @@ func harvestAsserts(ar AnalyzeResponse) []string {
 
 // analyzeJSON runs one deadline-free scaf analyze and returns the
 // results' canonical bytes.
-func analyzeJSON(t *testing.T, ts *httptest.Server, id string) []byte {
+func analyzeJSON(t *testing.T, base, id string) []byte {
 	t.Helper()
-	status, raw := do(t, ts, "POST", "/sessions/"+id+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	status, raw := do(t, base, "POST", "/sessions/"+id+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	if status != http.StatusOK {
 		t.Fatalf("analyze: status %d, body %s", status, raw)
 	}
@@ -133,9 +133,9 @@ func excludedRefs(t *testing.T, src string, keys []string, modules []string) []b
 // both the serial and the pdg.ParallelClient reference paths.
 func TestObserveRecoveryEquivalence(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	if status != http.StatusOK {
 		t.Fatalf("analyze: status %d, body %s", status, raw)
 	}
@@ -152,7 +152,7 @@ func TestObserveRecoveryEquivalence(t *testing.T) {
 	for _, k := range keys {
 		vs = append(vs, WireViolation{Assertion: k, Detail: "observed in production"})
 	}
-	status, raw = do(t, ts, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{Violations: vs})
+	status, raw = do(t, ts.URL, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{Violations: vs})
 	if status != http.StatusOK {
 		t.Fatalf("observe: status %d, body %s", status, raw)
 	}
@@ -174,7 +174,7 @@ func TestObserveRecoveryEquivalence(t *testing.T) {
 	// must both serve the cold excluded-assertion bytes, and never
 	// re-offer a quarantined assertion.
 	for pass := 0; pass < 2; pass++ {
-		status, raw = do(t, ts, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+		status, raw = do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 		if status != http.StatusOK {
 			t.Fatalf("post-observe analyze pass %d: status %d", pass, status)
 		}
@@ -196,7 +196,7 @@ func TestObserveRecoveryEquivalence(t *testing.T) {
 	}
 
 	// Re-reporting a quarantined assertion is flakiness, not new state.
-	status, raw = do(t, ts, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{Violations: vs[:1]})
+	status, raw = do(t, ts.URL, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{Violations: vs[:1]})
 	if status != http.StatusOK {
 		t.Fatalf("repeat observe: status %d", status)
 	}
@@ -209,7 +209,7 @@ func TestObserveRecoveryEquivalence(t *testing.T) {
 	}
 
 	// /metrics surfaces the quarantine and still reconciles.
-	_, raw = do(t, ts, "GET", "/metrics", nil)
+	_, raw = do(t, ts.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	sm, ok := m.Sessions[info.ID]
 	if !ok {
@@ -232,10 +232,10 @@ func TestObserveRecoveryEquivalence(t *testing.T) {
 // withdrawn module never contributes again.
 func TestObserveModuleWithdrawal(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
 	// Warm the cache and find a module that actually predicates answers.
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	if status != http.StatusOK {
 		t.Fatalf("analyze: status %d", status)
 	}
@@ -247,7 +247,7 @@ func TestObserveModuleWithdrawal(t *testing.T) {
 
 	wantJSON := excludedRefs(t, smallSource, nil, []string{mod})
 
-	status, raw = do(t, ts, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{Modules: []string{mod}})
+	status, raw = do(t, ts.URL, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{Modules: []string{mod}})
 	if status != http.StatusOK {
 		t.Fatalf("observe: status %d, body %s", status, raw)
 	}
@@ -260,7 +260,7 @@ func TestObserveModuleWithdrawal(t *testing.T) {
 	}
 
 	for pass := 0; pass < 2; pass++ {
-		got := analyzeJSON(t, ts, info.ID)
+		got := analyzeJSON(t, ts.URL, info.ID)
 		if !bytes.Equal(got, wantJSON) {
 			t.Fatalf("pass %d: answers differ from cold module-quarantined run\ngot  %.600s\nwant %.600s",
 				pass, got, wantJSON)
@@ -274,19 +274,19 @@ func TestObserveModuleWithdrawal(t *testing.T) {
 // TestObserveErrors covers the endpoint's failure modes.
 func TestObserveErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
-	if status, _ := do(t, ts, "POST", "/sessions/nope/observe", ObserveRequest{}); status != http.StatusNotFound {
+	if status, _ := do(t, ts.URL, "POST", "/sessions/nope/observe", ObserveRequest{}); status != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{}); status != http.StatusBadRequest {
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{}); status != http.StatusBadRequest {
 		t.Errorf("empty report: status %d, want 400", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/observe",
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/observe",
 		ObserveRequest{Violations: []WireViolation{{Assertion: ""}}}); status != http.StatusBadRequest {
 		t.Errorf("empty assertion: status %d, want 400", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/observe",
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/observe",
 		ObserveRequest{Modules: []string{""}}); status != http.StatusBadRequest {
 		t.Errorf("empty module: status %d, want 400", status)
 	}
@@ -325,11 +325,11 @@ func TestModulePanicNeverKillsDaemon(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		ExtraModules: func() []core.Module { return []core.Module{&panicModule{armed: armed}} },
 	})
-	info := createSession(t, ts, CreateSessionRequest{Name: "indirect", Source: indirectSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "indirect", Source: indirectSource, Plan: "off"})
 
 	// Healthy phase: the extra module answers conservatively, contributing
 	// nothing.
-	healthy := analyzeJSON(t, ts, info.ID)
+	healthy := analyzeJSON(t, ts.URL, info.ID)
 
 	// The module starts crashing. Hit a scheme whose cache is still cold,
 	// so the request actually consults modules rather than replaying warm
@@ -337,20 +337,20 @@ func TestModulePanicNeverKillsDaemon(t *testing.T) {
 	// queries that hit the panic — but it must complete with 200, and the
 	// panic must quarantine the module.
 	armed.Store(true)
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "confluence"})
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "confluence"})
 	if status != http.StatusOK {
 		t.Fatalf("analyze during module failure: status %d, body %s", status, raw)
 	}
 
 	// Quarantined now: the module is never consulted again, caches were
 	// flushed, and answers return to the healthy bytes.
-	got := analyzeJSON(t, ts, info.ID)
+	got := analyzeJSON(t, ts.URL, info.ID)
 	if !bytes.Equal(got, healthy) {
 		t.Fatalf("answers after module quarantine differ from healthy answers\ngot  %.600s\nwant %.600s",
 			got, healthy)
 	}
 
-	_, raw = do(t, ts, "GET", "/metrics", nil)
+	_, raw = do(t, ts.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	sm := m.Sessions[info.ID]
 	if sm.Stats.ModulePanics == 0 {
@@ -362,7 +362,7 @@ func TestModulePanicNeverKillsDaemon(t *testing.T) {
 	if sm.Trace != nil && !sm.Trace.Reconciles {
 		t.Fatalf("trace does not reconcile after module panics: %+v vs %+v", sm.Trace, sm.Stats)
 	}
-	if status, _ := do(t, ts, "GET", "/healthz", nil); status != http.StatusOK {
+	if status, _ := do(t, ts.URL, "GET", "/healthz", nil); status != http.StatusOK {
 		t.Fatalf("daemon unhealthy after module failure: status %d", status)
 	}
 }
@@ -515,11 +515,11 @@ func TestChaosRecoveryStress(t *testing.T) {
 			return []core.Module{chaos, &panicModule{armed: armed}}
 		},
 	})
-	info := createSession(t, ts, CreateSessionRequest{Name: "indirect", Source: indirectSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "indirect", Source: indirectSource, Plan: "off"})
 	loop := info.HotLoops[0].Name
 
 	// Seed query pairs from one batch.
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	if status != http.StatusOK {
 		t.Fatalf("seed analyze: status %d", status)
 	}
@@ -636,7 +636,7 @@ func TestChaosRecoveryStress(t *testing.T) {
 
 	// Withdraw both faulty modules, then the daemon must serve the exact
 	// bytes of a fault-free library run: recovery leaves no residue.
-	status, raw = do(t, ts, "POST", "/sessions/"+info.ID+"/observe",
+	status, raw = do(t, ts.URL, "POST", "/sessions/"+info.ID+"/observe",
 		ObserveRequest{Modules: []string{recovery.NameChaos, "test-panic"}})
 	if status != http.StatusOK {
 		t.Fatalf("module withdrawal: status %d, body %s", status, raw)
@@ -654,14 +654,14 @@ func TestChaosRecoveryStress(t *testing.T) {
 	}
 	wantJSON, _ := json.Marshal(clean)
 	for pass := 0; pass < 2; pass++ {
-		got := analyzeJSON(t, ts, info.ID)
+		got := analyzeJSON(t, ts.URL, info.ID)
 		if !bytes.Equal(got, wantJSON) {
 			t.Fatalf("pass %d: answers after withdrawing the fault injectors differ from a fault-free run\ngot  %.600s\nwant %.600s",
 				pass, got, wantJSON)
 		}
 	}
 
-	_, raw = do(t, ts, "GET", "/metrics", nil)
+	_, raw = do(t, ts.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	sm := m.Sessions[info.ID]
 	if sm.Quarantine == nil || len(sm.Quarantine.Modules) == 0 {

@@ -245,8 +245,11 @@ type routerMemberRecord struct {
 	URL string `json:"url"`
 }
 
+// routerSnapFile holds the router's replay state under its CacheDir.
+const routerSnapFile = "router.snap"
+
 func (rt *Router) persistPath() string {
-	return filepath.Join(rt.cfg.CacheDir, "router.snap")
+	return filepath.Join(rt.cfg.CacheDir, routerSnapFile)
 }
 
 // savePersist writes the journal and session map with the persist
@@ -278,28 +281,8 @@ func (rt *Router) savePersist() {
 		records = append(records, persist.Record{Kind: persist.KindSessions, Payload: p})
 	}
 	rt.mu.Unlock()
-	data := persist.EncodeFile(records)
-	// Mirror Store.Save: write + fsync the temp file before the rename,
-	// so the renamed router.snap is never empty or partial on power
-	// loss; the old snapshot survives any failure before the rename.
-	tmp, err := os.CreateTemp(rt.cfg.CacheDir, "router.snap.tmp-")
-	if err != nil {
+	if err := persist.WriteFileAtomic(rt.cfg.CacheDir, routerSnapFile, persist.EncodeFile(records)); err != nil {
 		log.Printf("router: persist save: %v", err)
-		return
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), rt.persistPath())
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		log.Printf("router: persist save: %v", werr)
 	}
 }
 
@@ -499,6 +482,25 @@ func (rt *Router) pick(key string) (string, *httpError) {
 		return up[rt.rrNext.Add(1)%uint64(len(up))], nil
 	}
 	return rt.pickHash(key)
+}
+
+// queryKey places one dependence query of session sid on the ring.
+func queryKey(sid string, req QueryRequest) string {
+	return "q|" + sid + "|" + req.Scheme + "|" + req.Loop + "|" + req.I1 + "|" + req.I2 + "|" + req.Rel
+}
+
+// analyzeKey places one loop of session sid's analyze batch on the ring.
+func analyzeKey(sid, scheme, loop string) string {
+	return "a|" + sid + "|" + scheme + "|" + loop
+}
+
+// AnalyzeOwner returns the member that hash routing sends loop to when
+// it fans out an analyze of session sid under scheme (spelled as in the
+// request), on the current ring.
+func (rt *Router) AnalyzeOwner(sid, scheme, loop string) string {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.ring.Owner(analyzeKey(sid, scheme, loop))
 }
 
 // owner returns the session's home backend (mutations always go there,
@@ -757,7 +759,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Lenient decode for the routing key only; the backend enforces the
 	// strict schema and produces the deterministic error if it is bad.
 	_ = json.Unmarshal(body, &req)
-	id, he := rt.pick("q|" + sid + "|" + req.Scheme + "|" + req.Loop + "|" + req.I1 + "|" + req.I2 + "|" + req.Rel)
+	id, he := rt.pick(queryKey(sid, req))
 	if he != nil {
 		writeError(w, he)
 		return
@@ -830,7 +832,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// any backend spends work on it.
 	targets := make([]string, len(loops))
 	for i, loop := range loops {
-		id, he := rt.pick("a|" + sid + "|" + req.Scheme + "|" + loop)
+		id, he := rt.pick(analyzeKey(sid, req.Scheme, loop))
 		if he != nil {
 			writeError(w, he)
 			return

@@ -4,88 +4,29 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"scaf"
 	"scaf/internal/ir"
 	"scaf/internal/spec"
 )
 
-// fleetBackend is one restartable fleet instance: the listen address is
-// reserved up front so peers and the router can be configured before the
-// server exists, and survives a stop/start cycle.
-type fleetBackend struct {
-	id   string
-	addr string
-	cfg  Config
-	srv  *Server
-	ts   *httptest.Server
-}
-
-func (b *fleetBackend) url() string { return "http://" + b.addr }
-
-func (b *fleetBackend) start(t *testing.T) {
+// startFleet boots a loopback fleet of plain backends for one test and
+// closes it when the test ends.
+func startFleet(t *testing.T, members int, spare bool, rc RouterConfig) *LoopbackFleet {
 	t.Helper()
-	l, err := net.Listen("tcp", b.addr)
+	fl, err := StartLoopbackFleet(members, spare, "", Config{}, rc)
 	if err != nil {
-		t.Fatalf("backend %s: rebind %s: %v", b.id, b.addr, err)
+		t.Fatal(err)
 	}
-	b.srv = New(b.cfg)
-	b.ts = httptest.NewUnstartedServer(b.srv.Handler())
-	b.ts.Listener.Close()
-	b.ts.Listener = l
-	b.ts.Start()
-}
-
-func (b *fleetBackend) stop() {
-	b.ts.Close()
-	b.srv.fleet.Close()
-}
-
-// newFleetCluster reserves addresses for n backends, wires them as fleet
-// peers of each other, starts them, and fronts them with a router.
-func newFleetCluster(t *testing.T, n int, route string) ([]*fleetBackend, *Router, *httptest.Server) {
-	t.Helper()
-	backends := make([]*fleetBackend, n)
-	for i := range backends {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	t.Cleanup(func() {
+		if err := fl.Close(); err != nil {
+			t.Errorf("closing the fleet: %v", err)
 		}
-		backends[i] = &fleetBackend{id: fmt.Sprintf("b%d", i), addr: l.Addr().String()}
-		l.Close()
-	}
-	urls := map[string]string{}
-	for _, b := range backends {
-		urls[b.id] = b.url()
-	}
-	for _, b := range backends {
-		peers := map[string]string{}
-		for id, u := range urls {
-			if id != b.id {
-				peers[id] = u
-			}
-		}
-		b.cfg = Config{Fleet: &FleetConfig{Self: b.id, Peers: peers, Timeout: 5 * time.Second}}
-		b.start(t)
-		b := b
-		t.Cleanup(func() {
-			if b.ts != nil {
-				b.stop()
-			}
-		})
-	}
-
-	rt := NewRouter(RouterConfig{Backends: urls, Route: route})
-	tsr := httptest.NewServer(rt.Handler())
-	t.Cleanup(tsr.Close)
-	t.Cleanup(rt.Close)
-	return backends, rt, tsr
+	})
+	return fl
 }
 
 // TestRouterByteIdentity: the router fronting a 2-backend fleet serves
@@ -95,20 +36,20 @@ func newFleetCluster(t *testing.T, n int, route string) ([]*fleetBackend, *Route
 func TestRouterByteIdentity(t *testing.T) {
 	for _, route := range []string{"hash", "rr"} {
 		t.Run(route, func(t *testing.T) {
-			backends, _, tsr := newFleetCluster(t, 2, route)
+			fl := startFleet(t, 2, false, RouterConfig{Route: route})
 			_, ref := newTestServer(t, Config{})
 
 			req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-			refStatus, refCreate := do(t, ref, "POST", "/sessions", req)
-			gotStatus, gotCreate := do(t, tsr, "POST", "/sessions", req)
+			refStatus, refCreate := do(t, ref.URL, "POST", "/sessions", req)
+			gotStatus, gotCreate := do(t, fl.URL, "POST", "/sessions", req)
 			if gotStatus != refStatus || !bytes.Equal(gotCreate, refCreate) {
 				t.Fatalf("create diverged: %d %s vs %d %s", gotStatus, gotCreate, refStatus, refCreate)
 			}
 			info := decode[SessionInfo](t, gotCreate)
 
 			// Serial: full response bodies must match byte for byte.
-			refA, refAraw := do(t, ref, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
-			gotA, gotAraw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+			refA, refAraw := do(t, ref.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+			gotA, gotAraw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 			if gotA != refA || !bytes.Equal(gotAraw, refAraw) {
 				t.Fatalf("%s: analyze diverged from single instance:\ngot  %.300s\nwant %.300s",
 					route, gotAraw, refAraw)
@@ -127,8 +68,8 @@ func TestRouterByteIdentity(t *testing.T) {
 			}
 			q0 := results[0].Queries[0]
 			qreq := QueryRequest{Scheme: "scaf", Loop: results[0].Loop, I1: q0.I1, I2: q0.I2, Rel: q0.Rel}
-			refQ, refQraw := do(t, ref, "POST", "/sessions/"+info.ID+"/query", qreq)
-			gotQ, gotQraw := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", qreq)
+			refQ, refQraw := do(t, ref.URL, "POST", "/sessions/"+info.ID+"/query", qreq)
+			gotQ, gotQraw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", qreq)
 			if gotQ != refQ || !bytes.Equal(gotQraw, refQraw) {
 				t.Fatalf("%s: query diverged:\ngot  %s\nwant %s", route, gotQraw, refQraw)
 			}
@@ -143,7 +84,7 @@ func TestRouterByteIdentity(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < 4; i++ {
 						if (g+i)%2 == 0 {
-							st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+							st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 							if st != http.StatusOK {
 								errs <- fmt.Sprintf("parallel analyze: status %d: %.200s", st, raw)
 								return
@@ -162,7 +103,7 @@ func TestRouterByteIdentity(t *testing.T) {
 								}
 							}
 						} else {
-							st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", qreq)
+							st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", qreq)
 							if st != http.StatusOK {
 								errs <- fmt.Sprintf("parallel query: status %d: %.200s", st, raw)
 								return
@@ -190,7 +131,7 @@ func TestRouterByteIdentity(t *testing.T) {
 			}
 
 			// The router's aggregate metrics cover every backend.
-			st, raw := do(t, tsr, "GET", "/metrics", nil)
+			st, raw := do(t, fl.URL, "GET", "/metrics", nil)
 			if st != http.StatusOK {
 				t.Fatalf("router metrics: %d %.200s", st, raw)
 			}
@@ -198,8 +139,8 @@ func TestRouterByteIdentity(t *testing.T) {
 			if err := json.Unmarshal(raw, &rm); err != nil {
 				t.Fatal(err)
 			}
-			if len(rm.Backends) != len(backends) {
-				t.Fatalf("metrics cover %d backends, want %d", len(rm.Backends), len(backends))
+			if len(rm.Backends) != len(fl.IDs()) {
+				t.Fatalf("metrics cover %d backends, want %d", len(rm.Backends), len(fl.IDs()))
 			}
 			if rm.Router.Sessions != 1 || rm.Router.Route != route {
 				t.Fatalf("router counters: %+v", rm.Router)
@@ -213,16 +154,14 @@ func TestRouterByteIdentity(t *testing.T) {
 // backend's session-ID counter) must surface as 502 fleet_inconsistent on
 // the next broadcast, never as silently divergent state.
 func TestRouterFleetInconsistency(t *testing.T) {
-	backends, _, tsr := newFleetCluster(t, 2, "hash")
+	fl := startFleet(t, 2, false, RouterConfig{})
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	direct := httptest.NewServer(backends[0].srv.Handler())
-	defer direct.Close()
-	if st, raw := do(t, direct, "POST", "/sessions", req); st != http.StatusCreated {
+	if st, raw := do(t, fl.BackendURL("b0"), "POST", "/sessions", req); st != http.StatusCreated {
 		t.Fatalf("direct create: %d %s", st, raw)
 	}
 
-	st, raw := do(t, tsr, "POST", "/sessions", req)
+	st, raw := do(t, fl.URL, "POST", "/sessions", req)
 	if st != http.StatusBadGateway {
 		t.Fatalf("create over skewed fleet: status %d, want 502 (body %.300s)", st, raw)
 	}
@@ -282,9 +221,9 @@ func TestRouterViolatingCreateMatchesSingleInstance(t *testing.T) {
 		})
 	}
 
-	_, _, tsr := newFleetCluster(t, 2, "hash")
+	fl := startFleet(t, 2, false, RouterConfig{})
 	_, ref := newTestServer(t, Config{})
-	refStatus, refBody := do(t, ref, "POST", "/sessions", req)
+	refStatus, refBody := do(t, ref.URL, "POST", "/sessions", req)
 	if refStatus != http.StatusUnprocessableEntity {
 		t.Fatalf("single instance: status %d, want 422 (body %.300s)", refStatus, refBody)
 	}
@@ -292,7 +231,7 @@ func TestRouterViolatingCreateMatchesSingleInstance(t *testing.T) {
 		t.Fatalf("vacuous: %d violations", len(e.Error.Violations))
 	}
 	for i := 0; i < 5; i++ {
-		st, body := do(t, tsr, "POST", "/sessions", req)
+		st, body := do(t, fl.URL, "POST", "/sessions", req)
 		if st != refStatus || !bytes.Equal(body, refBody) {
 			t.Fatalf("create %d through the router: %d %.300s\nwant %d %.300s", i, st, body, refStatus, refBody)
 		}
@@ -305,12 +244,12 @@ func TestRouterViolatingCreateMatchesSingleInstance(t *testing.T) {
 // including sessions created during the outage) and re-syncs quarantine
 // state, and the rejoined backend serves byte-identical answers.
 func TestRouterBackendLossAndRejoin(t *testing.T) {
-	backends, rt, tsr := newFleetCluster(t, 2, "hash")
-	bA, bB := backends[0], backends[1]
+	fl := startFleet(t, 2, false, RouterConfig{})
+	rt := fl.Router
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	info := createSession(t, tsr, req)
-	_, analyzeRaw := do(t, tsr, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	info := createSession(t, fl.URL, req)
+	_, analyzeRaw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	var ar struct {
 		Results []WireLoopResult `json:"results"`
 	}
@@ -322,9 +261,9 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	queryFor := func(owner string) *QueryRequest {
 		for _, lr := range ar.Results {
 			for _, q := range lr.Queries {
-				key := "q|" + info.ID + "|scaf|" + lr.Loop + "|" + q.I1 + "|" + q.I2 + "|" + q.Rel
-				if rt.ring.Owner(key) == owner {
-					return &QueryRequest{Scheme: "scaf", Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel}
+				req := QueryRequest{Scheme: "scaf", Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel}
+				if rt.ring.Owner(queryKey(info.ID, req)) == owner {
+					return &req
 				}
 			}
 		}
@@ -334,20 +273,20 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	if qA == nil || qB == nil {
 		t.Fatalf("query keys did not spread across both shards")
 	}
-	_, wantQA := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", *qA)
-	_, wantQB := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", *qB)
+	_, wantQA := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", *qA)
+	_, wantQB := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", *qB)
 
 	// Kill b1. Its shard is refused; b0's shard keeps answering.
-	bB.stop()
-	st, raw := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", *qB)
+	fl.Stop("b1")
+	st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", *qB)
 	if st != http.StatusServiceUnavailable {
 		// The first request may be the one that discovers the death.
-		st, raw = do(t, tsr, "POST", "/sessions/"+info.ID+"/query", *qB)
+		st, raw = do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", *qB)
 	}
 	if st != http.StatusServiceUnavailable {
 		t.Fatalf("query to dead shard: status %d, want 503 (%.300s)", st, raw)
 	}
-	resp, err := http.Post(tsr.URL+"/sessions/"+info.ID+"/query", "application/json",
+	resp, err := http.Post(fl.URL+"/sessions/"+info.ID+"/query", "application/json",
 		bytes.NewReader(mustJSON(t, *qB)))
 	if err != nil {
 		t.Fatal(err)
@@ -356,13 +295,13 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("dead shard refusal lacks Retry-After: %d %v", resp.StatusCode, resp.Header)
 	}
-	if st, got := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", *qA); st != http.StatusOK || !bytes.Equal(got, wantQA) {
+	if st, got := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", *qA); st != http.StatusOK || !bytes.Equal(got, wantQA) {
 		t.Fatalf("live shard degraded by the dead one: %d %.200s", st, got)
 	}
 
 	// Mutations during the outage: a new session is created on the
 	// surviving backend and journaled for the dead one.
-	info2 := createSession(t, tsr, CreateSessionRequest{Name: "small2", Source: smallSource, Plan: "off"})
+	info2 := createSession(t, fl.URL, CreateSessionRequest{Name: "small2", Source: smallSource, Plan: "off"})
 
 	// A violation reported during the outage must reach b1 at rejoin. The
 	// session owner may be the dead backend, so report directly to b0 (the
@@ -371,8 +310,7 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	if len(keys) == 0 {
 		t.Fatal("no predicating assertions to violate")
 	}
-	directA := httptest.NewServer(bA.srv.Handler())
-	defer directA.Close()
+	directA := fl.BackendURL("b0")
 	if st, raw := do(t, directA, "POST", "/sessions/"+info.ID+"/observe",
 		ObserveRequest{Violations: []WireViolation{{Assertion: keys[0], Detail: "outage observe"}}}); st != http.StatusOK {
 		t.Fatalf("observe on survivor: %d %s", st, raw)
@@ -380,7 +318,9 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	_, wantQAafter := do(t, directA, "POST", "/sessions/"+info.ID+"/query", *qA)
 
 	// Restart b1 and rejoin: journal replay + quarantine sync.
-	bB.start(t)
+	if err := fl.Restart("b1"); err != nil {
+		t.Fatal(err)
+	}
 	rt.Probe()
 	if rt.isDown("b1") {
 		t.Fatal("restarted backend did not rejoin")
@@ -389,9 +329,7 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 		t.Fatalf("rejoins = %d, want 1", rt.rejoins.Load())
 	}
 
-	directB := httptest.NewServer(bB.srv.Handler())
-	defer directB.Close()
-	_, raw = do(t, directB, "GET", "/sessions", nil)
+	_, raw = do(t, fl.BackendURL("b1"), "GET", "/sessions", nil)
 	sessions := decode[[]SessionInfo](t, raw)
 	if len(sessions) != 2 || sessions[0].ID != info.ID || sessions[1].ID != info2.ID {
 		t.Fatalf("replayed registry = %+v, want [%s %s]", sessions, info.ID, info2.ID)
@@ -399,18 +337,18 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 
 	// The rejoined backend serves its shard again, with the quarantine
 	// applied: answers match the survivor's post-observe bytes.
-	_, gotQB := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", *qB)
+	_, gotQB := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", *qB)
 	_, wantQBafter := do(t, directA, "POST", "/sessions/"+info.ID+"/query", *qB)
 	if !bytes.Equal(gotQB, wantQBafter) {
 		t.Fatalf("rejoined shard diverged from survivor:\ngot  %.300s\nwant %.300s", gotQB, wantQBafter)
 	}
-	if st, got := do(t, tsr, "POST", "/sessions/"+info.ID+"/query", *qA); st != http.StatusOK || !bytes.Equal(got, wantQAafter) {
+	if st, got := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", *qA); st != http.StatusOK || !bytes.Equal(got, wantQAafter) {
 		t.Fatalf("survivor shard changed across rejoin: %d", st)
 	}
 	_ = wantQB // pre-outage reference; post-recovery bytes may legitimately differ
 
 	// Metrics surface the outage and rejoin.
-	_, raw = do(t, tsr, "GET", "/metrics", nil)
+	_, raw = do(t, fl.URL, "GET", "/metrics", nil)
 	var rm RouterMetrics
 	if err := json.Unmarshal(raw, &rm); err != nil {
 		t.Fatal(err)

@@ -134,7 +134,6 @@ func New(cfg Config) *Server {
 		s.fleet = fleet.NewTier(fleet.TierConfig{
 			Self:      cfg.Fleet.Self,
 			Peers:     cfg.Fleet.Peers,
-			VNodes:    cfg.Fleet.VNodes,
 			Timeout:   cfg.Fleet.Timeout,
 			AutoFlush: cfg.Fleet.AutoFlush,
 		})

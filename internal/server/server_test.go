@@ -45,7 +45,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // do issues one JSON request and returns status + body.
-func do(t *testing.T, ts *httptest.Server, method, path string, body any) (int, []byte) {
+func do(t *testing.T, base, method, path string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -55,11 +55,11 @@ func do(t *testing.T, ts *httptest.Server, method, path string, body any) (int, 
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequest(method, ts.URL+path, rd)
+	req, err := http.NewRequest(method, base+path, rd)
 	if err != nil {
 		t.Fatalf("new request: %v", err)
 	}
-	resp, err := ts.Client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, path, err)
 	}
@@ -80,9 +80,9 @@ func decode[T any](t *testing.T, raw []byte) T {
 	return v
 }
 
-func createSession(t *testing.T, ts *httptest.Server, req CreateSessionRequest) SessionInfo {
+func createSession(t *testing.T, base string, req CreateSessionRequest) SessionInfo {
 	t.Helper()
-	status, raw := do(t, ts, "POST", "/sessions", req)
+	status, raw := do(t, base, "POST", "/sessions", req)
 	if status != http.StatusCreated {
 		t.Fatalf("create session: status %d, body %s", status, raw)
 	}
@@ -92,7 +92,7 @@ func createSession(t *testing.T, ts *httptest.Server, req CreateSessionRequest) 
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource})
 	if info.ID == "" || info.Name != "small" {
 		t.Fatalf("unexpected session info: %+v", info)
 	}
@@ -103,7 +103,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("default plan mode should report a plan: %+v", info)
 	}
 
-	status, raw := do(t, ts, "GET", "/sessions", nil)
+	status, raw := do(t, ts.URL, "GET", "/sessions", nil)
 	if status != http.StatusOK {
 		t.Fatalf("list sessions: status %d", status)
 	}
@@ -111,15 +111,15 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("list = %+v, want exactly %s", list, info.ID)
 	}
 
-	status, raw = do(t, ts, "GET", "/sessions/"+info.ID, nil)
+	status, raw = do(t, ts.URL, "GET", "/sessions/"+info.ID, nil)
 	if status != http.StatusOK {
 		t.Fatalf("get session: status %d, body %s", status, raw)
 	}
 
-	if status, _ = do(t, ts, "DELETE", "/sessions/"+info.ID, nil); status != http.StatusNoContent {
+	if status, _ = do(t, ts.URL, "DELETE", "/sessions/"+info.ID, nil); status != http.StatusNoContent {
 		t.Fatalf("delete session: status %d", status)
 	}
-	status, raw = do(t, ts, "GET", "/sessions/"+info.ID, nil)
+	status, raw = do(t, ts.URL, "GET", "/sessions/"+info.ID, nil)
 	if status != http.StatusNotFound {
 		t.Fatalf("get deleted session: status %d, body %s", status, raw)
 	}
@@ -148,7 +148,7 @@ func TestCreateSessionErrors(t *testing.T) {
 			http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
-		status, raw := do(t, ts, "POST", "/sessions", tc.body)
+		status, raw := do(t, ts.URL, "POST", "/sessions", tc.body)
 		if status != tc.status {
 			t.Errorf("%s: status %d, want %d (body %s)", tc.name, status, tc.status, raw)
 			continue
@@ -157,7 +157,7 @@ func TestCreateSessionErrors(t *testing.T) {
 			t.Errorf("%s: code %q, want %q", tc.name, e.Error.Code, tc.code)
 		}
 	}
-	if status, _ := do(t, ts, "GET", "/sessions", nil); status != http.StatusOK {
+	if status, _ := do(t, ts.URL, "GET", "/sessions", nil); status != http.StatusOK {
 		t.Fatalf("list after failed creates: status %d", status)
 	}
 }
@@ -186,7 +186,7 @@ func TestSessionRejectsViolatingPlan(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{})
-	status, raw := do(t, ts, "POST", "/sessions", CreateSessionRequest{
+	status, raw := do(t, ts.URL, "POST", "/sessions", CreateSessionRequest{
 		Name:   "small",
 		Source: smallSource,
 		Assertions: []WireAssertion{{
@@ -215,31 +215,31 @@ func TestSessionRejectsViolatingPlan(t *testing.T) {
 	}
 
 	// The rejected session must not be registered.
-	if _, raw := do(t, ts, "GET", "/sessions", nil); len(decode[[]SessionInfo](t, raw)) != 0 {
+	if _, raw := do(t, ts.URL, "GET", "/sessions", nil); len(decode[[]SessionInfo](t, raw)) != 0 {
 		t.Fatalf("rejected session leaked into the registry: %s", raw)
 	}
 }
 
 func TestAnalyzeErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
-	if status, _ := do(t, ts, "POST", "/sessions/nope/analyze", AnalyzeRequest{}); status != http.StatusNotFound {
+	if status, _ := do(t, ts.URL, "POST", "/sessions/nope/analyze", AnalyzeRequest{}); status != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 		AnalyzeRequest{Scheme: "magic"}); status != http.StatusBadRequest {
 		t.Errorf("unknown scheme: status %d, want 400", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 		AnalyzeRequest{Loops: []string{"main/nope.0"}}); status != http.StatusNotFound {
 		t.Errorf("unknown loop: status %d, want 404", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/query",
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/query",
 		QueryRequest{Loop: info.HotLoops[0].Name, I1: "bogus", I2: "bogus"}); status != http.StatusBadRequest {
 		t.Errorf("malformed query target: status %d, want 400", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/query",
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/query",
 		QueryRequest{Loop: info.HotLoops[0].Name, I1: "main#99999", I2: "main#99999"}); status != http.StatusNotFound {
 		t.Errorf("missing query target: status %d, want 404", status)
 	}
@@ -247,7 +247,7 @@ func TestAnalyzeErrors(t *testing.T) {
 
 func TestAdmissionControl(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, MaxQueue: 1})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
 	// Occupy the only worker slot and fill the queue.
 	srv.sem <- struct{}{}
@@ -322,7 +322,7 @@ func TestGracefulDrain(t *testing.T) {
 	cancel()
 
 	// New work is refused while draining.
-	status, raw := do(t, ts, "GET", "/healthz", nil)
+	status, raw := do(t, ts.URL, "GET", "/healthz", nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain: status %d, want 503 (body %s)", status, raw)
 	}
@@ -352,9 +352,9 @@ func TestGracefulDrain(t *testing.T) {
 
 func TestMetricsAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	if status != http.StatusOK {
 		t.Fatalf("analyze: status %d, body %s", status, raw)
 	}
@@ -363,7 +363,7 @@ func TestMetricsAndHealth(t *testing.T) {
 		t.Fatalf("analyze returned %d results for %d hot loops", len(ar.Results), len(info.HotLoops))
 	}
 
-	status, raw = do(t, ts, "GET", "/healthz", nil)
+	status, raw = do(t, ts.URL, "GET", "/healthz", nil)
 	if status != http.StatusOK {
 		t.Fatalf("healthz: status %d", status)
 	}
@@ -371,7 +371,7 @@ func TestMetricsAndHealth(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 
-	status, raw = do(t, ts, "GET", "/metrics", nil)
+	status, raw = do(t, ts.URL, "GET", "/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("metrics: status %d", status)
 	}
@@ -418,15 +418,15 @@ func TestMetricsAndHealth(t *testing.T) {
 // untouched for later deadline-free callers.
 func TestDeadlineBoundedAnalyze(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
 	// Reference answer from a fresh server (deadline-free, cold caches).
 	_, ts2 := newTestServer(t, Config{})
-	info2 := createSession(t, ts2, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
-	_, wantRaw := do(t, ts2, "POST", "/sessions/"+info2.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	info2 := createSession(t, ts2.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	_, wantRaw := do(t, ts2.URL, "POST", "/sessions/"+info2.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	want := decode[AnalyzeResponse](t, wantRaw)
 
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 		AnalyzeRequest{Scheme: "scaf", DeadlineMS: 1})
 	if status != http.StatusOK {
 		t.Fatalf("deadline analyze: status %d, body %s", status, raw)
@@ -444,7 +444,7 @@ func TestDeadlineBoundedAnalyze(t *testing.T) {
 	// The same session must now serve the exact deadline-free answer: a
 	// degraded resolution must never have been published to the shared
 	// cache (core.SharedCache's completeness rule, exercised end to end).
-	status, raw = do(t, ts, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+	status, raw = do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: "scaf"})
 	if status != http.StatusOK {
 		t.Fatalf("follow-up analyze: status %d", status)
 	}
@@ -476,11 +476,11 @@ func TestPreload(t *testing.T) {
 
 func TestQueryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 	loop := info.HotLoops[0].Name
 
 	// Get a real query pair from a batch analysis.
-	_, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+	_, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 		AnalyzeRequest{Scheme: "scaf", Loops: []string{loop}})
 	ar := decode[AnalyzeResponse](t, raw)
 	if len(ar.Results) != 1 || len(ar.Results[0].Queries) == 0 {
@@ -488,7 +488,7 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 	ref := ar.Results[0].Queries[0]
 
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/query", QueryRequest{
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/query", QueryRequest{
 		Scheme: "scaf", Loop: loop, I1: ref.I1, I2: ref.I2, Rel: ref.Rel,
 	})
 	if status != http.StatusOK {
@@ -502,7 +502,7 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 
 	// Deadline-bounded single query: must answer (possibly conservatively).
-	status, raw = do(t, ts, "POST", "/sessions/"+info.ID+"/query", QueryRequest{
+	status, raw = do(t, ts.URL, "POST", "/sessions/"+info.ID+"/query", QueryRequest{
 		Scheme: "scaf", Loop: loop, I1: ref.I1, I2: ref.I2, Rel: ref.Rel, DeadlineMS: 1,
 	})
 	if status != http.StatusOK {
@@ -553,13 +553,13 @@ func TestSessionHotLoopOverride(t *testing.T) {
 
 	// Default thresholds (weight 0.10, avg iters 50): only the 64-iteration
 	// inner loop of smallSource qualifies.
-	def := createSession(t, ts, CreateSessionRequest{Name: "def", Source: smallSource})
+	def := createSession(t, ts.URL, CreateSessionRequest{Name: "def", Source: smallSource})
 	if len(def.HotLoops) != 1 {
 		t.Fatalf("default hot loops = %d, want 1: %+v", len(def.HotLoops), def.HotLoops)
 	}
 
 	// Loosened thresholds pick up the 40-iteration outer loop too.
-	loose := createSession(t, ts, CreateSessionRequest{
+	loose := createSession(t, ts.URL, CreateSessionRequest{
 		Name: "loose", Source: smallSource,
 		HotLoops: &WireHotLoopParams{MinWeightFrac: 0.001, MinAvgIters: 1.5},
 	})
@@ -569,7 +569,7 @@ func TestSessionHotLoopOverride(t *testing.T) {
 	}
 
 	// Impossible thresholds: a valid session with no hot loops.
-	none := createSession(t, ts, CreateSessionRequest{
+	none := createSession(t, ts.URL, CreateSessionRequest{
 		Name: "none", Source: smallSource,
 		HotLoops: &WireHotLoopParams{MinWeightFrac: 0.5, MinAvgIters: 1e9},
 	})
@@ -583,7 +583,7 @@ func TestSessionHotLoopOverride(t *testing.T) {
 		{MinWeightFrac: 0.01, MinAvgIters: -1},
 	} {
 		bad := bad
-		status, raw := do(t, ts, "POST", "/sessions",
+		status, raw := do(t, ts.URL, "POST", "/sessions",
 			CreateSessionRequest{Name: "bad", Source: smallSource, HotLoops: &bad})
 		if status != http.StatusBadRequest {
 			t.Fatalf("thresholds %+v: status %d, want 400 (body %s)", bad, status, raw)
@@ -615,7 +615,7 @@ void main() {
 }
 `
 	hot := &WireHotLoopParams{MinWeightFrac: 0.001, MinAvgIters: 1.5}
-	info := createSession(t, ts, CreateSessionRequest{Name: "exec", Source: src, HotLoops: hot})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "exec", Source: src, HotLoops: hot})
 
 	sys, err := scaf.Load("exec", src, scaf.Options{HotLoops: &profile.HotLoopParams{
 		MinWeightFrac: hot.MinWeightFrac, MinAvgIters: hot.MinAvgIters}})
@@ -627,7 +627,7 @@ void main() {
 		t.Fatal(err)
 	}
 
-	status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/execute", ExecuteRequest{Scheme: "scaf", Workers: 4, MinIters: 2})
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/execute", ExecuteRequest{Scheme: "scaf", Workers: 4, MinIters: 2})
 	if status != http.StatusOK {
 		t.Fatalf("execute: status %d, body %s", status, raw)
 	}
@@ -646,18 +646,18 @@ void main() {
 	}
 
 	// Invalid requests are 400s, unknown sessions 404s.
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/execute", ExecuteRequest{Scheme: "bogus"}); status != http.StatusBadRequest {
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/execute", ExecuteRequest{Scheme: "bogus"}); status != http.StatusBadRequest {
 		t.Fatalf("bogus scheme: status %d, want 400", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/execute", ExecuteRequest{Workers: 9999}); status != http.StatusBadRequest {
+	if status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/execute", ExecuteRequest{Workers: 9999}); status != http.StatusBadRequest {
 		t.Fatalf("oversized workers: status %d, want 400", status)
 	}
-	if status, _ := do(t, ts, "POST", "/sessions/nope/execute", ExecuteRequest{}); status != http.StatusNotFound {
+	if status, _ := do(t, ts.URL, "POST", "/sessions/nope/execute", ExecuteRequest{}); status != http.StatusNotFound {
 		t.Fatalf("unknown session: status %d, want 404", status)
 	}
 
 	// The serving counter moved.
-	status, raw = do(t, ts, "GET", "/metrics", nil)
+	status, raw = do(t, ts.URL, "GET", "/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("metrics: status %d", status)
 	}

@@ -40,8 +40,8 @@ int main() {
 func TestServerStressRace(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 8, MaxQueue: 1024})
 	infos := []SessionInfo{
-		createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}),
-		createSession(t, ts, CreateSessionRequest{Name: "small2", Source: smallSource2, Plan: "off"}),
+		createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}),
+		createSession(t, ts.URL, CreateSessionRequest{Name: "small2", Source: smallSource2, Plan: "off"}),
 	}
 	schemes := []string{"CAF", "Confluence", "SCAF"}
 
@@ -51,7 +51,7 @@ func TestServerStressRace(t *testing.T) {
 	refQuery := map[string]WireQuery{}
 	for _, info := range infos {
 		for _, scheme := range schemes {
-			status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+			status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 				AnalyzeRequest{Scheme: scheme})
 			if status != http.StatusOK {
 				t.Fatalf("reference analyze %s/%s: status %d, body %s", info.ID, scheme, status, raw)
@@ -83,7 +83,7 @@ func TestServerStressRace(t *testing.T) {
 				key := info.ID + "/" + scheme
 				switch (g + i) % 4 {
 				case 0, 1: // deadline-free batch: must match reference bytes
-					status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+					status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 						AnalyzeRequest{Scheme: scheme})
 					if status != http.StatusOK {
 						errs <- fmt.Errorf("analyze %s: status %d (%s)", key, status, raw)
@@ -95,7 +95,7 @@ func TestServerStressRace(t *testing.T) {
 						errs <- fmt.Errorf("analyze %s: answer drifted under concurrency", key)
 					}
 				case 2: // deadline-bounded batch: complete and well-formed
-					status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+					status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 						AnalyzeRequest{Scheme: scheme, DeadlineMS: 1})
 					if status != http.StatusOK {
 						errs <- fmt.Errorf("deadline analyze %s: status %d (%s)", key, status, raw)
@@ -109,7 +109,7 @@ func TestServerStressRace(t *testing.T) {
 				case 3: // single query + metrics read
 					q, ok := refQuery[key]
 					if ok {
-						status, raw := do(t, ts, "POST", "/sessions/"+info.ID+"/query", QueryRequest{
+						status, raw := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/query", QueryRequest{
 							Scheme: scheme, Loop: info.HotLoops[0].Name,
 							I1: q.I1, I2: q.I2, Rel: q.Rel,
 						})
@@ -124,7 +124,7 @@ func TestServerStressRace(t *testing.T) {
 							errs <- fmt.Errorf("query %s: answer drifted under concurrency", key)
 						}
 					}
-					if status, _ := do(t, ts, "GET", "/metrics", nil); status != http.StatusOK {
+					if status, _ := do(t, ts.URL, "GET", "/metrics", nil); status != http.StatusOK {
 						errs <- fmt.Errorf("metrics: status %d", status)
 					}
 				}
@@ -149,7 +149,7 @@ func TestServerStressRace(t *testing.T) {
 	if inflight != 0 {
 		t.Errorf("%d requests still tracked in flight", inflight)
 	}
-	status, raw := do(t, ts, "GET", "/metrics", nil)
+	status, raw := do(t, ts.URL, "GET", "/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("final metrics: status %d", status)
 	}
@@ -175,7 +175,7 @@ func TestServerStressRace(t *testing.T) {
 // arrivals get 503, and Shutdown returns only after the flight is empty.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 4})
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
 
 	const inflight = 6
 	statuses := make(chan int, inflight)
@@ -184,7 +184,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, _ := do(t, ts, "POST", "/sessions/"+info.ID+"/analyze",
+			status, _ := do(t, ts.URL, "POST", "/sessions/"+info.ID+"/analyze",
 				AnalyzeRequest{Scheme: "SCAF"})
 			statuses <- status
 		}()
