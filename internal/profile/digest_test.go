@@ -49,8 +49,38 @@ func digestPrograms() []digestProgram {
 	for seed := int64(1); seed <= 60; seed++ {
 		out = append(out, digestProgram{fmt.Sprintf("mcgen-%d", seed), mcgen.New(seed).Program()})
 	}
-	return out
+	return append(out, digestProgram{"repeat-reads", repeatReads})
 }
+
+// repeatReads covers what the other programs leave out: accesses three
+// calls deep, so every context suffix length is recorded, and two reads
+// of one word in a loop-free callee, whose second read repeats the
+// first's loop tags and is followed by a write in the same iteration.
+const repeatReads = `
+int data[16];
+int total;
+
+int peek(int* p, int k) {
+    int a = p[k];
+    int b = p[k];
+    return a + b;
+}
+
+int mid(int* p, int k) { return peek(p, k) + 1; }
+
+int outer(int* p, int k) { return mid(p, k) * 2; }
+
+void main() {
+    int* heap = malloc(int, 16);
+    for (int i = 0; i < 40; i++) {
+        int k = i % 16;
+        total = total + outer(data, k) + outer(heap, k);
+        data[k] = total;
+        heap[k] = i;
+    }
+    print(total);
+}
+`
 
 // profileDigest renders d as sorted lines and returns their SHA-256.
 func profileDigest(d *profile.Data) string {
@@ -218,4 +248,5 @@ var digestWant = map[string]string{
 	"mcgen-58":       "e2fd6b35f723628819e9a6ff5c01572363ebe5e7fa9e4674f6dd3280a982bb4c",
 	"mcgen-59":       "389a0b2adbd26c15dc4efea392e55507bc38da676463524f2535f395b030e804",
 	"mcgen-60":       "c94c23ede39984b15db9a5cc4d24a32efc61c89ea58140771ee33836adb226f7",
+	"repeat-reads":   "6b9704727a084f205df97139b3da6133c47dba07d17bc88e67de5ffc791a9f6c",
 }

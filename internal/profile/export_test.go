@@ -25,7 +25,11 @@ func ValueStats(p *ValueProfile) map[*ir.Instr]ValueStat {
 
 // PointsToSets returns every observed pointer's points-to set and count.
 func PointsToSets(p *PointsToProfile) (map[ir.Value]map[Site]bool, map[ir.Value]int64) {
-	return p.sets, p.counts
+	sets, counts := map[ir.Value]map[Site]bool{}, map[ir.Value]int64{}
+	for v, st := range p.ptrs {
+		sets[v], counts[v] = st.sites, st.count
+	}
+	return sets, counts
 }
 
 // CtxSet is the points-to set of V under the call-site-chain suffix whose
@@ -47,7 +51,11 @@ func PointsToCtxSets(p *PointsToProfile) []CtxSet {
 
 // ResidueMasks returns every observed pointer's residue mask and count.
 func ResidueMasks(p *ResidueProfile) (map[ir.Value]uint16, map[ir.Value]int64) {
-	return p.masks, p.counts
+	masks, counts := map[ir.Value]uint16{}, map[ir.Value]int64{}
+	for v, st := range p.ptrs {
+		masks[v], counts[v] = st.mask, st.count
+	}
+	return masks, counts
 }
 
 // LifetimeSets returns the lifetime profiler's four loop-site sets.

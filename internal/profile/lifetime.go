@@ -28,7 +28,19 @@ type LifetimeProfile struct {
 
 	slAllocated map[LoopSite]bool
 	slViolated  map[LoopSite]bool
-	objEntries  map[*interp.Object][]*LoopEntry
+
+	// Run-only state: the loop entries each live object was allocated
+	// under, and each access instruction's last site and loop shape.
+	objEntries map[*interp.Object][]*LoopEntry
+	instrs     instrTable[lifetimeInstr]
+}
+
+// lifetimeInstr is the site and loop shape of an instruction's last
+// access; an access that repeats both marks nothing new.
+type lifetimeInstr struct {
+	seen  bool
+	site  Site
+	shape uint64
 }
 
 // NewLifetimeProfile creates a lifetime profiler reading loop state from
@@ -46,8 +58,27 @@ func NewLifetimeProfile(tracker *Tracker) *LifetimeProfile {
 	return p
 }
 
+// release drops the state only the run needs.
+func (p *LifetimeProfile) release() {
+	p.tracker, p.objEntries, p.instrs = nil, nil, instrTable[lifetimeInstr]{}
+}
+
+// repeats reports whether in's access of site marks exactly what its
+// previous access marked: the same site under the same active loops.
+func (p *LifetimeProfile) repeats(in *ir.Instr, site Site) bool {
+	r, shape := p.instrs.at(in), p.tracker.shape()
+	if r.seen && r.site == site && r.shape == shape {
+		return true
+	}
+	*r = lifetimeInstr{seen: true, site: site, shape: shape}
+	return false
+}
+
 func (p *LifetimeProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	site := SiteOf(o)
+	if p.repeats(in, site) {
+		return
+	}
 	p.tracker.ActiveLoops(in, func(e *LoopEntry, rep *ir.Instr) {
 		p.roAccessed[LoopSite{e.Loop, site}] = true
 	})
@@ -55,6 +86,9 @@ func (p *LifetimeProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64
 
 func (p *LifetimeProfile) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	site := SiteOf(o)
+	if p.repeats(in, site) {
+		return
+	}
 	p.tracker.ActiveLoops(in, func(e *LoopEntry, rep *ir.Instr) {
 		k := LoopSite{e.Loop, site}
 		p.roAccessed[k] = true

@@ -36,15 +36,28 @@ type DepKey struct {
 	Cross bool // cross-iteration (Src in a strictly earlier iteration)
 }
 
-type loopTag struct {
-	act  uint64
-	iter int64
-	loop *cfg.Loop
-	rep  *ir.Instr
+// accessRec is one in-loop access as memdep remembers it, by value: the
+// loop tags current when it ran, and the instruction that stands for it
+// in the top frame's tags.
+type accessRec struct {
+	snap *loopSnapshot
+	in   *ir.Instr
 }
 
-type accessRec struct {
-	tags []loopTag
+// tag returns the access's i-th loop tag.
+func (r accessRec) tag(i int) loopTag {
+	t := r.snap.tags[i]
+	if i >= r.snap.top {
+		t.rep = r.in
+	}
+	return t
+}
+
+// wordRec is one memory word's history since its last write: the write,
+// when it ran inside a loop, and the in-loop reads after it.
+type wordRec struct {
+	write accessRec // snap is nil when there is no in-loop write
+	reads []accessRec
 }
 
 // maxReadRecs bounds the per-word reader list; anti dependences beyond the
@@ -57,37 +70,30 @@ const maxReadRecs = 16
 // memory-speculation baseline and the "observed deps" series of Fig. 8.
 type MemDepProfile struct {
 	interp.BaseObserver
-	tracker   *Tracker
-	lastWrite map[uint64]*accessRec
-	reads     map[uint64][]*accessRec
-	deps      map[DepKey]int64
+	tracker *Tracker
+	// words holds each word's accesses; it lives only for the run.
+	words map[uint64]*wordRec
+	deps  map[DepKey]int64
 }
 
 // NewMemDepProfile creates a memory-dependence profiler reading loop state
 // from tracker.
 func NewMemDepProfile(tracker *Tracker) *MemDepProfile {
 	return &MemDepProfile{
-		tracker:   tracker,
-		lastWrite: map[uint64]*accessRec{},
-		reads:     map[uint64][]*accessRec{},
-		deps:      map[DepKey]int64{},
+		tracker: tracker,
+		words:   map[uint64]*wordRec{},
+		deps:    map[DepKey]int64{},
 	}
 }
 
-func (p *MemDepProfile) snap(cur *ir.Instr) *accessRec {
-	rec := &accessRec{}
-	p.tracker.ActiveLoops(cur, func(e *LoopEntry, rep *ir.Instr) {
-		if rep == nil {
-			return
-		}
-		rec.tags = append(rec.tags, loopTag{act: e.Act, iter: e.Iter, loop: e.Loop, rep: rep})
-	})
-	return rec
-}
+// release drops the state only the run needs.
+func (p *MemDepProfile) release() { p.tracker, p.words = nil, nil }
 
-func (p *MemDepProfile) emit(from, to *accessRec, kind DepKind) {
-	for _, tf := range from.tags {
-		for _, tt := range to.tags {
+func (p *MemDepProfile) emit(from, to accessRec, kind DepKind) {
+	for i := range from.snap.tags {
+		tf := from.tag(i)
+		for j := range to.snap.tags {
+			tt := to.tag(j)
 			if tt.act != tf.act {
 				continue
 			}
@@ -102,12 +108,18 @@ func (p *MemDepProfile) emit(from, to *accessRec, kind DepKind) {
 	}
 }
 
-func sameRec(a, b *accessRec) bool {
-	if len(a.tags) != len(b.tags) {
+// sameRec reports whether a and b carry the same loop tags. Distinct
+// snapshots can hold equal tags, e.g. in two calls through one call site
+// within one iteration.
+func sameRec(a, b accessRec) bool {
+	if a.snap == b.snap && (a.in == b.in || a.snap.top == len(a.snap.tags)) {
+		return true
+	}
+	if len(a.snap.tags) != len(b.snap.tags) {
 		return false
 	}
-	for i := range a.tags {
-		if a.tags[i] != b.tags[i] {
+	for i := range a.snap.tags {
+		if a.tag(i) != b.tag(i) {
 			return false
 		}
 	}
@@ -115,38 +127,49 @@ func sameRec(a, b *accessRec) bool {
 }
 
 func (p *MemDepProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
-	rec := p.snap(in)
-	if len(rec.tags) == 0 {
+	rec := accessRec{p.tracker.snapshot(), in}
+	if len(rec.snap.tags) == 0 {
 		return // outside any loop: no loop-relative dependence to record
 	}
-	if w := p.lastWrite[addr]; w != nil {
-		p.emit(w, rec, Flow)
+	w := p.words[addr]
+	if w == nil {
+		w = &wordRec{}
+		p.words[addr] = w
 	}
-	rs := p.reads[addr]
-	if n := len(rs); n > 0 && sameRec(rs[n-1], rec) {
+	if w.write.snap != nil {
+		p.emit(w.write, rec, Flow)
+	}
+	if n := len(w.reads); n > 0 && sameRec(w.reads[n-1], rec) {
 		return
 	}
-	if len(rs) < maxReadRecs {
-		p.reads[addr] = append(rs, rec)
+	if len(w.reads) < maxReadRecs {
+		w.reads = append(w.reads, rec)
 	}
 }
 
 func (p *MemDepProfile) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
-	rec := p.snap(in)
-	for _, r := range p.reads[addr] {
+	rec := accessRec{p.tracker.snapshot(), in}
+	w := p.words[addr]
+	if w == nil {
+		if len(rec.snap.tags) == 0 {
+			return
+		}
+		w = &wordRec{}
+		p.words[addr] = w
+	}
+	for _, r := range w.reads {
 		p.emit(r, rec, Anti)
 	}
-	if w := p.lastWrite[addr]; w != nil {
-		p.emit(w, rec, Output)
+	if w.write.snap != nil {
+		p.emit(w.write, rec, Output)
 	}
-	if len(rec.tags) == 0 {
-		// A write outside all loops still kills earlier records.
-		delete(p.lastWrite, addr)
-		delete(p.reads, addr)
-		return
+	// The write ends the word's read window; a write outside all loops
+	// still kills the earlier records.
+	w.reads = w.reads[:0]
+	w.write = accessRec{}
+	if len(rec.snap.tags) > 0 {
+		w.write = rec
 	}
-	p.lastWrite[addr] = rec
-	delete(p.reads, addr)
 }
 
 // Observed reports whether any dependence src→dst (of any kind) with the

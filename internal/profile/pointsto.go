@@ -77,12 +77,32 @@ func (s Site) Size() int64 {
 // object profiler of speculative separation).
 type PointsToProfile struct {
 	interp.BaseObserver
-	sets   map[ir.Value]map[Site]bool
-	counts map[ir.Value]int64
-	// ctxSets refines sets per call-site-chain suffix, enabling the
+	ptrs map[ir.Value]*ptrStat
+	// ctxSets refines the sets per call-site-chain suffix, enabling the
 	// calling-context query parameter; tracker supplies the chain.
 	ctxSets map[ctxKey]map[Site]bool
 	tracker *Tracker
+	// instrs caches each access instruction's records for the run.
+	instrs instrTable[ptsInstr]
+}
+
+// ptrStat is one pointer value's profile: the sites it addressed and how
+// many accesses went through it.
+type ptrStat struct {
+	sites map[Site]bool
+	count int64
+}
+
+// ptsInstr is one load or store's view of the profile: its pointer's
+// record, and the site, context and context sets of its last access, so
+// an access that repeats them inserts nothing.
+type ptsInstr struct {
+	ptr     *ptrStat
+	v       ir.Value
+	seen    bool
+	site    Site
+	ctx     *ctxSuffixes
+	ctxSets [maxCtxSuffix]map[Site]bool
 }
 
 type ctxKey struct {
@@ -94,37 +114,57 @@ type ctxKey struct {
 // disables context sensitivity.
 func NewPointsToProfile(tracker *Tracker) *PointsToProfile {
 	return &PointsToProfile{
-		sets:    map[ir.Value]map[Site]bool{},
-		counts:  map[ir.Value]int64{},
+		ptrs:    map[ir.Value]*ptrStat{},
 		ctxSets: map[ctxKey]map[Site]bool{},
 		tracker: tracker,
 	}
 }
 
+// release drops the state only the run needs.
+func (p *PointsToProfile) release() { p.tracker, p.instrs = nil, instrTable[ptsInstr]{} }
+
 func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
-	ptr, _, ok := in.PointerOperand()
-	if !ok {
+	r := p.instrs.at(in)
+	if r.ptr == nil {
+		ptr, _, ok := in.PointerOperand()
+		if !ok {
+			return
+		}
+		st := p.ptrs[ptr]
+		if st == nil {
+			st = &ptrStat{sites: map[Site]bool{}}
+			p.ptrs[ptr] = st
+		}
+		r.ptr, r.v = st, ptr
+	}
+	r.ptr.count++
+	site := SiteOf(o)
+	var ctx *ctxSuffixes
+	if p.tracker != nil {
+		ctx = p.tracker.ctxSuffixes()
+	}
+	if r.seen && site == r.site && ctx == r.ctx {
 		return
 	}
-	site := SiteOf(o)
-	set := p.sets[ptr]
-	if set == nil {
-		set = map[Site]bool{}
-		p.sets[ptr] = set
+	r.seen, r.site = true, site
+	r.ptr.sites[site] = true
+	if ctx == nil {
+		return
 	}
-	set[site] = true
-	p.counts[ptr]++
-	if p.tracker != nil {
-		chain := p.tracker.CallChain()
-		for k := 1; k <= maxCtxSuffix && k <= len(chain); k++ {
-			key := ctxKey{v: ptr, ctx: CtxSuffixHash(chain[len(chain)-k:])}
+	if ctx != r.ctx {
+		r.ctx = ctx
+		for k := 0; k < ctx.n; k++ {
+			key := ctxKey{v: r.v, ctx: ctx.h[k]}
 			cs := p.ctxSets[key]
 			if cs == nil {
 				cs = map[Site]bool{}
 				p.ctxSets[key] = cs
 			}
-			cs[site] = true
+			r.ctxSets[k] = cs
 		}
+	}
+	for k := 0; k < ctx.n; k++ {
+		r.ctxSets[k][site] = true
 	}
 }
 
@@ -132,7 +172,7 @@ func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
 // call-site-chain suffix (innermost last), or nil if never observed there.
 func (p *PointsToProfile) SitesOfCtx(v ir.Value, sites []*ir.Instr) map[Site]bool {
 	if len(sites) == 0 {
-		return p.sets[v]
+		return p.SitesOf(v)
 	}
 	if len(sites) > maxCtxSuffix {
 		sites = sites[len(sites)-maxCtxSuffix:]
@@ -150,18 +190,28 @@ func (p *PointsToProfile) Store(in *ir.Instr, addr uint64, size int64, val uint6
 
 // SitesOf returns the observed points-to set of pointer value v, or nil
 // if v was never observed addressing memory.
-func (p *PointsToProfile) SitesOf(v ir.Value) map[Site]bool { return p.sets[v] }
+func (p *PointsToProfile) SitesOf(v ir.Value) map[Site]bool {
+	if st := p.ptrs[v]; st != nil {
+		return st.sites
+	}
+	return nil
+}
 
 // Observed reports whether pointer v was exercised during profiling.
-func (p *PointsToProfile) Observed(v ir.Value) bool { return len(p.sets[v]) > 0 }
+func (p *PointsToProfile) Observed(v ir.Value) bool { return len(p.SitesOf(v)) > 0 }
 
 // ExecCount returns how many accesses were observed through v.
-func (p *PointsToProfile) ExecCount(v ir.Value) int64 { return p.counts[v] }
+func (p *PointsToProfile) ExecCount(v ir.Value) int64 {
+	if st := p.ptrs[v]; st != nil {
+		return st.count
+	}
+	return 0
+}
 
 // Disjoint reports whether the observed points-to sets of two pointers
 // share no allocation site. Both pointers must have been observed.
 func (p *PointsToProfile) Disjoint(a, b ir.Value) bool {
-	sa, sb := p.sets[a], p.sets[b]
+	sa, sb := p.SitesOf(a), p.SitesOf(b)
 	if len(sa) == 0 || len(sb) == 0 {
 		return false
 	}
@@ -176,7 +226,7 @@ func (p *PointsToProfile) Disjoint(a, b ir.Value) bool {
 // OnlySite reports the single allocation site v points to, if exactly one
 // was observed.
 func (p *PointsToProfile) OnlySite(v ir.Value) (Site, bool) {
-	set := p.sets[v]
+	set := p.SitesOf(v)
 	if len(set) != 1 {
 		return Site{}, false
 	}
@@ -189,7 +239,7 @@ func (p *PointsToProfile) OnlySite(v ir.Value) (Site, bool) {
 // PointsOnlyInto reports whether every observed target of v belongs to the
 // given site set.
 func (p *PointsToProfile) PointsOnlyInto(v ir.Value, sites map[Site]bool) bool {
-	set := p.sets[v]
+	set := p.SitesOf(v)
 	if len(set) == 0 {
 		return false
 	}

@@ -5,6 +5,7 @@ import (
 
 	"scaf/internal/cfg"
 	"scaf/internal/interp"
+	"scaf/internal/ir"
 )
 
 // Data bundles every profile one training run produces. It is the input
@@ -51,6 +52,12 @@ func Collect(prog *cfg.Program, opts interp.Options) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The run's bookkeeping is dead now; only the profiles stay with d.
+	d.Value.release()
+	d.PointsTo.release()
+	d.Residue.release()
+	d.Lifetime.release()
+	d.MemDep.release()
 	d.Edge.Finish()
 	d.Steps = res.Steps
 	d.Output = res.Output
@@ -99,4 +106,35 @@ func (d *Data) LoopWeightFrac(l *cfg.Loop) float64 {
 		return 0
 	}
 	return float64(d.LoopStats[l].Weight) / float64(d.Steps)
+}
+
+// instrTable holds one record per instruction for a profiler's run, in a
+// dense slice per function indexed by Instr.ID. The records live in the
+// profiler, never on the ir objects, which sessions share.
+type instrTable[T any] struct {
+	fn   *ir.Func
+	cur  []T
+	byFn map[*ir.Func][]T
+}
+
+// at returns in's record, creating its function's table on first use.
+func (t *instrTable[T]) at(in *ir.Instr) *T {
+	if fn := in.Blk.Fn; fn != t.fn {
+		tab, ok := t.byFn[fn]
+		if !ok {
+			if t.byFn == nil {
+				t.byFn = map[*ir.Func][]T{}
+			}
+			tab = make([]T, fn.NumIDs())
+			t.byFn[fn] = tab
+		}
+		t.fn, t.cur = fn, tab
+	}
+	if in.ID >= len(t.cur) {
+		grown := make([]T, in.ID+1)
+		copy(grown, t.cur)
+		t.cur = grown
+		t.byFn[t.fn] = grown
+	}
+	return &t.cur[in.ID]
 }

@@ -10,22 +10,41 @@ import (
 // pointer-residue speculation after Johnson).
 type ResidueProfile struct {
 	interp.BaseObserver
-	masks  map[ir.Value]uint16
-	counts map[ir.Value]int64
+	ptrs map[ir.Value]*residueStat
+	// instrs caches each access instruction's pointer record for the run.
+	instrs instrTable[*residueStat]
+}
+
+// residueStat is one pointer value's residue mask and access count.
+type residueStat struct {
+	mask  uint16
+	count int64
 }
 
 // NewResidueProfile creates an empty residue profiler.
 func NewResidueProfile() *ResidueProfile {
-	return &ResidueProfile{masks: map[ir.Value]uint16{}, counts: map[ir.Value]int64{}}
+	return &ResidueProfile{ptrs: map[ir.Value]*residueStat{}}
 }
 
+// release drops the state only the run needs.
+func (p *ResidueProfile) release() { p.instrs = instrTable[*residueStat]{} }
+
 func (p *ResidueProfile) record(in *ir.Instr, addr uint64) {
-	ptr, _, ok := in.PointerOperand()
-	if !ok {
-		return
+	r := p.instrs.at(in)
+	if *r == nil {
+		ptr, _, ok := in.PointerOperand()
+		if !ok {
+			return
+		}
+		st := p.ptrs[ptr]
+		if st == nil {
+			st = &residueStat{}
+			p.ptrs[ptr] = st
+		}
+		*r = st
 	}
-	p.masks[ptr] |= 1 << (addr & 15)
-	p.counts[ptr]++
+	(*r).mask |= 1 << (addr & 15)
+	(*r).count++
 }
 
 func (p *ResidueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
@@ -39,12 +58,19 @@ func (p *ResidueProfile) Store(in *ir.Instr, addr uint64, size int64, val uint64
 // Mask returns the residue bitmask of pointer v (bit i set iff residue i
 // was observed) and whether v was observed at all.
 func (p *ResidueProfile) Mask(v ir.Value) (uint16, bool) {
-	m, ok := p.masks[v]
-	return m, ok
+	if st := p.ptrs[v]; st != nil {
+		return st.mask, true
+	}
+	return 0, false
 }
 
 // ExecCount returns how many accesses were observed through v.
-func (p *ResidueProfile) ExecCount(v ir.Value) int64 { return p.counts[v] }
+func (p *ResidueProfile) ExecCount(v ir.Value) int64 {
+	if st := p.ptrs[v]; st != nil {
+		return st.count
+	}
+	return 0
+}
 
 // expand widens a residue mask by an access of size bytes: an access at
 // residue r touches residues r..r+size-1 (mod 16).

@@ -22,6 +22,9 @@ type LoopEntry struct {
 	// liveObjs is used by the lifetime profiler: objects allocated in the
 	// current iteration that have not been freed yet.
 	liveObjs map[*interp.Object]bool
+	// outer is the frame's shape before this entry was pushed, and again
+	// after it is popped.
+	outer uint64
 }
 
 // Frame mirrors one interpreter call frame.
@@ -31,6 +34,23 @@ type Frame struct {
 	// callee (set just before the Call event pushes the next frame).
 	CallSite *ir.Instr
 	loops    []*LoopEntry
+
+	// forest is Fn's loop forest, looked up once per frame.
+	forest *cfg.Forest
+	// shape identifies the set of loops active in this frame and every
+	// frame below it: a new frame starts with its caller's, and each loop
+	// push mints a new one that the matching pop gives back.
+	shape uint64
+	// saved is the tracker's snapshot while this frame calls out, when it
+	// was current at the call; Return reinstates it.
+	saved *loopSnapshot
+	// ctx holds the call-site-chain suffix hashes leading to this frame,
+	// computed on first use.
+	ctx *ctxSuffixes
+	// calleeSite and calleeCtx remember the suffixes of the last callee
+	// this frame called, so calls from one site hash once per frame.
+	calleeSite *ir.Instr
+	calleeCtx  *ctxSuffixes
 }
 
 // IterListener is notified at loop-iteration boundaries.
@@ -46,12 +66,56 @@ type IterListener interface {
 // loop-sensitive profilers share. It must be registered BEFORE any
 // profiler that reads it, so its state is current when they observe the
 // same event.
+//
+// The tracker keeps a version that changes on every loop push or pop,
+// iteration advance, call and return, and builds the snapshot of the
+// active loop tags at most once per version, so the profilers pay per
+// change of loop state instead of per memory access. All of this state
+// lives in the tracker, never on the ir or cfg objects, which sessions
+// share with concurrent queries.
 type Tracker struct {
 	interp.BaseObserver
 	prog    *cfg.Program
 	frames  []*Frame
 	nextAct uint64
 	iterLis []IterListener
+
+	ver       uint64
+	snap      *loopSnapshot // current when snapVer == ver
+	snapVer   uint64
+	nextShape uint64
+	snapChunk []loopSnapshot
+	tagChunk  []loopTag
+	noLoops   loopSnapshot
+	noCtx     ctxSuffixes
+}
+
+// loopTag is one active loop entry as an access sees it: rep is the
+// instruction standing for the access in the entry's frame.
+type loopTag struct {
+	act  uint64
+	iter int64
+	loop *cfg.Loop
+	rep  *ir.Instr
+}
+
+// loopSnapshot is an immutable copy of the active loop tags at one
+// tracker version, outermost frame first. The top frame's tags come last,
+// from index top on, with a nil rep: the accessing instruction supplies
+// it.
+type loopSnapshot struct {
+	tags []loopTag
+	top  int
+}
+
+// snapsPerChunk is how many snapshots one allocation holds.
+const snapsPerChunk = 64
+
+// ctxSuffixes holds CtxSuffixHash of each call-site-chain suffix leading
+// to one frame, shortest first, at most maxCtxSuffix of them.
+type ctxSuffixes struct {
+	n int
+	h [maxCtxSuffix]uint64
 }
 
 // NewTracker creates a tracker over prog. Run registers the initial main
@@ -63,7 +127,23 @@ func (t *Tracker) AddIterListener(l IterListener) { t.iterLis = append(t.iterLis
 
 // Begin resets the tracker to a single main frame.
 func (t *Tracker) Begin(main *ir.Func) {
-	t.frames = []*Frame{{Fn: main}}
+	t.frames = t.frames[:0]
+	t.push(main)
+}
+
+// push starts a frame for fn. It reuses the frame last popped at the same
+// depth: nothing outside the tracker holds a frame after its return.
+func (t *Tracker) push(fn *ir.Func) {
+	var fr *Frame
+	if n := len(t.frames); n < cap(t.frames) {
+		fr = t.frames[:n+1][n]
+	}
+	if fr == nil {
+		fr = &Frame{}
+	}
+	*fr = Frame{Fn: fn, loops: fr.loops[:0], forest: t.prog.Forests[fn], shape: t.shape()}
+	t.frames = append(t.frames, fr)
+	t.ver++
 }
 
 // Frames exposes the current frame stack (bottom first).
@@ -117,11 +197,107 @@ func (t *Tracker) ActiveLoops(cur *ir.Instr, fn func(e *LoopEntry, rep *ir.Instr
 	}
 }
 
+// snapshot returns the active loop tags at the current version, building
+// them at most once per version.
+func (t *Tracker) snapshot() *loopSnapshot {
+	if t.snap != nil && t.snapVer == t.ver {
+		return t.snap
+	}
+	n := 0
+	for _, fr := range t.frames {
+		n += len(fr.loops)
+	}
+	s := &t.noLoops
+	if n > 0 {
+		// Snapshots and their tags are carved from chunks, one allocation
+		// per many versions.
+		if len(t.snapChunk) == 0 {
+			t.snapChunk = make([]loopSnapshot, snapsPerChunk)
+		}
+		if len(t.tagChunk) < n {
+			t.tagChunk = make([]loopTag, max(n, 4*snapsPerChunk))
+		}
+		s = &t.snapChunk[0]
+		t.snapChunk = t.snapChunk[1:]
+		s.tags = t.tagChunk[:0:n]
+		t.tagChunk = t.tagChunk[n:]
+		last := len(t.frames) - 1
+		for _, fr := range t.frames[:last] {
+			if fr.CallSite == nil {
+				continue
+			}
+			for _, e := range fr.loops {
+				s.tags = append(s.tags, loopTag{act: e.Act, iter: e.Iter, loop: e.Loop, rep: fr.CallSite})
+			}
+		}
+		s.top = len(s.tags)
+		for _, e := range t.frames[last].loops {
+			s.tags = append(s.tags, loopTag{act: e.Act, iter: e.Iter, loop: e.Loop})
+		}
+	}
+	t.snap, t.snapVer = s, t.ver
+	return s
+}
+
+// shape identifies the set of loops active across the whole stack; it
+// stays the same across iterations, calls and returns.
+func (t *Tracker) shape() uint64 {
+	if top := t.Top(); top != nil {
+		return top.shape
+	}
+	return 0
+}
+
+// ctxSuffixes returns the call-site-chain suffix hashes of the current
+// frame. It hashes them on the frame's first call, and not even then when
+// the caller's previous callee came from the same call site.
+func (t *Tracker) ctxSuffixes() *ctxSuffixes {
+	last := len(t.frames) - 1
+	if last < 0 {
+		return &t.noCtx
+	}
+	fr := t.frames[last]
+	if fr.ctx != nil {
+		return fr.ctx
+	}
+	if last == 0 {
+		fr.ctx = &t.noCtx
+		return fr.ctx
+	}
+	caller := t.frames[last-1]
+	site := caller.CallSite
+	if site != nil && site == caller.calleeSite {
+		fr.ctx = caller.calleeCtx
+		return fr.ctx
+	}
+	var chain [maxCtxSuffix]*ir.Instr
+	k := len(chain)
+	for fi := last - 1; fi >= 0 && k > 0; fi-- {
+		if s := t.frames[fi].CallSite; s != nil {
+			k--
+			chain[k] = s
+		}
+	}
+	c := &ctxSuffixes{n: len(chain) - k}
+	for i := 1; i <= c.n; i++ {
+		c.h[i-1] = CtxSuffixHash(chain[len(chain)-i:])
+	}
+	if site != nil {
+		caller.calleeSite, caller.calleeCtx = site, c
+	}
+	fr.ctx = c
+	return c
+}
+
 func (t *Tracker) Call(site *ir.Instr, callee *ir.Func) {
 	if top := t.Top(); top != nil {
 		top.CallSite = site
+		top.saved = nil
+		if t.snapVer == t.ver {
+			top.saved = t.snap
+		}
 	}
-	t.frames = append(t.frames, &Frame{Fn: callee})
+	t.push(callee)
 }
 
 func (t *Tracker) Return(callee *ir.Func) {
@@ -135,8 +311,15 @@ func (t *Tracker) Return(callee *ir.Func) {
 	if len(t.frames) > 0 {
 		t.frames = t.frames[:len(t.frames)-1]
 	}
+	t.ver++
 	if top := t.Top(); top != nil {
 		top.CallSite = nil
+		// The caller's loops did not move while it was calling out, so the
+		// snapshot current at the call is current again.
+		if top.saved != nil {
+			t.snap, t.snapVer = top.saved, t.ver
+			top.saved = nil
+		}
 	}
 }
 
@@ -166,21 +349,23 @@ func (t *Tracker) Edge(fn *ir.Func, from, to *ir.Block) {
 		t.endIter(e)
 		t.exitLoop(e)
 		top.loops = top.loops[:len(top.loops)-1]
+		top.shape = e.outer
+		t.ver++
 	}
 	// Header entry: back edge advances the iteration, outside entry starts
 	// a new activation.
-	forest := t.prog.Forests[fn]
-	if l := forest.ByHeader[to]; l != nil {
+	if l := top.forest.ByHeader[to]; l != nil {
 		if len(top.loops) > 0 && top.loops[len(top.loops)-1].Loop == l {
 			e := top.loops[len(top.loops)-1]
 			t.endIter(e)
 			e.Iter++
-			if e.liveObjs != nil && len(e.liveObjs) > 0 {
-				e.liveObjs = map[*interp.Object]bool{}
-			}
+			clear(e.liveObjs)
 		} else {
 			t.nextAct++
-			top.loops = append(top.loops, &LoopEntry{Loop: l, Act: t.nextAct})
+			t.nextShape++
+			top.loops = append(top.loops, &LoopEntry{Loop: l, Act: t.nextAct, outer: top.shape})
+			top.shape = t.nextShape
 		}
+		t.ver++
 	}
 }

@@ -11,6 +11,8 @@ import (
 type ValueProfile struct {
 	interp.BaseObserver
 	stats map[*ir.Instr]*valueStat
+	// instrs caches each load's record for the run.
+	instrs instrTable[*valueStat]
 }
 
 type valueStat struct {
@@ -24,10 +26,15 @@ func NewValueProfile() *ValueProfile {
 	return &ValueProfile{stats: map[*ir.Instr]*valueStat{}}
 }
 
+// release drops the state only the run needs.
+func (p *ValueProfile) release() { p.instrs = instrTable[*valueStat]{} }
+
 func (p *ValueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
-	s := p.stats[in]
+	r := p.instrs.at(in)
+	s := *r
 	if s == nil {
-		p.stats[in] = &valueStat{count: 1, value: val, invariant: true}
+		*r = &valueStat{count: 1, value: val, invariant: true}
+		p.stats[in] = *r
 		return
 	}
 	s.count++
