@@ -87,7 +87,7 @@ func main() {
 		report = rep
 		inconsistent = !rep.Consistent
 	} else {
-		stop, target, err := ensureTarget(cfg.BaseURL, *workers)
+		stop, target, err := ensureTarget(cfg.BaseURL, *workers, cfg.Requests)
 		if err != nil {
 			log.Fatalf("scaf-loadgen: %v", err)
 		}
@@ -119,8 +119,10 @@ func main() {
 }
 
 // ensureTarget returns the run's base URL, booting a single in-process
-// scaf-serve on loopback when none was given.
-func ensureTarget(url string, workers int) (stop func(), target string, err error) {
+// scaf-serve on loopback when none was given. That server queues every
+// request of the run instead of shedding any: the deterministic section
+// folds only 200 answers, so a 429 on a busy host would change it.
+func ensureTarget(url string, workers, requests int) (stop func(), target string, err error) {
 	if url != "" {
 		return func() {}, url, nil
 	}
@@ -128,7 +130,7 @@ func ensureTarget(url string, workers int) (stop func(), target string, err erro
 	if err != nil {
 		return nil, "", err
 	}
-	srv := server.New(server.Config{Workers: workers, MaxQueue: 4 * workers})
+	srv := server.New(server.Config{Workers: workers, MaxQueue: max(4*workers, requests)})
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(l)
 	stop = func() {

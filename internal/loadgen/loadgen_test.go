@@ -26,10 +26,14 @@ func testConfig(baseURL string) Config {
 
 func runOnce(t *testing.T) Deterministic {
 	t.Helper()
-	srv := server.New(server.Config{Workers: 4, MaxQueue: 16})
+	cfg := testConfig("")
+	// The server queues the whole request budget, so a busy host delays
+	// requests instead of shedding them (shedding is TestAdmissionControl's).
+	srv := server.New(server.Config{Workers: 4, MaxQueue: cfg.Requests})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	rep, err := Run(testConfig(ts.URL))
+	cfg.BaseURL = ts.URL
+	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -177,9 +177,11 @@ func saturateOne(cfg SaturationConfig, n int) (*SaturationPoint, error) {
 	return pt, nil
 }
 
-// backendConfig sizes every backend of a sweep's fleets.
+// backendConfig sizes every backend of a sweep's fleets. Each size must
+// serve the same deterministic section, so a backend queues the whole
+// request budget instead of shedding any of it on a busy host.
 func backendConfig(cfg SaturationConfig) server.Config {
-	return server.Config{Workers: cfg.Workers, MaxQueue: 4 * cfg.Workers}
+	return server.Config{Workers: cfg.Workers, MaxQueue: max(4*cfg.Workers, cfg.Load.Requests)}
 }
 
 // sweepFleet boots one fleet (persistent when dir is non-empty), offers
