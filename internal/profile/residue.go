@@ -36,15 +36,14 @@ func (p *ResidueProfile) record(in *ir.Instr, addr uint64) {
 		if !ok {
 			return
 		}
-		st := p.ptrs[ptr]
-		if st == nil {
-			st = &residueStat{}
-			p.ptrs[ptr] = st
+		if p.ptrs[ptr] == nil {
+			p.ptrs[ptr] = &residueStat{}
 		}
-		*r = st
+		*r = p.ptrs[ptr]
 	}
-	(*r).mask |= 1 << (addr & 15)
-	(*r).count++
+	st := *r
+	st.mask |= 1 << (addr & 15)
+	st.count++
 }
 
 func (p *ResidueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {

@@ -65,7 +65,6 @@ func Check(prog *cfg.Program, data *profile.Data, asserts []core.Assertion, opts
 		// the violations already observed.
 		return rep, err
 	}
-	// Close out any still-active short-lived windows at program end.
 	return rep, nil
 }
 
