@@ -11,12 +11,20 @@ type EdgeKey struct{ From, To *ir.Block }
 
 // EdgeProfile counts block executions and edge traversals — the profile
 // control speculation consumes (paper: never-executed blocks are the
-// speculatively dead ones).
+// speculatively dead ones). BlockCount and EdgeCount are complete once
+// Finish has run.
 type EdgeProfile struct {
 	interp.BaseObserver
 	BlockCount map[*ir.Block]int64
 	EdgeCount  map[EdgeKey]int64
 	mod        *ir.Module
+
+	// During the run, each function counts its edges in a dense table,
+	// two slots per block (one per successor position), that Finish
+	// folds into the maps.
+	fn     *ir.Func
+	counts []int64
+	byFn   map[*ir.Func][]int64
 }
 
 // NewEdgeProfile creates an empty edge profiler for module m.
@@ -29,6 +37,22 @@ func NewEdgeProfile(m *ir.Module) *EdgeProfile {
 }
 
 func (p *EdgeProfile) Edge(fn *ir.Func, from, to *ir.Block) {
+	if fn != p.fn {
+		if p.byFn[fn] == nil {
+			if p.byFn == nil {
+				p.byFn = map[*ir.Func][]int64{}
+			}
+			p.byFn[fn] = make([]int64, 2*len(fn.Blocks))
+		}
+		p.fn, p.counts = fn, p.byFn[fn]
+	}
+	i := 2 * from.Index
+	for k := 0; k < 2 && k < len(from.Succs) && i+k < len(p.counts); k++ {
+		if from.Succs[k] == to {
+			p.counts[i+k]++
+			return
+		}
+	}
 	p.BlockCount[to]++
 	p.EdgeCount[EdgeKey{from, to}]++
 }
@@ -37,8 +61,21 @@ func (p *EdgeProfile) Call(site *ir.Instr, callee *ir.Func) {
 	p.BlockCount[callee.Entry()]++
 }
 
-// Finish accounts for main's entry block, which no edge or call reaches.
+// Finish folds the run's edge tables into BlockCount and EdgeCount, and
+// accounts for main's entry block, which no edge or call reaches.
 func (p *EdgeProfile) Finish() {
+	for fn, counts := range p.byFn {
+		for i, n := range counts {
+			if n == 0 {
+				continue
+			}
+			from := fn.Blocks[i/2]
+			to := from.Succs[i%2]
+			p.BlockCount[to] += n
+			p.EdgeCount[EdgeKey{from, to}] += n
+		}
+	}
+	p.fn, p.counts, p.byFn = nil, nil, nil
 	if main := p.mod.FuncNamed("main"); main != nil {
 		p.BlockCount[main.Entry()]++
 	}

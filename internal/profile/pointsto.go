@@ -89,6 +89,7 @@ type PointsToProfile struct {
 // ptrStat is one pointer value's profile: the sites it addressed and how
 // many accesses went through it.
 type ptrStat struct {
+	v     ir.Value
 	sites map[Site]bool
 	count int64
 }
@@ -98,8 +99,6 @@ type ptrStat struct {
 // an access that repeats them inserts nothing.
 type ptsInstr struct {
 	ptr     *ptrStat
-	v       ir.Value
-	seen    bool
 	site    Site
 	ctx     *ctxSuffixes
 	ctxSets [maxCtxSuffix]map[Site]bool
@@ -125,17 +124,16 @@ func (p *PointsToProfile) release() { p.tracker, p.instrs = nil, instrTable[ptsI
 
 func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
 	r := p.instrs.at(in)
-	if r.ptr == nil {
+	first := r.ptr == nil
+	if first {
 		ptr, _, ok := in.PointerOperand()
 		if !ok {
 			return
 		}
-		st := p.ptrs[ptr]
-		if st == nil {
-			st = &ptrStat{sites: map[Site]bool{}}
-			p.ptrs[ptr] = st
+		if p.ptrs[ptr] == nil {
+			p.ptrs[ptr] = &ptrStat{v: ptr, sites: map[Site]bool{}}
 		}
-		r.ptr, r.v = st, ptr
+		r.ptr = p.ptrs[ptr]
 	}
 	r.ptr.count++
 	site := SiteOf(o)
@@ -143,10 +141,10 @@ func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
 	if p.tracker != nil {
 		ctx = p.tracker.ctxSuffixes()
 	}
-	if r.seen && site == r.site && ctx == r.ctx {
+	if !first && site == r.site && ctx == r.ctx {
 		return
 	}
-	r.seen, r.site = true, site
+	r.site = site
 	r.ptr.sites[site] = true
 	if ctx == nil {
 		return
@@ -154,7 +152,7 @@ func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
 	if ctx != r.ctx {
 		r.ctx = ctx
 		for k := 0; k < ctx.n; k++ {
-			key := ctxKey{v: r.v, ctx: ctx.h[k]}
+			key := ctxKey{v: r.ptr.v, ctx: ctx.h[k]}
 			cs := p.ctxSets[key]
 			if cs == nil {
 				cs = map[Site]bool{}

@@ -35,8 +35,8 @@ type Frame struct {
 	CallSite *ir.Instr
 	loops    []*LoopEntry
 
-	// forest is Fn's loop forest, looked up once per frame.
-	forest *cfg.Forest
+	// forest is Fn's dense loop forest, looked up once per frame.
+	forest *denseForest
 	// shape identifies the set of loops active in this frame and every
 	// frame below it: a new frame starts with its caller's, and each loop
 	// push mints a new one that the matching pop gives back.
@@ -84,6 +84,7 @@ type Tracker struct {
 	snap      *loopSnapshot // current when snapVer == ver
 	snapVer   uint64
 	nextShape uint64
+	forests   map[*ir.Func]*denseForest
 	snapChunk []loopSnapshot
 	tagChunk  []loopTag
 	noLoops   loopSnapshot
@@ -108,8 +109,49 @@ type loopSnapshot struct {
 	top  int
 }
 
-// snapsPerChunk is how many snapshots one allocation holds.
-const snapsPerChunk = 64
+// snapsPerChunk is how many snapshots one allocation holds, and twice as
+// many tags fill one tag allocation: small enough that a short run pays
+// little for the chunks, large enough that a long one allocates rarely.
+const snapsPerChunk = 32
+
+// denseForest is one function's loop forest indexed by block index, so an
+// edge finds its loops without a map lookup.
+type denseForest struct {
+	heads []*cfg.Loop // the loop each block heads, if any
+	inner []*cfg.Loop // the innermost loop each block belongs to, if any
+}
+
+// contains reports whether loop l contains block b: whether l is b's
+// innermost loop or encloses it.
+func (f *denseForest) contains(l *cfg.Loop, b *ir.Block) bool {
+	for in := f.inner[b.Index]; in != nil; in = in.Parent {
+		if in == l {
+			return true
+		}
+	}
+	return false
+}
+
+// forestOf returns fn's dense loop forest, building it on first use.
+func (t *Tracker) forestOf(fn *ir.Func) *denseForest {
+	if f := t.forests[fn]; f != nil {
+		return f
+	}
+	f := &denseForest{heads: make([]*cfg.Loop, len(fn.Blocks)), inner: make([]*cfg.Loop, len(fn.Blocks))}
+	if forest := t.prog.Forests[fn]; forest != nil {
+		for b, l := range forest.ByHeader {
+			f.heads[b.Index] = l
+		}
+		for b, l := range forest.Innermost {
+			f.inner[b.Index] = l
+		}
+	}
+	if t.forests == nil {
+		t.forests = map[*ir.Func]*denseForest{}
+	}
+	t.forests[fn] = f
+	return f
+}
 
 // ctxSuffixes holds CtxSuffixHash of each call-site-chain suffix leading
 // to one frame, shortest first, at most maxCtxSuffix of them.
@@ -141,7 +183,7 @@ func (t *Tracker) push(fn *ir.Func) {
 	if fr == nil {
 		fr = &Frame{}
 	}
-	*fr = Frame{Fn: fn, loops: fr.loops[:0], forest: t.prog.Forests[fn], shape: t.shape()}
+	*fr = Frame{Fn: fn, loops: fr.loops[:0], forest: t.forestOf(fn), shape: t.shape()}
 	t.frames = append(t.frames, fr)
 	t.ver++
 }
@@ -215,7 +257,7 @@ func (t *Tracker) snapshot() *loopSnapshot {
 			t.snapChunk = make([]loopSnapshot, snapsPerChunk)
 		}
 		if len(t.tagChunk) < n {
-			t.tagChunk = make([]loopTag, max(n, 4*snapsPerChunk))
+			t.tagChunk = make([]loopTag, max(n, 2*snapsPerChunk))
 		}
 		s = &t.snapChunk[0]
 		t.snapChunk = t.snapChunk[1:]
@@ -343,7 +385,7 @@ func (t *Tracker) Edge(fn *ir.Func, from, to *ir.Block) {
 	// Pop loops the edge leaves.
 	for len(top.loops) > 0 {
 		e := top.loops[len(top.loops)-1]
-		if e.Loop.Contains(to) {
+		if top.forest.contains(e.Loop, to) {
 			break
 		}
 		t.endIter(e)
@@ -354,7 +396,7 @@ func (t *Tracker) Edge(fn *ir.Func, from, to *ir.Block) {
 	}
 	// Header entry: back edge advances the iteration, outside entry starts
 	// a new activation.
-	if l := top.forest.ByHeader[to]; l != nil {
+	if l := top.forest.heads[to.Index]; l != nil {
 		if len(top.loops) > 0 && top.loops[len(top.loops)-1].Loop == l {
 			e := top.loops[len(top.loops)-1]
 			t.endIter(e)
