@@ -171,11 +171,11 @@ bench-check:
 #     compile, CFG and the profiling run under all six profilers, the
 #     work every session create does on every backend. Records built per
 #     memory access cost 224,788 allocs/op; per-version loop snapshots
-#     and per-instruction records brought it to 15,922 with Go 1.24 at
+#     and per-instruction records brought it to 15,937 with Go 1.24 at
 #     20 and 50 iterations, three quarters of that the interpreter's own
 #     call frames. Part of the rest is map growth, which allocates
 #     differently under the CI matrix's Go 1.22 and 1.23, so the ceiling
-#     is 20,000: 26% headroom over the measured count, and still more
+#     is 20,000: 25% headroom over the measured count, and still more
 #     than ten times below the per-access cost.
 
 # bench_mem_pin runs benchmark $(2) of package $(1) for $(3) iterations
