@@ -291,8 +291,8 @@ func (t *Tracker) shape() uint64 {
 }
 
 // ctxSuffixes returns the call-site-chain suffix hashes of the current
-// frame. It hashes them on the frame's first call, and not even then when
-// the caller's previous callee came from the same call site.
+// frame. It hashes them once per frame, on first use, and not at all when
+// the caller's previous callee was called from the same site.
 func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 	last := len(t.frames) - 1
 	if last < 0 {
