@@ -17,9 +17,9 @@ import (
 )
 
 // TestProfileDigest pins every profiler's output, byte for byte, over the
-// 16 suite programs and 60 generated ones: each program's profile is
-// rendered as sorted lines with stable names and hashed, and the hash
-// must equal the literal below. A change to how the profilers record
+// 16 suite programs, 60 generated ones and one written for the test: each
+// program's profile is rendered as sorted lines with stable names and
+// hashed, and the hash must equal the literal below. A change to how the profilers record
 // must leave every literal as it is; a change to what they record
 // regenerates the table and says why.
 func TestProfileDigest(t *testing.T) {
