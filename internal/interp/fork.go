@@ -24,14 +24,17 @@ type instrAware interface{ SetInstr(*ir.Instr) }
 // Frame exposes one function activation to hooks and region execution:
 // the live register file, the activation's arguments, and its position in
 // the call stack. Regs aliases the activation's register slice, so writes
-// through a Frame are visible to the continuing execution.
+// through a Frame are visible to the continuing execution. The Frame the
+// interpreter passes out, with its Regs and Args, belongs to the
+// activation buffer of its call depth and is valid only until its
+// activation returns: the next call at that depth reuses all three. Copy
+// what must outlive it.
 type Frame struct {
 	It    *Interp
 	Fn    *ir.Func
 	Regs  []uint64
 	Args  []uint64
 	Depth int
-	Ctx   uint64
 }
 
 // Hook observes every control transfer of top-level (non-region)
@@ -40,6 +43,8 @@ type Frame struct {
 // as the phi predecessor. Returning (nil, nil, nil) declines. Hooks never
 // fire inside RunRegion or forked interpreters, so a hook that executes a
 // loop region itself cannot re-trigger on its own fallback execution.
+// The Frame a hook receives is valid only until its activation returns
+// (see Frame), so a hook must not keep it past the call.
 type Hook func(fr *Frame, block, prev *ir.Block) (next, nextPrev *ir.Block, err error)
 
 // RegionEnd reports where a bounded execution stopped: either the

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"scaf/internal/ir"
@@ -83,7 +82,7 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 		globals: map[*ir.Global]uint64{},
 	}
 	for _, g := range m.Globals {
-		o := it.heap.Allocate(g.Elem.Size(), nil, g, 0)
+		o := it.heap.Allocate(g.Elem.Size(), nil, g)
 		for i, v := range g.InitInt {
 			if int64(i*8+8) <= o.Size {
 				if _, err := it.heap.Store(o.Base+uint64(i*8), 8, uint64(v)); err != nil {
@@ -94,7 +93,7 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 		it.globals[g] = o.Base
 		it.alloc(o)
 	}
-	if _, err := it.call(main, nil, 0, 0); err != nil {
+	if _, err := it.call(main, nil, 0); err != nil {
 		return nil, fmt.Errorf("interp: %w", err)
 	}
 	return &Result{Output: it.output, Steps: it.steps, Mem: it.heap}, nil
@@ -118,6 +117,34 @@ type Interp struct {
 	// serves every frame: phi operands are evaluated without calls, so
 	// no nested exec runs while it holds values, and a Fork gets its own.
 	phis []uint64
+	// acts holds one activation buffer per call depth, reused by every
+	// call made at that depth; a Fork gets its own.
+	acts []*activation
+}
+
+// activation is the reusable state of one call depth: the Frame the
+// running activation executes in, its register file, the arguments its
+// caller evaluated into it, and the stack objects it allocated.
+type activation struct {
+	fr        Frame
+	regs      []uint64
+	args      []uint64
+	stackObjs []*Object
+}
+
+// activation returns the buffer for call depth d, creating it on first
+// use. Buffers are held by pointer, so a Frame stays put while deeper
+// calls grow acts.
+func (it *Interp) activation(d int) *activation {
+	for len(it.acts) <= d {
+		it.acts = append(it.acts, nil)
+	}
+	a := it.acts[d]
+	if a == nil {
+		a = &activation{}
+		it.acts[d] = a
+	}
+	return a
 }
 
 func (it *Interp) alloc(o *Object) {
@@ -131,21 +158,6 @@ func b2f(v uint64) float64 { return math.Float64frombits(v) }
 func f2b(v float64) uint64 { return math.Float64bits(v) }
 func b2i(v uint64) int64   { return int64(v) }
 func i2b(v int64) uint64   { return uint64(v) }
-
-func ctxHash(parent uint64, fn *ir.Func, site *ir.Instr) uint64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(parent >> (8 * uint(i)))
-	}
-	id := uint64(site.ID)
-	for i := 0; i < 8; i++ {
-		buf[8+i] = byte(id >> (8 * uint(i)))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(fn.Name))
-	return h.Sum64()
-}
 
 // eval resolves an operand to its raw 8-byte word. Malformed IR — an
 // operand kind the evaluator does not know, or a parameter index outside
@@ -176,25 +188,35 @@ func (it *Interp) eval(v ir.Value, regs []uint64, args []uint64) (uint64, error)
 	return 0, fmt.Errorf("unknown value %T (%v)", v, v)
 }
 
-// call runs one function activation.
-func (it *Interp) call(f *ir.Func, args []uint64, depth int, ctx uint64) (uint64, error) {
+// call runs one function activation in depth's activation buffer. args
+// must stay unchanged until the call returns; the caller evaluates them
+// into the same buffer (see OpCall). A Frame, like everything else in
+// the buffer, is valid only until its activation returns: the next call
+// at the same depth reuses it.
+func (it *Interp) call(f *ir.Func, args []uint64, depth int) (uint64, error) {
 	if depth > it.opts.MaxDepth {
 		return 0, fmt.Errorf("call depth limit exceeded in %s", f.Name)
 	}
-	fr := &Frame{It: it, Fn: f, Regs: make([]uint64, f.NumIDs()), Args: args, Depth: depth, Ctx: ctx}
-	var stackObjs []*Object
-	defer func() {
-		for _, o := range stackObjs {
-			if !o.Freed {
-				o.Freed = true
-				o.Data = nil
-				for _, ob := range it.obs {
-					ob.Free(nil, o)
-				}
+	a := it.activation(depth)
+	n := f.NumIDs()
+	if cap(a.regs) < n {
+		a.regs = make([]uint64, n)
+	}
+	a.regs = a.regs[:n]
+	clear(a.regs)
+	a.fr = Frame{It: it, Fn: f, Regs: a.regs, Args: args, Depth: depth}
+	a.stackObjs = a.stackObjs[:0]
+	v, err := it.exec(&a.fr, f.Entry(), nil, &a.stackObjs, nil, true)
+	for _, o := range a.stackObjs {
+		if !o.Freed {
+			o.Freed = true
+			o.Data = nil
+			for _, ob := range it.obs {
+				ob.Free(nil, o)
 			}
 		}
-	}()
-	return it.exec(fr, f.Entry(), nil, &stackObjs, nil, true)
+	}
+	return v, err
 }
 
 // exec is the block-dispatch engine shared by whole-function calls and
@@ -204,7 +226,7 @@ func (it *Interp) call(f *ir.Func, args []uint64, depth int, ctx uint64) (uint64
 // phis. With hookable set (top-level execution only), it.hook is
 // consulted before each block's phis and may redirect control.
 func (it *Interp) exec(fr *Frame, block, prev *ir.Block, stackObjs *[]*Object, region *RegionEnd, hookable bool) (uint64, error) {
-	f, regs, args, depth, ctx := fr.Fn, fr.Regs, fr.Args, fr.Depth, fr.Ctx
+	f, regs, args, depth := fr.Fn, fr.Regs, fr.Args, fr.Depth
 	for {
 		if hookable && it.hook != nil {
 			nb, np, err := it.hook(fr, block, prev)
@@ -256,7 +278,7 @@ func (it *Interp) exec(fr *Frame, block, prev *ir.Block, stackObjs *[]*Object, r
 				if it.heap == nil {
 					return 0, fmt.Errorf("%s: %s: allocation inside a speculative region", f.Name, ir.FormatInstr(in))
 				}
-				o := it.heap.Allocate(in.ElemTy.Size(), in, nil, ctx)
+				o := it.heap.Allocate(in.ElemTy.Size(), in, nil)
 				*stackObjs = append(*stackObjs, o)
 				regs[in.ID] = o.Base
 				it.alloc(o)
@@ -269,7 +291,7 @@ func (it *Interp) exec(fr *Frame, block, prev *ir.Block, stackObjs *[]*Object, r
 					return 0, fmt.Errorf("%s: %s: allocation inside a speculative region", f.Name, ir.FormatInstr(in))
 				}
 				size := b2i(raw)
-				o := it.heap.Allocate(size, in, nil, ctx)
+				o := it.heap.Allocate(size, in, nil)
 				regs[in.ID] = o.Base
 				it.alloc(o)
 			case ir.OpFree:
@@ -384,14 +406,18 @@ func (it *Interp) exec(fr *Frame, block, prev *ir.Block, stackObjs *[]*Object, r
 					regs[in.ID] = x
 				}
 			case ir.OpCall:
-				vals := make([]uint64, len(in.Args))
-				for i, a := range in.Args {
+				// The arguments go straight into the callee's activation
+				// buffer; an intrinsic borrows it, as it makes no call.
+				callee := it.activation(depth + 1)
+				vals := callee.args[:0]
+				for _, a := range in.Args {
 					v, err := it.eval(a, regs, args)
 					if err != nil {
 						return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
 					}
-					vals[i] = v
+					vals = append(vals, v)
 				}
+				callee.args = vals
 				if in.Callee == nil {
 					v, err := it.intrinsic(in, vals)
 					if err != nil {
@@ -403,7 +429,7 @@ func (it *Interp) exec(fr *Frame, block, prev *ir.Block, stackObjs *[]*Object, r
 				for _, ob := range it.obs {
 					ob.Call(in, in.Callee)
 				}
-				v, err := it.call(in.Callee, vals, depth+1, ctxHash(ctx, f, in))
+				v, err := it.call(in.Callee, vals, depth+1)
 				if err != nil {
 					return 0, err
 				}

@@ -375,22 +375,3 @@ void main() {
 		t.Errorf("stack frees = %d, want >= 2", obs.frees)
 	}
 }
-
-func TestAllocationContextsDiffer(t *testing.T) {
-	rec := &allocRecorder{}
-	run(t, `
-int* mk() { return malloc(int, 1); }
-void use(int* p) { *p = 1; free(p); }
-void main() {
-    use(mk());
-    use(mk());
-}`, Options{Observers: []Observer{rec}})
-	if len(rec.heap) != 2 {
-		t.Fatalf("heap objects = %d", len(rec.heap))
-	}
-	// Same site, same calling-context hash (both calls go main->mk with
-	// different call sites, so contexts differ).
-	if rec.heap[0].Ctx == rec.heap[1].Ctx {
-		t.Error("objects from different call sites should carry different contexts")
-	}
-}

@@ -5,6 +5,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -24,10 +25,6 @@ type Object struct {
 	Site  *ir.Instr  // allocation site; nil for globals
 	G     *ir.Global // non-nil for globals
 	Freed bool
-	// Ctx is a small hash of the call-site stack at allocation time, used
-	// by the points-to profiler to separate dynamic instances created by
-	// the same static site in different calling contexts.
-	Ctx uint64
 }
 
 // SiteName names the allocation site for diagnostics.
@@ -47,13 +44,16 @@ type Memory struct {
 	objects []*Object // sorted by Base; addresses never reused
 	next    uint64
 	nextID  int
+	// last is the object the last Load or Store hit, checked before the
+	// binary search: consecutive accesses mostly touch one object.
+	last *Object
 }
 
 // NewMemory creates an empty address space.
 func NewMemory() *Memory { return &Memory{next: 0x10000} }
 
 // Allocate creates a new object of size bytes (zero-filled).
-func (m *Memory) Allocate(size int64, site *ir.Instr, g *ir.Global, ctx uint64) *Object {
+func (m *Memory) Allocate(size int64, site *ir.Instr, g *ir.Global) *Object {
 	if size < 0 {
 		size = 0
 	}
@@ -64,7 +64,6 @@ func (m *Memory) Allocate(size int64, site *ir.Instr, g *ir.Global, ctx uint64) 
 		Data: make([]byte, size),
 		Site: site,
 		G:    g,
-		Ctx:  ctx,
 	}
 	m.nextID++
 	m.next += (uint64(size) + 15) &^ 15
@@ -117,27 +116,59 @@ func max64(a, b int64) int64 {
 
 // Load reads size bytes at addr as a little-endian word.
 func (m *Memory) Load(addr uint64, size int64) (uint64, *Object, error) {
-	o, off, err := m.locate(addr, size, "load")
+	o, off, err := m.locateCached(addr, size, "load")
 	if err != nil {
 		return 0, nil, err
 	}
-	var v uint64
-	for i := int64(0); i < size; i++ {
-		v |= uint64(o.Data[off+i]) << (8 * uint(i))
-	}
-	return v, o, nil
+	return getWord(o.Data[off:], size), o, nil
 }
 
 // Store writes size bytes at addr as a little-endian word.
 func (m *Memory) Store(addr uint64, size int64, val uint64) (*Object, error) {
-	o, off, err := m.locate(addr, size, "store")
+	o, off, err := m.locateCached(addr, size, "store")
 	if err != nil {
 		return nil, err
 	}
-	for i := int64(0); i < size; i++ {
-		o.Data[off+i] = byte(val >> (8 * uint(i)))
-	}
+	putWord(o.Data[off:], size, val)
 	return o, nil
+}
+
+// getWord reads the little-endian word in the first size bytes of b.
+func getWord(b []byte, size int64) uint64 {
+	if size == 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var v uint64
+	for i := int64(0); i < size; i++ {
+		v |= uint64(b[i]) << (8 * uint(i))
+	}
+	return v
+}
+
+// putWord writes val into the first size bytes of b, little-endian.
+func putWord(b []byte, size int64, val uint64) {
+	if size == 8 {
+		binary.LittleEndian.PutUint64(b, val)
+		return
+	}
+	for i := int64(0); i < size; i++ {
+		b[i] = byte(val >> (8 * uint(i)))
+	}
+}
+
+// locateCached is locate with the last object hit checked first. Only
+// Memory's own Load and Store use it: a View reads its base image from
+// concurrent forks, so it goes through the uncached locate, which writes
+// nothing.
+func (m *Memory) locateCached(addr uint64, size int64, what string) (*Object, int64, error) {
+	if o := m.last; o != nil && !o.Freed && size > 0 && addr >= o.Base && size <= o.Size && addr-o.Base <= uint64(o.Size-size) {
+		return o, int64(addr - o.Base), nil
+	}
+	o, off, err := m.locate(addr, size, what)
+	if err == nil {
+		m.last = o
+	}
+	return o, off, err
 }
 
 func (m *Memory) locate(addr uint64, size int64, what string) (*Object, int64, error) {

@@ -8,7 +8,7 @@ import (
 
 func TestMemoryRoundtrip(t *testing.T) {
 	m := NewMemory()
-	o := m.Allocate(64, nil, nil, 0)
+	o := m.Allocate(64, nil, nil)
 	f := func(off uint8, val uint64) bool {
 		offset := uint64(off % 56)
 		if _, err := m.Store(o.Base+offset, 8, val); err != nil {
@@ -24,7 +24,7 @@ func TestMemoryRoundtrip(t *testing.T) {
 
 func TestMemoryPartialOverrun(t *testing.T) {
 	m := NewMemory()
-	o := m.Allocate(12, nil, nil, 0) // deliberately not 8-aligned size
+	o := m.Allocate(12, nil, nil) // deliberately not 8-aligned size
 	if _, err := m.Store(o.Base+8, 8, 1); err == nil || !strings.Contains(err.Error(), "overruns") {
 		t.Errorf("expected overrun error, got %v", err)
 	}
@@ -40,7 +40,7 @@ func TestMemoryFindObject(t *testing.T) {
 	m := NewMemory()
 	var objs []*Object
 	for i := 0; i < 10; i++ {
-		objs = append(objs, m.Allocate(int64(8+i*8), nil, nil, 0))
+		objs = append(objs, m.Allocate(int64(8+i*8), nil, nil))
 	}
 	for _, o := range objs {
 		if m.FindObject(o.Base) != o {
@@ -60,7 +60,7 @@ func TestMemoryFindObject(t *testing.T) {
 
 func TestMemoryLittleEndian(t *testing.T) {
 	m := NewMemory()
-	o := m.Allocate(8, nil, nil, 0)
+	o := m.Allocate(8, nil, nil)
 	if _, err := m.Store(o.Base, 8, 0x0102030405060708); err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestMemoryLittleEndian(t *testing.T) {
 
 func TestZeroSizeAllocationsDistinct(t *testing.T) {
 	m := NewMemory()
-	a := m.Allocate(0, nil, nil, 0)
-	b := m.Allocate(0, nil, nil, 0)
+	a := m.Allocate(0, nil, nil)
+	b := m.Allocate(0, nil, nil)
 	if a.Base == b.Base {
 		t.Error("zero-size objects must have distinct addresses")
 	}
@@ -80,7 +80,7 @@ func TestZeroSizeAllocationsDistinct(t *testing.T) {
 
 func TestFreedObjectLookup(t *testing.T) {
 	m := NewMemory()
-	o := m.Allocate(16, nil, nil, 0)
+	o := m.Allocate(16, nil, nil)
 	if _, err := m.Free(o.Base); err != nil {
 		t.Fatal(err)
 	}

@@ -277,7 +277,7 @@ func (ex *executor) speculate(fr *interp.Frame, sl *specLoop, prev *ir.Block) (*
 			fork := parent.Fork(view)
 			regs := append([]uint64(nil), fr.Regs...)
 			regs[sh.Next.ID] = uint64(sh.Ind(init, cr.lo))
-			cfr := &interp.Frame{It: fork, Fn: fr.Fn, Regs: regs, Args: fr.Args, Depth: fr.Depth, Ctx: fr.Ctx}
+			cfr := &interp.Frame{It: fork, Fn: fr.Fn, Regs: regs, Args: fr.Args, Depth: fr.Depth}
 			want := cr.hi - cr.lo
 			var done int64
 			stop := func(from, to *ir.Block) bool {
