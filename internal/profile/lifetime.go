@@ -32,7 +32,7 @@ type LifetimeProfile struct {
 	// Run-only state: the loop entries each live object was allocated
 	// under, and each access instruction's last site and loop shape.
 	objEntries map[*interp.Object][]*LoopEntry
-	instrs     instrTable[lifetimeInstr]
+	instrs     InstrTable[lifetimeInstr]
 }
 
 // lifetimeInstr is the site and loop shape of an instruction's last
@@ -60,13 +60,13 @@ func NewLifetimeProfile(tracker *Tracker) *LifetimeProfile {
 
 // release drops the state only the run needs.
 func (p *LifetimeProfile) release() {
-	p.tracker, p.objEntries, p.instrs = nil, nil, instrTable[lifetimeInstr]{}
+	p.tracker, p.objEntries, p.instrs = nil, nil, InstrTable[lifetimeInstr]{}
 }
 
 // repeats reports whether in's access of site marks exactly what its
 // previous access marked: the same site under the same active loops.
 func (p *LifetimeProfile) repeats(in *ir.Instr, site Site) bool {
-	r, shape := p.instrs.at(in), p.tracker.shape()
+	r, shape := p.instrs.At(in), p.tracker.shape()
 	if r.seen && r.site == site && r.shape == shape {
 		return true
 	}

@@ -71,9 +71,22 @@ const maxReadRecs = 16
 type MemDepProfile struct {
 	interp.BaseObserver
 	tracker *Tracker
-	// words holds each word's accesses; it lives only for the run.
-	words map[uint64]*wordRec
-	deps  map[DepKey]int64
+	deps    map[DepKey]int64
+
+	// Run-only state. objWords holds each object's 8-byte-aligned words,
+	// indexed by object ID and then by word; words holds the records of
+	// every other address. dsts counts, per destination instruction, the
+	// dependences its accesses completed; release folds them into deps.
+	objWords [][]wordRec
+	words    map[uint64]*wordRec
+	dsts     InstrTable[[]depCount]
+}
+
+// depCount is one dependence a destination instruction completed, and
+// how often.
+type depCount struct {
+	key DepKey
+	n   int64
 }
 
 // NewMemDepProfile creates a memory-dependence profiler reading loop state
@@ -86,10 +99,47 @@ func NewMemDepProfile(tracker *Tracker) *MemDepProfile {
 	}
 }
 
-// release drops the state only the run needs.
-func (p *MemDepProfile) release() { p.tracker, p.words = nil, nil }
+// release folds the per-instruction dependence counts into the table the
+// query methods read, then drops the state only the run needs.
+func (p *MemDepProfile) release() {
+	for _, tab := range p.dsts.byFn {
+		for _, counts := range tab {
+			for _, c := range counts {
+				p.deps[c.key] += c.n
+			}
+		}
+	}
+	p.tracker, p.objWords, p.words, p.dsts = nil, nil, nil, InstrTable[[]depCount]{}
+}
+
+// word returns the record of the word at addr in o. It creates the
+// record's table on first use only when create is set, and returns nil
+// when there is none.
+func (p *MemDepProfile) word(addr uint64, o *interp.Object, create bool) *wordRec {
+	if off := addr - o.Base; off%8 == 0 {
+		for len(p.objWords) <= o.ID {
+			p.objWords = append(p.objWords, nil)
+		}
+		ws := p.objWords[o.ID]
+		if ws == nil {
+			if !create {
+				return nil
+			}
+			ws = make([]wordRec, (o.Size+7)/8)
+			p.objWords[o.ID] = ws
+		}
+		return &ws[off/8]
+	}
+	w := p.words[addr]
+	if w == nil && create {
+		w = &wordRec{}
+		p.words[addr] = w
+	}
+	return w
+}
 
 func (p *MemDepProfile) emit(from, to accessRec, kind DepKind) {
+	counts := p.dsts.At(to.in)
 	for i := range from.snap.tags {
 		tf := from.tag(i)
 		for j := range to.snap.tags {
@@ -97,13 +147,24 @@ func (p *MemDepProfile) emit(from, to accessRec, kind DepKind) {
 			if tt.act != tf.act {
 				continue
 			}
-			p.deps[DepKey{
+			k := DepKey{
 				Loop:  tf.loop,
 				Src:   tf.rep,
 				Dst:   tt.rep,
 				Kind:  kind,
 				Cross: tt.iter > tf.iter,
-			}]++
+			}
+			found := false
+			for c := range *counts {
+				if (*counts)[c].key == k {
+					(*counts)[c].n++
+					found = true
+					break
+				}
+			}
+			if !found {
+				*counts = append(*counts, depCount{key: k, n: 1})
+			}
 		}
 	}
 }
@@ -131,11 +192,7 @@ func (p *MemDepProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, 
 	if len(rec.snap.tags) == 0 {
 		return // outside any loop: no loop-relative dependence to record
 	}
-	w := p.words[addr]
-	if w == nil {
-		w = &wordRec{}
-		p.words[addr] = w
-	}
+	w := p.word(addr, o, true)
 	if w.write.snap != nil {
 		p.emit(w.write, rec, Flow)
 	}
@@ -149,13 +206,9 @@ func (p *MemDepProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, 
 
 func (p *MemDepProfile) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	rec := accessRec{p.tracker.snapshot(), in}
-	w := p.words[addr]
+	w := p.word(addr, o, len(rec.snap.tags) > 0)
 	if w == nil {
-		if len(rec.snap.tags) == 0 {
-			return
-		}
-		w = &wordRec{}
-		p.words[addr] = w
+		return
 	}
 	for _, r := range w.reads {
 		p.emit(r, rec, Anti)
@@ -169,6 +222,13 @@ func (p *MemDepProfile) Store(in *ir.Instr, addr uint64, size int64, val uint64,
 	w.write = accessRec{}
 	if len(rec.snap.tags) > 0 {
 		w.write = rec
+	}
+}
+
+// Free drops a dead object's word table: no access reaches it again.
+func (p *MemDepProfile) Free(in *ir.Instr, o *interp.Object) {
+	if o.ID < len(p.objWords) {
+		p.objWords[o.ID] = nil
 	}
 }
 

@@ -83,7 +83,7 @@ type PointsToProfile struct {
 	ctxSets map[ctxKey]map[Site]bool
 	tracker *Tracker
 	// instrs caches each access instruction's records for the run.
-	instrs instrTable[ptsInstr]
+	instrs InstrTable[ptsInstr]
 }
 
 // ptrStat is one pointer value's profile: the sites it addressed and how
@@ -120,10 +120,10 @@ func NewPointsToProfile(tracker *Tracker) *PointsToProfile {
 }
 
 // release drops the state only the run needs.
-func (p *PointsToProfile) release() { p.tracker, p.instrs = nil, instrTable[ptsInstr]{} }
+func (p *PointsToProfile) release() { p.tracker, p.instrs = nil, InstrTable[ptsInstr]{} }
 
 func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
-	r := p.instrs.at(in)
+	r := p.instrs.At(in)
 	first := r.ptr == nil
 	if first {
 		ptr, _, ok := in.PointerOperand()

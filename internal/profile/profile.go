@@ -108,17 +108,18 @@ func (d *Data) LoopWeightFrac(l *cfg.Loop) float64 {
 	return float64(d.LoopStats[l].Weight) / float64(d.Steps)
 }
 
-// instrTable holds one record per instruction for a profiler's run, in a
-// dense slice per function indexed by Instr.ID. The records live in the
-// profiler, never on the ir objects, which sessions share.
-type instrTable[T any] struct {
+// InstrTable holds one record per instruction for one run, in a dense
+// slice per function indexed by Instr.ID. The records live in the
+// profiler or validator that owns the table, never on the ir objects,
+// which sessions share. The zero value is an empty table.
+type InstrTable[T any] struct {
 	fn   *ir.Func
 	cur  []T
 	byFn map[*ir.Func][]T
 }
 
-// at returns in's record, creating its function's table on first use.
-func (t *instrTable[T]) at(in *ir.Instr) *T {
+// At returns in's record, creating its function's table on first use.
+func (t *InstrTable[T]) At(in *ir.Instr) *T {
 	if fn := in.Blk.Fn; fn != t.fn {
 		tab, ok := t.byFn[fn]
 		if !ok {

@@ -12,7 +12,7 @@ type ResidueProfile struct {
 	interp.BaseObserver
 	ptrs map[ir.Value]*residueStat
 	// instrs caches each access instruction's pointer record for the run.
-	instrs instrTable[*residueStat]
+	instrs InstrTable[*residueStat]
 }
 
 // residueStat is one pointer value's residue mask and access count.
@@ -27,10 +27,10 @@ func NewResidueProfile() *ResidueProfile {
 }
 
 // release drops the state only the run needs.
-func (p *ResidueProfile) release() { p.instrs = instrTable[*residueStat]{} }
+func (p *ResidueProfile) release() { p.instrs = InstrTable[*residueStat]{} }
 
 func (p *ResidueProfile) record(in *ir.Instr, addr uint64) {
-	r := p.instrs.at(in)
+	r := p.instrs.At(in)
 	if *r == nil {
 		ptr, _, ok := in.PointerOperand()
 		if !ok {

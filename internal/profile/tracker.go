@@ -85,6 +85,7 @@ type Tracker struct {
 	snapVer   uint64
 	nextShape uint64
 	forests   map[*ir.Func]*denseForest
+	ctxs      map[ctxChain]*ctxSuffixes
 	snapChunk []loopSnapshot
 	tagChunk  []loopTag
 	noLoops   loopSnapshot
@@ -159,6 +160,11 @@ type ctxSuffixes struct {
 	n int
 	h [maxCtxSuffix]uint64
 }
+
+// ctxChain is the innermost maxCtxSuffix call sites leading to a frame,
+// innermost last, nil-padded in front: the content the tracker interns
+// ctxSuffixes by.
+type ctxChain [maxCtxSuffix]*ir.Instr
 
 // NewTracker creates a tracker over prog. Run registers the initial main
 // frame via Begin.
@@ -281,6 +287,11 @@ func (t *Tracker) snapshot() *loopSnapshot {
 	return s
 }
 
+// Shape identifies the loop activations on the whole stack: it changes
+// when a loop is entered or left, and two moments with equal shapes have
+// the same activations. Iterations, calls and returns leave it alone.
+func (t *Tracker) Shape() uint64 { return t.shape() }
+
 // shape identifies the set of loops active across the whole stack; it
 // stays the same across iterations, calls and returns.
 func (t *Tracker) shape() uint64 {
@@ -291,8 +302,10 @@ func (t *Tracker) shape() uint64 {
 }
 
 // ctxSuffixes returns the call-site-chain suffix hashes of the current
-// frame. It hashes them once per frame, on first use, and not at all when
-// the caller's previous callee was called from the same site.
+// frame. It looks them up once per frame, on first use, and not at all
+// when the caller's previous callee was called from the same site. The
+// hashes are interned by chain, so every frame reached through the same
+// call sites gets the same pointer, and a chain is hashed once per run.
 func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 	last := len(t.frames) - 1
 	if last < 0 {
@@ -312,7 +325,7 @@ func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 		fr.ctx = caller.calleeCtx
 		return fr.ctx
 	}
-	var chain [maxCtxSuffix]*ir.Instr
+	var chain ctxChain
 	k := len(chain)
 	for fi := last - 1; fi >= 0 && k > 0; fi-- {
 		if s := t.frames[fi].CallSite; s != nil {
@@ -320,9 +333,16 @@ func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 			chain[k] = s
 		}
 	}
-	c := &ctxSuffixes{n: len(chain) - k}
-	for i := 1; i <= c.n; i++ {
-		c.h[i-1] = CtxSuffixHash(chain[len(chain)-i:])
+	c := t.ctxs[chain]
+	if c == nil {
+		c = &ctxSuffixes{n: len(chain) - k}
+		for i := 1; i <= c.n; i++ {
+			c.h[i-1] = CtxSuffixHash(chain[len(chain)-i:])
+		}
+		if t.ctxs == nil {
+			t.ctxs = map[ctxChain]*ctxSuffixes{}
+		}
+		t.ctxs[chain] = c
 	}
 	if site != nil {
 		caller.calleeSite, caller.calleeCtx = site, c

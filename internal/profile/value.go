@@ -12,7 +12,7 @@ type ValueProfile struct {
 	interp.BaseObserver
 	stats map[*ir.Instr]*valueStat
 	// instrs caches each load's record for the run.
-	instrs instrTable[*valueStat]
+	instrs InstrTable[*valueStat]
 }
 
 type valueStat struct {
@@ -27,10 +27,10 @@ func NewValueProfile() *ValueProfile {
 }
 
 // release drops the state only the run needs.
-func (p *ValueProfile) release() { p.instrs = instrTable[*valueStat]{} }
+func (p *ValueProfile) release() { p.instrs = InstrTable[*valueStat]{} }
 
 func (p *ValueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
-	r := p.instrs.at(in)
+	r := p.instrs.At(in)
 	s := *r
 	if s == nil {
 		*r = &valueStat{count: 1, value: val, invariant: true}

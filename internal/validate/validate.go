@@ -13,7 +13,6 @@ package validate
 
 import (
 	"fmt"
-	"sort"
 
 	"scaf/internal/cfg"
 	"scaf/internal/core"
@@ -45,19 +44,27 @@ const maxViolations = 100
 // Check re-runs the program with monitors enforcing the given assertions.
 // The profile data supplies the predicted values and residue masks the
 // checks compare against (exactly what a compiler would bake into the
-// validation code).
+// validation code). The run pays only for the check kinds the
+// assertions install: the loop tracker runs only for read-only and
+// short-lived checks.
 func Check(prog *cfg.Program, data *profile.Data, asserts []core.Assertion, opts interp.Options) (*Report, error) {
 	rep := &Report{}
-	tracker := profile.NewTracker(prog)
-	mon := &monitor{prog: prog, data: data, rep: rep, tracker: tracker}
+	mon := &monitor{data: data, rep: rep}
 	if err := mon.install(asserts); err != nil {
 		return nil, err
 	}
-	tracker.AddIterListener(mon)
-	if main := prog.Mod.FuncNamed("main"); main != nil {
-		tracker.Begin(main)
+	obs := []interp.Observer{mon}
+	if len(mon.roSites) > 0 || len(mon.slSites) > 0 {
+		mon.tracker = profile.NewTracker(prog)
+		mon.tracker.AddIterListener(mon)
+		if main := prog.Mod.FuncNamed("main"); main != nil {
+			mon.tracker.Begin(main)
+		}
+		// The tracker observes first, so loop state is current when the
+		// monitor sees the same event.
+		obs = []interp.Observer{mon.tracker, mon}
 	}
-	opts.Observers = append([]interp.Observer{tracker, mon}, opts.Observers...)
+	opts.Observers = append(obs, opts.Observers...)
 	if _, err := interp.Run(prog.Mod, opts); err != nil {
 		// A mid-run interpreter failure (trap, budget exhaustion) does not
 		// erase what the monitors saw up to that point: return the partial
@@ -71,23 +78,32 @@ func Check(prog *cfg.Program, data *profile.Data, asserts []core.Assertion, opts
 // monitor implements every assertion kind's runtime check.
 type monitor struct {
 	interp.BaseObserver
-	prog    *cfg.Program
 	data    *profile.Data
-	tracker *profile.Tracker
+	tracker *profile.Tracker // nil unless a read-only or short-lived check needs it
 	rep     *Report
 
-	// never-taken edges → their assertion.
-	deadEdges map[profile.EdgeKey]*core.Assertion
-	// predictable loads → (expected value, assertion).
+	// deadEdges holds, per function, the assertion of each never-taken
+	// edge: two slots per block, one per successor position.
+	deadEdges map[*ir.Func][]*core.Assertion
+	deadFn    *ir.Func
+	deadCur   []*core.Assertion
+	// valueChecks and residues are the installed value and residue
+	// checks; accesses resolves them once per load or store.
 	valueChecks map[*ir.Instr]valueCheck
-	// read-only sites per loop header block, in install order.
-	roSites []siteCheck
-	// short-lived sites per loop header block, in install order, plus
-	// live-object tracking.
-	slSites []siteCheck
-	slLive  map[*interp.Object]slWindow
-	// residue masks per pointer-defining instruction.
-	residues map[ir.Value]residueCheck
+	residues    map[ir.Value]residueCheck
+	accesses    profile.InstrTable[accessChecks]
+	// roSites are the read-only checks in install order; roActive lists
+	// the ones whose loop is active at tracker shape roShape.
+	roSites  []siteCheck
+	roActive []int
+	roShape  uint64
+	roFresh  bool
+	// slSites are the short-lived checks in install order, slPerLoop
+	// counts them per loop header, and slWindows holds, per guarded loop
+	// activation, the guarded objects allocated in its current iteration.
+	slSites   []siteCheck
+	slPerLoop map[*ir.Block]int64
+	slWindows map[*profile.LoopEntry][]slWindow
 }
 
 type valueCheck struct {
@@ -98,6 +114,15 @@ type valueCheck struct {
 type residueCheck struct {
 	mask uint16
 	a    *core.Assertion
+}
+
+// accessChecks is a load's or store's value and residue check, looked up
+// on its first execution; a nil assertion means no check.
+type accessChecks struct {
+	resolved bool
+	value    valueCheck
+	residue  residueCheck
+	ptr      ir.Value
 }
 
 type siteLoopKey struct {
@@ -125,11 +150,11 @@ func addSiteCheck(cs []siteCheck, k siteLoopKey, a *core.Assertion) []siteCheck 
 	return append(cs, siteCheck{k, a})
 }
 
+// slWindow is one guarded object allocated in the current iteration of a
+// loop activation, and the short-lived check guarding it there.
 type slWindow struct {
-	a      *core.Assertion
-	header *ir.Block
-	act    uint64
-	iter   int64
+	o     *interp.Object
+	check int
 }
 
 func (m *monitor) violate(a core.Assertion, format string, args ...interface{}) {
@@ -154,9 +179,7 @@ func pointSite(p core.Point) (profile.Site, bool) {
 
 // install registers checks for each assertion, deduplicating by content.
 func (m *monitor) install(asserts []core.Assertion) error {
-	m.deadEdges = map[profile.EdgeKey]*core.Assertion{}
 	m.valueChecks = map[*ir.Instr]valueCheck{}
-	m.slLive = map[*interp.Object]slWindow{}
 	m.residues = map[ir.Value]residueCheck{}
 
 	for i := range asserts {
@@ -167,7 +190,7 @@ func (m *monitor) install(asserts []core.Assertion) error {
 				if p.Block == nil || p.EdgeTo == nil {
 					return fmt.Errorf("validate: malformed control point %s", p)
 				}
-				m.deadEdges[profile.EdgeKey{From: p.Block, To: p.EdgeTo}] = a
+				m.addDeadEdge(p.Block, p.EdgeTo, a)
 			}
 		case spec.NameValuePred:
 			for _, p := range a.Points {
@@ -217,50 +240,126 @@ func (m *monitor) install(asserts []core.Assertion) error {
 			return fmt.Errorf("validate: unknown assertion module %q", a.Module)
 		}
 	}
+	if len(m.slSites) > 0 {
+		m.slPerLoop = map[*ir.Block]int64{}
+		for _, c := range m.slSites {
+			m.slPerLoop[c.header]++
+		}
+		m.slWindows = map[*profile.LoopEntry][]slWindow{}
+	}
 	return nil
 }
 
-// activeLoop reports whether a loop with the given header is active, and
-// its current activation/iteration.
-func (m *monitor) activeLoop(header *ir.Block) (act uint64, iter int64, ok bool) {
-	for _, fr := range m.tracker.Frames() {
-		for _, e := range fr.Loops() {
-			if e.Loop.Header == header {
-				return e.Act, e.Iter, true
-			}
+// addDeadEdge guards the edge from→to with a, in the slot of each
+// successor position of from that reaches to. An edge that is not in the
+// CFG is never taken, so it needs no slot.
+func (m *monitor) addDeadEdge(from, to *ir.Block, a *core.Assertion) {
+	fn := from.Fn
+	tab := m.deadEdges[fn]
+	if tab == nil {
+		if m.deadEdges == nil {
+			m.deadEdges = map[*ir.Func][]*core.Assertion{}
+		}
+		tab = make([]*core.Assertion, 2*len(fn.Blocks))
+		m.deadEdges[fn] = tab
+	}
+	for k := 0; k < 2 && k < len(from.Succs); k++ {
+		if i := 2*from.Index + k; from.Succs[k] == to && i < len(tab) {
+			tab[i] = a
 		}
 	}
-	return 0, 0, false
 }
 
 func (m *monitor) Edge(fn *ir.Func, from, to *ir.Block) {
-	if a, dead := m.deadEdges[profile.EdgeKey{From: from, To: to}]; dead {
-		m.rep.Checks++
-		m.violate(*a, "speculatively dead edge %s->%s taken", from, to)
+	if m.deadEdges == nil {
+		return
+	}
+	if fn != m.deadFn {
+		m.deadFn, m.deadCur = fn, m.deadEdges[fn]
+	}
+	for k := 0; k < 2 && k < len(from.Succs); k++ {
+		if from.Succs[k] != to {
+			continue
+		}
+		if i := 2*from.Index + k; i < len(m.deadCur) && m.deadCur[i] != nil {
+			m.rep.Checks++
+			m.violate(*m.deadCur[i], "speculatively dead edge %s->%s taken", from, to)
+		}
+		return
 	}
 }
 
-func (m *monitor) checkAccess(in *ir.Instr, addr uint64, o *interp.Object, isStore bool) {
-	// Residue checks fire on every access through a guarded pointer.
-	if ptr, _, ok := in.PointerOperand(); ok {
-		if rc, guarded := m.residues[ptr]; guarded {
-			m.rep.Checks++
-			if rc.mask&(1<<(addr&15)) == 0 {
-				m.violate(*rc.a, "pointer %s observed residue %d outside profiled mask %#x",
-					ptr, addr&15, rc.mask)
+// checksOf returns in's value and residue checks, resolving them on its
+// first execution.
+func (m *monitor) checksOf(in *ir.Instr) *accessChecks {
+	c := m.accesses.At(in)
+	if !c.resolved {
+		c.resolved = true
+		c.value = m.valueChecks[in]
+		if ptr, _, ok := in.PointerOperand(); ok {
+			c.ptr, c.residue = ptr, m.residues[ptr]
+		}
+	}
+	return c
+}
+
+// loopActive reports whether a loop with the given header has an
+// activation on the stack.
+func (m *monitor) loopActive(header *ir.Block) bool {
+	for _, fr := range m.tracker.Frames() {
+		for _, e := range fr.Loops() {
+			if e.Loop.Header == header {
+				return true
 			}
 		}
 	}
-	if isStore {
+	return false
+}
+
+// activeReadOnly returns the read-only checks whose loop is active,
+// recomputing them only when the tracker's shape changes.
+func (m *monitor) activeReadOnly() []int {
+	if shape := m.tracker.Shape(); !m.roFresh || shape != m.roShape {
+		m.roActive = m.roActive[:0]
+		for i, c := range m.roSites {
+			if m.loopActive(c.header) {
+				m.roActive = append(m.roActive, i)
+			}
+		}
+		m.roShape, m.roFresh = shape, true
+	}
+	return m.roActive
+}
+
+func (m *monitor) checkAccess(in *ir.Instr, val, addr uint64, o *interp.Object, isStore bool) {
+	if len(m.valueChecks) > 0 || len(m.residues) > 0 {
+		c := m.checksOf(in)
+		if vc := c.value; vc.a != nil {
+			m.rep.Checks++
+			if val != vc.expect {
+				m.violate(*vc.a, "load %s returned %d, predicted %d", in, int64(val), int64(vc.expect))
+			}
+		}
+		// Residue checks fire on every access through a guarded pointer.
+		if rc := c.residue; rc.a != nil {
+			m.rep.Checks++
+			if rc.mask&(1<<(addr&15)) == 0 {
+				m.violate(*rc.a, "pointer %s observed residue %d outside profiled mask %#x",
+					c.ptr, addr&15, rc.mask)
+			}
+		}
+	}
+	if isStore && len(m.roSites) > 0 {
 		// Read-only heap: while a protecting loop runs, EVERY write pays
 		// the heap check (the paper's Fig. 7a mask-and-compare); a write
 		// that actually lands in a protected object is a misspeculation.
+		active := m.activeReadOnly()
+		if len(active) == 0 {
+			return
+		}
 		site := profile.SiteOf(o)
-		for _, c := range m.roSites {
-			_, _, active := m.activeLoop(c.header)
-			if !active {
-				continue
-			}
+		for _, i := range active {
+			c := m.roSites[i]
 			m.rep.Checks++
 			if c.site == site {
 				m.violate(*c.a, "write to read-only object of %s during protected loop", site)
@@ -270,59 +369,61 @@ func (m *monitor) checkAccess(in *ir.Instr, addr uint64, o *interp.Object, isSto
 }
 
 func (m *monitor) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
-	if vc, guarded := m.valueChecks[in]; guarded {
-		m.rep.Checks++
-		if val != vc.expect {
-			m.violate(*vc.a, "load %s returned %d, predicted %d", in, int64(val), int64(vc.expect))
-		}
-	}
-	m.checkAccess(in, addr, o, false)
+	m.checkAccess(in, val, addr, o, false)
 }
 
 func (m *monitor) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
-	m.checkAccess(in, addr, o, true)
+	m.checkAccess(in, val, addr, o, true)
 }
 
+// Alloc opens a window for a guarded object under every active
+// activation of each loop guarding its site, as the lifetime profiler
+// tracks an object under every active loop entry.
 func (m *monitor) Alloc(o *interp.Object) {
+	if len(m.slSites) == 0 {
+		return
+	}
 	site := profile.SiteOf(o)
-	for _, c := range m.slSites {
+	for i, c := range m.slSites {
 		if c.site != site {
 			continue
 		}
-		if act, iter, active := m.activeLoop(c.header); active {
-			m.slLive[o] = slWindow{a: c.a, header: c.header, act: act, iter: iter}
+		for _, fr := range m.tracker.Frames() {
+			for _, e := range fr.Loops() {
+				if e.Loop.Header == c.header {
+					m.slWindows[e] = append(m.slWindows[e], slWindow{o: o, check: i})
+				}
+			}
 		}
 	}
-}
-
-func (m *monitor) Free(in *ir.Instr, o *interp.Object) {
-	delete(m.slLive, o)
 }
 
 // IterEnd enforces the short-lived allocated==freed count: one counter
 // check per guarded iteration, and any guarded object still live when its
-// iteration ends is a misspeculation, reported in allocation order.
+// iteration ends is a misspeculation. Each activation's windows are in
+// allocation order, then install order, and so are the violations.
 func (m *monitor) IterEnd(e *profile.LoopEntry) {
-	for _, c := range m.slSites {
-		if c.header == e.Loop.Header {
-			m.rep.Checks++
+	n := m.slPerLoop[e.Loop.Header]
+	if n == 0 {
+		return
+	}
+	m.rep.Checks += n
+	ws := m.slWindows[e]
+	for _, w := range ws {
+		if !w.o.Freed {
+			m.violate(*m.slSites[w.check].a, "object of %s survived iteration %d of its loop",
+				profile.SiteOf(w.o), e.Iter)
 		}
 	}
-	var survivors []*interp.Object
-	for o, w := range m.slLive {
-		if w.header == e.Loop.Header && w.act == e.Act && w.iter <= e.Iter {
-			survivors = append(survivors, o)
-		}
-	}
-	if len(survivors) > 1 {
-		sort.Slice(survivors, func(i, j int) bool { return survivors[i].ID < survivors[j].ID })
-	}
-	for _, o := range survivors {
-		m.violate(*m.slLive[o].a, "object of %s survived iteration %d of its loop",
-			profile.SiteOf(o), m.slLive[o].iter)
-		delete(m.slLive, o)
+	if len(ws) > 0 {
+		m.slWindows[e] = ws[:0]
 	}
 }
 
-// LoopExit is part of profile.IterListener.
-func (m *monitor) LoopExit(e *profile.LoopEntry) {}
+// LoopExit drops the ending activation's windows, all closed by its last
+// IterEnd.
+func (m *monitor) LoopExit(e *profile.LoopEntry) {
+	if m.slWindows != nil {
+		delete(m.slWindows, e)
+	}
+}

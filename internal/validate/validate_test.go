@@ -664,3 +664,129 @@ void main() {
 		t.Errorf("detail: %s", rep.Violations[0].Detail)
 	}
 }
+
+// slAssert builds a short-lived assertion for site under the loop headed
+// by header.
+func slAssert(kind string, site *ir.Instr, header *ir.Block) core.Assertion {
+	return core.Assertion{Module: spec.NameShortLived, Kind: kind,
+		Points:    []core.Point{{Instr: site}, {Block: header}},
+		Conflicts: []core.Point{{Instr: site}}}
+}
+
+// TestShortLivedNestedLoops: an object allocated in an inner loop and
+// kept until the end of the outer iteration survives every inner
+// iteration that allocates it, whichever other loops guard its site too:
+// the lifetime profiler counts it under every active loop, and so must
+// validation, whatever the install order.
+func TestShortLivedNestedLoops(t *testing.T) {
+	prog, data := load(t, `
+int* keep;
+int out;
+void main() {
+    for (int j = 0; j < 20; j++) {
+        for (int i = 0; i < 3; i++) {
+            if (i == 2) {
+                keep = malloc(int, 1);
+            }
+        }
+        int* k = keep;
+        k[0] = j;
+        out = out + k[0];
+        free(keep);
+    }
+    print(out);
+}`)
+	main := prog.Mod.FuncNamed("main")
+	var site *ir.Instr
+	main.Instrs(func(in *ir.Instr) {
+		if in.Op == ir.OpMalloc {
+			site = in
+		}
+	})
+	var outer, inner *cfg.Loop
+	for _, l := range prog.Forests[main].All {
+		if l.Depth == 1 {
+			outer = l
+		} else {
+			inner = l
+		}
+	}
+	s := profile.Site{In: site}
+	if data.Lifetime.ShortLived(inner, s) || !data.Lifetime.ShortLived(outer, s) {
+		t.Fatal("want the site short-lived under the outer loop only")
+	}
+	for name, asserts := range map[string][]core.Assertion{
+		"inner":       {slAssert("sl-inner", site, inner.Header)},
+		"inner-outer": {slAssert("sl-inner", site, inner.Header), slAssert("sl-outer", site, outer.Header)},
+		"outer-inner": {slAssert("sl-outer", site, outer.Header), slAssert("sl-inner", site, inner.Header)},
+	} {
+		rep, err := Check(prog, data, asserts, interp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Violations) != 20 {
+			t.Errorf("%s: %d violations, want one per outer iteration (20)", name, len(rep.Violations))
+			continue
+		}
+		for _, v := range rep.Violations {
+			if v.Assertion.Kind != "sl-inner" || !strings.Contains(v.Detail, "survived iteration 2") {
+				t.Errorf("%s: violation %s %q, want sl-inner surviving iteration 2", name, v.Assertion.Kind, v.Detail)
+				break
+			}
+		}
+	}
+}
+
+// TestShortLivedRecursiveActivations: every activation of a guarded loop
+// is checked, not only the outermost. Each inner activation of a
+// recursive walk hands the object of its last iteration to its caller,
+// which frees it within its own iteration: three violations, one per
+// inner activation.
+func TestShortLivedRecursiveActivations(t *testing.T) {
+	prog, data := load(t, `
+int* last;
+int out;
+void walk(int d, int top) {
+    for (int i = 0; i < 4; i++) {
+        int* p = malloc(int, 1);
+        p[0] = i + d;
+        out = out + p[0];
+        if (d > 0 && i == 1) {
+            walk(d - 1, 0);
+            free(last);
+        }
+        if (top == 0 && i == 3) {
+            last = p;
+        } else {
+            free(p);
+        }
+    }
+}
+void main() {
+    walk(3, 1);
+    print(out);
+}`)
+	walk := prog.Mod.FuncNamed("walk")
+	var site *ir.Instr
+	walk.Instrs(func(in *ir.Instr) {
+		if in.Op == ir.OpMalloc {
+			site = in
+		}
+	})
+	loop := prog.Forests[walk].All[0]
+	if data.Lifetime.ShortLived(loop, profile.Site{In: site}) {
+		t.Fatal("the profiler should see objects survive an iteration")
+	}
+	rep, err := Check(prog, data, []core.Assertion{slAssert("sl-walk", site, loop.Header)}, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 3 {
+		t.Fatalf("%d violations, want one per inner activation (3): %v", len(rep.Violations), rep.Violations)
+	}
+	for _, v := range rep.Violations {
+		if !strings.Contains(v.Detail, "survived iteration 3") {
+			t.Errorf("detail: %s", v.Detail)
+		}
+	}
+}
