@@ -79,14 +79,39 @@ type MemDepProfile struct {
 	// dependences its accesses completed; release folds them into deps.
 	objWords [][]wordRec
 	words    map[uint64]*wordRec
-	dsts     InstrTable[[]depCount]
+	dsts     InstrTable[dstDeps]
 }
 
-// depCount is one dependence a destination instruction completed, and
-// how often.
+// dstDeps counts the dependences one destination instruction completed.
+// A lookup starts after the entry the last one hit: a loop nest's
+// accesses complete the same dependences in the same order.
+type dstDeps struct {
+	counts []depCount
+	next   int
+}
+
+// depCount is one dependence and how often it manifested.
 type depCount struct {
 	key DepKey
 	n   int64
+}
+
+// add counts one manifestation of k.
+func (d *dstDeps) add(k DepKey) {
+	n := len(d.counts)
+	for i := 0; i < n; i++ {
+		j := d.next + i
+		if j >= n {
+			j -= n
+		}
+		if c := &d.counts[j].key; c.Src == k.Src && c.Dst == k.Dst && c.Loop == k.Loop && c.Kind == k.Kind && c.Cross == k.Cross {
+			d.counts[j].n++
+			d.next = j + 1
+			return
+		}
+	}
+	d.counts = append(d.counts, depCount{key: k, n: 1})
+	d.next = n + 1
 }
 
 // NewMemDepProfile creates a memory-dependence profiler reading loop state
@@ -103,13 +128,13 @@ func NewMemDepProfile(tracker *Tracker) *MemDepProfile {
 // query methods read, then drops the state only the run needs.
 func (p *MemDepProfile) release() {
 	for _, tab := range p.dsts.byFn {
-		for _, counts := range tab {
-			for _, c := range counts {
+		for _, d := range tab {
+			for _, c := range d.counts {
 				p.deps[c.key] += c.n
 			}
 		}
 	}
-	p.tracker, p.objWords, p.words, p.dsts = nil, nil, nil, InstrTable[[]depCount]{}
+	p.tracker, p.objWords, p.words, p.dsts = nil, nil, nil, InstrTable[dstDeps]{}
 }
 
 // word returns the record of the word at addr in o. It creates the
@@ -139,7 +164,7 @@ func (p *MemDepProfile) word(addr uint64, o *interp.Object, create bool) *wordRe
 }
 
 func (p *MemDepProfile) emit(from, to accessRec, kind DepKind) {
-	counts := p.dsts.At(to.in)
+	d := p.dsts.At(to.in)
 	for i := range from.snap.tags {
 		tf := from.tag(i)
 		for j := range to.snap.tags {
@@ -147,24 +172,13 @@ func (p *MemDepProfile) emit(from, to accessRec, kind DepKind) {
 			if tt.act != tf.act {
 				continue
 			}
-			k := DepKey{
+			d.add(DepKey{
 				Loop:  tf.loop,
 				Src:   tf.rep,
 				Dst:   tt.rep,
 				Kind:  kind,
 				Cross: tt.iter > tf.iter,
-			}
-			found := false
-			for c := range *counts {
-				if (*counts)[c].key == k {
-					(*counts)[c].n++
-					found = true
-					break
-				}
-			}
-			if !found {
-				*counts = append(*counts, depCount{key: k, n: 1})
-			}
+			})
 		}
 	}
 }

@@ -95,14 +95,23 @@ type ptrStat struct {
 }
 
 // ptsInstr is one load or store's view of the profile: its pointer's
-// record, and the site, context and context sets of its last access, so
-// an access that repeats them inserts nothing.
+// record, and the sites and contexts its recent accesses recorded, so an
+// access that repeats one of them inserts nothing. Contexts are interned
+// by the tracker, so equal pointers mean equal call-site chains.
 type ptsInstr struct {
-	ptr     *ptrStat
-	site    Site
-	ctx     *ctxSuffixes
-	ctxSets [maxCtxSuffix]map[Site]bool
+	ptr  *ptrStat
+	seen []ptsSeen
 }
+
+// ptsSeen is one site and context an instruction has recorded.
+type ptsSeen struct {
+	site Site
+	ctx  *ctxSuffixes
+}
+
+// maxPtsSeen bounds an instruction's remembered site-context pairs; an
+// instruction that cycles through more of them records some again.
+const maxPtsSeen = 8
 
 type ctxKey struct {
 	v   ir.Value
@@ -124,8 +133,7 @@ func (p *PointsToProfile) release() { p.tracker, p.instrs = nil, InstrTable[ptsI
 
 func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
 	r := p.instrs.At(in)
-	first := r.ptr == nil
-	if first {
+	if r.ptr == nil {
 		ptr, _, ok := in.PointerOperand()
 		if !ok {
 			return
@@ -141,28 +149,27 @@ func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
 	if p.tracker != nil {
 		ctx = p.tracker.ctxSuffixes()
 	}
-	if !first && site == r.site && ctx == r.ctx {
-		return
+	for _, sc := range r.seen {
+		if sc.site == site && sc.ctx == ctx {
+			return
+		}
 	}
-	r.site = site
+	if len(r.seen) == maxPtsSeen {
+		r.seen = r.seen[:0]
+	}
+	r.seen = append(r.seen, ptsSeen{site, ctx})
 	r.ptr.sites[site] = true
 	if ctx == nil {
 		return
 	}
-	if ctx != r.ctx {
-		r.ctx = ctx
-		for k := 0; k < ctx.n; k++ {
-			key := ctxKey{v: r.ptr.v, ctx: ctx.h[k]}
-			cs := p.ctxSets[key]
-			if cs == nil {
-				cs = map[Site]bool{}
-				p.ctxSets[key] = cs
-			}
-			r.ctxSets[k] = cs
-		}
-	}
 	for k := 0; k < ctx.n; k++ {
-		r.ctxSets[k][site] = true
+		key := ctxKey{v: r.ptr.v, ctx: ctx.h[k]}
+		cs := p.ctxSets[key]
+		if cs == nil {
+			cs = map[Site]bool{}
+			p.ctxSets[key] = cs
+		}
+		cs[site] = true
 	}
 }
 

@@ -80,16 +80,17 @@ type Tracker struct {
 	nextAct uint64
 	iterLis []IterListener
 
-	ver       uint64
-	snap      *loopSnapshot // current when snapVer == ver
-	snapVer   uint64
-	nextShape uint64
-	forests   map[*ir.Func]*denseForest
-	ctxs      map[ctxChain]*ctxSuffixes
-	snapChunk []loopSnapshot
-	tagChunk  []loopTag
-	noLoops   loopSnapshot
-	noCtx     ctxSuffixes
+	ver        uint64
+	snap       *loopSnapshot // current when snapVer == ver
+	snapVer    uint64
+	nextShape  uint64
+	forests    map[*ir.Func]*denseForest
+	ctxs       map[ctxChain]*ctxSuffixes
+	snapChunk  []loopSnapshot
+	tagChunk   []loopTag
+	entryChunk []LoopEntry
+	noLoops    loopSnapshot
+	noCtx      ctxSuffixes
 }
 
 // loopTag is one active loop entry as an access sees it: rep is the
@@ -425,7 +426,15 @@ func (t *Tracker) Edge(fn *ir.Func, from, to *ir.Block) {
 		} else {
 			t.nextAct++
 			t.nextShape++
-			top.loops = append(top.loops, &LoopEntry{Loop: l, Act: t.nextAct, outer: top.shape})
+			// Entries are carved from chunks like snapshots: listeners
+			// may keep one after its loop exits, so none is reused.
+			if len(t.entryChunk) == 0 {
+				t.entryChunk = make([]LoopEntry, snapsPerChunk)
+			}
+			e := &t.entryChunk[0]
+			t.entryChunk = t.entryChunk[1:]
+			*e = LoopEntry{Loop: l, Act: t.nextAct, outer: top.shape}
+			top.loops = append(top.loops, e)
 			top.shape = t.nextShape
 		}
 		t.ver++
