@@ -153,7 +153,7 @@ bench-check:
 	$(GO) run ./cmd/scaf-bench $(BENCH_GATE_ARGS) -json BENCH.fresh.json
 	$(GO) run ./cmd/scaf-benchdiff $(BENCH_BASELINE) BENCH.fresh.json
 
-# Allocation gate on three hot paths whose allocs/op are exact. Each
+# Allocation gate on four hot paths whose allocs/op are exact. Each
 # ceiling is a literal in its pin line below, so no variable from the
 # environment or the command line can loosen it; raise one only with a
 # justification in the commit that does.
@@ -171,12 +171,23 @@ bench-check:
 #     compile, CFG and the profiling run under all six profilers, the
 #     work every session create does on every backend. Records built per
 #     memory access cost 224,788 allocs/op; per-version loop snapshots
-#     and per-instruction records brought it to 15,937 with Go 1.24 at
-#     20 and 50 iterations, three quarters of that the interpreter's own
-#     call frames. Part of the rest is map growth, which allocates
+#     and per-instruction records brought it to 15,937, and reusable call
+#     activations, dense memdep records and interned call contexts to
+#     2,946 with Go 1.24 at GOMAXPROCS 1, 2 and 4 and at 20 and 50
+#     iterations. Part of the rest is map growth, which allocates
 #     differently under the CI matrix's Go 1.22 and 1.23, so the ceiling
-#     is 20,000: 25% headroom over the measured count, and still more
-#     than ten times below the per-access cost.
+#     is 3,700: 25% headroom over the measured count, and still four
+#     times below the count before this pin was lowered.
+#   - BenchmarkValidation (root package) times System.Validate of
+#     183.equake's session plan, whose control-spec, read-only,
+#     short-lived and value-prediction checks make the run pay for the
+#     loop tracker too. A Frame and register file per call and loop
+#     entries allocated one by one cost 25,133 allocs/op; activation
+#     buffers and chunked loop entries brought it to 1,254 with Go 1.24
+#     at GOMAXPROCS 1, 2 and 4 and at 20 and 50 iterations, most of it
+#     the program's own objects. The ceiling is 1,600: 28% headroom for
+#     the map growth of Go 1.22 and 1.23, and fifteen times below the
+#     per-call cost.
 
 # bench_mem_pin runs benchmark $(2) of package $(1) for $(3) iterations
 # and fails when its allocs/op exceed the ceiling $(4).
@@ -195,7 +206,8 @@ bench-mem:
 	@rm -f BENCH.mem.txt
 	$(call bench_mem_pin,./internal/bench/,BenchmarkTopQuery,2000x,24)
 	$(call bench_mem_pin,./internal/server/,BenchmarkAnalyzeWarmHit,200x,50)
-	$(call bench_mem_pin,.,BenchmarkProfiling,20x,20000)
+	$(call bench_mem_pin,.,BenchmarkProfiling,20x,3700)
+	$(call bench_mem_pin,.,BenchmarkValidation,20x,1600)
 
 # Differential-testing oracle sweep (the CI gate): soundness,
 # monotonicity, serial/parallel/shared-cache/server answer drift,

@@ -8,6 +8,7 @@ import (
 	"scaf/internal/bench"
 	"scaf/internal/core"
 	"scaf/internal/pdg"
+	"scaf/internal/spec"
 )
 
 // The benchmarks below regenerate each of the paper's experiments under
@@ -170,6 +171,46 @@ func BenchmarkProfiling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := scaf.Load("129.compress", src, scaf.Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkValidation measures the validation run of a session create
+// (System.Validate) over 183.equake's plan, built the way a session
+// builds it. The plan holds control-spec, read-only, short-lived and
+// value-prediction checks, so the run pays for the loop tracker too.
+func BenchmarkValidation(b *testing.B) {
+	sys, err := scaf.Load("183.equake", bench.Sources["183.equake"], scaf.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := sys.Orchestrator(scaf.SchemeSCAF, scaf.WithJoin(core.JoinAll), scaf.WithBailout(core.BailExhaustive))
+	client := sys.Client()
+	var asserts []core.Assertion
+	seen := map[string]bool{}
+	kinds := map[string]bool{}
+	for _, l := range sys.HotLoops() {
+		for _, a := range pdg.BuildPlan(client.ResolveLoop(o, l).Queries).Assertions {
+			if k := a.String(); !seen[k] {
+				seen[k] = true
+				kinds[a.Module] = true
+				asserts = append(asserts, a)
+			}
+		}
+	}
+	for _, k := range []string{spec.NameControlSpec, spec.NameReadOnly, spec.NameShortLived, spec.NameValuePred} {
+		if !kinds[k] {
+			b.Fatalf("183.equake's plan has no %s assertion", k)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := sys.Validate(asserts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Failed() {
+			b.Fatalf("plan misspeculated on its training input: %v", rep.Violations)
 		}
 	}
 }
