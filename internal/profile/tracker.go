@@ -45,12 +45,8 @@ type Frame struct {
 	// was current at the call; Return reinstates it.
 	saved *loopSnapshot
 	// ctx holds the call-site-chain suffix hashes leading to this frame,
-	// computed on first use.
+	// looked up on first use.
 	ctx *ctxSuffixes
-	// calleeSite and calleeCtx remember the suffixes of the last callee
-	// this frame called, so calls from one site hash once per frame.
-	calleeSite *ir.Instr
-	calleeCtx  *ctxSuffixes
 }
 
 // IterListener is notified at loop-iteration boundaries.
@@ -303,10 +299,9 @@ func (t *Tracker) shape() uint64 {
 }
 
 // ctxSuffixes returns the call-site-chain suffix hashes of the current
-// frame. It looks them up once per frame, on first use, and not at all
-// when the caller's previous callee was called from the same site. The
-// hashes are interned by chain, so every frame reached through the same
-// call sites gets the same pointer, and a chain is hashed once per run.
+// frame, looked up once per frame, on first use. They are interned by
+// chain, so every frame reached through the same call sites gets the
+// same pointer, and each chain is hashed once per run.
 func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 	last := len(t.frames) - 1
 	if last < 0 {
@@ -318,12 +313,6 @@ func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 	}
 	if last == 0 {
 		fr.ctx = &t.noCtx
-		return fr.ctx
-	}
-	caller := t.frames[last-1]
-	site := caller.CallSite
-	if site != nil && site == caller.calleeSite {
-		fr.ctx = caller.calleeCtx
 		return fr.ctx
 	}
 	var chain ctxChain
@@ -344,9 +333,6 @@ func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 			t.ctxs = map[ctxChain]*ctxSuffixes{}
 		}
 		t.ctxs[chain] = c
-	}
-	if site != nil {
-		caller.calleeSite, caller.calleeCtx = site, c
 	}
 	fr.ctx = c
 	return c
