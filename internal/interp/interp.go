@@ -188,11 +188,8 @@ func (it *Interp) eval(v ir.Value, regs []uint64, args []uint64) (uint64, error)
 	return 0, fmt.Errorf("unknown value %T (%v)", v, v)
 }
 
-// call runs one function activation in depth's activation buffer. args
-// must stay unchanged until the call returns; the caller evaluates them
-// into the same buffer (see OpCall). A Frame, like everything else in
-// the buffer, is valid only until its activation returns: the next call
-// at the same depth reuses it.
+// call runs one function activation in the activation buffer of its
+// depth, whose args the caller has filled (see OpCall).
 func (it *Interp) call(f *ir.Func, args []uint64, depth int) (uint64, error) {
 	if depth > it.opts.MaxDepth {
 		return 0, fmt.Errorf("call depth limit exceeded in %s", f.Name)
