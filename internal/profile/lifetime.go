@@ -66,7 +66,7 @@ func (p *LifetimeProfile) release() {
 // repeats reports whether in's access of site marks exactly what its
 // previous access marked: the same site under the same active loops.
 func (p *LifetimeProfile) repeats(in *ir.Instr, site Site) bool {
-	r, shape := p.instrs.At(in), p.tracker.shape()
+	r, shape := p.instrs.At(in), p.tracker.Shape()
 	if r.seen && r.site == site && r.shape == shape {
 		return true
 	}

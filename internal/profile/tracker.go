@@ -186,7 +186,7 @@ func (t *Tracker) push(fn *ir.Func) {
 	if fr == nil {
 		fr = &Frame{}
 	}
-	*fr = Frame{Fn: fn, loops: fr.loops[:0], forest: t.forestOf(fn), shape: t.shape()}
+	*fr = Frame{Fn: fn, loops: fr.loops[:0], forest: t.forestOf(fn), shape: t.Shape()}
 	t.frames = append(t.frames, fr)
 	t.ver++
 }
@@ -287,11 +287,7 @@ func (t *Tracker) snapshot() *loopSnapshot {
 // Shape identifies the loop activations on the whole stack: it changes
 // when a loop is entered or left, and two moments with equal shapes have
 // the same activations. Iterations, calls and returns leave it alone.
-func (t *Tracker) Shape() uint64 { return t.shape() }
-
-// shape identifies the set of loops active across the whole stack; it
-// stays the same across iterations, calls and returns.
-func (t *Tracker) shape() uint64 {
+func (t *Tracker) Shape() uint64 {
 	if top := t.Top(); top != nil {
 		return top.shape
 	}
