@@ -205,18 +205,6 @@ func (t *Tracker) Top() *Frame {
 	return t.frames[len(t.frames)-1]
 }
 
-// CallChain returns the call sites leading to the current frame, outermost
-// first (empty in main).
-func (t *Tracker) CallChain() []*ir.Instr {
-	var out []*ir.Instr
-	for _, fr := range t.frames[:max(len(t.frames)-1, 0)] {
-		if fr.CallSite != nil {
-			out = append(out, fr.CallSite)
-		}
-	}
-	return out
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a
