@@ -134,8 +134,8 @@ func load(t *testing.T, name, src string) (*cfg.Program, *profile.Data) {
 	return sys.Prog, sys.Profiles
 }
 
-// setGlobal makes every store of a constant to global name in main
-// store v instead.
+// setGlobal makes every store to global name in main store the constant
+// v instead, as a different input would.
 func setGlobal(t *testing.T, prog *cfg.Program, name string, v int64) {
 	t.Helper()
 	g := prog.Mod.GlobalNamed(name)
