@@ -40,7 +40,10 @@ runtime:
 # own suite, the server's fleet tests (cross-instance remote hits,
 # fleet-wide quarantine invalidation with the guaranteed-miss proof), and
 # the router suite (broadcast consensus, sharded-read byte-identity vs a
-# single cold instance, backend loss + journal-replay rejoin) — then a
+# single cold instance, backend loss + journal-replay rejoin, connection
+# reuse: TestRouterReusesConnections fails if a second batch of session
+# lifecycles dials more router or peer connections than its fan-out
+# needs, and an oversized backend reply must become a 502) — then a
 # fleet byte-identity oracle sweep: generated programs served through
 # router + 2 peer backends must byte-equal a single instance, serially
 # and under concurrent fire.

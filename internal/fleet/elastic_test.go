@@ -125,7 +125,7 @@ func TestTierLiveMembership(t *testing.T) {
 	(&Handler{Cache: tier.Local(), Tier: tier}).Register(selfMux, "/fleet/")
 	selfTS := httptest.NewServer(selfMux)
 	defer selfTS.Close()
-	cl := NewClient(selfTS.URL, 0)
+	cl := NewClient(selfTS.URL, 0, nil)
 	resp, err := cl.Members(MembersRequest{Add: map[string]string{"b": ts.URL}})
 	if err != nil {
 		t.Fatalf("members push: %v", err)

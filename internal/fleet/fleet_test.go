@@ -108,7 +108,7 @@ func TestPeerProtocolRoundTrip(t *testing.T) {
 	shard := NewCache()
 	var recovered []RecoveryRequest
 	ts := peerHarness(t, shard, func(r RecoveryRequest) { recovered = append(recovered, r) })
-	cl := NewClient(ts.URL, time.Second)
+	cl := NewClient(ts.URL, time.Second, nil)
 
 	n, err := cl.Put([]Entry{
 		{Key: "k1", Value: []byte("v1"), Asserts: []string{"a1"}},

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"sync/atomic"
 	"time"
 )
 
@@ -199,6 +201,32 @@ func writePeerJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// idleConns caps a transport's idle connections, per host and in total.
+// The two caps are equal because each owner talks to a handful of hosts:
+// the router to its backends, a tier to its peers. A router analyze keeps
+// one request per hot loop in flight to a backend, so http.DefaultTransport's
+// two idle connections per host would close most of them after use and
+// redial them on the next analyze.
+const idleConns = 100
+
+// NewTransport returns a clone of http.DefaultTransport that keeps up to
+// idleConns idle connections to one host and adds one to dials, when it
+// is not nil, for every connection it dials, failed or not. Its owner
+// closes its idle connections before the servers it talks to shut down.
+func NewTransport(dials *atomic.Int64) *http.Transport {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = idleConns
+	tr.MaxIdleConnsPerHost = idleConns
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if dials != nil {
+			dials.Add(1)
+		}
+		return dial(ctx, network, addr)
+	}
+	return tr
+}
+
 // Client speaks the peer protocol to one remote instance.
 type Client struct {
 	base string
@@ -211,19 +239,17 @@ type Client struct {
 const DefaultPeerTimeout = 2 * time.Second
 
 // NewClient returns a client for the peer at base (e.g.
-// "http://127.0.0.1:8091"). timeout <= 0 selects DefaultPeerTimeout.
-func NewClient(base string, timeout time.Duration) *Client {
+// "http://127.0.0.1:8091") that sends its requests through rt (nil:
+// http.DefaultTransport). timeout <= 0 selects DefaultPeerTimeout.
+func NewClient(base string, timeout time.Duration, rt http.RoundTripper) *Client {
 	if timeout <= 0 {
 		timeout = DefaultPeerTimeout
 	}
-	return &Client{base: base, hc: &http.Client{Timeout: timeout}}
+	return &Client{base: base, hc: &http.Client{Timeout: timeout, Transport: rt}}
 }
 
 // Base returns the peer's base URL.
 func (c *Client) Base() string { return c.base }
-
-// CloseIdle drops pooled connections to the peer.
-func (c *Client) CloseIdle() { c.hc.CloseIdleConnections() }
 
 // Get fetches the entries the peer holds for keys.
 func (c *Client) Get(keys []string) ([]Entry, error) {

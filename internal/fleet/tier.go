@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,6 +72,10 @@ type Tier struct {
 	ring  *Ring
 	peers map[string]*Client
 
+	// transport carries every peer client's requests, so the tier owns
+	// one connection pool and Close drops it in one call.
+	transport *http.Transport
+
 	mu      sync.Mutex
 	pending map[string][]Entry
 
@@ -82,7 +87,7 @@ type Tier struct {
 
 	localHits, remoteHits, misses    atomic.Int64
 	remoteErrors, published, batches atomic.Int64
-	peerTimeouts                     atomic.Int64
+	peerTimeouts, dials              atomic.Int64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -100,32 +105,33 @@ type TierStats struct {
 	PeerTimeouts int64      `json:"peer_timeouts"`
 	Published    int64      `json:"published"`
 	Batches      int64      `json:"batches"`
+	Dials        int64      `json:"dials"`
 	Local        CacheStats `json:"local"`
 }
 
 // NewTier builds a tier. With no peers it degenerates to a purely local
 // shard — every key is self-owned and no goroutine is started.
 func NewTier(cfg TierConfig) *Tier {
-	nodes := []string{cfg.Self}
-	peers := make(map[string]*Client, len(cfg.Peers))
-	for id, base := range cfg.Peers {
-		nodes = append(nodes, id)
-		peers[id] = NewClient(base, cfg.Timeout)
-	}
 	opTimeout := cfg.OpTimeout
 	if opTimeout <= 0 {
 		opTimeout = DefaultOpTimeout
 	}
 	t := &Tier{
 		self:        cfg.Self,
-		ring:        NewRing(nodes, 0),
 		local:       NewCache(),
 		peerTimeout: cfg.Timeout,
 		opTimeout:   opTimeout,
-		peers:       peers,
+		peers:       make(map[string]*Client, len(cfg.Peers)),
 		pending:     make(map[string][]Entry),
 		stop:        make(chan struct{}),
 	}
+	t.transport = NewTransport(&t.dials)
+	nodes := []string{cfg.Self}
+	for id, base := range cfg.Peers {
+		nodes = append(nodes, id)
+		t.peers[id] = NewClient(base, cfg.Timeout, t.transport)
+	}
+	t.ring = NewRing(nodes, 0)
 	// The flusher starts whenever a period is set — not only when peers
 	// exist at boot — because live membership can add the first peer long
 	// after construction.
@@ -162,20 +168,22 @@ func (t *Tier) AddPeer(id, base string) {
 	if _, ok := t.peers[id]; ok {
 		return
 	}
-	t.peers[id] = NewClient(base, t.peerTimeout)
+	t.peers[id] = NewClient(base, t.peerTimeout, t.transport)
 	t.ring = NewRing(append(t.ring.Nodes(), id), 0)
 }
 
 // RemovePeer removes a peer from the membership view and rebuilds the
 // ring without it. Pending publications bound for it are dropped (they
 // are a cache; the entries stay served from the local shard). Idempotent.
+// The transport cannot drop one host's idle connections, so it drops
+// all of them: none stays parked on the departed peer, and the other
+// peers' connections are redialed as requests need them.
 func (t *Tier) RemovePeer(id string) {
 	if id == t.self {
 		return
 	}
 	t.pmu.Lock()
-	p, ok := t.peers[id]
-	if !ok {
+	if _, ok := t.peers[id]; !ok {
 		t.pmu.Unlock()
 		return
 	}
@@ -192,7 +200,7 @@ func (t *Tier) RemovePeer(id string) {
 	t.mu.Lock()
 	delete(t.pending, id)
 	t.mu.Unlock()
-	p.CloseIdle()
+	t.transport.CloseIdleConnections()
 }
 
 // Get looks key up: local shard first, then — if the key is homed on a
@@ -400,6 +408,7 @@ func (t *Tier) Stats() TierStats {
 		PeerTimeouts: t.peerTimeouts.Load(),
 		Published:    t.published.Load(),
 		Batches:      t.batches.Load(),
+		Dials:        t.dials.Load(),
 		Local:        t.local.Stats(),
 	}
 }
@@ -415,8 +424,6 @@ func (t *Tier) Close() {
 		// Drop pooled peer connections so peers shutting down concurrently
 		// don't wait out http.Server.Shutdown's StateNew grace period on a
 		// spare connection we left parked there.
-		for _, pr := range t.peerClients() {
-			pr.client.CloseIdle()
-		}
+		t.transport.CloseIdleConnections()
 	})
 }

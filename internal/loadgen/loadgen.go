@@ -24,6 +24,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"scaf/internal/fleet"
 )
 
 // DefaultSource is the workload program: one hot loop with an indirect
@@ -181,7 +183,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("loadgen: requests must be positive")
 	}
-	hc := &http.Client{Timeout: 60 * time.Second}
+	// The open loop keeps many requests in flight to one host. A pool
+	// that keeps their connections open keeps dials out of the measured
+	// latencies.
+	hc := &http.Client{Timeout: 60 * time.Second, Transport: fleet.NewTransport(nil)}
 	// Drop pooled connections on return so a caller tearing down an
 	// in-process target isn't stalled by http.Server.Shutdown's grace
 	// period for never-used spare connections.

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"scaf/internal/fleet"
 	"scaf/internal/server"
 )
 
@@ -40,7 +41,10 @@ func checkFleetDrift(cfg Config, rep *Report, gs *goldSet) {
 		return
 	}
 	defer fl.Close()
-	c := routerClient{base: fl.URL, hc: &http.Client{Timeout: 30 * time.Second}}
+	c := routerClient{base: fl.URL, hc: &http.Client{Timeout: 30 * time.Second, Transport: fleet.NewTransport(nil)}}
+	// The client's pool is its own, so it closes before the fleet's
+	// servers shut down (deferred calls run last first).
+	defer c.hc.CloseIdleConnections()
 
 	st, body := c.do("POST", "/sessions", gs.create)
 	if st != gs.createStatus || !bytes.Equal(body, gs.createReply) {

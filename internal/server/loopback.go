@@ -203,14 +203,15 @@ func readMetrics(h http.Handler, into any) error {
 // Close shuts the fleet down. Client pools close first:
 // http.Server.Shutdown reaps a connection that never carried a request
 // (StateNew, which a spare pooled connection is on its server) only
-// after a five-second grace, so every idle connection of the default
-// transport, which the router, the tiers' peer clients and the callers'
-// clients share, is dropped before any server shuts down. Then the
-// router stops (and saves its journal if it persists), each running
-// backend drains (a final publication flush and snapshot), and the HTTP
-// servers shut down. The router's goes last and outside the lock,
-// because a router request still in flight may run a move hook that
-// calls Stop.
+// after a five-second grace. The router and each backend's tier own
+// their transports and drop them in Router.Close and Server.Shutdown,
+// before any HTTP server shuts down; callers' clients on the default
+// transport (the package tests' do helper uses http.DefaultClient) are
+// dropped here first. Then the router stops (and saves its journal if
+// it persists), each running backend drains (a final publication flush
+// and snapshot), and the HTTP servers shut down. The router's goes last
+// and outside the lock, because a router request still in flight may
+// run a move hook that calls Stop.
 func (f *LoopbackFleet) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -99,6 +99,7 @@ type RouterCounters struct {
 	Leaves       int64                `json:"leaves"`
 	Rollbacks    int64                `json:"rollbacks"`
 	Moved503     int64                `json:"moved_503"`
+	Dials        int64                `json:"dials"`
 	Sessions     int                  `json:"sessions"`
 	Route        string               `json:"route"`
 	Members      []string             `json:"members"`
@@ -165,7 +166,7 @@ type Router struct {
 
 	rrNext                                           atomic.Uint64
 	proxied, fanouts, refused, inconsistent, rejoins atomic.Int64
-	joins, leaves, rollbacks, moved503               atomic.Int64
+	joins, leaves, rollbacks, moved503, dials        atomic.Int64
 
 	// moveHook, when set before serving, observes cutover phase
 	// transitions (op, phase, id). Test seam for killing participants at
@@ -185,13 +186,13 @@ func NewRouter(cfg RouterConfig) *Router {
 	rt := &Router{
 		cfg:      cfg,
 		base:     map[string]string{},
-		hc:       &http.Client{Timeout: cfg.Timeout},
 		gen:      &readGen{},
 		down:     map[string]bool{},
 		probe:    map[string]*probeState{},
 		sessions: map[string][]string{},
 		stop:     make(chan struct{}),
 	}
+	rt.hc = &http.Client{Timeout: cfg.Timeout, Transport: fleet.NewTransport(&rt.dials)}
 	for id, base := range cfg.Backends {
 		rt.ids = append(rt.ids, id)
 		rt.base[id] = base
@@ -566,7 +567,8 @@ func (rt *Router) baseURL(id string) string {
 }
 
 // send issues one backend request. A transport error marks the backend
-// down and is reported as (0, nil, nil).
+// down and is reported as (0, nil, nil); a reply longer than
+// maxPeerResponse is reported as a 502 reply_too_large.
 func (rt *Router) send(id, method, path string, body []byte) (int, http.Header, []byte) {
 	var rd io.Reader
 	if body != nil {
@@ -586,16 +588,34 @@ func (rt *Router) send(id, method, path string, body []byte) (int, http.Header, 
 		return 0, nil, nil
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
+	// One byte past the limit tells a reply that fits from one that was
+	// cut; a cut reply must not reach the client under the backend's
+	// status. The backend did answer, so it stays up.
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse+1))
 	if err != nil {
 		rt.markDown(id)
 		return 0, nil, nil
 	}
 	rt.proxied.Add(1)
+	if len(raw) > maxPeerResponse {
+		return errorReply(&httpError{status: http.StatusBadGateway,
+			detail: ErrorDetail{Code: "reply_too_large",
+				Message: fmt.Sprintf("a backend reply exceeded %d bytes", maxPeerResponse)}})
+	}
 	return resp.StatusCode, resp.Header, raw
 }
 
 const maxPeerResponse = 64 << 20
+
+// errorReply renders he as the status, header and body writeError would
+// send, so relay and broadcast handle it as any backend reply.
+func errorReply(he *httpError) (int, http.Header, []byte) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(ErrorResponse{Error: he.detail}) // a bytes.Buffer write cannot fail
+	return he.status, http.Header{"Content-Type": {"application/json"}}, b.Bytes()
+}
 
 // relay writes a backend response through verbatim; status 0 (transport
 // failure) becomes a 503.
@@ -970,6 +990,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Leaves:       rt.leaves.Load(),
 		Rollbacks:    rt.rollbacks.Load(),
 		Moved503:     rt.moved503.Load(),
+		Dials:        rt.dials.Load(),
 		Sessions:     sessions,
 		Route:        rt.cfg.Route,
 		Members:      members,

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"scaf"
 	"scaf/internal/ir"
+	"scaf/internal/mcgen"
 	"scaf/internal/spec"
 )
 
@@ -361,6 +363,37 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesOversizedReply: a backend reply one byte longer than
+// maxPeerResponse reaches the client as a bounded 502, not as the
+// backend's 200 over a cut body, and the backend that sent it stays up.
+func TestRouterRefusesOversizedReply(t *testing.T) {
+	chunk := bytes.Repeat([]byte(" "), 1<<20)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		for n := 0; n < maxPeerResponse; n += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return // the router stopped reading
+			}
+		}
+		w.Write([]byte("1"))
+	}))
+	defer stub.Close()
+	rt := NewRouter(RouterConfig{Backends: map[string]string{"b0": stub.URL}})
+	defer rt.Close()
+
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sessions", nil))
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("oversized backend reply relayed with status %d (%d bytes), want 502", rec.Code, rec.Body.Len())
+	}
+	if e := decode[ErrorResponse](t, rec.Body.Bytes()); e.Error.Code != "reply_too_large" {
+		t.Fatalf("code %q, want reply_too_large", e.Error.Code)
+	}
+	if rt.isDown("b0") {
+		t.Fatal("a backend that answered was marked down")
+	}
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -368,4 +401,109 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestRouterReusesConnections: the router's backend pool and the tiers'
+// peer pools grow with the requests in flight at once, not with the
+// requests sent. The first batch of session lifecycles on generated
+// programs dials what the fan-out needs; a second batch of the same
+// lifecycles must reuse those connections. Every analyze sends at least
+// three loops to one backend at once, more than the two idle connections
+// per host http.DefaultTransport keeps, and each backend takes such a
+// fan-out in every batch, so a pool sized like that transport's redials
+// on every analyze. Each batch's sources end in a comment naming the
+// batch. That changes their fleet digest and nothing else, so the
+// second batch's answers are computed and looked up across the peers
+// again instead of served warm from the first batch's cache entries.
+func TestRouterReusesConnections(t *testing.T) {
+	fl := startFleet(t, 2, false, RouterConfig{})
+	// The oracle's hot-loop thresholds, as fleet-churn creates sessions.
+	hot := &WireHotLoopParams{MinWeightFrac: 0.001, MinAvgIters: 1.5}
+	// mcgen seeds whose programs have eight or more hot loops.
+	seeds := []int64{5, 10, 23, 30, 44, 46, 47, 58, 62, 65, 69, 78, 92, 94, 106, 108}
+	schemes := []string{"caf", "confluence", "scaf"}
+
+	dials := func() (router, peers int64) {
+		rm, err := fl.RouterMetrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range fl.IDs() {
+			m, err := fl.Metrics(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers += m.Fleet.Dials
+		}
+		return rm.Router.Dials, peers
+	}
+	// batch runs one lifecycle per seed and returns the requests it sent
+	// and the most loops one analyze sent.
+	batch := func(n int) (requests, widest int) {
+		fanned := map[string]bool{} // backends that took >= 3 loops of one analyze
+		for _, seed := range seeds {
+			src := mcgen.New(seed).Program() + fmt.Sprintf("// batch %d\n", n)
+			info := createSession(t, fl.URL, CreateSessionRequest{
+				Name: fmt.Sprintf("gen%d", seed), Source: src, HotLoops: hot})
+			requests++
+			widest = max(widest, len(info.HotLoops))
+			for _, scheme := range schemes {
+				per := map[string]int{}
+				for _, l := range info.HotLoops {
+					per[fl.Router.AnalyzeOwner(info.ID, scheme, l.Name)]++
+				}
+				most := 0
+				for id, k := range per {
+					most = max(most, k)
+					if k >= 3 {
+						fanned[id] = true
+					}
+				}
+				if most < 3 {
+					t.Fatalf("batch %d seed %d %s: analyze sends at most %d loops to a backend (%v), want >= 3", n, seed, scheme, most, per)
+				}
+				st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/analyze", AnalyzeRequest{Scheme: scheme})
+				requests++
+				if st != http.StatusOK {
+					t.Fatalf("batch %d seed %d: analyze %s: %d %.300s", n, seed, scheme, st, raw)
+				}
+				ar := decode[AnalyzeResponse](t, raw)
+				for _, lr := range ar.Results {
+					for _, q := range lr.Queries[:min(2, len(lr.Queries))] {
+						qreq := QueryRequest{Scheme: scheme, Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel}
+						st, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/query", qreq)
+						requests++
+						if st != http.StatusOK {
+							t.Fatalf("batch %d seed %d: query: %d %.300s", n, seed, st, raw)
+						}
+					}
+				}
+			}
+			if st, raw := do(t, fl.URL, "DELETE", "/sessions/"+info.ID, nil); st != http.StatusNoContent {
+				t.Fatalf("batch %d seed %d: delete: %d %.300s", n, seed, st, raw)
+			}
+			requests++
+		}
+		if len(fanned) != len(fl.IDs()) {
+			t.Fatalf("batch %d: only %v took a fan-out of 3 or more loops", n, fanned)
+		}
+		return requests, widest
+	}
+
+	batch(1)
+	router1, peers1 := dials()
+	if router1 == 0 || peers1 == 0 {
+		t.Fatalf("first batch counted %d router and %d peer dials, want both > 0", router1, peers1)
+	}
+	requests, widest := batch(2)
+	router2, peers2 := dials()
+	// A second batch may place a wider fan-out on a backend than the
+	// first did, which adds at most that many connections per backend.
+	bound := int64(widest * len(fl.IDs()))
+	t.Logf("first batch: %d router and %d peer dials; second batch of %d requests: +%d router, +%d peer (bound %d)",
+		router1, peers1, requests, router2-router1, peers2-peers1, bound)
+	if router2-router1 > bound || peers2-peers1 > bound {
+		t.Fatalf("second batch of %d requests dialed %d router and %d peer connections, want each <= %d",
+			requests, router2-router1, peers2-peers1, bound)
+	}
 }
