@@ -43,31 +43,40 @@ runtime:
 # single cold instance, backend loss + journal-replay rejoin, connection
 # reuse: TestRouterReusesConnections fails if a second batch of session
 # lifecycles dials more router or peer connections than its fan-out
-# needs, and an oversized backend reply must become a 502) — then a
+# needs, and an oversized backend reply must become a 502; the churn
+# gate TestFleetChurnMemoryLevelsOff fails if a shard passes its byte
+# budget or the heap keeps growing with the fleet's history) — then a
 # fleet byte-identity oracle sweep: generated programs served through
 # router + 2 peer backends must byte-equal a single instance, serially
-# and under concurrent fire.
+# and under concurrent fire. The sweep runs twice: at the default shard
+# budget, and at a 1 KiB budget that makes every seed evict (a seed that
+# evicts nothing fails), so eviction is shown to cost hits, never bytes.
 fleet:
 	$(GO) test -race -count=1 ./internal/fleet/...
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestFleet|TestRouter'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet
+	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet -cache-bytes 1024
 
 # Elasticity gate under the race detector: live membership change. The
 # fleet tier's own suite (live peer add/remove, fail-open peer timeouts,
 # ring bounded-movement property), the membership chaos suite (joiner
 # killed mid-stream rolls back, old owner killed mid-drain degrades to
 # 503s, double-join and leave-during-join are refused, dead-member leave
-# never wedges, byte-identity and durable membership after a join), the
+# never wedges, byte-identity and durable membership after a join, a
+# segment above the shard budget installing to within it), the
 # prober-backoff test, the loadgen membership schedule (live join/leave
 # mid-saturation must not change the deterministic digest) — then a
 # 25-seed live-membership oracle sweep: join and leave under concurrent
 # fire, every answer byte-compared against the static fleet, with the
-# joiner required to serve warm hits from its streamed segments.
+# joiner required to serve warm hits from its streamed segments — and
+# again at a 1 KiB shard budget, where a warm hit is demanded only of a
+# moved loop whose entry stayed resident until it replayed.
 elastic:
 	$(GO) test -race -count=1 ./internal/fleet/...
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestElastic|TestRouterProbeBackoff'
 	$(GO) test -race -count=1 ./internal/loadgen/ -run 'TestSaturationMembership'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -elastic
+	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -elastic -cache-bytes 1024
 
 # Loadgen smoke: the generator's own suite, then the CLI twice with one
 # seed against fresh in-process servers — the deterministic sections
@@ -90,16 +99,20 @@ loadgen:
 # Persistence gate under the race detector: the snapshot codec's own
 # suite (prefix property, inner checksums, revoked-journal semantics,
 # snapshot-during-drain stress), the server warm-restart suite (byte-
-# identical warm boots, a restart straddling an /observe quarantine with
+# identical warm boots, a snapshot above the shard budget booting to
+# within it, a restart straddling an /observe quarantine with
 # the physical-miss proof, journal-blocked resurrection after a crash,
 # idempotent shutdown, periodic snapshots, router journal persistence),
-# the tier Close regressions — then a 25-seed warm-restart oracle sweep
-# and a 30s corruption-fuzz smoke over the committed corpus.
+# the tier Close regressions — then a 25-seed warm-restart oracle sweep,
+# again at a 1 KiB shard budget (a warm hit is demanded only of a
+# surviving entry the replay did not evict), and a 30s corruption-fuzz
+# smoke over the committed corpus.
 persist:
 	$(GO) test -race -count=1 ./internal/persist/...
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestServerWarmRestart|TestServerRestartStraddling|TestRevokedJournal|TestServerShutdownIdempotent|TestServerPeriodicSnapshot|TestRouterPersist|TestRouterCloseConcurrent'
 	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestTierClose'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -persist
+	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -persist -cache-bytes 1024
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzSnapshotCorruption$$' -fuzztime 30s
 
 # Benchmark-module smoke: perfbench is a Go module of its own, so build,

@@ -12,6 +12,8 @@
 //	scaf-oracle -run repro.mc              # re-check one program file
 //	scaf-oracle -fast -seeds 1000          # soundness+monotonicity only
 //	scaf-oracle -fast -recovery -seeds 500 # plus misspeculation recovery
+//	scaf-oracle -fast -fleet -cache-bytes 1024 -seeds 25
+//	                                       # fleet pass with evicting shards
 package main
 
 import (
@@ -37,6 +39,7 @@ func main() {
 	persistPass := flag.Bool("persist", false, "force the warm-restart pass (snapshot, restart, byte-compare against a cold instance); always on without -fast")
 	elasticPass := flag.Bool("elastic", false, "force the live-membership pass (join and leave under concurrent fire, byte-compare against the static fleet); always on without -fast")
 	transforms := flag.String("transforms", "all", `metamorphic transforms: "all", "none", or a comma-separated subset (rename,deadcode,reorder,peel)`)
+	cacheBytes := flag.Int64("cache-bytes", 0, "shard budget of every fleet backend the fleet, persist and elastic passes boot (0: the server default); above 0, a seed that evicts nothing fails")
 	verbose := flag.Bool("v", false, "log every seed, not just failures and progress")
 	flag.Parse()
 
@@ -59,6 +62,7 @@ func main() {
 	if *elasticPass {
 		cfg.Elastic = true
 	}
+	cfg.CacheBytes = *cacheBytes
 	switch *transforms {
 	case "all":
 	case "none":
@@ -81,7 +85,7 @@ func main() {
 
 	failures := 0
 	var queries, applied, compared, lies, execMisspecs, survivingLoops int
-	var specIters, warmHits, elasticHits int64
+	var specIters, warmHits, elasticHits, evictions int64
 	for i := 0; i < *seeds; i++ {
 		seed := *start + int64(i)
 		rep, err := oracle.CheckSeed(cfg, seed)
@@ -98,6 +102,7 @@ func main() {
 		warmHits += rep.PersistWarmHits
 		survivingLoops += rep.PersistSurvivingLoops
 		elasticHits += rep.ElasticWarmHits
+		evictions += rep.Evictions
 		if *verbose {
 			fmt.Printf("seed %d: %d hot loops, %d queries, %d transforms\n",
 				seed, rep.HotLoops, rep.Queries, rep.TransformsApplied)
@@ -108,10 +113,15 @@ func main() {
 			if *shrink {
 				shrinkAndWrite(cfg, rep, *out, fmt.Sprintf("seed%d", seed))
 			}
+		} else if *cacheBytes > 0 && rep.Evictions == 0 {
+			// A budget set to force eviction must force it, or the sweep
+			// proved nothing about eviction on this seed.
+			failures++
+			fmt.Printf("seed %d: no shard evicted under a %d-byte budget\n", seed, *cacheBytes)
 		}
 		if n := i + 1; n%50 == 0 || n == *seeds {
-			fmt.Printf("[%d/%d] %d failures, %d queries checked, %d transforms applied, %d loop comparisons, %d lies quarantined, %d spec iters, %d misspecs recovered, %d surviving loops, %d warm hits, %d elastic hits\n",
-				n, *seeds, failures, queries, applied, compared, lies, specIters, execMisspecs, survivingLoops, warmHits, elasticHits)
+			fmt.Printf("[%d/%d] %d failures, %d queries checked, %d transforms applied, %d loop comparisons, %d lies quarantined, %d spec iters, %d misspecs recovered, %d surviving loops, %d warm hits, %d elastic hits, %d evictions\n",
+				n, *seeds, failures, queries, applied, compared, lies, specIters, execMisspecs, survivingLoops, warmHits, elasticHits, evictions)
 		}
 	}
 	if failures > 0 {

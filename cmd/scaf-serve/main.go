@@ -59,6 +59,7 @@ func main() {
 	fleetFlush := flag.Duration("fleet-flush", 250*time.Millisecond, "publication batch auto-flush period")
 	cacheDir := flag.String("cache-dir", "", "directory for cache snapshots and the revoked journal; boots warm, snapshots on drain")
 	snapEvery := flag.Duration("snapshot-every", 0, "also snapshot the cache shard on this period (0: only on drain)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget of the fleet cache shard, past which it evicts (0: 8 MiB)")
 	flag.Parse()
 
 	cfg := server.Config{
@@ -99,6 +100,9 @@ func main() {
 		}
 		cfg.Fleet.CacheDir = *cacheDir
 		cfg.Fleet.SnapshotEvery = *snapEvery
+	}
+	if cfg.Fleet != nil {
+		cfg.Fleet.CacheBytes = *cacheBytes
 	}
 
 	srv := server.New(cfg)

@@ -108,7 +108,7 @@ func TestTierPeerTimeoutFailOpen(t *testing.T) {
 // segments to self-ownership. Exercised both directly and through the
 // members endpoint the router drives.
 func TestTierLiveMembership(t *testing.T) {
-	remote := NewCache()
+	remote := NewCache(0)
 	mux := http.NewServeMux()
 	(&Handler{Cache: remote}).Register(mux, "/fleet/")
 	ts := httptest.NewServer(mux)

@@ -53,7 +53,7 @@ func TestRingOwnerN(t *testing.T) {
 }
 
 func TestCacheFirstWriteWinsAndInvalidation(t *testing.T) {
-	c := NewCache()
+	c := NewCache(0)
 	if !c.Put(Entry{Key: "k1", Value: []byte("v1"), Asserts: []string{"a1"}}) {
 		t.Fatal("first put rejected")
 	}
@@ -105,7 +105,7 @@ func peerHarness(t *testing.T, c *Cache, onRecovery func(RecoveryRequest)) *http
 }
 
 func TestPeerProtocolRoundTrip(t *testing.T) {
-	shard := NewCache()
+	shard := NewCache(0)
 	var recovered []RecoveryRequest
 	ts := peerHarness(t, shard, func(r RecoveryRequest) { recovered = append(recovered, r) })
 	cl := NewClient(ts.URL, time.Second, nil)

@@ -27,6 +27,8 @@ type TierConfig struct {
 	// must degrade to a local miss rather than stall the query it was
 	// supposed to accelerate. Timed-out lookups count in peer_timeouts.
 	OpTimeout time.Duration
+	// CacheBytes is the local shard's byte budget (0 = DefaultCacheBytes).
+	CacheBytes int64
 }
 
 // DefaultMaxBatch caps entries per publication batch, bounding one
@@ -118,7 +120,7 @@ func NewTier(cfg TierConfig) *Tier {
 	}
 	t := &Tier{
 		self:        cfg.Self,
-		local:       NewCache(),
+		local:       NewCache(cfg.CacheBytes),
 		peerTimeout: cfg.Timeout,
 		opTimeout:   opTimeout,
 		peers:       make(map[string]*Client, len(cfg.Peers)),

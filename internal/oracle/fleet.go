@@ -34,13 +34,19 @@ func checkFleetDrift(cfg Config, rep *Report, gs *goldSet) {
 	if !cfg.Fleet {
 		kind = KindDriftElastic
 	}
-	fl, err := server.StartLoopbackFleet(2, cfg.Elastic, "", server.Config{Workers: 2},
+	fl, err := server.StartLoopbackFleet(2, cfg.Elastic, "",
+		server.Config{Workers: 2, Fleet: &server.FleetConfig{CacheBytes: cfg.CacheBytes}},
 		server.RouterConfig{DrainTimeout: 15 * time.Second})
 	if err != nil {
 		rep.violate(Violation{Kind: kind, Detail: fmt.Sprintf("fleet boot: %v", err)})
 		return
 	}
 	defer fl.Close()
+	evs := newEvictionLog()
+	for _, id := range fl.IDs() {
+		evs.watch(id, fl.Backend(id).Fleet().Local())
+	}
+	defer func() { rep.Evictions += evs.count() }()
 	c := routerClient{base: fl.URL, hc: &http.Client{Timeout: 30 * time.Second, Transport: fleet.NewTransport(nil)}}
 	// The client's pool is its own, so it closes before the fleet's
 	// servers shut down (deferred calls run last first).
@@ -107,8 +113,47 @@ func checkFleetDrift(cfg Config, rep *Report, gs *goldSet) {
 		})
 	}
 	if cfg.Elastic {
-		checkElasticDrift(cfg, rep, fl, c, gs.info, served)
+		checkElasticDrift(cfg, rep, fl, evs, c, gs.info, served)
 	}
+}
+
+// evictionLog counts, per shard and key, the entries the budget evicts
+// from the shards it watches, so that a warm-hit check demands a hit
+// only of an entry still resident when its loop replays, and sums them
+// for Report.Evictions.
+type evictionLog struct {
+	mu     sync.Mutex
+	counts map[string]map[string]int // shard -> key -> evictions
+	n      int64
+}
+
+func newEvictionLog() *evictionLog { return &evictionLog{counts: map[string]map[string]int{}} }
+
+// watch counts c's evictions under the name shard from now on; call it
+// before traffic.
+func (l *evictionLog) watch(shard string, c *fleet.Cache) {
+	l.mu.Lock()
+	l.counts[shard] = map[string]int{}
+	l.mu.Unlock()
+	c.SetEvictHook(func(key string) {
+		l.mu.Lock()
+		l.counts[shard][key]++
+		l.n++
+		l.mu.Unlock()
+	})
+}
+
+func (l *evictionLog) count() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
+}
+
+// evictions returns how often shard has evicted key.
+func (l *evictionLog) evictions(shard, key string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.counts[shard][key]
 }
 
 // fire runs check on every gold from eight concurrent clients and

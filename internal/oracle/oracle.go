@@ -116,6 +116,10 @@ type Config struct {
 	ExtraModules func() []core.Module
 	// Workers sizes the parallel clients (default 4).
 	Workers int
+	// CacheBytes is the shard budget of every fleet backend the Fleet,
+	// Persist and Elastic passes boot (0 = the server default). A budget
+	// small enough to evict checks that eviction only ever costs hits.
+	CacheBytes int64
 }
 
 // FullConfig checks everything: all schemes, all execution paths, all
@@ -238,7 +242,10 @@ type Report struct {
 	// pass: byte identity must come from the streamed state, not silent
 	// recomputation.
 	ElasticWarmHits int64
-	Violations      []Violation
+	// Evictions counts the entries the shards of every fleet backend the
+	// passes booted evicted (fleet.local.evicted, summed).
+	Evictions  int64
+	Violations []Violation
 }
 
 // Failed reports whether any check failed.
@@ -321,7 +328,7 @@ func CheckProgram(cfg Config, name, src string) (*Report, error) {
 			checkFleetDrift(cfg, rep, gs)
 		}
 		if cfg.Persist {
-			checkPersist(rep, gs)
+			checkPersist(cfg, rep, gs)
 		}
 	}
 	if cfg.Recovery {

@@ -27,7 +27,7 @@ import (
 	"scaf/internal/server"
 )
 
-func checkPersist(rep *Report, gs *goldSet) {
+func checkPersist(cfg Config, rep *Report, gs *goldSet) {
 	dir, err := os.MkdirTemp("", "scaf-oracle-persist-")
 	if err != nil {
 		rep.violate(Violation{Kind: KindDriftPersist, Detail: fmt.Sprintf("temp cache dir: %v", err)})
@@ -41,10 +41,13 @@ func checkPersist(rep *Report, gs *goldSet) {
 		srv.Shutdown(ctx)
 	}
 	bootPersist := func() *server.Server {
-		return server.New(server.Config{Workers: 2, Fleet: &server.FleetConfig{Self: "p0", CacheDir: dir}})
+		return server.New(server.Config{Workers: 2, Fleet: &server.FleetConfig{Self: "p0", CacheDir: dir, CacheBytes: cfg.CacheBytes}})
 	}
 
 	srv1 := bootPersist()
+	evs := newEvictionLog()
+	evs.watch("cold", srv1.Fleet().Local())
+	defer func() { rep.Evictions += evs.count() }()
 	h1 := srv1.Handler()
 	pStatus, pBody := do(h1, "POST", "/sessions", gs.create)
 	if gs.createStatus != pStatus || !bytes.Equal(gs.createReply, pBody) {
@@ -124,17 +127,20 @@ func checkPersist(rep *Report, gs *goldSet) {
 	}
 
 	// Count the loop entries a fresh clean session can actually match:
-	// same digest space, clean quarantine fingerprint. If any survived,
-	// the warm replay below must hit the lookaside at least once.
+	// same digest space, clean quarantine fingerprint. If one of them is
+	// still resident when its loop replays, the warm replay below must
+	// hit the lookaside at least once.
 	cleanFP := recovery.New().Fingerprint()
-	survivingLoops := 0
+	var survivors []string
 	for _, e := range local.SnapshotEntries() {
 		parts := strings.SplitN(e.Key, "|", 4)
 		if len(parts) == 4 && parts[2] == cleanFP && server.IsLoopKey(e.Key) {
-			survivingLoops++
+			survivors = append(survivors, e.Key)
 		}
 	}
+	survivingLoops := len(survivors)
 	rep.PersistSurvivingLoops += survivingLoops
+	evs.watch("warm", local)
 
 	// Warm phase: a fresh instance, a fresh session (same ID sequence),
 	// and every gold must be served byte-identically.
@@ -154,7 +160,10 @@ func checkPersist(rep *Report, gs *goldSet) {
 	}
 
 	// Nonvacuity: the equality must come from the snapshot, not from
-	// silent recomputation.
+	// silent recomputation. The replay's own publications may evict a
+	// surviving entry before its loop replays, so a hit is demanded only
+	// when some survivor was never evicted: it was resident when its loop
+	// replayed.
 	ms, mb := do(h2, "GET", "/metrics", nil)
 	var m server.MetricsResponse
 	if ms != http.StatusOK || json.Unmarshal(mb, &m) != nil {
@@ -162,9 +171,15 @@ func checkPersist(rep *Report, gs *goldSet) {
 		return
 	}
 	rep.PersistWarmHits += m.Server.FleetLoopHits
-	if survivingLoops > 0 && m.Server.FleetLoopHits == 0 {
+	resident := 0
+	for _, k := range survivors {
+		if evs.evictions("warm", k) == 0 {
+			resident++
+		}
+	}
+	if resident > 0 && m.Server.FleetLoopHits == 0 {
 		rep.violate(Violation{Kind: KindDriftPersist,
-			Detail: fmt.Sprintf("%d clean loop entries survived the restart but the warm replay never hit the lookaside", survivingLoops)})
+			Detail: fmt.Sprintf("%d clean loop entries survived the restart, %d of them never evicted, but the warm replay never hit the lookaside", survivingLoops, resident)})
 	}
 	if m.Persist == nil || m.Persist.Loaded == 0 && survivingLoops > 0 {
 		rep.violate(Violation{Kind: KindDriftPersist,

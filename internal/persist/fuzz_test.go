@@ -87,7 +87,7 @@ func FuzzSnapshotCorruption(f *testing.F) {
 		// Surviving revocations may be any subset or superset — extra
 		// revocations only widen the guaranteed-miss set. What must hold
 		// is that restore never serves an entry they cover.
-		c := fleet.NewCache()
+		c := fleet.NewCache(0)
 		c.Restore(got.Revoked, got.Entries)
 		revoked := make(map[string]bool, len(got.Revoked))
 		for _, k := range got.Revoked {

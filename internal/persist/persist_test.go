@@ -119,7 +119,7 @@ func TestRestoreBlocksRevokedEntries(t *testing.T) {
 	snap := testSnapshot(6) // asserts cycle over assert/0..2
 	snap.Revoked = append(snap.Revoked, "assert/1")
 	got, _ := Decode(Encode(snap))
-	c := fleet.NewCache()
+	c := fleet.NewCache(0)
 	inserted, rejected := c.Restore(got.Revoked, got.Entries)
 	if rejected == 0 {
 		t.Fatal("no entry was blocked by the revoked set")
@@ -179,7 +179,7 @@ func TestStoreSaveLoadAndJournal(t *testing.T) {
 	if !reflect.DeepEqual(gotRevoked, wantRevoked) {
 		t.Fatalf("revoked merge: got %v want %v", gotRevoked, wantRevoked)
 	}
-	c := fleet.NewCache()
+	c := fleet.NewCache(0)
 	inserted, rejected := c.Restore(loaded.Revoked, loaded.Entries)
 	// assert/0 came in via the journal after the snapshot was taken, so
 	// the two entries predicated on it must be blocked at restore.
@@ -329,7 +329,7 @@ func TestJournalForeignFileRotatedAside(t *testing.T) {
 // published — and no loaded entry may be predicated on a revocation
 // the same load sees: the only-publish-complete rule extended to disk.
 func TestSnapshotDuringDrain(t *testing.T) {
-	c := fleet.NewCache()
+	c := fleet.NewCache(0)
 	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestSnapshotDuringDrain(t *testing.T) {
 			}
 		}
 		// Restoring must block anything the merged revoked set covers.
-		rc := fleet.NewCache()
+		rc := fleet.NewCache(0)
 		rc.Restore(loaded.Revoked, loaded.Entries)
 		for _, e := range rc.SnapshotEntries() {
 			for _, a := range e.Asserts {

@@ -80,7 +80,7 @@ func TestSegmentTransfer(t *testing.T) {
 
 	// Restore on the receiver honors the carried revocations: entries
 	// predicated on a revoked assertion are rejected, not installed.
-	recv := fleet.NewCache()
+	recv := fleet.NewCache(0)
 	poisoned := Snapshot{
 		Revoked: []string{"mod/assert@3"},
 		Entries: seg.Entries,

@@ -243,8 +243,12 @@ func WriteFileAtomic(dir, name string, data []byte) error {
 // Load reads the snapshot and merges the revoked-set journal on top.
 // Missing files are an empty (cold) state, not an error; corruption
 // anywhere degrades to the validated prefix. The returned snapshot is
-// ready for Cache.Restore — revocations first, then entries.
+// ready for Cache.Restore — revocations first, then entries. It holds
+// the store's lock, so it never reads a journal record or header that a
+// concurrent AppendRevoked has half written.
 func (s *Store) Load() (Snapshot, DecodeStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var snap Snapshot
 	var st DecodeStats
 	if data, err := os.ReadFile(s.SnapshotPath()); err == nil {

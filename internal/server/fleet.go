@@ -58,6 +58,9 @@ type FleetConfig struct {
 	// warmth a crash (as opposed to a drain) can cost. Zero means
 	// drain-only snapshots; revocations are durable either way.
 	SnapshotEvery time.Duration
+	// CacheBytes bounds the local shard's accounted bytes; past it the
+	// shard evicts by CLOCK (0 = fleet.DefaultCacheBytes).
+	CacheBytes int64
 }
 
 // fleetDigest hashes everything that determines a session's answers:

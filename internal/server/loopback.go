@@ -54,9 +54,10 @@ const (
 
 // StartLoopbackFleet boots members backends plus, with spare, the spare
 // backend. Each backend runs cfg with its Fleet replaced by the fleet's
-// wiring; with a non-empty dir, backend id keeps its cache directory at
-// dir/id, so a fleet booted again on the same dir warms from the
-// snapshots the previous Close wrote. rc configures the router, whose
+// wiring, which keeps only cfg.Fleet's CacheBytes; with a non-empty
+// dir, backend id keeps its cache directory at dir/id, so a fleet booted
+// again on the same dir warms from the snapshots the previous Close
+// wrote. rc configures the router, whose
 // Backends are set to the members.
 func StartLoopbackFleet(members int, spare bool, dir string, cfg Config, rc RouterConfig) (*LoopbackFleet, error) {
 	ids := make([]string, members, members+1)
@@ -98,6 +99,9 @@ func StartLoopbackFleet(members int, spare bool, dir string, cfg Config, rc Rout
 		b := f.backends[id]
 		b.cfg = cfg
 		b.cfg.Fleet = &FleetConfig{Self: id, Peers: peers, Timeout: loopbackPeerTimeout, AutoFlush: loopbackAutoFlush}
+		if cfg.Fleet != nil {
+			b.cfg.Fleet.CacheBytes = cfg.Fleet.CacheBytes
+		}
 		if dir != "" {
 			b.cfg.Fleet.CacheDir = filepath.Join(dir, id)
 		}

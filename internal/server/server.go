@@ -132,10 +132,11 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /sessions/{id}/execute", s.handleExecute)
 	if cfg.Fleet != nil {
 		s.fleet = fleet.NewTier(fleet.TierConfig{
-			Self:      cfg.Fleet.Self,
-			Peers:     cfg.Fleet.Peers,
-			Timeout:   cfg.Fleet.Timeout,
-			AutoFlush: cfg.Fleet.AutoFlush,
+			Self:       cfg.Fleet.Self,
+			Peers:      cfg.Fleet.Peers,
+			Timeout:    cfg.Fleet.Timeout,
+			AutoFlush:  cfg.Fleet.AutoFlush,
+			CacheBytes: cfg.Fleet.CacheBytes,
 		})
 		h := &fleet.Handler{Cache: s.fleet.Local(), OnRecovery: s.applyFleetRecovery, Tier: s.fleet}
 		h.Register(mux, "/fleet/")
