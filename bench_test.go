@@ -225,6 +225,30 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanResolve measures the planning resolve of a session create
+// on 175.vpr, the program where fleet-warm's create latency falls: a
+// fresh SCAF orchestrator under JoinAll + BailExhaustive resolves every
+// hot loop, as newSession does before it builds and validates the plan.
+func BenchmarkPlanResolve(b *testing.B) {
+	sys, err := scaf.Load("175.vpr", bench.Sources["175.vpr"], scaf.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := sys.Client()
+	hot := sys.HotLoops()
+	if len(hot) == 0 {
+		b.Fatal("175.vpr has no hot loop")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := sys.Orchestrator(scaf.SchemeSCAF,
+			scaf.WithJoin(core.JoinAll), scaf.WithBailout(core.BailExhaustive))
+		for _, l := range hot {
+			client.ResolveLoop(o, l)
+		}
+	}
+}
+
 // BenchmarkPlan measures the global validation planner (§3.4) over a
 // JoinAll PDG of one benchmark's hot loops.
 func BenchmarkPlan(b *testing.B) {

@@ -30,10 +30,28 @@ type summary struct {
 	reads, writes map[root]bool
 	wildRead      bool
 	wildWrite     bool
+
+	// The root sets in premise order (see sortedRoots), fixed once the
+	// summary is complete: readList, writeList, and their union.
+	readList, writeList, allList []root
 }
 
 func newSummary() *summary {
 	return &summary{reads: map[root]bool{}, writes: map[root]bool{}}
+}
+
+// seal fixes the summary's premise-ordered root lists.
+func (s *summary) seal() {
+	s.readList = sortedRoots(s.reads)
+	s.writeList = sortedRoots(s.writes)
+	all := make(map[root]bool, len(s.reads)+len(s.writes))
+	for r := range s.reads {
+		all[r] = true
+	}
+	for r := range s.writes {
+		all[r] = true
+	}
+	s.allList = sortedRoots(all)
 }
 
 // CalleeSummary resolves mod-ref queries involving calls by summarizing
@@ -98,6 +116,9 @@ func NewCalleeSummary(mod *ir.Module) *CalleeSummary {
 	}
 	for _, f := range mod.Funcs {
 		m.summaries[f] = summarize(f)
+	}
+	for _, s := range m.summaries {
+		s.seal()
 	}
 	return m
 }
@@ -208,13 +229,13 @@ func sortedRoots(set map[root]bool) []root {
 	return out
 }
 
-// disjointFromRoots asks whether loc is disjoint from every root of set.
+// disjointFromRoots asks whether loc is disjoint from every root of roots.
 // It accumulates the premises' assertion options (all must hold).
 func (m *CalleeSummary) disjointFromRoots(
-	q *core.ModRefQuery, call *ir.Instr, set map[root]bool, loc core.MemLoc, h core.Handle,
+	q *core.ModRefQuery, call *ir.Instr, roots []root, loc core.MemLoc, h core.Handle,
 	budget *int, opts *[]core.Option, contribs *[]string,
 ) bool {
-	for _, r := range sortedRoots(set) {
+	for _, r := range roots {
 		if *budget <= 0 {
 			return false
 		}
@@ -253,10 +274,10 @@ func (m *CalleeSummary) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRe
 		s := m.summaries[q.I1.Callee]
 		loc, haveLoc := q.TargetLoc()
 		mayRef, mayMod := true, true
-		if !s.wildRead && (len(s.reads) == 0 || (haveLoc && m.disjointFromRoots(q, q.I1, s.reads, loc, h, &budget, &opts, &contribs))) {
+		if !s.wildRead && (len(s.readList) == 0 || (haveLoc && m.disjointFromRoots(q, q.I1, s.readList, loc, h, &budget, &opts, &contribs))) {
 			mayRef = false
 		}
-		if !s.wildWrite && (len(s.writes) == 0 || (haveLoc && m.disjointFromRoots(q, q.I1, s.writes, loc, h, &budget, &opts, &contribs))) {
+		if !s.wildWrite && (len(s.writeList) == 0 || (haveLoc && m.disjointFromRoots(q, q.I1, s.writeList, loc, h, &budget, &opts, &contribs))) {
 			mayMod = false
 		}
 		return m.compose(mayMod, mayRef, opts, contribs)
@@ -274,19 +295,12 @@ func (m *CalleeSummary) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRe
 			return core.ModRefConservative()
 		}
 		loc1 := core.MemLoc{Ptr: p1, Size: s1}
-		all := map[root]bool{}
-		for r := range s.reads {
-			all[r] = true
-		}
-		for r := range s.writes {
-			all[r] = true
-		}
-		if len(all) == 0 {
+		if len(s.allList) == 0 {
 			return core.ModRefFact(core.NoModRef, m.Name())
 		}
-		if m.disjointFromRoots(q, q.I2, all, loc1, h, &budget, &opts, &contribs) {
+		if m.disjointFromRoots(q, q.I2, s.allList, loc1, h, &budget, &opts, &contribs) {
 			return core.ModRefResponse{Result: core.NoModRef, Options: opts,
-				Contribs: core.MergeContribs([]string{m.Name()}, contribs)}
+				Contribs: core.MergeContribs(core.ContribsOf(m.Name()), contribs)}
 		}
 		return core.ModRefConservative()
 	}
@@ -297,17 +311,10 @@ func (m *CalleeSummary) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRe
 	if s2.wildRead || s2.wildWrite {
 		return core.ModRefConservative()
 	}
-	all2 := map[root]bool{}
-	for r := range s2.reads {
-		all2[r] = true
-	}
-	for r := range s2.writes {
-		all2[r] = true
-	}
 	// Pairwise: every root of I1 vs every root of I2.
-	pairDisjoint := func(set1 map[root]bool) bool {
-		for _, r1 := range sortedRoots(set1) {
-			for _, r2 := range sortedRoots(all2) {
+	pairDisjoint := func(roots1 []root) bool {
+		for _, r1 := range roots1 {
+			for _, r2 := range s2.allList {
 				if budget <= 0 {
 					return false
 				}
@@ -331,8 +338,8 @@ func (m *CalleeSummary) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRe
 		}
 		return true
 	}
-	mayRef := s1.wildRead || !pairDisjoint(s1.reads)
-	mayMod := s1.wildWrite || !pairDisjoint(s1.writes)
+	mayRef := s1.wildRead || !pairDisjoint(s1.readList)
+	mayMod := s1.wildWrite || !pairDisjoint(s1.writeList)
 	return m.compose(mayMod, mayRef, opts, contribs)
 }
 
@@ -351,7 +358,7 @@ func (m *CalleeSummary) compose(mayMod, mayRef bool, opts []core.Option, contrib
 	return core.ModRefResponse{
 		Result:   res,
 		Options:  opts,
-		Contribs: core.MergeContribs([]string{m.Name()}, contribs),
+		Contribs: core.MergeContribs(core.ContribsOf(m.Name()), contribs),
 	}
 }
 
@@ -393,7 +400,7 @@ func (m *ModRefBridge) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRes
 		return core.ModRefResponse{
 			Result:   core.NoModRef,
 			Options:  pr.Options,
-			Contribs: core.MergeContribs([]string{m.Name()}, pr.Contribs),
+			Contribs: core.MergeContribs(core.ContribsOf(m.Name()), pr.Contribs),
 		}
 	}
 	return core.ModRefFact(upper, m.Name())

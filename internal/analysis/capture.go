@@ -298,7 +298,7 @@ func (m *GlobalMalloc) Alias(q *core.AliasQuery, h core.Handle) core.AliasRespon
 					return core.AliasResponse{
 						Result:   core.NoAlias,
 						Options:  core.CrossOptions(cls.options, cls2.options),
-						Contribs: core.MergeContribs([]string{m.Name()}, cls.contribs, cls2.contribs),
+						Contribs: core.MergeContribs(core.ContribsOf(m.Name()), cls.contribs, cls2.contribs),
 					}, true
 				}
 			}
@@ -313,7 +313,7 @@ func (m *GlobalMalloc) Alias(q *core.AliasQuery, h core.Handle) core.AliasRespon
 				return core.AliasResponse{
 					Result:   core.SubAlias,
 					Options:  cls.options,
-					Contribs: core.MergeContribs([]string{m.Name()}, cls.contribs),
+					Contribs: core.MergeContribs(core.ContribsOf(m.Name()), cls.contribs),
 				}, true
 			}
 			return core.AliasResponse{}, false // same site: may alias
@@ -321,7 +321,7 @@ func (m *GlobalMalloc) Alias(q *core.AliasQuery, h core.Handle) core.AliasRespon
 		return core.AliasResponse{
 			Result:   core.NoAlias,
 			Options:  cls.options,
-			Contribs: core.MergeContribs([]string{m.Name()}, cls.contribs),
+			Contribs: core.MergeContribs(core.ContribsOf(m.Name()), cls.contribs),
 		}, true
 	}
 	if r, ok := try(q.L1.Ptr, q.L2.Ptr); ok {

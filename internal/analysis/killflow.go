@@ -54,10 +54,37 @@ func live(dt *cfg.Tree, b *ir.Block) bool {
 // visited set, the worklist, and the start frontier. One search runs at a
 // time per module (searches conclude before any premise query fires), so
 // resetting at entry is enough.
+//
+// The visited set is a stamp per Block.Index: a block is visited by the
+// current search when its stamp equals epoch, so starting a search is one
+// increment instead of clearing a set.
 type reachScratch struct {
-	seen     map[*ir.Block]bool
+	stamp    []uint32
+	epoch    uint32
 	queue    []*ir.Block
 	frontier []*ir.Block
+}
+
+// begin starts a search over the blocks of fn with an empty visited set.
+func (rs *reachScratch) begin(fn *ir.Func) {
+	if n := len(fn.Blocks); len(rs.stamp) < n {
+		rs.stamp = make([]uint32, n)
+		rs.epoch = 0
+	}
+	rs.epoch++
+	if rs.epoch == 0 { // wrapped: stamps from 2^32 searches ago would read as visited
+		clear(rs.stamp)
+		rs.epoch = 1
+	}
+}
+
+// visit marks b visited and reports whether it was unvisited before.
+func (rs *reachScratch) visit(b *ir.Block) bool {
+	if rs.stamp[b.Index] == rs.epoch {
+		return false
+	}
+	rs.stamp[b.Index] = rs.epoch
+	return true
 }
 
 // blockIn reports membership in a (tiny) block list.
@@ -76,14 +103,10 @@ func blockIn(bs []*ir.Block, b *ir.Block) bool {
 // of blocks to begin from (already "entered"). The search hits when it
 // lands on target (if non-nil) or on any of latches.
 func (rs *reachScratch) reaches(l *cfg.Loop, dt *cfg.Tree, start []*ir.Block, avoid, target *ir.Block, latches []*ir.Block) bool {
-	if rs.seen == nil {
-		rs.seen = make(map[*ir.Block]bool, 32)
-	} else {
-		clear(rs.seen)
-	}
+	rs.begin(l.Fn)
 	rs.queue = append(rs.queue[:0], start...)
 	for _, b := range rs.queue {
-		rs.seen[b] = true
+		rs.visit(b)
 	}
 	for len(rs.queue) > 0 {
 		b := rs.queue[len(rs.queue)-1]
@@ -95,11 +118,9 @@ func (rs *reachScratch) reaches(l *cfg.Loop, dt *cfg.Tree, start []*ir.Block, av
 			return true
 		}
 		for _, s := range b.Succs {
-			if s == l.Header || rs.seen[s] {
-				continue
+			if s != l.Header && rs.visit(s) {
+				rs.queue = append(rs.queue, s)
 			}
-			rs.seen[s] = true
-			rs.queue = append(rs.queue, s)
 		}
 	}
 	return false
@@ -196,7 +217,7 @@ func (m *KillFlow) covers(q *core.ModRefQuery, loc core.MemLoc, s *ir.Instr, h c
 	return core.ModRefResponse{
 		Result:   core.NoModRef,
 		Options:  pr.Options,
-		Contribs: core.MergeContribs([]string{m.Name()}, pr.Contribs),
+		Contribs: core.MergeContribs(core.ContribsOf(m.Name()), pr.Contribs),
 	}, true
 }
 

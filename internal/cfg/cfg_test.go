@@ -317,3 +317,29 @@ func TestLoopMemOps(t *testing.T) {
 		t.Errorf("mem ops order wrong: %v %v", ops[0].Op, ops[1].Op)
 	}
 }
+
+// The trees and loops index dense tables by Block.Index. A block of
+// another function shares index values with the function's own blocks,
+// and a block added after the analyses ran has no slot; both must read as
+// outside, as they did when the facts were maps keyed by block.
+func TestForeignBlocksReadAsOutside(t *testing.T) {
+	f, bs := loopFunc(t)
+	_, gbs := loopFunc(t)
+	dt, pdt := Dominators(f, nil), PostDominators(f, nil)
+	l := Loops(f, dt).All[0]
+	late := f.NewBlock("late") // index 4: past every table
+	for _, b := range append(gbs, late) {
+		if dt.Reachable(b) || pdt.Reachable(b) {
+			t.Errorf("block %s of %s reads as reachable in %s's trees", b, b.Fn, f)
+		}
+		if dt.Dominates(bs[0], b) || dt.Dominates(b, b) || dt.IDom(b) != nil || dt.Children(b) != nil {
+			t.Errorf("block %s of %s has dominance facts in %s's tree", b, b.Fn, f)
+		}
+		if l.Contains(b) {
+			t.Errorf("block %s of %s reads as inside %s", b, b.Fn, l.Name())
+		}
+	}
+	if !l.Contains(bs[2]) || l.Contains(nil) {
+		t.Errorf("loop membership wrong: body %v, nil %v", l.Contains(bs[2]), l.Contains(nil))
+	}
+}

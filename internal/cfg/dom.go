@@ -20,14 +20,20 @@ type EdgeFilter func(from, to *ir.Block) bool
 
 // Tree is a dominator or post-dominator tree. The zero value is not usable;
 // construct with Dominators or PostDominators.
+//
+// Per-block facts live in slices indexed by Block.Index (ir.Verify checks
+// that it is the block's position in Func.Blocks), so the queries below,
+// which analysis modules ask on every path search, are array loads. A
+// block of another function, or one added after the tree was built, reads
+// as unreachable.
 type Tree struct {
 	fn    *ir.Func
 	post  bool
-	idom  map[*ir.Block]*ir.Block // nil parent means "child of the virtual root"
-	reach map[*ir.Block]bool
-	in    map[*ir.Block]int // Euler tour interval for O(1) dominance
-	out   map[*ir.Block]int
-	kids  map[*ir.Block][]*ir.Block
+	idom  []*ir.Block // nil parent means "child of the virtual root"
+	reach []bool
+	in    []int32 // Euler tour interval for O(1) dominance
+	out   []int32
+	kids  [][]*ir.Block
 	roots []*ir.Block
 }
 
@@ -37,17 +43,38 @@ func (t *Tree) Fn() *ir.Func { return t.fn }
 // IsPostDom reports whether this is a post-dominator tree.
 func (t *Tree) IsPostDom() bool { return t.post }
 
+// index returns b's slot in the tree's tables, or -1 when b has none.
+func (t *Tree) index(b *ir.Block) int {
+	if b == nil || b.Fn != t.fn || uint(b.Index) >= uint(len(t.reach)) {
+		return -1
+	}
+	return b.Index
+}
+
 // Reachable reports whether b is reachable from the entry under the filter
 // the tree was built with. Unreachable blocks are "speculatively dead" when
 // the filter encodes control speculation.
-func (t *Tree) Reachable(b *ir.Block) bool { return t.reach[b] }
+func (t *Tree) Reachable(b *ir.Block) bool {
+	i := t.index(b)
+	return i >= 0 && t.reach[i]
+}
 
 // IDom returns the immediate dominator of b (nil for roots and
 // unreachable blocks).
-func (t *Tree) IDom(b *ir.Block) *ir.Block { return t.idom[b] }
+func (t *Tree) IDom(b *ir.Block) *ir.Block {
+	if i := t.index(b); i >= 0 {
+		return t.idom[i]
+	}
+	return nil
+}
 
 // Children returns the blocks immediately dominated by b.
-func (t *Tree) Children(b *ir.Block) []*ir.Block { return t.kids[b] }
+func (t *Tree) Children(b *ir.Block) []*ir.Block {
+	if i := t.index(b); i >= 0 {
+		return t.kids[i]
+	}
+	return nil
+}
 
 // Roots returns the root blocks of the tree (the entry block for a
 // dominator tree; the reachable return blocks for a post-dominator tree).
@@ -57,10 +84,11 @@ func (t *Tree) Roots() []*ir.Block { return t.roots }
 // post-dominator tree). A block dominates itself. Returns false when
 // either block is unreachable.
 func (t *Tree) Dominates(a, b *ir.Block) bool {
-	if !t.reach[a] || !t.reach[b] {
+	i, j := t.index(a), t.index(b)
+	if i < 0 || j < 0 || !t.reach[i] || !t.reach[j] {
 		return false
 	}
-	return t.in[a] <= t.in[b] && t.out[b] <= t.out[a]
+	return t.in[i] <= t.in[j] && t.out[j] <= t.out[i]
 }
 
 // InstrIndex returns the position of in within its block.
@@ -78,7 +106,7 @@ func InstrIndex(in *ir.Instr) int {
 // that every path from i2 to the exit passes through i1.
 func (t *Tree) DominatesInstr(i1, i2 *ir.Instr) bool {
 	if i1.Blk == i2.Blk {
-		if !t.reach[i1.Blk] {
+		if !t.Reachable(i1.Blk) {
 			return false
 		}
 		if t.post {
@@ -106,12 +134,23 @@ func PostDominators(f *ir.Func, filter EdgeFilter) *Tree {
 // the filter.
 func ReachableBlocks(f *ir.Func, filter EdgeFilter) map[*ir.Block]bool {
 	reach := map[*ir.Block]bool{}
+	for i, ok := range reachable(f, filter) {
+		if ok {
+			reach[f.Blocks[i]] = true
+		}
+	}
+	return reach
+}
+
+// reachable is ReachableBlocks as a slice indexed by Block.Index.
+func reachable(f *ir.Func, filter EdgeFilter) []bool {
+	reach := make([]bool, len(f.Blocks))
 	entry := f.Entry()
 	if entry == nil {
 		return reach
 	}
 	stack := []*ir.Block{entry}
-	reach[entry] = true
+	reach[entry.Index] = true
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -119,8 +158,8 @@ func ReachableBlocks(f *ir.Func, filter EdgeFilter) map[*ir.Block]bool {
 			if filter != nil && !filter(b, s) {
 				continue
 			}
-			if !reach[s] {
-				reach[s] = true
+			if !reach[s.Index] {
+				reach[s.Index] = true
 				stack = append(stack, s)
 			}
 		}
@@ -131,14 +170,15 @@ func ReachableBlocks(f *ir.Func, filter EdgeFilter) map[*ir.Block]bool {
 // build constructs the (post-)dominator tree on an integer graph with a
 // virtual root at index 0.
 func build(f *ir.Func, filter EdgeFilter, post bool) *Tree {
-	reach := ReachableBlocks(f, filter)
+	reach := reachable(f, filter)
 
-	// Index reachable blocks from 1; 0 is the virtual root.
+	// Number reachable blocks from 1; 0 is the virtual root. index maps
+	// Block.Index to that number (0 for unreachable blocks).
 	var nodes []*ir.Block
-	index := map[*ir.Block]int{}
+	index := make([]int, len(f.Blocks))
 	for _, b := range f.Blocks {
-		if reach[b] {
-			index[b] = len(nodes) + 1
+		if reach[b.Index] {
+			index[b.Index] = len(nodes) + 1
 			nodes = append(nodes, b)
 		}
 	}
@@ -150,26 +190,26 @@ func build(f *ir.Func, filter EdgeFilter, post bool) *Tree {
 		preds[v] = append(preds[v], u)
 	}
 	if !post {
-		if f.Entry() != nil && reach[f.Entry()] {
-			addEdge(0, index[f.Entry()])
+		if e := f.Entry(); e != nil && reach[e.Index] {
+			addEdge(0, index[e.Index])
 		}
 		for _, b := range nodes {
 			for _, s := range b.Succs {
-				if reach[s] && (filter == nil || filter(b, s)) {
-					addEdge(index[b], index[s])
+				if reach[s.Index] && (filter == nil || filter(b, s)) {
+					addEdge(index[b.Index], index[s.Index])
 				}
 			}
 		}
 	} else {
 		for _, b := range nodes {
 			if t := b.Term(); t != nil && t.Op == ir.OpRet {
-				addEdge(0, index[b])
+				addEdge(0, index[b.Index])
 			}
 		}
 		for _, b := range nodes {
 			for _, s := range b.Succs {
-				if reach[s] && (filter == nil || filter(b, s)) {
-					addEdge(index[s], index[b]) // reversed
+				if reach[s.Index] && (filter == nil || filter(b, s)) {
+					addEdge(index[s.Index], index[b.Index]) // reversed
 				}
 			}
 		}
@@ -241,14 +281,15 @@ func build(f *ir.Func, filter EdgeFilter, post bool) *Tree {
 		}
 	}
 
+	nb := len(f.Blocks)
 	t := &Tree{
 		fn:    f,
 		post:  post,
-		idom:  map[*ir.Block]*ir.Block{},
+		idom:  make([]*ir.Block, nb),
 		reach: reach,
-		in:    map[*ir.Block]int{},
-		out:   map[*ir.Block]int{},
-		kids:  map[*ir.Block][]*ir.Block{},
+		in:    make([]int32, nb),
+		out:   make([]int32, nb),
+		kids:  make([][]*ir.Block, nb),
 	}
 	childIdx := make([][]int, n)
 	for u := 1; u < n; u++ {
@@ -256,36 +297,37 @@ func build(f *ir.Func, filter EdgeFilter, post bool) *Tree {
 			continue // dead in the analysis direction (e.g. infinite loop under postdom)
 		}
 		childIdx[idom[u]] = append(childIdx[idom[u]], u)
+		b := nodes[u-1]
 		if idom[u] == 0 {
-			t.idom[nodes[u-1]] = nil
-			t.roots = append(t.roots, nodes[u-1])
+			t.roots = append(t.roots, b)
 		} else {
-			t.idom[nodes[u-1]] = nodes[idom[u]-1]
-			t.kids[nodes[idom[u]-1]] = append(t.kids[nodes[idom[u]-1]], nodes[u-1])
+			p := nodes[idom[u]-1]
+			t.idom[b.Index] = p
+			t.kids[p.Index] = append(t.kids[p.Index], b)
 		}
 	}
 	// Blocks reachable in the CFG but not reached in the analysis direction
 	// (for postdom: blocks that cannot reach any return) are treated as
 	// unreachable by dominance queries.
 	for _, b := range nodes {
-		if order[index[b]] < 0 {
-			delete(t.reach, b)
+		if order[index[b.Index]] < 0 {
+			reach[b.Index] = false
 		}
 	}
 
 	// Euler tour for O(1) dominance queries.
-	clock := 0
+	var clock int32
 	var tour func(u int)
 	tour = func(u int) {
 		if u != 0 {
-			t.in[nodes[u-1]] = clock
+			t.in[nodes[u-1].Index] = clock
 		}
 		clock++
 		for _, v := range childIdx[u] {
 			tour(v)
 		}
 		if u != 0 {
-			t.out[nodes[u-1]] = clock
+			t.out[nodes[u-1].Index] = clock
 		}
 		clock++
 	}
@@ -298,17 +340,17 @@ func build(f *ir.Func, filter EdgeFilter, post bool) *Tree {
 func Frontiers(t *Tree) map[*ir.Block][]*ir.Block {
 	df := map[*ir.Block][]*ir.Block{}
 	for _, b := range t.fn.Blocks {
-		if !t.reach[b] || len(b.Preds) < 2 {
+		if !t.Reachable(b) || len(b.Preds) < 2 {
 			continue
 		}
 		for _, p := range b.Preds {
-			if !t.reach[p] {
+			if !t.Reachable(p) {
 				continue
 			}
 			runner := p
-			for runner != nil && runner != t.idom[b] && !contains(df[runner], b) {
+			for runner != nil && runner != t.IDom(b) && !contains(df[runner], b) {
 				df[runner] = append(df[runner], b)
-				runner = t.idom[runner]
+				runner = t.IDom(runner)
 			}
 			// Stop condition subtlety: the loop above must stop at idom(b);
 			// when runner becomes nil (a root) we are done too.

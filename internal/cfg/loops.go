@@ -10,31 +10,39 @@ import (
 // Loop is a natural loop: the set of blocks that can reach a back edge
 // u→header without passing through the header.
 type Loop struct {
-	ID       int
-	Fn       *ir.Func
-	Header   *ir.Block
+	ID     int
+	Fn     *ir.Func
+	Header *ir.Block
+	// Blocks is the loop body. It is read-only once Loops returns:
+	// Contains answers from a dense copy made there.
 	Blocks   map[*ir.Block]bool
 	Latches  []*ir.Block // in-loop sources of back edges to Header
 	Exits    []*ir.Block // out-of-loop targets of edges leaving the loop
 	Parent   *Loop
 	Children []*Loop
 	Depth    int // 1 for top-level loops
+
+	// member is Blocks indexed by Block.Index: the membership test path
+	// searches and analysis modules make on every query.
+	member []bool
 }
 
 // Name returns a stable human-readable identifier, e.g. "main/body.3".
 func (l *Loop) Name() string { return fmt.Sprintf("%s/%s", l.Fn.Name, l.Header) }
 
 // Contains reports whether block b belongs to the loop.
-func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b *ir.Block) bool {
+	return b != nil && b.Fn == l.Fn && uint(b.Index) < uint(len(l.member)) && l.member[b.Index]
+}
 
 // ContainsInstr reports whether instruction in belongs to the loop.
-func (l *Loop) ContainsInstr(in *ir.Instr) bool { return l.Blocks[in.Blk] }
+func (l *Loop) ContainsInstr(in *ir.Instr) bool { return l.Contains(in.Blk) }
 
 // MemOps returns the loop's memory-accessing instructions in block order.
 func (l *Loop) MemOps() []*ir.Instr {
 	var out []*ir.Instr
 	for _, b := range l.Fn.Blocks {
-		if !l.Blocks[b] {
+		if !l.Contains(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
@@ -104,8 +112,12 @@ func Loops(f *ir.Func, dt *Tree) *Forest {
 		}
 	}
 
-	// Exits.
+	// Exits, and the dense membership set.
 	for _, l := range forest.All {
+		l.member = make([]bool, len(f.Blocks))
+		for b := range l.Blocks {
+			l.member[b.Index] = true
+		}
 		seen := map[*ir.Block]bool{}
 		for b := range l.Blocks {
 			for _, s := range b.Succs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scaf/internal/ir"
@@ -216,5 +217,63 @@ func TestMergeContribsProperties(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
+	}
+}
+
+// TestMergeContribsLinear: canonical lists merge to the union the
+// map-and-sort path builds, and a list that already contains the other is
+// returned itself instead of copied.
+func TestMergeContribsLinear(t *testing.T) {
+	names := []string{"basic-objects", "callee-summary", "control-spec", "kill-flow", "points-to", "read-only", "tbaa"}
+	rng := rand.New(rand.NewSource(3))
+	pick := func() []string {
+		var l []string
+		for _, n := range names {
+			if rng.Intn(3) == 0 {
+				l = append(l, n)
+			}
+		}
+		return l
+	}
+	for i := 0; i < 500; i++ {
+		a, b := pick(), pick()
+		got := MergeContribs(a, b)
+		if want := mergeUnsorted([][]string{a, b}); !slices.Equal(got, want) {
+			t.Fatalf("MergeContribs(%v, %v) = %v, want %v", a, b, got, want)
+		}
+		switch {
+		case len(a) > 0 && subset(b, a):
+			if &got[0] != &a[0] {
+				t.Errorf("MergeContribs(%v, %v) copied a list that contains the other", a, b)
+			}
+		case len(b) > 0 && subset(a, b):
+			if &got[0] != &b[0] {
+				t.Errorf("MergeContribs(%v, %v) copied a list that contains the other", a, b)
+			}
+		}
+	}
+}
+
+// TestOptionFiltersPassCleanSetsThrough: AffordableOptions drops
+// prohibitive options in order and dedupeOptions drops repeats, and each
+// returns a set it has nothing to drop from as is.
+func TestOptionFiltersPassCleanSetsThrough(t *testing.T) {
+	cheap := Option{Asserts: []Assertion{{Module: "m", Kind: "cheap", Cost: 2}}}
+	dear := Option{Asserts: []Assertion{{Module: "m", Kind: "dear", Cost: Prohibitive}}}
+	clean := []Option{cheap, {}}
+	if got := AffordableOptions(clean); &got[0] != &clean[0] {
+		t.Error("AffordableOptions copied a set with nothing to filter")
+	}
+	if got := dedupeOptions(clean); &got[0] != &clean[0] {
+		t.Error("dedupeOptions copied a set without duplicates")
+	}
+	if got := AffordableOptions([]Option{cheap, dear, {}, dear}); len(got) != 2 || got[0].Cost() != 2 || !got[1].Free() {
+		t.Errorf("AffordableOptions kept %v, want [cheap, free]", got)
+	}
+	if got := AffordableOptions([]Option{dear}); len(got) != 0 {
+		t.Errorf("AffordableOptions kept %v of an all-prohibitive set", got)
+	}
+	if got := dedupeOptions([]Option{cheap, {}, cheap, dear, {}}); len(got) != 3 || got[0].Cost() != 2 || !got[1].Free() || got[2].Cost() != Prohibitive {
+		t.Errorf("dedupeOptions kept %v, want [cheap, free, dear]", got)
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"scaf/internal/ir"
@@ -19,17 +20,39 @@ type Point struct {
 }
 
 func (p Point) String() string {
+	var buf [64]byte
+	return string(p.appendTo(buf[:0]))
+}
+
+// appendTo appends p's rendering to buf: "fn:%v3" for an instruction,
+// "fn:body.2" for a block, "fn:body.2->exit.4" for a CFG edge, "@g" for a
+// global.
+func (p Point) appendTo(buf []byte) []byte {
 	switch {
 	case p.Instr != nil:
-		return fmt.Sprintf("%s:%s", p.Instr.Blk.Fn.Name, p.Instr)
-	case p.Block != nil && p.EdgeTo != nil:
-		return fmt.Sprintf("%s:%s->%s", p.Block.Fn.Name, p.Block, p.EdgeTo)
+		buf = append(append(buf, p.Instr.Blk.Fn.Name...), ':')
+		return p.Instr.AppendName(buf)
 	case p.Block != nil:
-		return fmt.Sprintf("%s:%s", p.Block.Fn.Name, p.Block)
+		buf = append(append(buf, p.Block.Fn.Name...), ':')
+		buf = p.Block.AppendName(buf)
+		if p.EdgeTo != nil {
+			buf = p.EdgeTo.AppendName(append(buf, "->"...))
+		}
+		return buf
 	case p.G != nil:
-		return "@" + p.G.GName
+		return append(append(buf, '@'), p.G.GName...)
 	}
-	return "?"
+	return append(buf, '?')
+}
+
+// appendCost appends c as the %g verb renders it. Costs are mostly whole
+// numbers, which %g prints as plain integers below 1e6 (minus zero aside),
+// so those skip the shortest-float search.
+func appendCost(buf []byte, c float64) []byte {
+	if c > -1e6 && c < 1e6 && c == math.Trunc(c) && (c != 0 || !math.Signbit(c)) {
+		return strconv.AppendInt(buf, int64(c), 10)
+	}
+	return strconv.AppendFloat(buf, c, 'g', -1, 64)
 }
 
 // Assertion is one speculative assertion (paper §3.2.3/§4.2.1): a
@@ -71,21 +94,22 @@ func (a Assertion) key() string {
 }
 
 func (a Assertion) computeKey() string {
-	var b strings.Builder
-	b.WriteString(a.Module)
-	b.WriteByte('/')
-	b.WriteString(a.Kind)
+	var buf [128]byte
+	return string(a.appendKey(buf[:0]))
+}
+
+// appendKey appends the full-content key to buf:
+// "module/kind|point|point$cost^conflict^conflict".
+func (a *Assertion) appendKey(buf []byte) []byte {
+	buf = append(append(append(buf, a.Module...), '/'), a.Kind...)
 	for _, p := range a.Points {
-		b.WriteByte('|')
-		b.WriteString(p.String())
+		buf = p.appendTo(append(buf, '|'))
 	}
-	b.WriteByte('$')
-	fmt.Fprintf(&b, "%g", a.Cost)
+	buf = appendCost(append(buf, '$'), a.Cost)
 	for _, p := range a.Conflicts {
-		b.WriteByte('^')
-		b.WriteString(p.String())
+		buf = p.appendTo(append(buf, '^'))
 	}
-	return b.String()
+	return buf
 }
 
 // String is the assertion's wire identity — what clients, Revokers, and
@@ -98,11 +122,23 @@ func (a Assertion) String() string {
 }
 
 func (a Assertion) computeString() string {
-	pts := make([]string, len(a.Points))
+	var buf [128]byte
+	return string(a.appendString(buf[:0]))
+}
+
+// appendString appends the wire identity to buf:
+// "module/kind{point,point cost=cost}".
+func (a *Assertion) appendString(buf []byte) []byte {
+	buf = append(append(append(buf, a.Module...), '/'), a.Kind...)
+	buf = append(buf, '{')
 	for i, p := range a.Points {
-		pts[i] = p.String()
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = p.appendTo(buf)
 	}
-	return fmt.Sprintf("%s/%s{%s cost=%g}", a.Module, a.Kind, strings.Join(pts, ","), a.Cost)
+	buf = appendCost(append(buf, " cost="...), a.Cost)
+	return append(buf, '}')
 }
 
 // Option is one way to make a query result hold: a conjunction of
@@ -303,14 +339,24 @@ outer:
 }
 
 // dedupeOptions keeps the first occurrence of each wire-distinct option.
-// Singleton sets pass through unchanged (callers never mutate option sets
-// in place); larger sets — always small — dedupe by pairwise scan.
+// Sets are always small, so duplicates are found by pairwise scan; a set
+// without any passes through unchanged (callers never mutate option sets
+// in place).
 func dedupeOptions(s []Option) []Option {
-	if len(s) <= 1 {
-		return s
+	for j := 1; j < len(s); j++ {
+		for i := 0; i < j; i++ {
+			if sameOptionWire(s[i], s[j]) {
+				return dedupeFrom(s, j)
+			}
+		}
 	}
-	var out []Option
-	for _, o := range s {
+	return s
+}
+
+// dedupeFrom is dedupeOptions for a set whose first duplicate is s[j].
+func dedupeFrom(s []Option, j int) []Option {
+	out := append([]Option(nil), s[:j]...)
+	for _, o := range s[j+1:] {
 		dup := false
 		for i := range out {
 			if sameOptionWire(out[i], o) {

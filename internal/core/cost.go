@@ -37,10 +37,19 @@ const (
 // threshold, i.e. a rational client could actually validate it.
 func Affordable(o Option) bool { return o.Cost() < Prohibitive }
 
-// AffordableOptions filters an option set to affordable options.
+// AffordableOptions filters an option set to affordable options. Option
+// sets are never mutated in place, so a set with nothing to filter — the
+// usual case — is returned itself.
 func AffordableOptions(s []Option) []Option {
-	var out []Option
-	for _, o := range s {
+	i := 0
+	for i < len(s) && Affordable(s[i]) {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	out := append([]Option(nil), s[:i]...)
+	for _, o := range s[i+1:] {
 		if Affordable(o) {
 			out = append(out, o)
 		}

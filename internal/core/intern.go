@@ -42,17 +42,20 @@ func (it *Interner) Len() int {
 }
 
 // assert returns a copy of a carrying its canonical handle. Already-interned
-// assertions pass through untouched.
+// assertions pass through untouched. The key is written into a stack
+// buffer before the lock is taken and looked up without converting it to
+// a string, so an assertion seen before costs no allocation.
 func (it *Interner) assert(a Assertion) Assertion {
 	if a.intern != nil {
 		return a
 	}
-	k := a.computeKey()
+	var scratch [256]byte
+	k := a.appendKey(scratch[:0])
 	it.mu.Lock()
-	h, ok := it.m[k]
+	h, ok := it.m[string(k)]
 	if !ok {
-		h = &internedAssert{key: k, str: a.computeString()}
-		it.m[k] = h
+		h = &internedAssert{key: string(k), str: a.computeString()}
+		it.m[h.key] = h
 	}
 	it.mu.Unlock()
 	a.intern = h

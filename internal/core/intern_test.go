@@ -9,8 +9,9 @@ import (
 	"scaf/internal/mcgen"
 )
 
-// harvestPoints lowers an mcgen program and collects instruction points —
-// the raw material real speculation modules build assertions from.
+// harvestPoints lowers an mcgen program and collects its instruction,
+// block, CFG-edge and global points — the raw material real speculation
+// modules build assertions from.
 func harvestPoints(tb testing.TB, seed int64) []Point {
 	tb.Helper()
 	mod, err := lower.Compile("gen", mcgen.New(seed).Program())
@@ -20,6 +21,17 @@ func harvestPoints(tb testing.TB, seed int64) []Point {
 	var pts []Point
 	for _, fn := range mod.Funcs {
 		fn.Instrs(func(in *ir.Instr) { pts = append(pts, Point{Instr: in}) })
+	}
+	for _, fn := range mod.Funcs {
+		for _, b := range fn.Blocks {
+			pts = append(pts, Point{Block: b})
+			for _, s := range b.Succs {
+				pts = append(pts, Point{Block: b, EdgeTo: s})
+			}
+		}
+	}
+	for _, g := range mod.Globals {
+		pts = append(pts, Point{G: g})
 	}
 	if len(pts) < 16 {
 		tb.Fatalf("seed %d harvested only %d points", seed, len(pts))

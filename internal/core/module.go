@@ -31,14 +31,17 @@ func ModRefConservative() ModRefResponse {
 	return ModRefResponse{Result: ModRef, Options: Unconditional()}
 }
 
-// contribCache interns the single-name contributor slices the Fact/Spec
-// constructors hand out. Contributor lists are immutable by convention
-// (MergeContribs and the joins always build fresh slices), so every
-// answer from one module can share one backing array. The set of module
-// names is tiny and fixed per process, so the cache never grows past it.
+// contribCache interns the single-name contributor slices ContribsOf
+// hands out. Contributor lists are immutable by convention (MergeContribs
+// and the joins never write into an input), so every answer from one
+// module can share one backing array. The set of module names is tiny and
+// fixed per process, so the cache never grows past it.
 var contribCache sync.Map // module name -> []string{name}
 
-func contribsOf(mod string) []string {
+// ContribsOf returns module mod's own contributor list, []string{mod},
+// shared by every caller: modules crediting themselves in an answer use it
+// instead of allocating the list per answer.
+func ContribsOf(mod string) []string {
 	if v, ok := contribCache.Load(mod); ok {
 		return v.([]string)
 	}
@@ -49,50 +52,91 @@ func contribsOf(mod string) []string {
 // AliasFact is an unconditional (validation-free) alias answer from
 // module mod.
 func AliasFact(r AliasResult, mod string) AliasResponse {
-	return AliasResponse{Result: r, Options: Unconditional(), Contribs: contribsOf(mod)}
+	return AliasResponse{Result: r, Options: Unconditional(), Contribs: ContribsOf(mod)}
 }
 
 // ModRefFact is an unconditional mod-ref answer from module mod.
 func ModRefFact(r ModRefResult, mod string) ModRefResponse {
-	return ModRefResponse{Result: r, Options: Unconditional(), Contribs: contribsOf(mod)}
+	return ModRefResponse{Result: r, Options: Unconditional(), Contribs: ContribsOf(mod)}
 }
 
 // AliasSpec is a speculative alias answer predicated on the assertions.
 func AliasSpec(r AliasResult, mod string, asserts ...Assertion) AliasResponse {
-	return AliasResponse{Result: r, Options: []Option{{Asserts: asserts}}, Contribs: contribsOf(mod)}
+	return AliasResponse{Result: r, Options: []Option{{Asserts: asserts}}, Contribs: ContribsOf(mod)}
 }
 
 // ModRefSpec is a speculative mod-ref answer predicated on the assertions.
 func ModRefSpec(r ModRefResult, mod string, asserts ...Assertion) ModRefResponse {
-	return ModRefResponse{Result: r, Options: []Option{{Asserts: asserts}}, Contribs: contribsOf(mod)}
+	return ModRefResponse{Result: r, Options: []Option{{Asserts: asserts}}, Contribs: ContribsOf(mod)}
 }
 
-// MergeContribs unions contributor lists, sorted and deduplicated. A
-// single already-canonical input (the overwhelmingly common join shape:
-// one side contributed, the other is the neutral response) passes through
-// without allocating — contributor lists are never mutated in place.
+// MergeContribs unions contributor lists, sorted and deduplicated.
+// Contributor lists are never mutated in place, so the result may share an
+// input: canonical (sorted, duplicate-free) inputs merge linearly, and an
+// input that already contains everything the others name is returned as
+// is. That covers the common join shapes — one side contributed and the
+// other is the neutral response, or a module crediting itself in a list
+// that already names it — without allocating.
 func MergeContribs(lists ...[]string) []string {
-	var first []string
-	multi := false
+	var out []string
 	for _, l := range lists {
-		if len(l) == 0 {
-			continue
+		if !sortedUnique(l) {
+			return mergeUnsorted(lists)
 		}
-		if first == nil {
-			first = l
-		} else {
-			multi = true
-			break
+		out = merge2(out, l)
+	}
+	return out
+}
+
+// merge2 is the sorted union of two canonical lists. A list that already
+// contains the other is returned itself.
+func merge2(a, b []string) []string {
+	if subset(b, a) {
+		return a
+	}
+	if subset(a, b) {
+		return b
+	}
+	out := make([]string, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
 		}
 	}
-	if !multi {
-		if first == nil {
-			return nil
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// subset reports whether every name of canonical list s is in canonical
+// list of.
+func subset(s, of []string) bool {
+	j := 0
+	for _, x := range s {
+		for j < len(of) && of[j] < x {
+			j++
 		}
-		if sortedUnique(first) {
-			return first
+		if j == len(of) || of[j] != x {
+			return false
 		}
+		j++
 	}
+	return true
+}
+
+// mergeUnsorted is MergeContribs for inputs not in canonical form, such as
+// a hand-built list; ContribsOf and MergeContribs only produce canonical
+// ones.
+func mergeUnsorted(lists [][]string) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, l := range lists {

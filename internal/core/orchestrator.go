@@ -137,10 +137,12 @@ type Orchestrator struct {
 	stats  Stats
 	tracer Tracer
 	intern *Interner
-	// actA/actM map in-flight propositions to their entry sequence number
-	// (see seq below); presence alone breaks premise cycles.
-	actA   map[aliasKey]int64
-	actM   map[modrefKey]int64
+	// actA/actM are the in-flight propositions, innermost last, with their
+	// entry sequence numbers (see seq below); presence alone breaks premise
+	// cycles. Resolutions nest at most MaxDepth+1 deep, so a linear scan
+	// of the stack is cheaper than hashing the key into a set.
+	actA   []inFlight[aliasKey]
+	actM   []inFlight[modrefKey]
 	groups map[string][]Module
 	cacheA map[aliasMemoKey]AliasResponse
 	cacheM map[modrefMemoKey]ModRefResponse
@@ -199,8 +201,6 @@ func NewOrchestrator(cfg Config) *Orchestrator {
 		cfg:         cfg,
 		tracer:      cfg.Tracer,
 		intern:      intern,
-		actA:        map[aliasKey]int64{},
-		actM:        map[modrefKey]int64{},
 		groups:      map[string][]Module{},
 		windowMin:   noTaint,
 		peerLookups: true,
@@ -273,6 +273,23 @@ type modrefKey struct {
 	rel     TemporalRelation
 	loop    *cfg.Loop
 	dt, pdt *cfg.Tree
+}
+
+// inFlight is one proposition on the resolution stack and the sequence
+// number it entered at.
+type inFlight[K comparable] struct {
+	key K
+	seq int64
+}
+
+// findInFlight returns the entry sequence number of k when it is on stack.
+func findInFlight[K comparable](stack []inFlight[K], k K) (int64, bool) {
+	for i := range stack {
+		if stack[i].key == k {
+			return stack[i].seq, true
+		}
+	}
+	return 0, false
 }
 
 func keyOfAlias(q *AliasQuery) aliasKey {
@@ -473,7 +490,7 @@ func (o *Orchestrator) handleAlias(q *AliasQuery, depth int, from Module) (resp 
 		q = &cp
 	}
 	k := keyOfAlias(q)
-	if entry, inFlight := o.actA[k]; inFlight {
+	if entry, inFlight := findInFlight(o.actA, k); inFlight {
 		// Break premise cycles conservatively; the answer depends on the
 		// in-flight proposition, so taint every frame that started after it.
 		o.noteCycleBreak(true, depth, from, entry)
@@ -512,8 +529,8 @@ func (o *Orchestrator) handleAlias(q *AliasQuery, depth int, from Module) (resp 
 	}
 	savedWindow := o.windowMin
 	o.windowMin = noTaint
-	o.actA[k] = s
-	defer delete(o.actA, k)
+	o.actA = append(o.actA, inFlight[aliasKey]{k, s})
+	defer func() { o.actA = o.actA[:len(o.actA)-1] }()
 
 	final := MayAliasResponse()
 	complete := true
@@ -589,7 +606,7 @@ func (o *Orchestrator) handleModRef(q *ModRefQuery, depth int, from Module) (res
 		}
 	}
 	k := keyOfModRef(q)
-	if entry, inFlight := o.actM[k]; inFlight {
+	if entry, inFlight := findInFlight(o.actM, k); inFlight {
 		o.noteCycleBreak(false, depth, from, entry)
 		return ModRefConservative()
 	}
@@ -624,8 +641,8 @@ func (o *Orchestrator) handleModRef(q *ModRefQuery, depth int, from Module) (res
 	}
 	savedWindow := o.windowMin
 	o.windowMin = noTaint
-	o.actM[k] = s
-	defer delete(o.actM, k)
+	o.actM = append(o.actM, inFlight[modrefKey]{k, s})
+	defer func() { o.actM = o.actM[:len(o.actM)-1] }()
 
 	final := ModRefConservative()
 	complete := true

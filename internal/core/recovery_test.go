@@ -225,6 +225,35 @@ func TestSharedCacheInvalidateIsExact(t *testing.T) {
 	}
 }
 
+// An index row outlives its entry when the entry is invalidated through
+// another of its assertions. Once the query is republished under other
+// assertions, invalidating the stale row's key must neither remove nor
+// report the new entry.
+func TestSharedCacheInvalidateSkipsStaleRows(t *testing.T) {
+	k := keyOfAlias(aqN(30))
+	a1 := Assertion{Module: "spec", Kind: "s1", Cost: 1}
+	a2 := Assertion{Module: "spec", Kind: "s2", Cost: 1}
+	a3 := Assertion{Module: "spec", Kind: "s3", Cost: 1}
+	sc := NewSharedCache()
+	sc.putAlias(k, AliasSpec(NoAlias, "spec", a1, a2))
+	if inv := sc.InvalidateAsserts([]string{a1.String()}); inv.Total() != 1 {
+		t.Fatalf("invalidating a1 removed %d entries, want 1", inv.Total())
+	}
+	sc.putAlias(k, AliasSpec(NoAlias, "spec", a3))
+	if _, ok, _ := sc.getAlias(k, nil, false); !ok {
+		t.Fatal("republished entry not served")
+	}
+	if inv := sc.InvalidateAsserts([]string{a2.String()}); inv.Total() != 0 {
+		t.Errorf("invalidating a2 reported %d entries; the resident entry rests only on a3", inv.Total())
+	}
+	if _, ok, _ := sc.getAlias(k, nil, false); !ok {
+		t.Error("entry resting on a3 was removed by invalidating a2")
+	}
+	if inv := sc.InvalidateAsserts([]string{a3.String()}); inv.Total() != 1 {
+		t.Errorf("invalidating a3 removed %d entries, want 1", inv.Total())
+	}
+}
+
 func TestSharedCacheRevokerBlocksLookupAndPut(t *testing.T) {
 	q1 := aqN(10)
 	a1 := Assertion{Module: "spec", Kind: "rv", Cost: 3}

@@ -80,8 +80,8 @@ type SharedCache struct {
 
 	// idxMu guards index: assertion key → entries predicated on it.
 	// Refs are append-only and may go stale once an entry is deleted or
-	// replaced; stale refs are harmless (invalidation deletes by key and
-	// reports only entries actually removed).
+	// replaced; stale refs are harmless (invalidation removes and reports
+	// only resident entries that still carry an invalidated key).
 	idxMu sync.Mutex
 	index map[string][]entryRef
 
@@ -365,8 +365,12 @@ func (iv Invalidated) Total() int { return len(iv.Alias) + len(iv.ModRef) }
 // given assertion keys (Assertion.String() identities) and returns the
 // queries those entries answered. Entries whose options never mention a
 // given key are untouched — the inverted index makes invalidation exact,
-// not a flush. Safe for concurrent use with queries; lookups racing an
-// invalidation are already protected by the Revoker check.
+// not a flush. An index row can outlive its entry (the entry was
+// invalidated through another of its keys, then the query was republished
+// under different assertions), so an entry is removed only when the
+// resident one still carries an invalidated key. Safe for concurrent use
+// with queries; lookups racing an invalidation are already protected by
+// the Revoker check.
 func (c *SharedCache) InvalidateAsserts(keys []string) Invalidated {
 	refs := map[entryRef]bool{}
 	c.idxMu.Lock()
@@ -383,8 +387,11 @@ func (c *SharedCache) InvalidateAsserts(keys []string) Invalidated {
 		if ref.alias {
 			s := &c.alias[ref.a.shard()%sharedShards]
 			s.mu.Lock()
-			_, ok := s.m[ref.a]
-			delete(s.m, ref.a)
+			e, ok := s.m[ref.a]
+			ok = ok && carriesAny(e.asserts, keys)
+			if ok {
+				delete(s.m, ref.a)
+			}
 			s.mu.Unlock()
 			if ok {
 				out.Alias = append(out.Alias, ref.a.query())
@@ -392,8 +399,11 @@ func (c *SharedCache) InvalidateAsserts(keys []string) Invalidated {
 		} else {
 			s := &c.modref[ref.m.shard()%sharedShards]
 			s.mu.Lock()
-			_, ok := s.m[ref.m]
-			delete(s.m, ref.m)
+			e, ok := s.m[ref.m]
+			ok = ok && carriesAny(e.asserts, keys)
+			if ok {
+				delete(s.m, ref.m)
+			}
 			s.mu.Unlock()
 			if ok {
 				out.ModRef = append(out.ModRef, ref.m.query())
@@ -407,6 +417,18 @@ func (c *SharedCache) InvalidateAsserts(keys []string) Invalidated {
 		return out.ModRef[i].describe() < out.ModRef[j].describe()
 	})
 	return out
+}
+
+// carriesAny reports whether an entry's assertion keys include any of keys.
+func carriesAny(asserts, keys []string) bool {
+	for _, k := range keys {
+		for _, a := range asserts {
+			if a == k {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Flush drops every entry and the whole inverted index, returning the

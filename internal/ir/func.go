@@ -205,7 +205,7 @@ func (m *Module) NewFunc(name string, ret Type, params ...*Param) *Func {
 
 // NewGlobal creates a global variable and registers it in the module.
 func (m *Module) NewGlobal(name string, elem Type) *Global {
-	g := &Global{GName: name, Elem: elem}
+	g := &Global{GName: name, Elem: elem, ptr: PointerTo(elem)}
 	m.Globals = append(m.Globals, g)
 	m.globalByName[name] = g
 	return g

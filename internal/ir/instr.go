@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Op enumerates instruction opcodes.
 type Op int
@@ -113,13 +116,25 @@ type Instr struct {
 func (in *Instr) Type() Type { return in.Ty }
 
 func (in *Instr) String() string {
-	if in.Ty == nil || in.Ty == Type(Void) {
-		return fmt.Sprintf("i%d", in.ID)
+	var buf [32]byte
+	return string(in.AppendName(buf[:0]))
+}
+
+// AppendName appends the instruction's printed name (its String form) to
+// buf: "i<ID>" for a void instruction, "%<hint>.<ID>" or "%v<ID>" for a
+// value.
+func (in *Instr) AppendName(buf []byte) []byte {
+	switch {
+	case in.Ty == nil || in.Ty == Type(Void):
+		buf = append(buf, 'i')
+	case in.Hint != "":
+		buf = append(buf, '%')
+		buf = append(buf, in.Hint...)
+		buf = append(buf, '.')
+	default:
+		buf = append(buf, "%v"...)
 	}
-	if in.Hint != "" {
-		return fmt.Sprintf("%%%s.%d", in.Hint, in.ID)
-	}
-	return fmt.Sprintf("%%v%d", in.ID)
+	return strconv.AppendInt(buf, int64(in.ID), 10)
 }
 
 // IsTerminator reports whether the instruction ends a basic block.
@@ -189,7 +204,18 @@ type Block struct {
 	Succs  []*Block
 }
 
-func (b *Block) String() string { return fmt.Sprintf("%s.%d", b.Name, b.Index) }
+func (b *Block) String() string {
+	var buf [32]byte
+	return string(b.AppendName(buf[:0]))
+}
+
+// AppendName appends the block's printed name (its String form,
+// "<name>.<index>") to buf.
+func (b *Block) AppendName(buf []byte) []byte {
+	buf = append(buf, b.Name...)
+	buf = append(buf, '.')
+	return strconv.AppendInt(buf, int64(b.Index), 10)
+}
 
 // Term returns the block's terminator, or nil if the block is unfinished.
 func (b *Block) Term() *Instr {

@@ -295,3 +295,39 @@ func TestFormatInstrAllOpcodes(t *testing.T) {
 		t.Fatalf("verify: %v", err)
 	}
 }
+
+// The control-flow analyses index dense tables by Block.Index, so Verify
+// must reject a function whose block list disagrees with the indices.
+func TestVerifyCatchesBlockIndexMismatch(t *testing.T) {
+	m := NewModule("t")
+	f := buildCounterFunc(m)
+	f.Blocks[1], f.Blocks[2] = f.Blocks[2], f.Blocks[1]
+	err := Verify(m)
+	if err == nil {
+		t.Fatal("expected a block-index error for a reordered block list")
+	}
+	if !strings.Contains(err.Error(), "position 1") {
+		t.Errorf("error %q does not name the misplaced block's position", err)
+	}
+}
+
+// Global.Type is called on every analysis query; it must hand back the
+// global's one pointer type instead of building a fresh one.
+func TestGlobalTypeIsShared(t *testing.T) {
+	m := NewModule("t")
+	g := m.NewGlobal("g", ArrayOf(Int, 4))
+	if g.Type() != g.Type() {
+		t.Error("Global.Type built a fresh pointer type")
+	}
+	if !Equal(g.Type(), PointerTo(ArrayOf(Int, 4))) {
+		t.Errorf("Global.Type = %s, want int[4]*", g.Type())
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = g.Type() }); n != 0 {
+		t.Errorf("Global.Type allocates %.0f times per call", n)
+	}
+	// A Global built outside NewGlobal still answers its type.
+	lit := &Global{GName: "lit", Elem: Int}
+	if !Equal(lit.Type(), PointerTo(Int)) {
+		t.Errorf("literal Global.Type = %s, want int*", lit.Type())
+	}
+}

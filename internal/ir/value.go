@@ -48,9 +48,19 @@ type Global struct {
 	// direct loads/stores in this module (set by the front-end; the
 	// no-capture-global analysis verifies it independently).
 	Internal bool
+
+	// ptr is the global's address type, made once by Module.NewGlobal so
+	// that Type, which analyses call on every query, does not allocate.
+	ptr *PtrType
 }
 
-func (g *Global) Type() Type     { return PointerTo(g.Elem) }
+func (g *Global) Type() Type {
+	if g.ptr != nil {
+		return g.ptr
+	}
+	return PointerTo(g.Elem) // a Global built outside NewGlobal
+}
+
 func (g *Global) String() string { return "@" + g.GName }
 
 // Param is a formal parameter of a function.

@@ -4,8 +4,10 @@ import "fmt"
 
 // Verify checks the module's structural invariants: every block ends in
 // exactly one terminator, edge lists are consistent, phi arity matches
-// predecessor counts, operand types are coherent, and instruction IDs are
-// unique per function. It returns the first violation found.
+// predecessor counts, operand types are coherent, instruction IDs are
+// unique per function, and each block's Index is its position in
+// Func.Blocks (the control-flow analyses index dense tables by it). It
+// returns the first violation found.
 func Verify(m *Module) error {
 	for _, f := range m.Funcs {
 		if err := verifyFunc(f); err != nil {
@@ -20,9 +22,12 @@ func verifyFunc(f *Func) error {
 		return fmt.Errorf("no blocks")
 	}
 	seen := map[int]bool{}
-	for _, b := range f.Blocks {
+	for pos, b := range f.Blocks {
 		if b.Fn != f {
 			return fmt.Errorf("block %s has wrong parent", b)
+		}
+		if b.Index != pos {
+			return fmt.Errorf("block %s sits at position %d of the block list", b, pos)
 		}
 		term := b.Term()
 		if term == nil {

@@ -139,6 +139,6 @@ func (m *ControlSpec) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefResp
 	return core.ModRefResponse{
 		Result:   pr.Result,
 		Options:  withCtrl,
-		Contribs: core.MergeContribs([]string{NameControlSpec}, pr.Contribs),
+		Contribs: core.MergeContribs(core.ContribsOf(NameControlSpec), pr.Contribs),
 	}
 }

@@ -147,7 +147,7 @@ func (m *ReadOnly) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRespons
 		return core.ModRefResponse{
 			Result:   res,
 			Options:  withRO,
-			Contribs: core.MergeContribs([]string{NameReadOnly}, contribs),
+			Contribs: core.MergeContribs(core.ContribsOf(NameReadOnly), contribs),
 		}
 	}
 
@@ -246,7 +246,7 @@ func (m *ShortLived) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRespo
 			return core.ModRefResponse{
 				Result:   core.NoModRef,
 				Options:  withSL,
-				Contribs: core.MergeContribs([]string{NameShortLived}, contribs),
+				Contribs: core.MergeContribs(core.ContribsOf(NameShortLived), contribs),
 			}
 		}
 	}

@@ -115,7 +115,7 @@ func (m *ValuePred) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRespon
 					return core.ModRefResponse{
 						Result:   core.NoModRef,
 						Options:  withCheck,
-						Contribs: core.MergeContribs([]string{NameValuePred}, contribs),
+						Contribs: core.MergeContribs(core.ContribsOf(NameValuePred), contribs),
 					}
 				}
 			}
