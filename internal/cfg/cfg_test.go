@@ -267,15 +267,16 @@ func TestFrontiersLoop(t *testing.T) {
 
 func TestReachableBlocks(t *testing.T) {
 	f, bs := diamond(t)
-	r := ReachableBlocks(f, nil)
-	if len(r) != 4 {
-		t.Errorf("reachable = %d blocks, want 4", len(r))
+	for i, ok := range reachable(f, nil) {
+		if !ok {
+			t.Errorf("block %s unreachable, want all 4 reachable", f.Blocks[i])
+		}
 	}
-	r = ReachableBlocks(f, func(from, to *ir.Block) bool { return to != bs[3] })
-	if r[bs[3]] {
+	r := reachable(f, func(from, to *ir.Block) bool { return to != bs[3] })
+	if r[bs[3].Index] {
 		t.Error("join should be filtered out")
 	}
-	if !r[bs[1]] || !r[bs[2]] {
+	if !r[bs[1].Index] || !r[bs[2].Index] {
 		t.Error("arms should stay reachable")
 	}
 }

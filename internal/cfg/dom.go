@@ -130,19 +130,8 @@ func PostDominators(f *ir.Func, filter EdgeFilter) *Tree {
 	return build(f, filter, true)
 }
 
-// ReachableBlocks returns the set of blocks reachable from the entry under
-// the filter.
-func ReachableBlocks(f *ir.Func, filter EdgeFilter) map[*ir.Block]bool {
-	reach := map[*ir.Block]bool{}
-	for i, ok := range reachable(f, filter) {
-		if ok {
-			reach[f.Blocks[i]] = true
-		}
-	}
-	return reach
-}
-
-// reachable is ReachableBlocks as a slice indexed by Block.Index.
+// reachable reports, by Block.Index, which blocks are reachable from the
+// entry under the filter.
 func reachable(f *ir.Func, filter EdgeFilter) []bool {
 	reach := make([]bool, len(f.Blocks))
 	entry := f.Entry()

@@ -32,8 +32,8 @@ func randomCFG(rng *rand.Rand, n int) *ir.Func {
 // bruteDominates computes dominance by definition: a dominates b iff b is
 // unreachable from the entry when a is removed (and both are reachable).
 func bruteDominates(f *ir.Func, a, b *ir.Block) bool {
-	reach := ReachableBlocks(f, nil)
-	if !reach[a] || !reach[b] {
+	reach := reachable(f, nil)
+	if !reach[a.Index] || !reach[b.Index] {
 		return false
 	}
 	if a == b {
@@ -65,8 +65,8 @@ func bruteDominates(f *ir.Func, a, b *ir.Block) bool {
 // brutePostDominates: a post-dominates b iff no return is reachable from
 // b when a is removed.
 func brutePostDominates(f *ir.Func, a, b *ir.Block) bool {
-	reach := ReachableBlocks(f, nil)
-	if !reach[a] || !reach[b] {
+	reach := reachable(f, nil)
+	if !reach[a.Index] || !reach[b.Index] {
 		return false
 	}
 	if a == b {
@@ -122,7 +122,7 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		f := randomCFG(rng, n)
 		dt := Dominators(f, nil)
-		reach := ReachableBlocks(f, nil)
+		reach := reachable(f, nil)
 		for _, a := range f.Blocks {
 			for _, b := range f.Blocks {
 				want := bruteDominates(f, a, b)
@@ -135,7 +135,7 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 		}
 		// Reachability agrees.
 		for _, b := range f.Blocks {
-			if dt.Reachable(b) != reach[b] {
+			if dt.Reachable(b) != reach[b.Index] {
 				t.Fatalf("trial %d: reachable(%s) mismatch", trial, b)
 			}
 		}
@@ -151,10 +151,10 @@ func TestPostDominatorsAgainstBruteForce(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		f := randomCFG(rng, n)
 		pdt := PostDominators(f, nil)
-		reach := ReachableBlocks(f, nil)
+		reach := reachable(f, nil)
 		for _, a := range f.Blocks {
 			for _, b := range f.Blocks {
-				if !reach[a] || !reach[b] || !canReachRet(a) || !canReachRet(b) {
+				if !reach[a.Index] || !reach[b.Index] || !canReachRet(a) || !canReachRet(b) {
 					continue
 				}
 				want := brutePostDominates(f, a, b)
