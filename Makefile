@@ -51,11 +51,18 @@ runtime:
 # and under concurrent fire. The sweep runs twice: at the default shard
 # budget, and at a 1 KiB budget that makes every seed evict (a seed that
 # evicts nothing fails), so eviction is shown to cost hits, never bytes.
+# Last, a 30s differential-fuzz smoke over the committed corpus holds the
+# byte path's JSON validator (isJSONObject, which checks every stored
+# loop value once and every sub-reply the router splices) to
+# encoding/json.Valid. Minimizing a new input as deep as the nesting
+# limit kept a worker busy for most of the 30s (about 2,000 execs in
+# all), so minimization is capped at a second (about 150,000).
 fleet:
 	$(GO) test -race -count=1 ./internal/fleet/...
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestFleet|TestRouter'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet -cache-bytes 1024
+	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzValidJSON$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Elasticity gate under the race detector: live membership change. The
 # fleet tier's own suite (live peer add/remove, fail-open peer timeouts,
@@ -169,7 +176,7 @@ bench-check:
 	$(GO) run ./cmd/scaf-bench $(BENCH_GATE_ARGS) -json BENCH.fresh.json
 	$(GO) run ./cmd/scaf-benchdiff $(BENCH_BASELINE) BENCH.fresh.json
 
-# Allocation gate on five hot paths whose allocs/op are exact. Each
+# Allocation gate on six hot paths whose allocs/op are exact. Each
 # ceiling is a literal in its pin line below, so no variable from the
 # environment or the command line can loosen it; raise one only with a
 # justification in the commit that does.
@@ -185,7 +192,26 @@ bench-check:
 #     is the measured count: exactly 50 with Go 1.24 at GOMAXPROCS 1, 2
 #     and 4 and at 50 to 2000 iterations. Block names written without
 #     fmt took two more off: 48, once 49 at GOMAXPROCS 4 and 50
-#     iterations, so the ceiling stays 50.
+#     iterations, so the ceiling stays 50. A reply written in pieces
+#     with a Content-Length adds the header and the recorder's growth
+#     per piece; loop names made once and a flight key built by
+#     concatenation more than pay for them: 42 with Go 1.24 at
+#     GOMAXPROCS 1, 2 and 4 and at 50, 200 and 1000 iterations (40.6 KB
+#     and about 30 us per op, from 73.3 KB and 216 us). The ceiling
+#     stays 50.
+#   - BenchmarkRouterAnalyzeWarm times one SCAF /analyze of 175.vpr
+#     through Router.Handler() in front of a two-backend loopback fleet,
+#     every loop a tier hit: the fan-out, each backend's splice, and the
+#     router's check and splice of each sub-reply. It counts the
+#     allocations of every goroutine, net/http's client and server
+#     included. When each hit ran json.Valid, the backend wrote one
+#     assembled body and the router read each reply by doubling, it cost
+#     192-208 allocs/op (about 940 KB/op and 2.7-3.9 ms/op); stored values
+#     checked once, a faster validator and replies framed by length
+#     brought it to 161-165 (about 280 KB and 0.8 ms per op) with Go 1.24
+#     at GOMAXPROCS 1, 2 and 4 and at 50, 200 and 1000 iterations. The
+#     ceiling is 205: 25% headroom, since net/http allocates differently
+#     under the CI matrix's Go 1.22 and 1.23.
 #   - BenchmarkProfiling (root package) times scaf.Load of 129.compress:
 #     compile, CFG and the profiling run under all six profilers, the
 #     work every session create does on every backend. Records built per
@@ -237,6 +263,7 @@ bench-mem:
 	@rm -f BENCH.mem.txt
 	$(call bench_mem_pin,./internal/bench/,BenchmarkTopQuery,2000x,24)
 	$(call bench_mem_pin,./internal/server/,BenchmarkAnalyzeWarmHit,200x,50)
+	$(call bench_mem_pin,./internal/server/,BenchmarkRouterAnalyzeWarm,200x,205)
 	$(call bench_mem_pin,.,BenchmarkProfiling,20x,3700)
 	$(call bench_mem_pin,.,BenchmarkValidation,20x,1600)
 	$(call bench_mem_pin,.,BenchmarkPlanResolve,20x,44000)

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"testing"
 
 	"scaf/internal/ir"
@@ -215,6 +216,15 @@ func TestNestedLoops(t *testing.T) {
 	}
 	if len(forest.Top) != 1 || forest.Top[0] != outer {
 		t.Errorf("top loops = %v", forest.Top)
+	}
+	// Loops names each loop once; a loop built as a literal names itself.
+	for _, l := range []*Loop{outer, inner, {Fn: f, Header: ih}} {
+		if want := fmt.Sprintf("%s/%s", l.Fn.Name, l.Header); l.Name() != want {
+			t.Errorf("loop name %q, want %q", l.Name(), want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { inner.Name() }); n != 0 {
+		t.Errorf("Name of a built loop allocated %.0f times", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cfg
 
 import (
-	"fmt"
 	"sort"
 
 	"scaf/internal/ir"
@@ -25,10 +24,22 @@ type Loop struct {
 	// member is Blocks indexed by Block.Index: the membership test path
 	// searches and analysis modules make on every query.
 	member []bool
+	// name is Name's answer, made once by Loops: the server keys every
+	// analyze and query by it.
+	name string
 }
 
 // Name returns a stable human-readable identifier, e.g. "main/body.3".
-func (l *Loop) Name() string { return fmt.Sprintf("%s/%s", l.Fn.Name, l.Header) }
+func (l *Loop) Name() string {
+	if l.name != "" {
+		return l.name
+	}
+	return loopName(l.Fn, l.Header) // a Loop built outside Loops
+}
+
+func loopName(f *ir.Func, header *ir.Block) string {
+	return string(header.AppendName(append([]byte(f.Name), '/')))
+}
 
 // Contains reports whether block b belongs to the loop.
 func (l *Loop) Contains(b *ir.Block) bool {
@@ -88,6 +99,7 @@ func Loops(f *ir.Func, dt *Tree) *Forest {
 						Fn:     f,
 						Header: s,
 						Blocks: map[*ir.Block]bool{s: true},
+						name:   loopName(f, s),
 					}
 					forest.ByHeader[s] = l
 					forest.All = append(forest.All, l)

@@ -45,6 +45,7 @@ type slot struct {
 	asserts []string
 	size    int64 // accounted bytes; 0 marks a free slot
 	ref     bool  // CLOCK reference bit: set by a hit, cleared by the hand
+	checked bool  // the value passed the check of a Get that named one
 }
 
 // Cache is one instance's shard of the fleet cache: a first-write-wins
@@ -60,6 +61,13 @@ type slot struct {
 // clearing reference bits that hits set, and evicts the first entry
 // whose bit is clear. Evicting an entry is forgetting an answer, which
 // is always safe; the revoked set is never evicted.
+//
+// A Get may name a check its caller's values must pass, such as "is one
+// JSON object". A slot remembers that its value passed, so the check
+// runs once per stored entry, on its first hit and under the shard lock,
+// not on every hit. A value that fails is removed, which frees its key
+// for the next Put: first-write-wins would otherwise keep the bad bytes
+// in front of every correct publication of that key for good.
 type Cache struct {
 	mu      sync.RWMutex
 	keys    map[string]int32   // entry key -> slot
@@ -107,12 +115,24 @@ func NewCache(budget int64) *Cache {
 	}
 }
 
-// Get returns the entry bytes for key, if present.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns the entry bytes for key, if present. A non-nil check must
+// accept the value: the first Get that names one runs it, later Gets
+// serve a value that passed without running it again, and a value that
+// fails is removed and counts as a miss. Every caller of one key must
+// name the same check.
+func (c *Cache) Get(key string, check func([]byte) bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i, ok := c.keys[key]; ok {
 		s := &c.slots[i]
+		if check != nil && !s.checked {
+			if !check(s.value) {
+				c.removeLocked(i)
+				c.misses++
+				return nil, false
+			}
+			s.checked = true
+		}
 		s.ref = true
 		c.hits++
 		return s.value, true
@@ -144,10 +164,14 @@ func (c *Cache) GetBatch(keys []string) []Entry {
 // of its assertions has been revoked (the monotone guaranteed-miss rule),
 // or it is larger than the whole budget (counted as an eviction). To make
 // room it evicts by CLOCK. Returns whether the entry was inserted.
-func (c *Cache) Put(e Entry) bool {
+func (c *Cache) Put(e Entry) bool { return c.put(e, false) }
+
+// put is Put; checked marks a value that already passed the check its
+// key's Gets name, so its first hit does not run the check again.
+func (c *Cache) put(e Entry, checked bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(e)
+	return c.putLocked(e, checked)
 }
 
 // PutBatch inserts each entry under Put's rules and returns how many landed.
@@ -156,14 +180,14 @@ func (c *Cache) PutBatch(es []Entry) int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, e := range es {
-		if c.putLocked(e) {
+		if c.putLocked(e, false) {
 			n++
 		}
 	}
 	return n
 }
 
-func (c *Cache) putLocked(e Entry) bool {
+func (c *Cache) putLocked(e Entry, checked bool) bool {
 	if _, dup := c.keys[e.Key]; dup {
 		return false
 	}
@@ -189,7 +213,7 @@ func (c *Cache) putLocked(e Entry) bool {
 		i = int32(len(c.slots))
 		c.slots = append(c.slots, slot{})
 	}
-	c.slots[i] = slot{key: e.Key, value: e.Value, asserts: e.Asserts, size: size}
+	c.slots[i] = slot{key: e.Key, value: e.Value, asserts: e.Asserts, size: size, checked: checked}
 	c.keys[e.Key] = i
 	for _, a := range e.Asserts {
 		c.index[a] = append(c.index[a], i)
@@ -234,9 +258,9 @@ func (c *Cache) noteEvictedLocked(key string) {
 }
 
 // removeLocked is the one way an entry leaves the shard — eviction,
-// invalidation and Flush all come through here. It drops the entry's
-// row under every assertion it carries, so the index never names an
-// entry that is gone, and frees its slot.
+// invalidation, a failed check and Flush all come through here. It
+// drops the entry's row under every assertion it carries, so the index
+// never names an entry that is gone, and frees its slot.
 func (c *Cache) removeLocked(i int32) {
 	s := &c.slots[i]
 	for _, a := range s.asserts {
@@ -363,7 +387,7 @@ func (c *Cache) Restore(revoked []string, entries []Entry) (inserted, rejected i
 	}
 	for _, e := range entries {
 		before := c.rejects
-		if c.putLocked(e) {
+		if c.putLocked(e, false) {
 			inserted++
 		} else if c.rejects > before {
 			rejected++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -126,14 +127,22 @@ func TestCacheInvariantsUnderMixedOps(t *testing.T) {
 		return e
 	}
 	c := NewCache(4 << 10)
-	var evictions int
+	var evictions, failed int
 	c.SetEvictHook(func(string) { evictions++ })
+	// The check fails one value length in seven, so Gets also remove.
+	check := func(v []byte) bool {
+		if len(v)%7 == 0 {
+			failed++
+			return false
+		}
+		return true
+	}
 	for step := 0; step < 5000; step++ {
 		switch r := rng.Intn(100); {
 		case r < 50:
 			c.Put(entry())
 		case r < 75:
-			c.Get(fmt.Sprintf("k%d", rng.Intn(60)))
+			c.Get(fmt.Sprintf("k%d", rng.Intn(60)), check)
 		case r < 80:
 			c.GetBatch([]string{fmt.Sprintf("k%d", rng.Intn(60)), fmt.Sprintf("k%d", rng.Intn(60))})
 		case r < 84:
@@ -154,8 +163,8 @@ func TestCacheInvariantsUnderMixedOps(t *testing.T) {
 		checkCacheInvariants(t, c)
 	}
 	st := c.Stats()
-	if st.Evicted == 0 || st.Invalidated == 0 || st.Puts == 0 {
-		t.Fatalf("vacuous mix: %+v", st)
+	if st.Evicted == 0 || st.Invalidated == 0 || st.Puts == 0 || failed == 0 {
+		t.Fatalf("vacuous mix: %+v, %d failed checks", st, failed)
 	}
 	if int64(evictions) != st.Evicted {
 		t.Fatalf("evict hook saw %d evictions, stats count %d", evictions, st.Evicted)
@@ -178,7 +187,7 @@ func TestCacheClockEviction(t *testing.T) {
 			t.Fatalf("put %s rejected under budget", k)
 		}
 	}
-	c.Get("k0")
+	c.Get("k0", nil)
 	c.Put(Entry{Key: "k3", Value: val}) // k0 is referenced: the hand clears it and takes k1
 	c.Put(Entry{Key: "k4", Value: val}) // then k2
 	if !reflect.DeepEqual(evicted, []string{"k1", "k2"}) {
@@ -228,5 +237,78 @@ func TestCacheRestoreAboveBudget(t *testing.T) {
 		if e.Asserts[0] == "a3" {
 			t.Fatalf("%s is predicated on revoked a3 but was restored", e.Key)
 		}
+	}
+}
+
+// TestCacheGetChecksOncePerEntry: a Get's check runs on the first hit of
+// a stored entry and on no later hit, runs again once the entry was
+// evicted and put again, and a value that fails it leaves the shard, so
+// the next Put of its key lands instead of losing to first-write-wins.
+func TestCacheGetChecksOncePerEntry(t *testing.T) {
+	good, bad := []byte("{}"), []byte("{")
+	c := NewCache(entryBytes(Entry{Key: "k0", Value: good}))
+	calls := 0
+	check := func(v []byte) bool {
+		calls++
+		return string(v) == "{}"
+	}
+	hitMany := func(key string, want int) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			if v, ok := c.Get(key, check); !ok || string(v) != "{}" {
+				t.Fatalf("Get(%s) = %q,%v on hit %d", key, v, ok, i)
+			}
+		}
+		if calls != want {
+			t.Fatalf("check ran %d times, want %d", calls, want)
+		}
+	}
+	c.Put(Entry{Key: "k0", Value: good})
+	if _, ok := c.Get("k0", nil); !ok || calls != 0 {
+		t.Fatalf("a Get without a check: hit %v, %d check calls", ok, calls)
+	}
+	hitMany("k0", 1)
+
+	// The budget holds one entry: k1 evicts k0, and k0 put again evicts k1.
+	c.Put(Entry{Key: "k1", Value: good})
+	if c.Len() != 1 || c.Stats().Evicted != 1 {
+		t.Fatalf("k1 did not evict k0: %+v", c.Stats())
+	}
+	c.Put(Entry{Key: "k0", Value: good})
+	hitMany("k0", 2)
+
+	c.Flush()
+	c.Put(Entry{Key: "k2", Value: bad})
+	if _, ok := c.Get("k2", check); ok || calls != 3 {
+		t.Fatalf("a value failing its check: hit %v after %d check calls", ok, calls)
+	}
+	if c.Len() != 0 {
+		t.Fatal("a value that failed its check stayed resident")
+	}
+	if !c.Put(Entry{Key: "k2", Value: good}) {
+		t.Fatal("the put after a failed check did not land")
+	}
+	hitMany("k2", 4)
+	checkCacheInvariants(t, c)
+
+	// Many goroutines' first hits still run the check once: it runs
+	// under the shard lock, which also orders the writes to calls.
+	c.Put(Entry{Key: "k3", Value: good})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, ok := c.Get("k3", check); !ok {
+					t.Error("a concurrent Get of a good value missed")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if calls != 5 {
+		t.Fatalf("check ran %d times, want 5", calls)
 	}
 }

@@ -68,7 +68,7 @@ func TestTierCloseDuringGet(t *testing.T) {
 				}
 				key := fmt.Sprintf("d|s|f|k%d", i%64)
 				tier.Put(key, nil, []byte("v"))
-				tier.Get(key)
+				tier.Get(key, nil)
 				i += 4
 			}
 		}(w)
@@ -87,7 +87,7 @@ func TestTierCloseDuringGet(t *testing.T) {
 	wg.Wait()
 
 	tier.Put("d|s|f|after", nil, []byte("post-close"))
-	if v, ok := tier.Get("d|s|f|after"); !ok || string(v) != "post-close" {
+	if v, ok := tier.Get("d|s|f|after", nil); !ok || string(v) != "post-close" {
 		t.Fatal("closed tier lost its local shard")
 	}
 }

@@ -88,7 +88,7 @@ func TestTierPeerTimeoutFailOpen(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	if _, ok := tier.Get(key); ok {
+	if _, ok := tier.Get(key, nil); ok {
 		t.Fatal("stalled peer produced a hit")
 	}
 	if el := time.Since(start); el > time.Second {
@@ -142,7 +142,7 @@ func TestTierLiveMembership(t *testing.T) {
 		}
 	}
 	remote.Put(Entry{Key: key, Value: []byte("v")})
-	if v, ok := tier.Get(key); !ok || string(v) != "v" {
+	if v, ok := tier.Get(key, nil); !ok || string(v) != "v" {
 		t.Fatalf("remote hit after AddPeer: ok=%v v=%q", ok, v)
 	}
 	if st := tier.Stats(); st.RemoteHits != 1 {

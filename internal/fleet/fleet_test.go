@@ -60,7 +60,7 @@ func TestCacheFirstWriteWinsAndInvalidation(t *testing.T) {
 	if c.Put(Entry{Key: "k1", Value: []byte("OTHER")}) {
 		t.Fatal("duplicate key overwrote a canonical entry")
 	}
-	if v, ok := c.Get("k1"); !ok || string(v) != "v1" {
+	if v, ok := c.Get("k1", nil); !ok || string(v) != "v1" {
 		t.Fatalf("Get(k1) = %q,%v want v1", v, ok)
 	}
 	c.Put(Entry{Key: "k2", Value: []byte("v2"), Asserts: []string{"a1", "a2"}})
@@ -69,10 +69,10 @@ func TestCacheFirstWriteWinsAndInvalidation(t *testing.T) {
 	if n := c.InvalidateAsserts([]string{"a1"}); n != 2 {
 		t.Fatalf("invalidated %d entries, want 2 (k1, k2)", n)
 	}
-	if _, ok := c.Get("k1"); ok {
+	if _, ok := c.Get("k1", nil); ok {
 		t.Fatal("k1 survived invalidation of its predicate")
 	}
-	if _, ok := c.Get("k3"); !ok {
+	if _, ok := c.Get("k3", nil); !ok {
 		t.Fatal("unpredicated k3 was dropped by invalidation")
 	}
 	// Monotone: a new entry predicated on a revoked assert never lands.
@@ -170,15 +170,15 @@ func TestTierRemoteHitAndLocalInstall(t *testing.T) {
 	tierA.Put(key, []string{"as1"}, []byte("payload"))
 	tierA.Flush()
 
-	if _, ok := tierB.local.Get(key); !ok {
+	if _, ok := tierB.local.Get(key, nil); !ok {
 		t.Fatal("published entry did not land on owner B")
 	}
 	// B reads its own shard (local hit); A reads via B once, then locally.
-	if v, ok := tierB.Get(key); !ok || string(v) != "payload" {
+	if v, ok := tierB.Get(key, nil); !ok || string(v) != "payload" {
 		t.Fatalf("B.Get = %q,%v", v, ok)
 	}
 	// A installed locally at Put time, so its read is a local hit too.
-	if v, ok := tierA.Get(key); !ok || string(v) != "payload" {
+	if v, ok := tierA.Get(key, nil); !ok || string(v) != "payload" {
 		t.Fatalf("A.Get = %q,%v", v, ok)
 	}
 
@@ -186,17 +186,69 @@ func TestTierRemoteHitAndLocalInstall(t *testing.T) {
 	// B-homed entry remotely once, then serves re-asks locally.
 	tierA2 := NewTier(TierConfig{Self: "A", Peers: map[string]string{"B": tsB.URL}})
 	defer tierA2.Close()
-	if v, ok := tierA2.Get(key); !ok || string(v) != "payload" {
+	if v, ok := tierA2.Get(key, nil); !ok || string(v) != "payload" {
 		t.Fatalf("cold A2 remote Get = %q,%v", v, ok)
 	}
 	if s := tierA2.Stats(); s.RemoteHits != 1 {
 		t.Fatalf("A2 stats = %+v, want 1 remote hit", s)
 	}
-	if v, ok := tierA2.Get(key); !ok || string(v) != "payload" {
+	if v, ok := tierA2.Get(key, nil); !ok || string(v) != "payload" {
 		t.Fatalf("A2 re-Get = %q,%v", v, ok)
 	}
 	if s := tierA2.Stats(); s.LocalHits != 1 {
 		t.Fatalf("A2 stats after re-get = %+v, want the re-ask served locally", s)
+	}
+}
+
+// TestTierChecksPeerValueBeforeInstall: Get checks a peer's value
+// before it installs it. A value that fails is a miss and is not kept,
+// so the local publish of the key lands; one that passes is installed
+// as checked, so the next local hit does not check it again.
+func TestTierChecksPeerValueBeforeInstall(t *testing.T) {
+	mux := http.NewServeMux()
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	owner := NewCache(0)
+	(&Handler{Cache: owner}).Register(mux, "/fleet/")
+	tier := NewTier(TierConfig{Self: "A", Peers: map[string]string{"B": ts.URL}})
+	defer tier.Close()
+	var key string
+	for i := 0; ; i++ {
+		key = fmt.Sprintf("check-%d", i)
+		if tier.Owner(key) == "B" {
+			break
+		}
+	}
+	calls := 0
+	check := func(v []byte) bool {
+		calls++
+		return string(v) == "good"
+	}
+
+	owner.Put(Entry{Key: key, Value: []byte("bad")})
+	if v, ok := tier.Get(key, check); ok {
+		t.Fatalf("served a peer value that fails the check: %q", v)
+	}
+	if tier.Local().Len() != 0 || calls != 1 {
+		t.Fatalf("after a failing peer value: %d local entries, %d check calls", tier.Local().Len(), calls)
+	}
+	tier.Put(key, nil, []byte("good"))
+	if v, ok := tier.Get(key, check); !ok || string(v) != "good" {
+		t.Fatalf("the local publish after a failing peer value: %q,%v", v, ok)
+	}
+
+	fresh := NewTier(TierConfig{Self: "A", Peers: map[string]string{"B": ts.URL}})
+	defer fresh.Close()
+	owner.Flush()
+	owner.Put(Entry{Key: key, Value: []byte("good")})
+	calls = 0
+	for i := 0; i < 3; i++ {
+		if v, ok := fresh.Get(key, check); !ok || string(v) != "good" {
+			t.Fatalf("Get %d of a good peer value = %q,%v", i, v, ok)
+		}
+	}
+	if s := fresh.Stats(); s.RemoteHits != 1 || s.LocalHits != 2 || calls != 1 {
+		t.Fatalf("%+v after %d check calls, want 1 remote hit, 2 local hits and 1 check", s, calls)
 	}
 }
 
@@ -228,7 +280,7 @@ func TestTierRecoveryBroadcastAndGuaranteedMiss(t *testing.T) {
 	}
 	tierA.Put(key, []string{"bad"}, []byte("speculative"))
 	tierA.Flush()
-	if _, ok := tierB.Get(key); !ok {
+	if _, ok := tierB.Get(key, nil); !ok {
 		t.Fatal("setup: entry missing on B")
 	}
 
@@ -236,10 +288,10 @@ func TestTierRecoveryBroadcastAndGuaranteedMiss(t *testing.T) {
 	if failed := tierA.BroadcastRecovery(RecoveryRequest{Asserts: []string{"bad"}}); len(failed) != 0 {
 		t.Fatalf("broadcast failed to reach %v", failed)
 	}
-	if _, ok := tierB.Get(key); ok {
+	if _, ok := tierB.Get(key, nil); ok {
 		t.Fatal("B served an entry predicated on a fleet-revoked assertion")
 	}
-	if _, ok := tierA.Get(key); ok {
+	if _, ok := tierA.Get(key, nil); ok {
 		t.Fatal("A served an entry predicated on a revoked assertion")
 	}
 	mu.Lock()
@@ -251,7 +303,7 @@ func TestTierRecoveryBroadcastAndGuaranteedMiss(t *testing.T) {
 	// Monotone: republishing the revoked entry is refused everywhere.
 	tierA.Put(key, []string{"bad"}, []byte("speculative"))
 	tierA.Flush()
-	if _, ok := tierB.Get(key); ok {
+	if _, ok := tierB.Get(key, nil); ok {
 		t.Fatal("revoked entry resurrected after republish")
 	}
 
@@ -280,7 +332,7 @@ func TestTierPeerDownDegradesToMiss(t *testing.T) {
 			break
 		}
 	}
-	if _, ok := tier.Get(key); ok {
+	if _, ok := tier.Get(key, nil); ok {
 		t.Fatal("hit against a dead peer")
 	}
 	tier.Put(key, nil, []byte("v"))
@@ -292,7 +344,7 @@ func TestTierPeerDownDegradesToMiss(t *testing.T) {
 		t.Fatalf("stats = %+v, want remote errors counted", s)
 	}
 	// The local copy still serves.
-	if v, ok := tier.Get(key); !ok || string(v) != "v" {
+	if v, ok := tier.Get(key, nil); !ok || string(v) != "v" {
 		t.Fatalf("local copy lost: %q,%v", v, ok)
 	}
 }

@@ -207,11 +207,15 @@ func (t *Tier) RemovePeer(id string) {
 
 // Get looks key up: local shard first, then — if the key is homed on a
 // peer — one RPC to the owner. Remote hits are installed locally so the
-// next ask is free. Returns the canonical bytes and whether they were
-// found; ok=false covers true misses, peer errors, and remote entries
-// blocked by local revocations alike (all are just misses to the caller).
-func (t *Tier) Get(key string) ([]byte, bool) {
-	if v, ok := t.local.Get(key); ok {
+// next ask is free. A non-nil check is Cache.Get's: a local value is
+// checked on its first hit, and a peer's value is checked before it is
+// installed, so neither a bad local entry nor a bad reply is served or
+// kept. Returns the canonical bytes and whether they were found; ok=false
+// covers true misses, peer errors, values that fail the check, and remote
+// entries blocked by local revocations alike (all are just misses to the
+// caller).
+func (t *Tier) Get(key string, check func([]byte) bool) ([]byte, bool) {
+	if v, ok := t.local.Get(key, check); ok {
 		t.localHits.Add(1)
 		return v, true
 	}
@@ -248,7 +252,11 @@ func (t *Tier) Get(key string) ([]byte, bool) {
 			t.misses.Add(1)
 			return nil, false
 		}
-		t.local.Put(e)
+		if check != nil && !check(e.Value) {
+			t.misses.Add(1)
+			return nil, false
+		}
+		t.local.put(e, check != nil)
 		t.remoteHits.Add(1)
 		return e.Value, true
 	}

@@ -128,7 +128,7 @@ func TestRestoreBlocksRevokedEntries(t *testing.T) {
 		t.Fatalf("restore accounting: %d+%d != %d", inserted, rejected, len(got.Entries))
 	}
 	for _, e := range got.Entries {
-		_, ok := c.Get(e.Key)
+		_, ok := c.Get(e.Key, nil)
 		predicated := false
 		for _, a := range e.Asserts {
 			if a == "assert/1" {
@@ -361,7 +361,7 @@ func TestSnapshotDuringDrain(t *testing.T) {
 				default:
 				}
 				c.Put(canonical(i))
-				c.Get(canonical(i / 2).Key)
+				c.Get(canonical(i/2).Key, nil)
 				if i%37 == 0 {
 					c.InvalidateAsserts([]string{fmt.Sprintf("spec/%d", (i/37)%8)})
 				}

@@ -14,6 +14,9 @@ import (
 // by splicing those bytes into the AnalyzeResponse envelope
 // (appendAnalyzeResponse), which reproduces writeJSON's encoding of
 // AnalyzeResponse byte for byte, so no hop decodes a result it serves.
+// A reply goes out framed by its length and in pieces
+// (writeAnalyzeResponse): the envelope's head, each result's bytes, the
+// tail, so no hop copies the results into a new body either.
 
 // encodeLoopResult renders wr exactly as writeJSON renders it inside an
 // AnalyzeResponse.
@@ -58,24 +61,10 @@ func appendAnalyzeHead(dst []byte, session, scheme string) []byte {
 	return append(dst, `,"results":`...)
 }
 
-// appendAnalyzeResponse appends the encoding writeJSON gives
-// AnalyzeResponse{session, scheme, results, deadlineMisses, coalesceHits}
-// when each element of results is its loop result's encodeLoopResult
-// bytes. A nil results encodes as null, as a nil slice does.
-func appendAnalyzeResponse(dst []byte, session, scheme string, results [][]byte, deadlineMisses, coalesceHits int64) []byte {
-	dst = appendAnalyzeHead(dst, session, scheme)
-	if results == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, r := range results {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, r...)
-		}
-		dst = append(dst, ']')
-	}
+// appendAnalyzeTail appends what follows the results list in the
+// AnalyzeResponse envelope: the non-zero counters, then the closing
+// brace and writeJSON's newline.
+func appendAnalyzeTail(dst []byte, deadlineMisses, coalesceHits int64) []byte {
 	if deadlineMisses != 0 {
 		dst = append(dst, `,"deadline_misses":`...)
 		dst = strconv.AppendInt(dst, deadlineMisses, 10)
@@ -87,23 +76,63 @@ func appendAnalyzeResponse(dst []byte, session, scheme string, results [][]byte,
 	return append(dst, "}\n"...)
 }
 
-// writeAnalyzeResponse writes a 200 /analyze reply built by
-// appendAnalyzeResponse, with writeJSON's headers.
-func writeAnalyzeResponse(w http.ResponseWriter, session, scheme string, results [][]byte, deadlineMisses, coalesceHits int64) {
-	n := 128 + len(session) + len(scheme)
-	for _, r := range results {
-		n += len(r) + 1
+// appendAnalyzeResponse appends the encoding writeJSON gives
+// AnalyzeResponse{session, scheme, results, deadlineMisses, coalesceHits}
+// when each element of results is its loop result's encodeLoopResult
+// bytes. A nil results encodes as null, as a nil slice does.
+func appendAnalyzeResponse(dst []byte, session, scheme string, results [][]byte, deadlineMisses, coalesceHits int64) []byte {
+	open, shut := resultsBrackets(results)
+	dst = append(appendAnalyzeHead(dst, session, scheme), open...)
+	for i, r := range results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, r...)
 	}
-	body := appendAnalyzeResponse(make([]byte, 0, n), session, scheme, results, deadlineMisses, coalesceHits)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // client gone mid-write: nothing useful to do
+	return appendAnalyzeTail(append(dst, shut...), deadlineMisses, coalesceHits)
 }
 
-// isJSONObject reports whether b is exactly one JSON object with nothing
-// around it — the shape of every encodeLoopResult value.
-func isJSONObject(b []byte) bool {
-	return len(b) >= 2 && b[0] == '{' && b[len(b)-1] == '}' && json.Valid(b)
+// resultsBrackets returns what opens and closes the encoding of results:
+// a list's brackets, or null and nothing for a nil slice.
+func resultsBrackets(results [][]byte) (open, shut string) {
+	if results == nil {
+		return "null", ""
+	}
+	return "[", "]"
+}
+
+var comma = []byte{','}
+
+// writeAnalyzeResponse writes the 200 /analyze reply that
+// appendAnalyzeResponse builds, with writeJSON's Content-Type and a
+// Content-Length, without assembling it: the envelope's head and tail
+// come from one small buffer, and each result is written from the bytes
+// the caller holds, which for a warm hit are the tier's stored bytes.
+func writeAnalyzeResponse(w http.ResponseWriter, session, scheme string, results [][]byte, deadlineMisses, coalesceHits int64) {
+	open, shut := resultsBrackets(results)
+	head := append(appendAnalyzeHead(make([]byte, 0, 128+len(session)+len(scheme)), session, scheme), open...)
+	// The tail goes into head's spare capacity, after its last byte.
+	tail := appendAnalyzeTail(append(head[len(head):], shut...), deadlineMisses, coalesceHits)
+	n := len(head) + len(tail)
+	for i, r := range results {
+		if i > 0 {
+			n++
+		}
+		n += len(r)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	// A client gone mid-write fails every later write: nothing useful to do.
+	w.Write(head)
+	for i, r := range results {
+		if i > 0 {
+			w.Write(comma)
+		}
+		w.Write(r)
+	}
+	w.Write(tail)
 }
 
 // loopReply is a single-loop /analyze reply taken apart without
@@ -116,10 +145,11 @@ type loopReply struct {
 // parseLoopReply takes apart a backend's reply to a one-loop /analyze
 // whose envelope must begin with head, appendAnalyzeHead's bytes for the
 // expected session and scheme followed by "[": it accepts exactly what
-// appendAnalyzeResponse writes for one result there, and validates the
-// result bytes in a single json.Valid pass. Anything else — truncated,
-// two results, an invalid result, another session, scheme or envelope —
-// is ok=false.
+// appendAnalyzeResponse writes for one result there, and checks that the
+// result is exactly one JSON object in a single isJSONObject pass, which
+// accepts what json.Valid accepts. Anything else — truncated, two
+// results, an invalid result, another session, scheme or envelope — is
+// ok=false.
 func parseLoopReply(body, head []byte) (loopReply, bool) {
 	var r loopReply
 	rest, ok := bytes.CutPrefix(body, head)

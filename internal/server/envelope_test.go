@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -67,6 +68,12 @@ func TestAnalyzeEnvelopeMatchesWriteJSON(t *testing.T) {
 					}
 					if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 						t.Fatalf("envelope diverged from writeJSON:\ngot  %q\nwant %q", got.Body.Bytes(), want.Body.Bytes())
+					}
+					if cl := got.Header().Get("Content-Length"); cl != strconv.Itoa(got.Body.Len()) {
+						t.Fatalf("Content-Length %q for a %d-byte body", cl, got.Body.Len())
+					}
+					if appended := appendAnalyzeResponse(nil, nm[0], nm[1], results, c[0], c[1]); !bytes.Equal(appended, want.Body.Bytes()) {
+						t.Fatalf("appendAnalyzeResponse diverged from writeJSON:\ngot  %q\nwant %q", appended, want.Body.Bytes())
 					}
 					if len(results) != 1 {
 						return

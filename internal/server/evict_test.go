@@ -120,7 +120,7 @@ func checkRestoredWithinBudget(t *testing.T, what string, shard *fleet.Cache, bu
 		t.Fatalf("%s: %d entries, %d bytes of a %d budget, %d evicted; want a full shard within the budget",
 			what, st.Entries, st.Bytes, budget, st.Evicted)
 	}
-	if _, ok := shard.Get("dig|scaf|fp|k003"); ok {
+	if _, ok := shard.Get("dig|scaf|fp|k003", nil); ok {
 		t.Fatalf("%s: the entry predicated on a revoked assertion was restored", what)
 	}
 	if !shard.AnyRevoked([]string{"rev"}) {

@@ -296,7 +296,7 @@ func (p *fleetPeer) GetModRef(q *core.ModRefQuery) (core.ModRefResponse, bool) {
 	if !ok {
 		return core.ModRefResponse{}, false
 	}
-	b, ok := p.tier.Get(key)
+	b, ok := p.tier.Get(key, nil)
 	if !ok {
 		return core.ModRefResponse{}, false
 	}
@@ -319,15 +319,13 @@ func (p *fleetPeer) PutModRef(q *core.ModRefQuery, asserts []string, r core.ModR
 // value is spliced into the /analyze reply as it is, never decoded:
 // the key pins the session's program, scheme and recovery state, so
 // any instance that published under it encoded the same result to the
-// same bytes. A value that is not exactly one JSON object, such as one
-// truncated in a snapshot, a streamed segment or a peer reply, is a
-// miss, never served.
+// same bytes. The tier holds every loop value to isJSONObject, once per
+// stored entry: on the entry's first local hit, or before it installs a
+// peer's reply. A value that fails, such as one truncated in a snapshot,
+// a streamed segment or a peer reply, is a miss, never served, and
+// leaves the shard, so the next publish of the loop lands.
 func (sess *session) fleetLoopLookup(key string) ([]byte, bool) {
-	b, ok := sess.fleet.Get(key)
-	if !ok || !isJSONObject(b) {
-		return nil, false
-	}
-	return b, true
+	return sess.fleet.Get(key, isJSONObject)
 }
 
 // fleetLoopPublish publishes one freshly-resolved loop result's served

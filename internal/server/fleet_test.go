@@ -238,7 +238,10 @@ func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 // exactly one JSON object is a miss, never served. With every stored
 // loop result corrupted (truncated, doubled, newline-padded), analyzes
 // must recompute and answer byte-identically to a cold single instance,
-// and the loop lookaside must not count a hit.
+// and the loop lookaside must not count a hit. The failed check removes
+// each bad entry, so the recomputed result's publish lands and a second
+// round is served whole from the tier, with the gold bytes; before, the
+// bad entry kept the key and every later analyze recomputed.
 func TestFleetCorruptLoopValueMisses(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "solo"}})
 	t.Cleanup(func() { srv.fleet.Close() })
@@ -289,5 +292,15 @@ func TestFleetCorruptLoopValueMisses(t *testing.T) {
 	}
 	if n := srv.fleetLoopHits.Load(); n != hits0 {
 		t.Fatalf("a corrupt loop value was served: fleet_loop_hits %d -> %d", hits0, n)
+	}
+
+	for _, sc := range schemes {
+		status, got := do(t, ts.URL, "POST", path, AnalyzeRequest{Scheme: sc})
+		if status != http.StatusOK || !bytes.Equal(got, gold[sc]) {
+			t.Fatalf("%s: analyze after republish: %d\ngot  %.300s\nwant %.300s", sc, status, got, gold[sc])
+		}
+	}
+	if n, want := srv.fleetLoopHits.Load()-hits0, int64(len(schemes)*len(info.HotLoops)); n != want {
+		t.Fatalf("after republish %d of %d loops were served from the tier", n, want)
 	}
 }

@@ -591,7 +591,7 @@ func (rt *Router) send(id, method, path string, body []byte) (int, http.Header, 
 	// One byte past the limit tells a reply that fits from one that was
 	// cut; a cut reply must not reach the client under the backend's
 	// status. The backend did answer, so it stays up.
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse+1))
+	raw, err := readReply(resp, maxPeerResponse)
 	if err != nil {
 		rt.markDown(id)
 		return 0, nil, nil
@@ -606,6 +606,33 @@ func (rt *Router) send(id, method, path string, body []byte) (int, http.Header, 
 }
 
 const maxPeerResponse = 64 << 20
+
+// readReply reads resp's body up to limit bytes and one more, as
+// io.ReadAll of a LimitReader would. A body that declares a length
+// within the limit is read into one buffer of that length plus the one
+// byte the end-of-body read needs, where io.ReadAll would double its way
+// up from 512 bytes.
+func readReply(resp *http.Response, limit int64) ([]byte, error) {
+	size := int64(512)
+	if n := resp.ContentLength; n >= 0 && n <= limit {
+		size = n + 1
+	}
+	r := io.LimitReader(resp.Body, limit+1)
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
 
 // errorReply renders he as the status, header and body writeError would
 // send, so relay and broadcast handle it as any backend reply.

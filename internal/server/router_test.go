@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -365,32 +366,41 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 
 // TestRouterRefusesOversizedReply: a backend reply one byte longer than
 // maxPeerResponse reaches the client as a bounded 502, not as the
-// backend's 200 over a cut body, and the backend that sent it stays up.
+// backend's 200 over a cut body, and the backend that sent it stays up:
+// whether the reply is chunked or declares its length up front, which
+// the router otherwise sizes its read buffer from.
 func TestRouterRefusesOversizedReply(t *testing.T) {
 	chunk := bytes.Repeat([]byte(" "), 1<<20)
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		for n := 0; n < maxPeerResponse; n += len(chunk) {
-			if _, err := w.Write(chunk); err != nil {
-				return // the router stopped reading
-			}
-		}
-		w.Write([]byte("1"))
-	}))
-	defer stub.Close()
-	rt := NewRouter(RouterConfig{Backends: map[string]string{"b0": stub.URL}})
-	defer rt.Close()
+	for _, declared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("declared=%v", declared), func(t *testing.T) {
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				if declared {
+					w.Header().Set("Content-Length", strconv.Itoa(maxPeerResponse+1))
+				}
+				for n := 0; n < maxPeerResponse; n += len(chunk) {
+					if _, err := w.Write(chunk); err != nil {
+						return // the router stopped reading
+					}
+				}
+				w.Write([]byte("1"))
+			}))
+			defer stub.Close()
+			rt := NewRouter(RouterConfig{Backends: map[string]string{"b0": stub.URL}})
+			defer rt.Close()
 
-	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sessions", nil))
-	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("oversized backend reply relayed with status %d (%d bytes), want 502", rec.Code, rec.Body.Len())
-	}
-	if e := decode[ErrorResponse](t, rec.Body.Bytes()); e.Error.Code != "reply_too_large" {
-		t.Fatalf("code %q, want reply_too_large", e.Error.Code)
-	}
-	if rt.isDown("b0") {
-		t.Fatal("a backend that answered was marked down")
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sessions", nil))
+			if rec.Code != http.StatusBadGateway {
+				t.Fatalf("oversized backend reply relayed with status %d (%d bytes), want 502", rec.Code, rec.Body.Len())
+			}
+			if e := decode[ErrorResponse](t, rec.Body.Bytes()); e.Error.Code != "reply_too_large" {
+				t.Fatalf("code %q, want reply_too_large", e.Error.Code)
+			}
+			if rt.isDown("b0") {
+				t.Fatal("a backend that answered was marked down")
+			}
+		})
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -545,8 +546,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			// batches share one resolution. The epoch component keeps a
 			// post-recovery request from joining a computation started
 			// before an observe report landed.
-			key := fmt.Sprintf("analyze|%s|e%d|%s|%s",
-				sess.id, sess.epoch.Load(), scheme.String(), l.Name())
+			key := "analyze|" + sess.id + "|e" + strconv.FormatInt(sess.epoch.Load(), 10) +
+				"|" + scheme.String() + "|" + l.Name()
 			l := l
 			v, shared, _ := s.flights.do(key, func() (any, error) {
 				// Fleet lookaside: the loop's served bytes, keyed by
@@ -631,9 +632,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	deadline := s.deadlineFor(req.DeadlineMS)
 	resp := QueryResponse{Session: sess.id, Scheme: scheme.String()}
 	if deadline.IsZero() {
-		key := fmt.Sprintf("query|%s|e%d|%s|%s|%s|%s|%s",
-			sess.id, sess.epoch.Load(), scheme.String(), l.Name(),
-			req.I1, req.I2, rel.String())
+		key := "query|" + sess.id + "|e" + strconv.FormatInt(sess.epoch.Load(), 10) +
+			"|" + scheme.String() + "|" + l.Name() + "|" + req.I1 + "|" + req.I2 + "|" + rel.String()
 		v, shared, _ := s.flights.do(key, func() (any, error) {
 			wq, _ := sess.resolveQuery(scheme, l, i1, i2, rel, time.Time{})
 			return wq, nil

@@ -25,7 +25,7 @@ import (
 // passes, so the pair identifies an instruction for the session's
 // lifetime.
 func InstrRef(in *ir.Instr) string {
-	return fmt.Sprintf("%s#%d", in.Blk.Fn.Name, in.ID)
+	return in.Blk.Fn.Name + "#" + strconv.Itoa(in.ID)
 }
 
 // WireOption is one assertion option of a response.
