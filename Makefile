@@ -176,7 +176,7 @@ bench-check:
 	$(GO) run ./cmd/scaf-bench $(BENCH_GATE_ARGS) -json BENCH.fresh.json
 	$(GO) run ./cmd/scaf-benchdiff $(BENCH_BASELINE) BENCH.fresh.json
 
-# Allocation gate on six hot paths whose allocs/op are exact. Each
+# Allocation gate on eight hot paths whose allocs/op are exact. Each
 # ceiling is a literal in its pin line below, so no variable from the
 # environment or the command line can loosen it; raise one only with a
 # justification in the commit that does.
@@ -184,7 +184,14 @@ bench-check:
 #     orchestrator — the unit the serving layer issues millions of times
 #     (seed was 64 allocs/op; interning + pooling brought it to 16, and
 #     the planning-pass bookkeeping below to 10). Its ceiling is the 24
-#     it was introduced with.
+#     it was introduced with. Its orchestrator has no shared cache.
+#   - BenchmarkSharedCache/hit and /publish time the shared cache's two
+#     operations on a top-level query's path: a hit on a resident mod-ref
+#     entry, and the publication of one that rests on an assertion, each
+#     past a Revoker check. When every shard kept two pre-made maps and
+#     one global index held the assertion rows, they cost 0 and 1
+#     allocs/op with Go 1.24 at 2000 iterations (about 75 and 830 ns, and
+#     0 and 1,011 B per op, at 200,000); those are the ceilings.
 #   - BenchmarkAnalyzeWarmHit times one SCAF /analyze of 129.compress
 #     served whole from the fleet tier as stored bytes, through the
 #     server's handler (decoding and re-encoding the stored result cost
@@ -247,10 +254,12 @@ bench-check:
 #     growth of Go 1.22 and 1.23.
 
 # bench_mem_pin runs benchmark $(2) of package $(1) for $(3) iterations
-# and fails when its allocs/op exceed the ceiling $(4).
+# and fails when its allocs/op exceed the ceiling $(4). $(2) may name a
+# sub-benchmark (Name/sub); its result line is found by its exact name,
+# less the -GOMAXPROCS suffix.
 define bench_mem_pin
 	$(GO) test $(1) -run '^$$' -bench '^$(2)$$' -benchmem -benchtime $(3) | tee -a BENCH.mem.txt
-	@allocs=$$(awk '/^$(2)[^A-Za-z]/ {print $$(NF-1)}' BENCH.mem.txt); \
+	@allocs=$$(awk -v name='$(2)' '{n = $$1; sub(/-[0-9]+$$/, "", n)} n == name {print $$(NF-1)}' BENCH.mem.txt); \
 	if [ -z "$$allocs" ]; then echo "bench-mem: no $(2) result"; exit 1; fi; \
 	if [ "$$allocs" -gt $(4) ]; then \
 		echo "bench-mem: $(2) allocs/op = $$allocs, above the $(4) ceiling"; exit 1; \
@@ -262,6 +271,8 @@ endef
 bench-mem:
 	@rm -f BENCH.mem.txt
 	$(call bench_mem_pin,./internal/bench/,BenchmarkTopQuery,2000x,24)
+	$(call bench_mem_pin,./internal/core/,BenchmarkSharedCache/hit,2000x,0)
+	$(call bench_mem_pin,./internal/core/,BenchmarkSharedCache/publish,2000x,1)
 	$(call bench_mem_pin,./internal/server/,BenchmarkAnalyzeWarmHit,200x,50)
 	$(call bench_mem_pin,./internal/server/,BenchmarkRouterAnalyzeWarm,200x,205)
 	$(call bench_mem_pin,.,BenchmarkProfiling,20x,3700)

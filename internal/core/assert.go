@@ -116,7 +116,7 @@ func (a *Assertion) appendKey(buf []byte) []byte {
 // the /observe protocol key on. Interned assertions answer in O(1).
 func (a Assertion) String() string {
 	if a.intern != nil {
-		return a.intern.str
+		return a.intern.str[0]
 	}
 	return a.computeString()
 }

@@ -31,6 +31,23 @@ func TestOptionAssertKeysZeroAssertFastPath(t *testing.T) {
 	}
 }
 
+// TestOptionAssertKeysSingleInterned pins the other allocation-free
+// path: options that all rest on one interned assertion yield its key
+// alone, shared from the handle.
+func TestOptionAssertKeysSingleInterned(t *testing.T) {
+	a := NewInterner().assert(Assertion{Module: "m", Kind: "k", Cost: 1})
+	opts := []Option{{Asserts: []Assertion{a}}, {Asserts: []Assertion{a, a}}}
+	if keys := optionAssertKeys(opts); len(keys) != 1 || keys[0] != a.String() {
+		t.Fatalf("keys = %v, want [%s]", keys, a.String())
+	}
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { optionAssertKeys(opts) }); allocs != 0 {
+		t.Fatalf("optionAssertKeys allocated %.1f objects per call, want 0", allocs)
+	}
+}
+
 // TestOptionAssertKeysAllocBound pins the assert-carrying path to "the
 // unavoidable String() materializations plus one preallocated key slice".
 // The old implementation paid a seen-map plus append-regrowth on top of

@@ -11,7 +11,10 @@ import "sync"
 // TestInternHandleEqualsStringEqual pins.
 type internedAssert struct {
 	key string // full-content identity (Assertion.key)
-	str string // wire identity (Assertion.String) — what /observe and Revokers see
+	// str is the wire identity (Assertion.String) — what /observe and
+	// Revokers see. It is an array so that an answer resting on this
+	// assertion alone can use str[:] as its key set (optionAssertKeys).
+	str [1]string
 }
 
 // Interner deduplicates assertion identities for one analysis session. It
@@ -54,7 +57,7 @@ func (it *Interner) assert(a Assertion) Assertion {
 	it.mu.Lock()
 	h, ok := it.m[string(k)]
 	if !ok {
-		h = &internedAssert{key: string(k), str: a.computeString()}
+		h = &internedAssert{key: string(k), str: [1]string{a.computeString()}}
 		it.m[h.key] = h
 	}
 	it.mu.Unlock()

@@ -511,11 +511,8 @@ func (o *Orchestrator) handleAlias(q *AliasQuery, depth int, from Module) (resp 
 	// top-level, and (for alias) the desired-result-free form.
 	shared := o.cfg.Shared != nil && depth == 0 && q.Desired == AnyAlias
 	if shared {
-		if r, ok, remote := o.cfg.Shared.getAlias(k, q, o.peerLookups); ok {
+		if r, ok := o.cfg.Shared.getAlias(k); ok {
 			o.stats.SharedHits++
-			if remote {
-				o.stats.RemoteHits++
-			}
 			if t := o.tracer; t != nil {
 				t.TraceEvent(TraceEvent{Kind: TraceSharedHit, Alias: true, Depth: depth})
 			}

@@ -8,13 +8,12 @@ import (
 	"scaf/internal/ir"
 )
 
-// fakePeer is an in-process CachePeer backed by maps keyed on the
+// fakePeer is an in-process CachePeer backed by a map keyed on the
 // queries' describe() strings — the shape of the fleet tier without the
 // wire. It records traffic so tests can assert when the peer was (not)
 // consulted.
 type fakePeer struct {
 	mu      sync.Mutex
-	alias   map[string]AliasResponse
 	modref  map[string]ModRefResponse
 	gets    int
 	puts    int
@@ -22,23 +21,7 @@ type fakePeer struct {
 }
 
 func newFakePeer() *fakePeer {
-	return &fakePeer{alias: map[string]AliasResponse{}, modref: map[string]ModRefResponse{}}
-}
-
-func (p *fakePeer) GetAlias(q *AliasQuery) (AliasResponse, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.gets++
-	r, ok := p.alias[q.describe()]
-	return r, ok
-}
-
-func (p *fakePeer) PutAlias(q *AliasQuery, asserts []string, r AliasResponse) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.puts++
-	p.lastAss = asserts
-	p.alias[q.describe()] = r
+	return &fakePeer{modref: map[string]ModRefResponse{}}
 }
 
 func (p *fakePeer) GetModRef(q *ModRefQuery) (ModRefResponse, bool) {
@@ -59,13 +42,17 @@ func (p *fakePeer) PutModRef(q *ModRefQuery, asserts []string, r ModRefResponse)
 
 func specModules() []Module {
 	a := Assertion{Module: "spec", Kind: "k", Cost: 7}
-	m1 := &fakeModule{name: "spec", alias: func(q *AliasQuery, h Handle) AliasResponse {
-		return AliasSpec(NoAlias, "spec", a)
+	m1 := &fakeModule{name: "spec", modref: func(q *ModRefQuery, h Handle) ModRefResponse {
+		return ModRefSpec(NoModRef, "spec", a)
 	}}
-	m2 := &fakeModule{name: "base", alias: func(q *AliasQuery, h Handle) AliasResponse {
-		return AliasFact(PartialAlias, "base")
+	m2 := &fakeModule{name: "base", modref: func(q *ModRefQuery, h Handle) ModRefResponse {
+		return ModRefFact(Ref, "base")
 	}}
 	return []Module{m1, m2}
+}
+
+func mqN(i int64) *ModRefQuery {
+	return &ModRefQuery{Loc: MemLoc{Ptr: ir.CI(i + 9), Size: 8}, Rel: Before}
 }
 
 // TestCachePeerRemoteHitMatchesLocal is the seam's core property: an
@@ -78,10 +65,10 @@ func TestCachePeerRemoteHitMatchesLocal(t *testing.T) {
 	// Distinct queries; each instance gets its own structurally-equal
 	// copies (fresh pointers, as across processes), while re-asks within
 	// one instance reuse the same objects (pointer-keyed local cache).
-	mkQueries := func() []*AliasQuery {
-		qs := make([]*AliasQuery, 5)
+	mkQueries := func() []*ModRefQuery {
+		qs := make([]*ModRefQuery, 5)
 		for i := range qs {
-			qs[i] = aqN(int64(i))
+			qs[i] = mqN(int64(i))
 		}
 		return qs
 	}
@@ -91,9 +78,9 @@ func TestCachePeerRemoteHitMatchesLocal(t *testing.T) {
 	cacheA.SetPeer(peer)
 	oA := NewOrchestrator(Config{Modules: specModules(), Shared: cacheA})
 	qsA := mkQueries()
-	var want []AliasResponse
+	var want []ModRefResponse
 	for _, q := range qsA {
-		want = append(want, oA.Alias(q))
+		want = append(want, oA.ModRef(q))
 	}
 	if peer.puts != 5 {
 		t.Fatalf("peer saw %d puts, want 5", peer.puts)
@@ -109,7 +96,7 @@ func TestCachePeerRemoteHitMatchesLocal(t *testing.T) {
 	qsB := mkQueries()
 	oB := NewOrchestrator(Config{Modules: specModules(), Shared: cacheB})
 	for i, q := range qsB {
-		got := oB.Alias(q)
+		got := oB.ModRef(q)
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("query %d: remote-hit response %+v != fresh %+v", i, got, want[i])
 		}
@@ -127,7 +114,7 @@ func TestCachePeerRemoteHitMatchesLocal(t *testing.T) {
 	// A remote hit installs locally: re-asking must not touch the peer.
 	gets := peer.gets
 	oB2 := NewOrchestrator(Config{Modules: specModules(), Shared: cacheB})
-	oB2.Alias(qsB[0])
+	oB2.ModRef(qsB[0])
 	if peer.gets != gets {
 		t.Errorf("re-ask consulted the peer (%d -> %d gets), want local hit", gets, peer.gets)
 	}
@@ -150,7 +137,7 @@ func TestCachePeerRevokerBlocksRemote(t *testing.T) {
 	cacheA := NewSharedCache()
 	cacheA.SetPeer(peer)
 	oA := NewOrchestrator(Config{Modules: specModules(), Shared: cacheA})
-	oA.Alias(aqN(0))
+	oA.ModRef(mqN(0))
 
 	assertKey := Assertion{Module: "spec", Kind: "k", Cost: 7}.String()
 	cacheB := NewSharedCache()
@@ -158,7 +145,7 @@ func TestCachePeerRevokerBlocksRemote(t *testing.T) {
 	cacheB.SetRevoker(staticRevoker{assertKey: true})
 	mods := specModules()
 	oB := NewOrchestrator(Config{Modules: mods, Shared: cacheB})
-	oB.Alias(aqN(0))
+	oB.ModRef(mqN(0))
 	if oB.Stats().RemoteHits != 0 {
 		t.Fatalf("revoked remote entry served: %+v", oB.Stats())
 	}
@@ -175,38 +162,11 @@ func TestSetPeerLookupsOff(t *testing.T) {
 	cache.SetPeer(peer)
 	o := NewOrchestrator(Config{Modules: specModules(), Shared: cache})
 	o.SetPeerLookups(false)
-	o.Alias(aqN(0))
+	o.ModRef(mqN(0))
 	if peer.gets != 0 {
 		t.Errorf("peer consulted %d times with lookups off, want 0", peer.gets)
 	}
 	if peer.puts != 1 {
 		t.Errorf("peer saw %d puts, want 1 (publication always flows)", peer.puts)
-	}
-}
-
-// TestCachePeerModRef covers the mod-ref plane of the seam.
-func TestCachePeerModRef(t *testing.T) {
-	peer := newFakePeer()
-	mkMods := func() []Module {
-		return []Module{&fakeModule{name: "m", modref: func(q *ModRefQuery, h Handle) ModRefResponse {
-			return ModRefSpec(NoModRef, "m", Assertion{Module: "m", Kind: "k", Cost: 3})
-		}}}
-	}
-	q := &ModRefQuery{Loc: MemLoc{Ptr: ir.CI(9), Size: 8}, Rel: Before}
-
-	cacheA := NewSharedCache()
-	cacheA.SetPeer(peer)
-	oA := NewOrchestrator(Config{Modules: mkMods(), Shared: cacheA})
-	want := oA.ModRef(q)
-
-	cacheB := NewSharedCache()
-	cacheB.SetPeer(peer)
-	oB := NewOrchestrator(Config{Modules: mkMods(), Shared: cacheB})
-	got := oB.ModRef(q)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("remote mod-ref %+v != fresh %+v", got, want)
-	}
-	if oB.Stats().RemoteHits != 1 || oB.Stats().ModuleEvals != 0 {
-		t.Errorf("stats = %+v, want exactly one remote hit and no module work", oB.Stats())
 	}
 }

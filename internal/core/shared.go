@@ -6,7 +6,9 @@ import (
 	"sort"
 	"sync"
 
+	"scaf/internal/cfg"
 	"scaf/internal/ir"
+	"scaf/internal/predstore"
 )
 
 // Revoker reports assertions that have been withdrawn — violated at run
@@ -14,19 +16,19 @@ import (
 // Assertion.String(). Implementations must be safe for concurrent use and
 // monotonic: once a key is revoked it stays revoked, so a revocation
 // observed before a cache lookup is guaranteed to make that lookup miss.
-type Revoker interface {
-	RevokedAssert(key string) bool
-}
+type Revoker = predstore.Revoker
 
-// CachePeer is a second-level lookaside tier behind a SharedCache — the
-// seam the fleet layer plugs a *remote* cache into. On a local top-level
-// miss the cache consults the peer; on a local canonical publication it
-// notifies the peer. Because the cache only ever publishes canonical
-// entries (complete, top-level, untainted — see the publication rule
-// below), everything a peer can return is a pure function of the
-// proposition and the configuration, so a remote hit is byte-identical to
-// a fresh local resolution by the same argument that makes local shared
-// hits safe.
+// CachePeer is a second-level lookaside tier behind a SharedCache's
+// mod-ref entries — the seam the fleet layer plugs a *remote* cache into.
+// On a local top-level miss the cache consults the peer; on a local
+// canonical publication it notifies the peer. Because the cache only ever
+// publishes canonical entries (complete, top-level, untainted — see the
+// publication rule below), everything a peer can return is a pure
+// function of the proposition and the configuration, so a remote hit is
+// byte-identical to a fresh local resolution by the same argument that
+// makes local shared hits safe. Alias entries have no peer: top-level
+// propositions in the serving path are mod-ref queries, and alias
+// propositions arise only as premises, which are never published.
 //
 // Implementations decide their own key space and serialization (the fleet
 // tier keys on process-independent wire refs and round-trips responses
@@ -34,8 +36,6 @@ type Revoker interface {
 // report a miss on Get and ignore the Put — partial coverage degrades hit
 // rate, never answers. Implementations must be safe for concurrent use.
 type CachePeer interface {
-	GetAlias(q *AliasQuery) (AliasResponse, bool)
-	PutAlias(q *AliasQuery, asserts []string, r AliasResponse)
 	GetModRef(q *ModRefQuery) (ModRefResponse, bool)
 	PutModRef(q *ModRefQuery, asserts []string, r ModRefResponse)
 }
@@ -60,15 +60,15 @@ type CachePeer interface {
 // runs no matter how workers interleave.
 //
 // Recovery support: each entry records the String() keys of every
-// assertion its options are predicated on, and an inverted index maps
-// assertion key → dependent entries. A violated assertion therefore
-// invalidates exactly the answers predicated on it (InvalidateAsserts),
-// and an attached Revoker (SetRevoker) is consulted on every lookup so a
-// revocation is effective the instant it happens — even before the
-// invalidation sweep runs.
+// assertion its options are predicated on, and its shard's store indexes
+// it under each of them. A violated assertion therefore invalidates
+// exactly the answers predicated on it (InvalidateAsserts), and an
+// attached Revoker (SetRevoker) is consulted on every lookup and
+// publication so a revocation is effective the instant it happens — even
+// before the invalidation sweep runs.
 type SharedCache struct {
-	alias  [sharedShards]aliasShard
-	modref [sharedShards]modrefShard
+	alias  plane[aliasKey, AliasResponse]
+	modref plane[modrefKey, ModRefResponse]
 
 	// revMu guards revoker; reads are per-lookup, writes are rare.
 	revMu   sync.RWMutex
@@ -78,13 +78,6 @@ type SharedCache struct {
 	peerMu sync.RWMutex
 	peer   CachePeer
 
-	// idxMu guards index: assertion key → entries predicated on it.
-	// Refs are append-only and may go stale once an entry is deleted or
-	// replaced; stale refs are harmless (invalidation removes and reports
-	// only resident entries that still carry an invalidated key).
-	idxMu sync.Mutex
-	index map[string][]entryRef
-
 	// intern is the session's assertion-identity table: every orchestrator
 	// attached to this cache interns through it, so handle equality spans
 	// worker goroutines and published entries always carry handles.
@@ -93,47 +86,70 @@ type SharedCache struct {
 
 const sharedShards = 64
 
-type aliasShard struct {
-	mu sync.RWMutex
-	m  map[aliasKey]aliasEntry
+// plane is one query kind's half of the cache: sharedShards stores, each
+// under its own lock, so an entry and its index rows change together and
+// no lock spans shards. Entries are unbounded; each counts 1 in its
+// store's accounting.
+type plane[K predstore.Key, V any] [sharedShards]struct {
+	mu sync.Mutex
+	s  predstore.Store[K, V]
 }
 
-type modrefShard struct {
-	mu sync.RWMutex
-	m  map[modrefKey]modrefEntry
+func (p *plane[K, V]) get(k K, rev Revoker) (V, bool) {
+	sh := &p[k.Hash()%sharedShards]
+	sh.mu.Lock()
+	var r V
+	v, _, ok := sh.s.Get(k, rev)
+	if ok {
+		r = *v
+	}
+	sh.mu.Unlock()
+	return r, ok
 }
 
-// aliasEntry pairs a published response with the deduplicated, sorted
-// String() keys of every assertion appearing in any of its options — nil
-// for assertion-free answers, which therefore cost nothing extra and can
-// never be invalidated.
-type aliasEntry struct {
-	resp    AliasResponse
-	asserts []string
+// put publishes r, resting on asserts, under the store's first-entry-wins
+// rule.
+func (p *plane[K, V]) put(k K, r V, asserts []string, rev Revoker) predstore.Outcome {
+	sh := &p[k.Hash()%sharedShards]
+	sh.mu.Lock()
+	out := sh.s.Put(k, r, asserts, 1, rev)
+	sh.mu.Unlock()
+	return out
 }
 
-type modrefEntry struct {
-	resp    ModRefResponse
-	asserts []string
+// invalidate removes every entry resting on any of asserts and returns
+// their keys.
+func (p *plane[K, V]) invalidate(asserts []string) []K {
+	var out []K
+	for i := range p {
+		p[i].mu.Lock()
+		out = p[i].s.Invalidate(asserts, out)
+		p[i].mu.Unlock()
+	}
+	return out
 }
 
-// entryRef names one cache entry in the inverted index.
-type entryRef struct {
-	alias bool
-	a     aliasKey
-	m     modrefKey
+func (p *plane[K, V]) flush() (n int) {
+	for i := range p {
+		p[i].mu.Lock()
+		n += p[i].s.Flush()
+		p[i].mu.Unlock()
+	}
+	return n
+}
+
+func (p *plane[K, V]) len() (n int) {
+	for i := range p {
+		p[i].mu.Lock()
+		n += p[i].s.Len()
+		p[i].mu.Unlock()
+	}
+	return n
 }
 
 // NewSharedCache returns an empty cache ready for concurrent use.
 func NewSharedCache() *SharedCache {
-	c := &SharedCache{index: map[string][]entryRef{}, intern: NewInterner()}
-	for i := range c.alias {
-		c.alias[i].m = map[aliasKey]aliasEntry{}
-	}
-	for i := range c.modref {
-		c.modref[i].m = map[modrefKey]modrefEntry{}
-	}
-	return c
+	return &SharedCache{intern: NewInterner()}
 }
 
 // Interner returns the cache's session-scoped assertion-identity table.
@@ -171,127 +187,30 @@ func (c *SharedCache) currentRevoker() Revoker {
 	return r
 }
 
-// revoked reports whether any of the entry's supporting assertions has
-// been withdrawn by the attached Revoker.
-func (c *SharedCache) revoked(asserts []string) bool {
-	if len(asserts) == 0 {
-		return false
-	}
-	r := c.currentRevoker()
-	if r == nil {
-		return false
-	}
-	for _, k := range asserts {
-		if r.RevokedAssert(k) {
-			return true
-		}
-	}
-	return false
-}
-
 // Len reports the number of published alias and mod-ref entries.
 func (c *SharedCache) Len() (alias, modref int) {
-	for i := range c.alias {
-		c.alias[i].mu.RLock()
-		alias += len(c.alias[i].m)
-		c.alias[i].mu.RUnlock()
-	}
-	for i := range c.modref {
-		c.modref[i].mu.RLock()
-		modref += len(c.modref[i].m)
-		c.modref[i].mu.RUnlock()
-	}
-	return alias, modref
+	return c.alias.len(), c.modref.len()
 }
 
-// IndexedAsserts reports how many distinct assertion keys the inverted
-// index currently tracks (stale keys included until invalidated).
-func (c *SharedCache) IndexedAsserts() int {
-	c.idxMu.Lock()
-	n := len(c.index)
-	c.idxMu.Unlock()
-	return n
+// getAlias answers a top-level alias lookup from the local table.
+func (c *SharedCache) getAlias(k aliasKey) (AliasResponse, bool) {
+	return c.alias.get(k, c.currentRevoker())
 }
 
-// getAlias answers a top-level lookup: the local table first, then — when
+// putAlias publishes a canonical alias answer locally.
+func (c *SharedCache) putAlias(k aliasKey, r AliasResponse) {
+	c.alias.put(k, r, optionAssertKeys(r.Options), c.currentRevoker())
+}
+
+// getModRef answers a top-level lookup: the local table first, then — when
 // the caller permits (usePeer) — the attached remote peer. A peer hit is
 // interned through the session's interner, installed locally (without
 // echoing back to the peer) and reported with remote=true so the
 // orchestrator can account for it.
-func (c *SharedCache) getAlias(k aliasKey, q *AliasQuery, usePeer bool) (resp AliasResponse, ok, remote bool) {
-	s := &c.alias[k.shard()%sharedShards]
-	s.mu.RLock()
-	e, found := s.m[k]
-	s.mu.RUnlock()
-	if found && !c.revoked(e.asserts) {
-		return e.resp, true, false
-	}
-	if !usePeer {
-		return AliasResponse{}, false, false
-	}
-	p := c.currentPeer()
-	if p == nil {
-		return AliasResponse{}, false, false
-	}
-	r, hit := p.GetAlias(q)
-	if !hit {
-		return AliasResponse{}, false, false
-	}
-	r.Options = c.intern.options(r.Options)
-	// The peer's entry may predicate on an assertion this process has
-	// already revoked (recovery broadcasts race); the Revoker stays
-	// authoritative over anything remote.
-	if c.revoked(optionAssertKeys(r.Options)) {
-		return AliasResponse{}, false, false
-	}
-	c.installAlias(k, r)
-	return r, true, true
-}
-
-func (c *SharedCache) putAlias(k aliasKey, r AliasResponse) {
-	if inserted, asserts := c.installAlias(k, r); inserted {
-		if p := c.currentPeer(); p != nil {
-			p.PutAlias(k.query(), asserts, r)
-		}
-	}
-}
-
-// installAlias inserts locally under the first-entry-wins rule, without
-// notifying the peer — shared by local publication (which then notifies)
-// and peer-hit installation (which must not echo).
-func (c *SharedCache) installAlias(k aliasKey, r AliasResponse) (bool, []string) {
-	asserts := optionAssertKeys(r.Options)
-	if c.revoked(asserts) {
-		// A concurrent revocation already withdrew one of this answer's
-		// premises; publishing it would let lookups race past the Revoker.
-		return false, nil
-	}
-	s := &c.alias[k.shard()%sharedShards]
-	s.mu.Lock()
-	old, exists := s.m[k]
-	// First entry wins — except that an entry predicated on a since-revoked
-	// assertion no longer answers lookups and must not squat on the slot.
-	inserted := !exists || c.revoked(old.asserts)
-	if inserted {
-		s.m[k] = aliasEntry{resp: r, asserts: asserts}
-	}
-	s.mu.Unlock()
-	if inserted && len(asserts) > 0 {
-		c.indexEntry(asserts, entryRef{alias: true, a: k})
-	}
-	return inserted, asserts
-}
-
 func (c *SharedCache) getModRef(k modrefKey, q *ModRefQuery, usePeer bool) (resp ModRefResponse, ok, remote bool) {
-	s := &c.modref[k.shard()%sharedShards]
-	s.mu.RLock()
-	e, found := s.m[k]
-	s.mu.RUnlock()
-	if found && !c.revoked(e.asserts) {
-		return e.resp, true, false
-	}
-	if !usePeer {
-		return ModRefResponse{}, false, false
+	rev := c.currentRevoker()
+	if r, ok := c.modref.get(k, rev); ok || !usePeer {
+		return r, ok, false
 	}
 	p := c.currentPeer()
 	if p == nil {
@@ -302,50 +221,25 @@ func (c *SharedCache) getModRef(k modrefKey, q *ModRefQuery, usePeer bool) (resp
 		return ModRefResponse{}, false, false
 	}
 	r.Options = c.intern.options(r.Options)
-	if c.revoked(optionAssertKeys(r.Options)) {
+	// The peer's entry may predicate on an assertion this process has
+	// already revoked (recovery broadcasts race); the Revoker stays
+	// authoritative over anything remote.
+	if c.modref.put(k, r, optionAssertKeys(r.Options), rev) == predstore.Revoked {
 		return ModRefResponse{}, false, false
 	}
-	c.installModRef(k, r)
 	return r, true, true
 }
 
+// putModRef publishes a canonical mod-ref answer locally and, when it
+// lands, to the peer.
 func (c *SharedCache) putModRef(k modrefKey, r ModRefResponse) {
-	if inserted, asserts := c.installModRef(k, r); inserted {
-		if p := c.currentPeer(); p != nil {
-			p.PutModRef(k.query(), asserts, r)
-		}
-	}
-}
-
-func (c *SharedCache) installModRef(k modrefKey, r ModRefResponse) (bool, []string) {
 	asserts := optionAssertKeys(r.Options)
-	if c.revoked(asserts) {
-		return false, nil
+	if c.modref.put(k, r, asserts, c.currentRevoker()) != predstore.Inserted {
+		return
 	}
-	s := &c.modref[k.shard()%sharedShards]
-	s.mu.Lock()
-	old, exists := s.m[k]
-	inserted := !exists || c.revoked(old.asserts)
-	if inserted {
-		s.m[k] = modrefEntry{resp: r, asserts: asserts}
+	if p := c.currentPeer(); p != nil {
+		p.PutModRef(k.query(), asserts, r)
 	}
-	s.mu.Unlock()
-	if inserted && len(asserts) > 0 {
-		c.indexEntry(asserts, entryRef{alias: false, m: k})
-	}
-	return inserted, asserts
-}
-
-// OptionAssertKeys exposes the deduplicated, sorted assertion keys of an
-// option set — what a CachePeer needs to index entries for invalidation.
-func OptionAssertKeys(opts []Option) []string { return optionAssertKeys(opts) }
-
-func (c *SharedCache) indexEntry(asserts []string, ref entryRef) {
-	c.idxMu.Lock()
-	for _, a := range asserts {
-		c.index[a] = append(c.index[a], ref)
-	}
-	c.idxMu.Unlock()
 }
 
 // Invalidated lists the canonical queries whose cached answers an
@@ -364,51 +258,16 @@ func (iv Invalidated) Total() int { return len(iv.Alias) + len(iv.ModRef) }
 // InvalidateAsserts removes every cache entry predicated on any of the
 // given assertion keys (Assertion.String() identities) and returns the
 // queries those entries answered. Entries whose options never mention a
-// given key are untouched — the inverted index makes invalidation exact,
-// not a flush. An index row can outlive its entry (the entry was
-// invalidated through another of its keys, then the query was republished
-// under different assertions), so an entry is removed only when the
-// resident one still carries an invalidated key. Safe for concurrent use
-// with queries; lookups racing an invalidation are already protected by
-// the Revoker check.
+// given key are untouched — the stores' assertion rows make invalidation
+// exact, not a flush. Safe for concurrent use with queries; lookups
+// racing an invalidation are already protected by the Revoker check.
 func (c *SharedCache) InvalidateAsserts(keys []string) Invalidated {
-	refs := map[entryRef]bool{}
-	c.idxMu.Lock()
-	for _, k := range keys {
-		for _, ref := range c.index[k] {
-			refs[ref] = true
-		}
-		delete(c.index, k)
-	}
-	c.idxMu.Unlock()
-
 	var out Invalidated
-	for ref := range refs {
-		if ref.alias {
-			s := &c.alias[ref.a.shard()%sharedShards]
-			s.mu.Lock()
-			e, ok := s.m[ref.a]
-			ok = ok && carriesAny(e.asserts, keys)
-			if ok {
-				delete(s.m, ref.a)
-			}
-			s.mu.Unlock()
-			if ok {
-				out.Alias = append(out.Alias, ref.a.query())
-			}
-		} else {
-			s := &c.modref[ref.m.shard()%sharedShards]
-			s.mu.Lock()
-			e, ok := s.m[ref.m]
-			ok = ok && carriesAny(e.asserts, keys)
-			if ok {
-				delete(s.m, ref.m)
-			}
-			s.mu.Unlock()
-			if ok {
-				out.ModRef = append(out.ModRef, ref.m.query())
-			}
-		}
+	for _, k := range c.alias.invalidate(keys) {
+		out.Alias = append(out.Alias, k.query())
+	}
+	for _, k := range c.modref.invalidate(keys) {
+		out.ModRef = append(out.ModRef, k.query())
 	}
 	sort.Slice(out.Alias, func(i, j int) bool {
 		return out.Alias[i].describe() < out.Alias[j].describe()
@@ -419,40 +278,13 @@ func (c *SharedCache) InvalidateAsserts(keys []string) Invalidated {
 	return out
 }
 
-// carriesAny reports whether an entry's assertion keys include any of keys.
-func carriesAny(asserts, keys []string) bool {
-	for _, k := range keys {
-		for _, a := range asserts {
-			if a == k {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Flush drops every entry and the whole inverted index, returning the
-// number of removed alias and mod-ref entries. This is the (deliberately
-// blunt) recovery rule for a quarantined *module*: a module contributes to
-// answers through premises without necessarily appearing in their
-// assertion sets, so per-entry attribution would under-invalidate.
+// Flush drops every entry, returning the number of removed alias and
+// mod-ref entries. This is the (deliberately blunt) recovery rule for a
+// quarantined *module*: a module contributes to answers through premises
+// without necessarily appearing in their assertion sets, so per-entry
+// attribution would under-invalidate.
 func (c *SharedCache) Flush() (alias, modref int) {
-	for i := range c.alias {
-		c.alias[i].mu.Lock()
-		alias += len(c.alias[i].m)
-		c.alias[i].m = map[aliasKey]aliasEntry{}
-		c.alias[i].mu.Unlock()
-	}
-	for i := range c.modref {
-		c.modref[i].mu.Lock()
-		modref += len(c.modref[i].m)
-		c.modref[i].m = map[modrefKey]modrefEntry{}
-		c.modref[i].mu.Unlock()
-	}
-	c.idxMu.Lock()
-	c.index = map[string][]entryRef{}
-	c.idxMu.Unlock()
-	return alias, modref
+	return c.alias.flush(), c.modref.flush()
 }
 
 // query reconstructs the canonical top-level query an aliasKey was
@@ -484,14 +316,27 @@ func (k modrefKey) query() *ModRefQuery {
 // every assertion across the option set; nil when the answer is
 // assertion-free. The assertion-free case — every NoDep answer memory
 // analysis proves outright — is the common one on the publication path, so
-// it is detected with a scan and returns without allocating anything.
+// it is detected with a scan and returns without allocating anything. So
+// is an answer resting on one interned assertion, however many options
+// repeat it: it shares the handle's one-key slice, which no caller
+// mutates.
 func optionAssertKeys(opts []Option) []string {
 	n := 0
+	var sole *internedAssert
+	single := true
 	for _, o := range opts {
 		n += len(o.Asserts)
+		for i := range o.Asserts {
+			h := o.Asserts[i].intern
+			single = single && h != nil && (sole == nil || h == sole)
+			sole = h
+		}
 	}
 	if n == 0 {
 		return nil
+	}
+	if single {
+		return sole.str[:]
 	}
 	keys := make([]string, 0, n)
 	for _, o := range opts {
@@ -512,31 +357,47 @@ func optionAssertKeys(opts []Option) []string {
 	return keys
 }
 
-// shard hashes the proposition for shard selection only — collisions are
-// harmless (they just co-locate entries), so a cheap mix of the stable
-// integer fields suffices.
-func (k aliasKey) shard() uint64 {
-	h := uint64(17)
-	h = h*31 + valueID(k.p1)
-	h = h*31 + valueID(k.p2)
-	h = h*31 + uint64(k.s1)
-	h = h*31 + uint64(k.s2)
-	h = h*31 + uint64(k.rel)
-	return h
+// Hash mixes the proposition's stable integer fields. It picks the key's
+// shard and its chain in that shard's store; keys that differ only in the
+// fields it leaves out (the dominator trees) share a chain, which costs a
+// comparison, never a wrong hit.
+func (k aliasKey) Hash() uint64 {
+	h := mixHash(17, valueID(k.p1))
+	h = mixHash(h, valueID(k.p2))
+	h = mixHash(h, uint64(k.s1))
+	h = mixHash(h, uint64(k.s2))
+	h = mixHash(h, uint64(k.rel))
+	return mixHash(h, loopID(k.loop))
 }
 
-func (k modrefKey) shard() uint64 {
-	h := uint64(23)
-	if k.i1 != nil {
-		h = h*31 + uint64(k.i1.ID)
+func (k modrefKey) Hash() uint64 {
+	h := mixHash(23, instrID(k.i1))
+	h = mixHash(h, instrID(k.i2))
+	h = mixHash(h, valueID(k.locPtr))
+	h = mixHash(h, uint64(k.locSize))
+	h = mixHash(h, uint64(k.rel))
+	return mixHash(h, loopID(k.loop))
+}
+
+// mixHash folds x into h, FNV-1a style over whole words, and folds the
+// high half down so the low bits that pick a shard depend on all of them.
+func mixHash(h, x uint64) uint64 {
+	h = (h ^ x) * 1099511628211
+	return h ^ h>>32
+}
+
+func instrID(in *ir.Instr) uint64 {
+	if in == nil {
+		return 0
 	}
-	if k.i2 != nil {
-		h = h*31 + uint64(k.i2.ID)
+	return uint64(in.ID) + 1
+}
+
+func loopID(l *cfg.Loop) uint64 {
+	if l == nil {
+		return 0
 	}
-	h = h*31 + valueID(k.locPtr)
-	h = h*31 + uint64(k.locSize)
-	h = h*31 + uint64(k.rel)
-	return h
+	return uint64(l.ID) + 1
 }
 
 // valueID extracts a stable integer from the common ir.Value shapes.

@@ -3,6 +3,8 @@ package fleet
 import (
 	"sort"
 	"sync"
+
+	"scaf/internal/predstore"
 )
 
 // Entry is one canonical cache record as it moves between instances:
@@ -20,8 +22,8 @@ type Entry struct {
 const DefaultCacheBytes = 8 << 20
 
 // Accounted bytes of one entry beyond its key, value and assertion keys:
-// a slot and its key-map row per entry, an Asserts string header and an
-// index row per assertion.
+// a slot and its hash-index row per entry, an Asserts string header and
+// an assertion-row element per assertion.
 const (
 	entryOverhead  = 96
 	assertOverhead = 16
@@ -36,54 +38,49 @@ func entryBytes(e Entry) int64 {
 	return n
 }
 
-// slot holds one resident entry by value. Entries live in one slice, so
-// the collector scans the slice's strings and slices and nothing else:
-// no per-entry object, and the key map and index rows hold slot numbers.
-type slot struct {
-	key     string
-	value   []byte
-	asserts []string
-	size    int64 // accounted bytes; 0 marks a free slot
-	ref     bool  // CLOCK reference bit: set by a hit, cleared by the hand
-	checked bool  // the value passed the check of a Get that named one
-}
-
-// Cache is one instance's shard of the fleet cache: a first-write-wins
-// map from key to Entry, an inverted assertion→keys index mirroring
-// core.SharedCache's, and a monotone revoked-assertion set. The monotone
-// set gives the fleet the same guarantee recovery.Quarantine gives one
-// process: once an assertion key is revoked here, no entry predicated on
-// it can be inserted or served, ever — revocation-before-lookup implies a
-// guaranteed miss.
+// Cache is one instance's shard of the fleet cache: a predstore.Store
+// from key to value bytes, whose assertion rows make invalidation exact,
+// and a monotone revoked-assertion set. The monotone set gives the fleet
+// the same guarantee recovery.Quarantine gives one process: once an
+// assertion key is revoked here, no entry predicated on it can be
+// inserted or served, ever — revocation-before-lookup implies a
+// guaranteed miss. Invalidation applies a revocation and removes its
+// entries under one lock, so no resident entry rests on a revoked key.
 //
-// The entries are bounded by a byte budget. Once a Put would take the
-// accounted bytes past it, CLOCK evicts: the hand sweeps the slots,
-// clearing reference bits that hits set, and evicts the first entry
-// whose bit is clear. Evicting an entry is forgetting an answer, which
-// is always safe; the revoked set is never evicted.
+// The entries are bounded by a byte budget, past which the store evicts
+// by CLOCK. Evicting an entry is forgetting an answer, which is always
+// safe; the revoked set is never evicted.
 //
 // A Get may name a check its caller's values must pass, such as "is one
-// JSON object". A slot remembers that its value passed, so the check
-// runs once per stored entry, on its first hit and under the shard lock,
-// not on every hit. A value that fails is removed, which frees its key
-// for the next Put: first-write-wins would otherwise keep the bad bytes
-// in front of every correct publication of that key for good.
+// JSON object". A value remembers that it passed, so the check runs once
+// per stored entry, on its first hit and under the shard lock, not on
+// every hit. A value that fails is removed, which frees its key for the
+// next Put: first-write-wins would otherwise keep the bad bytes in front
+// of every correct publication of that key for good.
 type Cache struct {
 	mu      sync.RWMutex
-	keys    map[string]int32   // entry key -> slot
-	slots   []slot             // resident entries and free slots
-	free    []int32            // free slots, reused last freed first
-	index   map[string][]int32 // assertion key -> slots predicated on it
-	revoked map[string]bool
-
-	budget, bytes int64
-	hand          int
+	entries predstore.Store[predstore.String, value]
+	revoked revokedSet
+	budget  int64
 
 	revokeHook func([]string)
 	evictHook  func(string)
 
 	hits, misses, puts, rejects, invalidated, evicted int64
 }
+
+// value is a resident entry's bytes and whether they passed the check
+// its key's Gets name.
+type value struct {
+	bytes   []byte
+	checked bool
+}
+
+// revokedSet is the monotone revoked-assertion set, in the form the
+// store's put rule consults.
+type revokedSet map[string]bool
+
+func (r revokedSet) RevokedAssert(key string) bool { return r[key] }
 
 // CacheStats is a point-in-time snapshot of a shard's counters.
 type CacheStats struct {
@@ -107,11 +104,17 @@ func NewCache(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultCacheBytes
 	}
-	return &Cache{
-		keys:    make(map[string]int32),
-		index:   make(map[string][]int32),
-		revoked: make(map[string]bool),
-		budget:  budget,
+	c := &Cache{revoked: revokedSet{}, budget: budget}
+	c.entries.SetBudget(budget, c.noteEvicted)
+	return c
+}
+
+// noteEvicted counts one eviction of key and reports it to the evict
+// hook; the store calls it under the shard lock.
+func (c *Cache) noteEvicted(key predstore.String) {
+	c.evicted++
+	if c.evictHook != nil {
+		c.evictHook(string(key))
 	}
 }
 
@@ -123,22 +126,20 @@ func NewCache(budget int64) *Cache {
 func (c *Cache) Get(key string, check func([]byte) bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.keys[key]; ok {
-		s := &c.slots[i]
-		if check != nil && !s.checked {
-			if !check(s.value) {
-				c.removeLocked(i)
-				c.misses++
-				return nil, false
-			}
-			s.checked = true
+	v, _, ok := c.entries.Get(predstore.String(key), nil)
+	if ok && check != nil && !v.checked {
+		if ok = check(v.bytes); ok {
+			v.checked = true
+		} else {
+			c.entries.Remove(predstore.String(key))
 		}
-		s.ref = true
-		c.hits++
-		return s.value, true
 	}
-	c.misses++
-	return nil, false
+	if !ok {
+		c.misses++
+		return nil, false
+	}
+	c.hits++
+	return v.bytes, true
 }
 
 // GetBatch returns the entries present for keys, preserving key order.
@@ -147,11 +148,9 @@ func (c *Cache) GetBatch(keys []string) []Entry {
 	defer c.mu.Unlock()
 	var out []Entry
 	for _, k := range keys {
-		if i, ok := c.keys[k]; ok {
-			s := &c.slots[i]
-			s.ref = true
+		if v, asserts, ok := c.entries.Get(predstore.String(k), nil); ok {
 			c.hits++
-			out = append(out, Entry{Key: s.key, Value: s.value, Asserts: s.asserts})
+			out = append(out, Entry{Key: k, Value: v.bytes, Asserts: asserts})
 		} else {
 			c.misses++
 		}
@@ -188,102 +187,14 @@ func (c *Cache) PutBatch(es []Entry) int {
 }
 
 func (c *Cache) putLocked(e Entry, checked bool) bool {
-	if _, dup := c.keys[e.Key]; dup {
-		return false
+	switch c.entries.Put(predstore.String(e.Key), value{e.Value, checked}, e.Asserts, entryBytes(e), c.revoked) {
+	case predstore.Inserted:
+		c.puts++
+		return true
+	case predstore.Revoked:
+		c.rejects++
 	}
-	for _, a := range e.Asserts {
-		if c.revoked[a] {
-			c.rejects++
-			return false
-		}
-	}
-	size := entryBytes(e)
-	if size > c.budget {
-		c.noteEvictedLocked(e.Key)
-		return false
-	}
-	for c.bytes+size > c.budget {
-		c.evictLocked()
-	}
-	var i int32
-	if n := len(c.free); n > 0 {
-		i = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		i = int32(len(c.slots))
-		c.slots = append(c.slots, slot{})
-	}
-	c.slots[i] = slot{key: e.Key, value: e.Value, asserts: e.Asserts, size: size, checked: checked}
-	c.keys[e.Key] = i
-	for _, a := range e.Asserts {
-		c.index[a] = append(c.index[a], i)
-	}
-	c.bytes += size
-	c.puts++
-	return true
-}
-
-// evictLocked advances the CLOCK hand to the next resident entry whose
-// reference bit is clear, clearing the set bits it passes, and evicts
-// that entry. The shard must hold at least one entry.
-func (c *Cache) evictLocked() {
-	for {
-		if c.hand >= len(c.slots) {
-			c.hand = 0
-		}
-		i := c.hand
-		c.hand++
-		s := &c.slots[i]
-		if s.size == 0 {
-			continue
-		}
-		if s.ref {
-			s.ref = false
-			continue
-		}
-		key := s.key
-		c.removeLocked(int32(i))
-		c.noteEvictedLocked(key)
-		return
-	}
-}
-
-// noteEvictedLocked counts one eviction of key and reports it to the
-// evict hook.
-func (c *Cache) noteEvictedLocked(key string) {
-	c.evicted++
-	if c.evictHook != nil {
-		c.evictHook(key)
-	}
-}
-
-// removeLocked is the one way an entry leaves the shard — eviction,
-// invalidation, a failed check and Flush all come through here. It
-// drops the entry's row under every assertion it carries, so the index
-// never names an entry that is gone, and frees its slot.
-func (c *Cache) removeLocked(i int32) {
-	s := &c.slots[i]
-	for _, a := range s.asserts {
-		row := c.index[a]
-		// Rows grow at the end, and InvalidateAsserts removes a row's
-		// entries last first, so search from the end.
-		for j := len(row) - 1; j >= 0; j-- {
-			if row[j] == i {
-				row[j] = row[len(row)-1]
-				row = row[:len(row)-1]
-				break
-			}
-		}
-		if len(row) == 0 {
-			delete(c.index, a)
-		} else {
-			c.index[a] = row
-		}
-	}
-	delete(c.keys, s.key)
-	c.bytes -= s.size
-	*s = slot{}
-	c.free = append(c.free, i)
+	return false
 }
 
 // AnyRevoked reports whether any of keys is in the revoked set.
@@ -303,14 +214,10 @@ func (c *Cache) AnyRevoked(keys []string) bool {
 // the number of entries removed.
 func (c *Cache) InvalidateAsserts(keys []string) int {
 	c.mu.Lock()
-	removed := 0
 	for _, a := range keys {
 		c.revoked[a] = true
-		for row := c.index[a]; len(row) > 0; row = c.index[a] {
-			c.removeLocked(row[len(row)-1])
-			removed++
-		}
 	}
+	removed := len(c.entries.Invalidate(keys, nil))
 	c.invalidated += int64(removed)
 	hook := c.revokeHook
 	c.mu.Unlock()
@@ -361,12 +268,10 @@ func (c *Cache) RevokedKeys() []string {
 // and are never mutated after Put, so sharing the slices is safe.
 func (c *Cache) SnapshotEntries() []Entry {
 	c.mu.RLock()
-	out := make([]Entry, 0, len(c.keys))
-	for i := range c.slots {
-		if s := &c.slots[i]; s.size > 0 {
-			out = append(out, Entry{Key: s.key, Value: s.value, Asserts: s.asserts})
-		}
-	}
+	out := make([]Entry, 0, c.entries.Len())
+	c.entries.Each(func(k predstore.String, v *value, asserts []string) {
+		out = append(out, Entry{Key: string(k), Value: v.bytes, Asserts: asserts})
+	})
 	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -400,20 +305,15 @@ func (c *Cache) Restore(revoked []string, entries []Entry) (inserted, rejected i
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.keys)
+	return c.entries.Len()
 }
 
-// Flush drops all entries (and the index) but keeps the revoked set:
-// forgetting answers is always safe, forgetting revocations never is.
+// Flush drops all entries but keeps the revoked set: forgetting answers
+// is always safe, forgetting revocations never is.
 func (c *Cache) Flush() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.slots) - 1; i >= 0; i-- {
-		if c.slots[i].size > 0 {
-			c.removeLocked(int32(i))
-		}
-	}
-	c.slots, c.free, c.hand = nil, nil, 0
+	c.entries.Flush()
+	c.mu.Unlock()
 }
 
 // Stats snapshots the shard's counters.
@@ -421,14 +321,14 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return CacheStats{
-		Entries:     len(c.keys),
+		Entries:     c.entries.Len(),
 		Revoked:     len(c.revoked),
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Puts:        c.puts,
 		Rejects:     c.rejects,
 		Invalidated: c.invalidated,
-		Bytes:       c.bytes,
+		Bytes:       c.entries.Bytes(),
 		Budget:      c.budget,
 		Evicted:     c.evicted,
 	}

@@ -6,88 +6,32 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"scaf/internal/predstore"
 )
 
-// checkCacheInvariants fails t unless the shard's structures agree:
-// every index row names a resident entry that carries that assertion,
-// every resident entry is indexed under each of its assertions, the key
-// map and the free list partition the slots, and the bytes counter
-// equals the sum over resident entries and sits within the budget.
+// checkCacheInvariants fails t unless the shard's accounting holds: the
+// bytes counter equals the sum of entryBytes over resident entries and
+// sits within the budget, and no resident entry rests on a revoked key.
+// The store's own structure is predstore's to check.
 func checkCacheInvariants(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	count := func(xs []string, x string) int {
-		n := 0
-		for _, y := range xs {
-			if y == x {
-				n++
-			}
-		}
-		return n
-	}
-	for a, row := range c.index {
-		if len(row) == 0 {
-			t.Fatalf("index keeps an empty row under %q", a)
-		}
-		for _, i := range row {
-			s := c.slots[i]
-			if s.size == 0 {
-				t.Fatalf("index row %q names free slot %d", a, i)
-			}
-			if c.keys[s.key] != i {
-				t.Fatalf("index row %q names slot %d, which the key map does not", a, i)
-			}
-			if n := count(s.asserts, a); n == 0 {
-				t.Fatalf("index row %q names %q, which does not carry it (asserts %v)", a, s.key, s.asserts)
-			}
-		}
-	}
 	var bytes int64
-	resident := 0
-	for i, s := range c.slots {
-		if s.size == 0 {
-			continue
-		}
-		resident++
-		if j, ok := c.keys[s.key]; !ok || int(j) != i {
-			t.Fatalf("slot %d holds %q, but the key map says %d,%v", i, s.key, j, ok)
-		}
-		if want := entryBytes(Entry{Key: s.key, Value: s.value, Asserts: s.asserts}); s.size != want {
-			t.Fatalf("slot %d accounts %d bytes, want %d", i, s.size, want)
-		}
-		bytes += s.size
-		for _, a := range s.asserts {
+	c.entries.Each(func(k predstore.String, v *value, asserts []string) {
+		bytes += entryBytes(Entry{Key: string(k), Value: v.bytes, Asserts: asserts})
+		for _, a := range asserts {
 			if c.revoked[a] {
-				t.Fatalf("resident %q is predicated on revoked %q", s.key, a)
-			}
-			in := 0
-			for _, x := range c.index[a] {
-				if int(x) == i {
-					in++
-				}
-			}
-			if in != count(s.asserts, a) {
-				t.Fatalf("%q carries %q %d times but its row names it %d times", s.key, a, count(s.asserts, a), in)
+				t.Fatalf("resident %q is predicated on revoked %q", k, a)
 			}
 		}
+	})
+	if bytes != c.entries.Bytes() {
+		t.Fatalf("bytes counter %d, resident entries sum to %d", c.entries.Bytes(), bytes)
 	}
-	if resident != len(c.keys) {
-		t.Fatalf("%d resident slots, %d keys", resident, len(c.keys))
-	}
-	if resident+len(c.free) != len(c.slots) {
-		t.Fatalf("%d resident + %d free slots, want %d", resident, len(c.free), len(c.slots))
-	}
-	for _, i := range c.free {
-		if c.slots[i].size != 0 {
-			t.Fatalf("free list names resident slot %d", i)
-		}
-	}
-	if bytes != c.bytes {
-		t.Fatalf("bytes counter %d, resident entries sum to %d", c.bytes, bytes)
-	}
-	if c.bytes > c.budget {
-		t.Fatalf("shard holds %d bytes over its %d budget", c.bytes, c.budget)
+	if bytes > c.budget {
+		t.Fatalf("shard holds %d bytes over its %d budget", bytes, c.budget)
 	}
 }
 
@@ -102,15 +46,15 @@ func TestCacheInvalidateDropsEveryRow(t *testing.T) {
 		t.Fatalf("invalidated %d entries, want 1 (k1)", n)
 	}
 	checkCacheInvariants(t, c)
-	if row := c.index["a2"]; len(row) != 1 || c.slots[row[0]].key != "k2" {
-		t.Fatalf("index[a2] names %d entries, want only k2", len(row))
+	if rows := c.entries.Indexed(); rows != 1 {
+		t.Fatalf("%d index rows, want only a2's", rows)
 	}
 	if n := c.InvalidateAsserts([]string{"a2"}); n != 1 {
 		t.Fatalf("invalidated %d entries under a2, want 1 (k2)", n)
 	}
 	checkCacheInvariants(t, c)
-	if len(c.index) != 0 || c.Len() != 0 || c.Stats().Bytes != 0 {
-		t.Fatalf("empty shard keeps %d index rows, %d entries, %d bytes", len(c.index), c.Len(), c.Stats().Bytes)
+	if c.entries.Indexed() != 0 || c.Len() != 0 || c.Stats().Bytes != 0 {
+		t.Fatalf("empty shard keeps %d index rows, %d entries, %d bytes", c.entries.Indexed(), c.Len(), c.Stats().Bytes)
 	}
 }
 

@@ -275,21 +275,12 @@ func (sess *session) decodeFleetModRef(b []byte) (core.ModRefResponse, bool) {
 }
 
 // fleetPeer implements core.CachePeer for one (session, scheme) pair over
-// the tier. Only the mod-ref plane is spoken: top-level published entries
-// in the serving path are instruction-pair mod-ref propositions (alias
-// propositions arise as premises, which are never published), so the
-// alias plane would add codec surface for no traffic.
+// the tier.
 type fleetPeer struct {
 	sess   *session
 	scheme scaf.Scheme
 	tier   *fleet.Tier
 }
-
-func (p *fleetPeer) GetAlias(q *core.AliasQuery) (core.AliasResponse, bool) {
-	return core.AliasResponse{}, false
-}
-
-func (p *fleetPeer) PutAlias(q *core.AliasQuery, asserts []string, r core.AliasResponse) {}
 
 func (p *fleetPeer) GetModRef(q *core.ModRefQuery) (core.ModRefResponse, bool) {
 	key, ok := p.sess.fleetModRefKey(p.scheme, q)
