@@ -7,6 +7,7 @@ import (
 	"scaf"
 	"scaf/internal/bench"
 	"scaf/internal/core"
+	"scaf/internal/interp"
 	"scaf/internal/pdg"
 	"scaf/internal/spec"
 )
@@ -172,6 +173,25 @@ func BenchmarkProfiling(b *testing.B) {
 		if _, err := scaf.Load("129.compress", src, scaf.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRun measures a bare interp.Run, the interpreter alone under
+// both program runs of a session create, of 175.vpr and 429.mcf.
+// Compilation stays outside the timer.
+func BenchmarkRun(b *testing.B) {
+	for _, name := range []string{"175.vpr", "429.mcf"} {
+		mod, err := scaf.Compile(name, bench.Sources[name])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := interp.Run(mod, interp.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 
 // soundnessTrial runs the soundness + monotonicity oracle over the random
 // program of one seed: every dependence any scheme disproves is
-// cross-checked against the ground truth recorded by the memory-dependence
-// profiler during the very execution the speculation was trained on. A
-// manifested dependence disproved by anything but value prediction is a
-// soundness bug.
+// cross-checked against the ground truth the memory-dependence profiler
+// records in a re-execution identical to the one the speculation was
+// trained on (TestProfileDigest shows the two record the same
+// dependences). A manifested dependence disproved by anything but value
+// prediction is a soundness bug.
 //
 // Shared by the deterministic sweep below and FuzzMCGenSoundness. The
 // heavier differential checks (parallel/shared-cache/server drift,

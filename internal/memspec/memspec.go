@@ -24,7 +24,9 @@ type MemSpec struct {
 	data *profile.Data
 }
 
-// New creates the baseline from profiles.
+// New creates the baseline from profiles. It answers from d.MemDep,
+// which profile.Collect leaves nil (see profile.CollectMemDep); with no
+// memory-dependence profile it speculates nothing.
 func New(d *profile.Data) *MemSpec { return &MemSpec{data: d} }
 
 func (m *MemSpec) Name() string          { return Name }
@@ -33,7 +35,8 @@ func (m *MemSpec) Kind() core.ModuleKind { return core.Speculation }
 // NoDep reports whether no dependence i1→i2 with the given temporal
 // relation manifested during profiling within loop l.
 func (m *MemSpec) NoDep(l *cfg.Loop, i1, i2 *ir.Instr, rel core.TemporalRelation) bool {
-	return !m.data.MemDep.Observed(l, i1, i2, rel == core.Before)
+	dep := m.data.MemDep
+	return dep != nil && !dep.Observed(l, i1, i2, rel == core.Before)
 }
 
 // execCount estimates how often instruction in accessed memory.

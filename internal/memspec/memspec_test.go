@@ -22,6 +22,11 @@ func load(t *testing.T, src string) (*profile.Data, *cfg.Program) {
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
+	// Collect leaves the dependences out; they come from a run of their
+	// own, as scaf.System.MemSpec collects them.
+	if data.MemDep, err = profile.CollectMemDep(prog, interp.Options{}); err != nil {
+		t.Fatalf("memdep: %v", err)
+	}
 	return data, prog
 }
 

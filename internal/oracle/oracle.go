@@ -8,8 +8,10 @@
 //
 // The predicate generalizes the repository's fuzzing logic into a library:
 // generate (or accept) an MC program, compile and profile it, collect the
-// memory-dependence profiler's ground truth from the very execution the
-// speculation was trained on, then check every analysis scheme's answers.
+// memory-dependence profiler's ground truth from a re-execution identical
+// to the one the speculation was trained on (profile.TestProfileDigest
+// shows the two record the same dependences), then check every analysis
+// scheme's answers.
 // A dependence that manifested during training and is nonetheless disproved
 // by anything but value prediction is a soundness bug; any divergence
 // between execution paths of the same scheme is answer drift; any change in
@@ -428,8 +430,9 @@ func usesValuePred(r core.ModRefResponse) bool {
 }
 
 // checkSoundness cross-checks every dependence the scheme disproves
-// against the ground truth recorded by the memory-dependence profiler
-// during the very execution the speculation was trained on.
+// against the ground truth the memory-dependence profiler recorded
+// during System.MemSpec's run, a re-execution identical to the one the
+// speculation was trained on.
 func checkSoundness(rep *Report, a *analysis, scheme scaf.Scheme) {
 	rep.Queries += countQueries(a.serial[scheme])
 	soundnessViolations(rep, a, scheme, a.serial[scheme], KindUnsound)

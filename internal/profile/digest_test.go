@@ -18,8 +18,9 @@ import (
 
 // TestProfileDigest pins every profiler's output, byte for byte, over the
 // 16 suite programs, 60 generated ones and one written for the test: each
-// program's profile is rendered as sorted lines with stable names and
-// hashed, and the hash must equal the literal below. A change to how the profilers record
+// program's profile (Collect's, plus CollectMemDep's dependences) is
+// rendered as sorted lines with stable names and hashed, and the hash
+// must equal the literal below. A change to how the profilers record
 // must leave every literal as it is; a change to what they record
 // regenerates the table and says why.
 func TestProfileDigest(t *testing.T) {
@@ -28,9 +29,19 @@ func TestProfileDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", p.name, err)
 		}
-		d, err := profile.Collect(cfg.NewProgram(mod), interp.Options{})
+		prog := cfg.NewProgram(mod)
+		d, err := profile.Collect(prog, interp.Options{})
 		if err != nil {
 			t.Fatalf("%s: collect: %v", p.name, err)
+		}
+		if d.MemDep != nil {
+			t.Fatalf("%s: Collect attached the memory-dependence profiler", p.name)
+		}
+		// The dependences come from a run of their own; the literals,
+		// computed when one run recorded every profile, prove that the
+		// second run records the same ones.
+		if d.MemDep, err = profile.CollectMemDep(prog, interp.Options{}); err != nil {
+			t.Fatalf("%s: collect memdep: %v", p.name, err)
 		}
 		if got, want := profileDigest(d), digestWant[p.name]; got != want {
 			t.Errorf("%s: profile digest %s, want %s", p.name, got, want)

@@ -11,20 +11,23 @@ import (
 // Data bundles every profile one training run produces. It is the input
 // the speculation modules consume.
 type Data struct {
-	Prog      *cfg.Program
-	Edge      *EdgeProfile
-	Value     *ValueProfile
-	PointsTo  *PointsToProfile
-	Residue   *ResidueProfile
-	Lifetime  *LifetimeProfile
+	Prog     *cfg.Program
+	Edge     *EdgeProfile
+	Value    *ValueProfile
+	PointsTo *PointsToProfile
+	Residue  *ResidueProfile
+	Lifetime *LifetimeProfile
+	// MemDep is nil after Collect. Only the memory-speculation baseline
+	// reads it, so it comes from a run of its own (CollectMemDep) that
+	// scaf.System.MemSpec makes on first call.
 	MemDep    *MemDepProfile
 	Steps     int64
 	Output    []string
 	LoopStats map[*cfg.Loop]*LoopStat
 }
 
-// Collect runs the program once under all profilers ("the train input
-// run") and returns the gathered profiles.
+// Collect runs the program once under the profilers the speculation
+// modules read ("the train input run") and returns the gathered profiles.
 func Collect(prog *cfg.Program, opts interp.Options) (*Data, error) {
 	tracker := NewTracker(prog)
 	d := &Data{
@@ -36,19 +39,8 @@ func Collect(prog *cfg.Program, opts interp.Options) (*Data, error) {
 	}
 	d.PointsTo = NewPointsToProfile(tracker)
 	d.Lifetime = NewLifetimeProfile(tracker)
-	d.MemDep = NewMemDepProfile(tracker)
 
-	main := prog.Mod.FuncNamed("main")
-	if main != nil {
-		tracker.Begin(main)
-	}
-	// The tracker MUST observe first so loop state is current when the
-	// loop-sensitive profilers see the same event.
-	opts.Observers = append([]interp.Observer{
-		tracker, d.Edge, d.Value, d.PointsTo, d.Residue, d.Lifetime, d.MemDep,
-	}, opts.Observers...)
-
-	res, err := interp.Run(prog.Mod, opts)
+	res, err := runTracked(prog, tracker, opts, d.Edge, d.Value, d.PointsTo, d.Residue, d.Lifetime)
 	if err != nil {
 		return nil, err
 	}
@@ -57,12 +49,38 @@ func Collect(prog *cfg.Program, opts interp.Options) (*Data, error) {
 	d.PointsTo.release()
 	d.Residue.release()
 	d.Lifetime.release()
-	d.MemDep.release()
 	d.Edge.Finish()
 	d.Steps = res.Steps
 	d.Output = res.Output
 	d.LoopStats = d.Edge.LoopStats(prog)
 	return d, nil
+}
+
+// CollectMemDep runs the program once under the loop tracker and the
+// memory-dependence profiler alone, and returns that profile. The run
+// repeats Collect's (interpretation is deterministic; TestProfileDigest
+// pins the two together), so it records the dependences the training run
+// manifested.
+func CollectMemDep(prog *cfg.Program, opts interp.Options) (*MemDepProfile, error) {
+	tracker := NewTracker(prog)
+	dep := NewMemDepProfile(tracker)
+	if _, err := runTracked(prog, tracker, opts, dep); err != nil {
+		return nil, err
+	}
+	dep.release()
+	return dep, nil
+}
+
+// runTracked runs prog from main under tracker and then obs, ahead of
+// any observers opts already carries. The tracker MUST observe first so
+// loop state is current when the loop-sensitive profilers see the same
+// event.
+func runTracked(prog *cfg.Program, tracker *Tracker, opts interp.Options, obs ...interp.Observer) (*interp.Result, error) {
+	if main := prog.Mod.FuncNamed("main"); main != nil {
+		tracker.Begin(main)
+	}
+	opts.Observers = append(append([]interp.Observer{tracker}, obs...), opts.Observers...)
+	return interp.Run(prog.Mod, opts)
 }
 
 // HotLoopParams mirrors the paper's hot-loop selection (§5): loops that

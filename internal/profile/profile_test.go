@@ -23,6 +23,19 @@ func collect(t *testing.T, src string) *Data {
 	return d
 }
 
+// collectMemDep is collect plus the memory-dependence profile, taken
+// from its own run as scaf.System.MemSpec takes it.
+func collectMemDep(t *testing.T, src string) *Data {
+	t.Helper()
+	d := collect(t, src)
+	dep, err := CollectMemDep(d.Prog, interp.Options{})
+	if err != nil {
+		t.Fatalf("memdep: %v", err)
+	}
+	d.MemDep = dep
+	return d
+}
+
 // findLoop returns the single loop of the named function whose header
 // name contains hdr, or the function's only loop when hdr is "".
 func findLoop(t *testing.T, d *Data, fn string, hdr string) *cfg.Loop {
@@ -246,7 +259,7 @@ void main() {
 `
 
 func TestMemDepProfile(t *testing.T) {
-	d := collect(t, depProg)
+	d := collectMemDep(t, depProg)
 	l := findLoop(t, d, "main", "")
 	main := d.Prog.Mod.FuncNamed("main")
 	bufG := d.Prog.Mod.GlobalNamed("buf")
@@ -309,7 +322,7 @@ void main() {
 `
 
 func TestCalleeDepsAttributedToCallSite(t *testing.T) {
-	d := collect(t, calleeDepProg)
+	d := collectMemDep(t, calleeDepProg)
 	l := findLoop(t, d, "main", "")
 	main := d.Prog.Mod.FuncNamed("main")
 	var call *ir.Instr

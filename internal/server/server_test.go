@@ -474,6 +474,29 @@ func TestPreload(t *testing.T) {
 	}
 }
 
+// TestCreateRunsNoMemDepProfiler: a session create profiles only what
+// sessions read. The memory-dependence profile, which only the memspec
+// baseline reads, stays uncollected.
+func TestCreateRunsNoMemDepProfiler(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark load in -short")
+	}
+	srv := New(Config{})
+	info, err := srv.Preload("175.vpr")
+	if err != nil {
+		t.Fatalf("preload: %v", err)
+	}
+	srv.mu.Lock()
+	sess := srv.sessions[info.ID]
+	srv.mu.Unlock()
+	if sess == nil {
+		t.Fatalf("no session %s", info.ID)
+	}
+	if sess.sys.Profiles.MemDep != nil {
+		t.Fatal("a session create collected the memory-dependence profile")
+	}
+}
+
 func TestQueryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})

@@ -75,9 +75,11 @@ type System struct {
 	Prog     *cfg.Program
 	Profiles *profile.Data
 	hot      profile.HotLoopParams
+	maxSteps int64 // Options.MaxSteps, the budget of MemSpec's run
 
 	internOnce sync.Once
 	intern     *core.Interner
+	memdepOnce sync.Once
 }
 
 // Interner returns the system's session-scoped assertion-identity table,
@@ -109,7 +111,7 @@ func Load(name, source string, opts Options) (*System, error) {
 	if opts.HotLoops != nil {
 		hot = *opts.HotLoops
 	}
-	return &System{Mod: mod, Prog: prog, Profiles: data, hot: hot}, nil
+	return &System{Mod: mod, Prog: prog, Profiles: data, hot: hot, maxSteps: opts.MaxSteps}, nil
 }
 
 // HotLoops returns the loops the paper evaluates on: ≥10% of execution
@@ -119,8 +121,23 @@ func (s *System) HotLoops() []*cfg.Loop { return s.Profiles.HotLoops(s.hot) }
 // Client returns a PDG client over the program.
 func (s *System) Client() *pdg.Client { return pdg.NewClient(s.Prog) }
 
-// MemSpec returns the memory-speculation baseline.
-func (s *System) MemSpec() *memspec.MemSpec { return memspec.New(s.Profiles) }
+// MemSpec returns the memory-speculation baseline. Its first call
+// collects the memory-dependence profile it answers from into
+// s.Profiles.MemDep: one more run of the program, under the loop tracker
+// and that profiler alone. No session reads the profile, so Load leaves
+// it out. Should the run fail, MemDep stays nil and the baseline
+// speculates nothing.
+func (s *System) MemSpec() *memspec.MemSpec {
+	s.memdepOnce.Do(func() {
+		if dep, err := collectMemDep(s.Prog, interp.Options{MaxSteps: s.maxSteps}); err == nil {
+			s.Profiles.MemDep = dep
+		}
+	})
+	return memspec.New(s.Profiles)
+}
+
+// collectMemDep is MemSpec's profiling run; tests count its calls.
+var collectMemDep = profile.CollectMemDep
 
 // Validate re-runs the program with runtime checks enforcing the given
 // speculative assertions (the validation half of §4.2.1), reporting every

@@ -1,10 +1,17 @@
 package scaf
 
 import (
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"scaf/internal/cfg"
 	"scaf/internal/core"
+	"scaf/internal/interp"
 	"scaf/internal/ir"
+	"scaf/internal/memspec"
+	"scaf/internal/profile"
 	"scaf/internal/spec"
 )
 
@@ -190,5 +197,98 @@ func TestMemSpecBaseline(t *testing.T) {
 	}
 	if ms.NoDep(loop, i1, i2, core.Same) {
 		t.Error("manifested intra-iteration flow i1→i2 must be observed")
+	}
+}
+
+// memSpecAnswers lists ms's NoDep answer for every ordered pair of the
+// memory instructions in each hot loop of s, under both relations.
+func memSpecAnswers(s *System, ms *memspec.MemSpec) []bool {
+	var out []bool
+	for _, l := range s.HotLoops() {
+		var mem []*ir.Instr
+		for _, b := range l.Header.Fn.Blocks {
+			for _, in := range b.Instrs {
+				if l.ContainsInstr(in) && in.AccessesMemory() {
+					mem = append(mem, in)
+				}
+			}
+		}
+		for _, i1 := range mem {
+			for _, i2 := range mem {
+				out = append(out, ms.NoDep(l, i1, i2, core.Before), ms.NoDep(l, i1, i2, core.Same))
+			}
+		}
+	}
+	return out
+}
+
+// TestMemSpecCollectsOnce: Load runs no memory-dependence profiler, and
+// eight concurrent first calls of MemSpec share one collection and give
+// one set of answers. Run it under -race.
+func TestMemSpecCollectsOnce(t *testing.T) {
+	var runs atomic.Int32
+	defer func(f func(*cfg.Program, interp.Options) (*profile.MemDepProfile, error)) { collectMemDep = f }(collectMemDep)
+	collectMemDep = func(prog *cfg.Program, opts interp.Options) (*profile.MemDepProfile, error) {
+		runs.Add(1)
+		return profile.CollectMemDep(prog, opts)
+	}
+	s := loadMotivating(t)
+	if s.Profiles.MemDep != nil || runs.Load() != 0 {
+		t.Fatal("Load collected the memory-dependence profile")
+	}
+	answers := make([][]bool, 8)
+	var wg sync.WaitGroup
+	for g := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[g] = memSpecAnswers(s, s.MemSpec())
+		}()
+	}
+	wg.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("memory-dependence profile collected %d times, want 1", n)
+	}
+	if s.Profiles.MemDep == nil {
+		t.Fatal("MemSpec left no memory-dependence profile")
+	}
+	if len(answers[0]) == 0 {
+		t.Fatal("no memory instruction pairs in the hot loop")
+	}
+	for g := 1; g < len(answers); g++ {
+		if !reflect.DeepEqual(answers[g], answers[0]) {
+			t.Fatalf("goroutine %d's NoDep answers differ from goroutine 0's", g)
+		}
+	}
+}
+
+// TestMemSpecStructLiteralSystem: a System built by struct literal over
+// Collect's profiles, as a caller that times each layer builds one,
+// collects the dependences on its first MemSpec call and answers as a
+// loaded System does.
+func TestMemSpecStructLiteralSystem(t *testing.T) {
+	loaded := loadMotivating(t)
+	mod, err := Compile("motivating", motivatingExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := cfg.NewProgram(mod)
+	data, err := profile.Collect(prog, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := &System{Mod: mod, Prog: prog, Profiles: data}
+	got := memSpecAnswers(lit, lit.MemSpec())
+	if data.MemDep == nil {
+		t.Fatal("MemSpec left no memory-dependence profile")
+	}
+	want := memSpecAnswers(loaded, loaded.MemSpec())
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("%d answers, want %d (and more than 0)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("answer %d: struct-literal System says %t, loaded System %t", i, got[i], want[i])
+		}
 	}
 }
