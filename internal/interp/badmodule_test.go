@@ -72,3 +72,33 @@ func TestParamIndexOutOfRange(t *testing.T) {
 		t.Fatalf("err = %v, want out-of-range error", err)
 	}
 }
+
+// TestMalformedCodeThatNeverRunsRunsClean: decoding is lazy about
+// errors. A bogus operand in a block that never runs, in a phi on an
+// edge never taken and in a function never called leaves the run clean.
+func TestMalformedCodeThatNeverRunsRunsClean(t *testing.T) {
+	m := ir.NewModule("dead")
+	dead := m.NewFunc("dead", ir.Int)
+	dead.NewBlock("entry").Ret(bogusValue{})
+
+	f := m.NewFunc("main", ir.Int)
+	entry := f.NewBlock("entry")
+	never := f.NewBlock("never")
+	join := f.NewBlock("join")
+	entry.CondBr(ir.CI(1), join, never)
+	sum := never.BinIns(ir.Add, ir.CI(1), bogusValue{})
+	never.Call(dead)
+	never.Br(join)
+	phi := join.Phi(ir.Int, "p")
+	phi.Args = []ir.Value{ir.CI(7), bogusValue{}} // from entry, from never
+	join.Ret(phi)
+	_ = sum
+
+	res, err := Run(m, Options{})
+	if err != nil {
+		t.Fatalf("Run failed on malformed code that never runs: %v", err)
+	}
+	if res.Steps != 3 { // condbr, the phi, ret
+		t.Errorf("steps = %d, want 3", res.Steps)
+	}
+}

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"scaf/internal/ir"
@@ -64,11 +66,33 @@ type RegionEnd struct {
 // The stop predicate is consulted exactly once per transfer, so stateful
 // predicates (iteration counters) are safe. Hooks do not fire. Stack
 // allocations performed inside the region stay live when the region ends;
-// callers speculating over loops must refuse allocating regions.
+// callers speculating over loops must refuse allocating regions. fr may
+// be the Frame a hook received, or one the caller built: then its Regs
+// must hold one register per instruction ID of fr.Fn, and the region's
+// writes land in them when it ends.
 func (it *Interp) RunRegion(fr *Frame, start, prev *ir.Block, stop func(from, to *ir.Block) bool) (*RegionEnd, error) {
 	end := &RegionEnd{stop: stop}
+	var c *code
+	var slots []uint64
+	own := fr.Depth >= 0 && fr.Depth < len(it.acts) && it.acts[fr.Depth] != nil && fr == &it.acts[fr.Depth].fr
+	if own {
+		a := it.acts[fr.Depth]
+		c, slots = a.code, a.slots
+	} else {
+		c = it.code(fr.Fn, funcIndex(it.mod, fr.Fn), len(fr.Args))
+		if len(fr.Regs) != int(c.nregs) {
+			return end, fmt.Errorf("%s: frame has %d registers, want %d", fr.Fn.Name, len(fr.Regs), c.nregs)
+		}
+		slots = load(c, nil, fr.Args)
+		copy(slots, fr.Regs)
+		defer copy(fr.Regs, slots)
+	}
+	bi := c.blockIndex(start)
+	if bi < 0 {
+		return end, fmt.Errorf("%s: region starts at block %s of another function", fr.Fn.Name, start)
+	}
 	var stackObjs []*Object
-	_, err := it.exec(fr, start, prev, &stackObjs, end, false)
+	_, err := it.exec(fr, c, slots, bi, prev, -1, &stackObjs, end, false)
 	return end, err
 }
 
@@ -76,18 +100,34 @@ func (it *Interp) RunRegion(fr *Frame, start, prev *ir.Block, stop func(from, to
 // observers and hooks are stripped, output and step counts start empty,
 // and heap operations (alloca/malloc/free) are refused — a region that
 // allocates aborts with an error instead of perturbing the parent's
-// address space. The globals map is shared read-only.
+// address space. The globals map and the decoded functions are shared
+// read-only; a function the fork decodes stays the fork's.
 func (it *Interp) Fork(mem MemOps) *Interp {
-	f := &Interp{mod: it.mod, mem: mem, opts: it.opts, globals: it.globals}
+	f := &Interp{mod: it.mod, mem: mem, opts: it.opts, globals: it.globals, fns: slices.Clone(it.fns)}
 	f.opts.Observers = nil
 	f.opts.Hook = nil
 	f.memIA, _ = mem.(instrAware)
+	if f.direct, _ = mem.(*Memory); f.direct != nil {
+		f.last = make([]*Object, len(it.last))
+	}
 	return f
 }
 
 // Eval resolves operand v against a frame's registers and arguments.
 func (it *Interp) Eval(v ir.Value, fr *Frame) (uint64, error) {
-	return it.eval(v, fr.Regs, fr.Args)
+	switch x := v.(type) {
+	case *ir.Param:
+		if x.Idx < 0 || x.Idx >= len(fr.Args) {
+			return 0, fmt.Errorf("parameter index %d out of range (%d args)", x.Idx, len(fr.Args))
+		}
+		return fr.Args[x.Idx], nil
+	case *ir.Instr:
+		if x.ID < 0 || x.ID >= len(fr.Regs) {
+			return 0, fmt.Errorf("instruction id %d out of range (%d registers)", x.ID, len(fr.Regs))
+		}
+		return fr.Regs[x.ID], nil
+	}
+	return it.constant(v)
 }
 
 // Heap returns the concrete memory backing allocation, or nil in a fork.

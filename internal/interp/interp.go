@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -25,6 +27,29 @@ type Observer interface {
 	Call(site *ir.Instr, callee *ir.Func)
 	// Return fires when a defined callee returns.
 	Return(callee *ir.Func)
+}
+
+// Event is a set of observer events, one bit per Observer method.
+type Event uint8
+
+const (
+	EdgeEvent Event = 1 << iota
+	LoadEvent
+	StoreEvent
+	AllocEvent
+	FreeEvent
+	CallEvent
+	ReturnEvent
+
+	AllEvents = EdgeEvent | LoadEvent | StoreEvent | AllocEvent | FreeEvent | CallEvent | ReturnEvent
+)
+
+// Selective is implemented by an Observer that handles only some events,
+// leaving the rest to BaseObserver's no-ops. A run sends it only the
+// events Events names, once, at the start of the run; an Observer
+// without it receives every event.
+type Selective interface {
+	Events() Event
 }
 
 // BaseObserver is a no-op Observer for embedding.
@@ -76,10 +101,22 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 		mod:     m,
 		mem:     mem,
 		heap:    mem,
+		direct:  mem,
 		opts:    opts,
-		obs:     opts.Observers,
 		hook:    opts.Hook,
 		globals: map[*ir.Global]uint64{},
+		fns:     make([]*code, len(m.Funcs)),
+	}
+	for _, ob := range opts.Observers {
+		ev := AllEvents
+		if s, ok := ob.(Selective); ok {
+			ev = s.Events()
+		}
+		for i := range it.on {
+			if ev&(1<<i) != 0 {
+				it.on[i] = append(it.on[i], ob)
+			}
+		}
 	}
 	for _, g := range m.Globals {
 		o := it.heap.Allocate(g.Elem.Size(), nil, g)
@@ -93,7 +130,7 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 		it.globals[g] = o.Base
 		it.alloc(o)
 	}
-	if _, err := it.call(main, nil, 0); err != nil {
+	if _, err := it.call(main, funcIndex(m, main), nil, 0); err != nil {
 		return nil, fmt.Errorf("interp: %w", err)
 	}
 	return &Result{Output: it.output, Steps: it.steps, Mem: it.heap}, nil
@@ -108,26 +145,49 @@ type Interp struct {
 	heap    *Memory
 	memIA   instrAware
 	opts    Options
-	obs     []Observer
 	hook    Hook
 	globals map[*ir.Global]uint64
 	steps   int64
 	output  []string
-	// phis is exec's reusable buffer for a block's parallel phi copy. It
-	// serves every frame: phi operands are evaluated without calls, so
-	// no nested exec runs while it holds values, and a Fork gets its own.
+	// on lists, per event (bit i of Event), the observers it goes to.
+	on [7][]Observer
+	// direct is mem when mem is a concrete Memory: loads and stores of
+	// eight bytes then try last[their slot], the object the instruction
+	// last touched, before Memory's own last-object check and search.
+	direct *Memory
+	last   []*Object
+	// fns holds the decoded functions by position in mod.Funcs; a Fork
+	// starts from a copy and shares the codes.
+	fns   []*code
+	pools pools
+	// phis is the buffer of an edge's parallel copy when a move reads a
+	// register another writes. Copies run without calls, so one buffer
+	// serves every frame; a Fork gets its own.
 	phis []uint64
 	// acts holds one activation buffer per call depth, reused by every
 	// call made at that depth; a Fork gets its own.
 	acts []*activation
 }
 
+// Indexes into Interp.on, one per Event bit.
+const (
+	onEdge = iota
+	onLoad
+	onStore
+	onAlloc
+	onFree
+	onCall
+	onReturn
+)
+
 // activation is the reusable state of one call depth: the Frame the
-// running activation executes in, its register file, the arguments its
-// caller evaluated into it, and the stack objects it allocated.
+// running activation executes in, its slots (registers, which the Frame's
+// Regs alias, then parameters and constants), the arguments its caller
+// evaluated into it, and the stack objects it allocated.
 type activation struct {
 	fr        Frame
-	regs      []uint64
+	code      *code
+	slots     []uint64
 	args      []uint64
 	stackObjs []*Object
 }
@@ -147,68 +207,47 @@ func (it *Interp) activation(d int) *activation {
 	return a
 }
 
+// load sizes s to c's slots and fills them for a call with args: the
+// registers zeroed, then the parameters and constants.
+func load(c *code, s []uint64, args []uint64) []uint64 {
+	n := c.nslots()
+	if cap(s) < n {
+		s = make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s[:c.nregs])
+	copy(s[c.nregs:], args[:c.nparams])
+	copy(s[c.nregs+c.nparams:], c.consts)
+	return s
+}
+
 func (it *Interp) alloc(o *Object) {
-	for _, ob := range it.obs {
+	for _, ob := range it.on[onAlloc] {
 		ob.Alloc(o)
 	}
 }
 
-// Raw value conversions: every value is a raw 8-byte word.
-func b2f(v uint64) float64 { return math.Float64frombits(v) }
-func f2b(v float64) uint64 { return math.Float64bits(v) }
-func b2i(v uint64) int64   { return int64(v) }
-func i2b(v int64) uint64   { return uint64(v) }
-
-// eval resolves an operand to its raw 8-byte word. Malformed IR — an
-// operand kind the evaluator does not know, or a parameter index outside
-// the caller-supplied arguments — is reported as an error rather than a
-// panic, so profilers and validators running over untrusted modules degrade
-// gracefully (the error surfaces through Run).
-func (it *Interp) eval(v ir.Value, regs []uint64, args []uint64) (uint64, error) {
-	switch x := v.(type) {
-	case *ir.ConstInt:
-		return i2b(x.V), nil
-	case *ir.ConstFloat:
-		return f2b(x.V), nil
-	case *ir.ConstNull:
-		return 0, nil
-	case *ir.Global:
-		return it.globals[x], nil
-	case *ir.Param:
-		if x.Idx < 0 || x.Idx >= len(args) {
-			return 0, fmt.Errorf("parameter index %d out of range (%d args)", x.Idx, len(args))
-		}
-		return args[x.Idx], nil
-	case *ir.Instr:
-		if x.ID < 0 || x.ID >= len(regs) {
-			return 0, fmt.Errorf("instruction id %d out of range (%d registers)", x.ID, len(regs))
-		}
-		return regs[x.ID], nil
-	}
-	return 0, fmt.Errorf("unknown value %T (%v)", v, v)
-}
-
-// call runs one function activation in the activation buffer of its
-// depth, whose args the caller has filled (see OpCall).
-func (it *Interp) call(f *ir.Func, args []uint64, depth int) (uint64, error) {
+// call runs one activation of f (the module's function number fn, or -1)
+// in the activation buffer of its depth, whose args the caller has
+// filled (see opCall).
+func (it *Interp) call(f *ir.Func, fn int32, args []uint64, depth int) (uint64, error) {
 	if depth > it.opts.MaxDepth {
 		return 0, fmt.Errorf("call depth limit exceeded in %s", f.Name)
 	}
-	a := it.activation(depth)
-	n := f.NumIDs()
-	if cap(a.regs) < n {
-		a.regs = make([]uint64, n)
+	c := it.code(f, fn, len(args))
+	if len(c.blocks) == 0 {
+		return 0, fmt.Errorf("%s has no blocks", f.Name)
 	}
-	a.regs = a.regs[:n]
-	clear(a.regs)
-	a.fr = Frame{It: it, Fn: f, Regs: a.regs, Args: args, Depth: depth}
+	a := it.activation(depth)
+	a.code, a.slots = c, load(c, a.slots, args)
+	a.fr = Frame{It: it, Fn: f, Regs: a.slots[:c.nregs:c.nregs], Args: args, Depth: depth}
 	a.stackObjs = a.stackObjs[:0]
-	v, err := it.exec(&a.fr, f.Entry(), nil, &a.stackObjs, nil, true)
+	v, err := it.exec(&a.fr, c, a.slots, 0, nil, -1, &a.stackObjs, nil, true)
 	for _, o := range a.stackObjs {
 		if !o.Freed {
 			o.Freed = true
 			o.Data = nil
-			for _, ob := range it.obs {
+			for _, ob := range it.on[onFree] {
 				ob.Free(nil, o)
 			}
 		}
@@ -216,379 +255,339 @@ func (it *Interp) call(f *ir.Func, args []uint64, depth int) (uint64, error) {
 	return v, err
 }
 
+// fail wraps err as the error of executing ins[pc].
+func (c *code) fail(pc int32, err error) error {
+	return fmt.Errorf("%s: %s: %w", c.fn.Name, ir.FormatInstr(c.src[pc]), err)
+}
+
+// enter runs the phi copy of entering block b from prev, the pred-th of
+// its predecessors (pred < 0: look prev up), and charges the phis' steps.
+func (it *Interp) enter(c *code, b *block, slots []uint64, prev *ir.Block, pred int32) error {
+	if pred < 0 {
+		for i, p := range b.blk.Preds {
+			if p == prev {
+				pred = int32(i)
+				break
+			}
+		}
+		if pred < 0 {
+			return fmt.Errorf("%s: phi with no incoming value from %v", c.fn.Name, prev)
+		}
+	}
+	e := &b.in[pred]
+	if e.err != nil {
+		return e.err
+	}
+	if e.direct {
+		for _, m := range e.moves {
+			slots[m.dst] = slots[m.src]
+		}
+	} else {
+		vals := it.phis[:0]
+		for _, m := range e.moves {
+			vals = append(vals, slots[m.src])
+		}
+		for i, m := range e.moves {
+			slots[m.dst] = vals[i]
+		}
+		it.phis = vals
+	}
+	it.steps += int64(b.nphi)
+	return nil
+}
+
+var errNoSpecAlloc = errors.New("allocation inside a speculative region")
+
 // exec is the block-dispatch engine shared by whole-function calls and
-// bounded region execution. With region != nil, every control transfer is
-// offered to region.stop before being taken; a satisfied stop records the
-// transfer in region and returns without evaluating the destination's
-// phis. With hookable set (top-level execution only), it.hook is
-// consulted before each block's phis and may redirect control.
-func (it *Interp) exec(fr *Frame, block, prev *ir.Block, stackObjs *[]*Object, region *RegionEnd, hookable bool) (uint64, error) {
-	f, regs, args, depth := fr.Fn, fr.Regs, fr.Args, fr.Depth
+// bounded region execution. It runs c in slots from block bi, entered
+// from prev (the pred-th of its predecessors; pred < 0: look it up).
+// With region != nil, every control transfer is offered to region.stop
+// before being taken; a satisfied stop records the transfer in region
+// and returns without running the destination's phi copy. With hookable
+// set (top-level execution only), it.hook is consulted before each
+// block's phi copy and may redirect control.
+func (it *Interp) exec(fr *Frame, c *code, slots []uint64, bi int32, prev *ir.Block, pred int32, stackObjs *[]*Object, region *RegionEnd, hookable bool) (uint64, error) {
+	max := it.opts.MaxSteps
+blocks:
 	for {
+		b := &c.blocks[bi]
 		if hookable && it.hook != nil {
-			nb, np, err := it.hook(fr, block, prev)
+			nb, np, err := it.hook(fr, b.blk, prev)
 			if err != nil {
 				return 0, err
 			}
 			if nb != nil {
-				prev, block = np, nb
+				if bi = c.blockIndex(nb); bi < 0 {
+					return 0, fmt.Errorf("%s: hook resumed at block %s of another function", c.fn.Name, nb)
+				}
+				prev, pred = np, -1
 				continue
 			}
 		}
-		// Phis first, evaluated as a parallel copy from the incoming edge.
-		nphi := 0
-		for _, in := range block.Instrs {
-			if in.Op != ir.OpPhi {
-				break
+		if b.nphi > 0 {
+			if err := it.enter(c, b, slots, prev, pred); err != nil {
+				return 0, err
 			}
-			nphi++
 		}
-		if nphi > 0 {
-			if cap(it.phis) < nphi {
-				it.phis = make([]uint64, nphi)
-			}
-			vals := it.phis[:nphi]
-			for i := 0; i < nphi; i++ {
-				inc := ir.PhiIncoming(block.Instrs[i], prev)
-				if inc == nil {
-					return 0, fmt.Errorf("%s: phi with no incoming value from %v", f.Name, prev)
-				}
-				v, err := it.eval(inc, regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(block.Instrs[i]), err)
-				}
-				vals[i] = v
-			}
-			for i := 0; i < nphi; i++ {
-				regs[block.Instrs[i].ID] = vals[i]
-			}
-			it.steps += int64(nphi)
-		}
-
-		for _, in := range block.Instrs[nphi:] {
+		for pc := b.first; ; pc++ {
+			d := &c.ins[pc]
 			it.steps++
-			if it.steps > it.opts.MaxSteps {
-				return 0, fmt.Errorf("instruction budget exceeded (%d)", it.opts.MaxSteps)
+			if it.steps > max && d.op != opFallthrough {
+				return 0, fmt.Errorf("instruction budget exceeded (%d)", max)
 			}
-			switch in.Op {
-			case ir.OpAlloca:
+			switch d.op {
+			case opFail:
+				return 0, c.errs[d.aux]
+			case opFallthrough:
+				it.steps-- // not an instruction
+				return 0, c.errs[d.aux]
+			case opAlloca:
 				if it.heap == nil {
-					return 0, fmt.Errorf("%s: %s: allocation inside a speculative region", f.Name, ir.FormatInstr(in))
+					return 0, c.fail(pc, errNoSpecAlloc)
 				}
-				o := it.heap.Allocate(in.ElemTy.Size(), in, nil)
+				o := it.heap.Allocate(d.imm, c.src[pc], nil)
 				*stackObjs = append(*stackObjs, o)
-				regs[in.ID] = o.Base
+				slots[d.dst] = o.Base
 				it.alloc(o)
-			case ir.OpMalloc:
-				raw, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
+			case opMalloc:
 				if it.heap == nil {
-					return 0, fmt.Errorf("%s: %s: allocation inside a speculative region", f.Name, ir.FormatInstr(in))
+					return 0, c.fail(pc, errNoSpecAlloc)
 				}
-				size := b2i(raw)
-				o := it.heap.Allocate(size, in, nil)
-				regs[in.ID] = o.Base
+				o := it.heap.Allocate(int64(slots[d.a]), c.src[pc], nil)
+				slots[d.dst] = o.Base
 				it.alloc(o)
-			case ir.OpFree:
-				addr, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
+			case opFree:
+				addr := slots[d.a]
 				if addr == 0 {
 					break // free(NULL) is a no-op
 				}
 				if it.heap == nil {
-					return 0, fmt.Errorf("%s: %s: free inside a speculative region", f.Name, ir.FormatInstr(in))
+					return 0, c.fail(pc, errors.New("free inside a speculative region"))
 				}
 				o, err := it.heap.Free(addr)
 				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
+					return 0, c.fail(pc, err)
 				}
-				for _, ob := range it.obs {
-					ob.Free(in, o)
+				for _, ob := range it.on[onFree] {
+					ob.Free(c.src[pc], o)
 				}
-			case ir.OpLoad:
-				addr, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				size := in.Ty.Size()
-				if it.memIA != nil {
-					it.memIA.SetInstr(in)
-				}
-				v, o, err := it.mem.Load(addr, size)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				regs[in.ID] = v
-				for _, ob := range it.obs {
-					ob.Load(in, addr, size, v, o)
-				}
-			case ir.OpStore:
-				val, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				addr, err := it.eval(in.Args[1], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				size := in.Args[0].Type().Size()
-				if it.memIA != nil {
-					it.memIA.SetInstr(in)
-				}
-				o, err := it.mem.Store(addr, size, val)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				for _, ob := range it.obs {
-					ob.Store(in, addr, size, val, o)
-				}
-			case ir.OpIndex:
-				base, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				rawIdx, err := it.eval(in.Args[1], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				idx := b2i(rawIdx)
-				elem := ir.Pointee(in.Ty)
-				regs[in.ID] = base + uint64(idx*elem.Size())
-			case ir.OpField:
-				base, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				st := ir.Pointee(in.Args[0].Type()).(*ir.StructType)
-				regs[in.ID] = base + uint64(st.Fields[in.FieldIdx].Offset)
-			case ir.OpBin:
-				x, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				y, err := it.eval(in.Args[1], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				v, err := evalBin(in, x, y)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				regs[in.ID] = v
-			case ir.OpCmp:
-				x, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				y, err := it.eval(in.Args[1], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				regs[in.ID] = evalCmp(in, x, y)
-			case ir.OpCast:
-				x, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-				}
-				switch in.Cast {
-				case ir.IntToFloat:
-					regs[in.ID] = f2b(float64(b2i(x)))
-				case ir.FloatToInt:
-					regs[in.ID] = i2b(int64(b2f(x)))
-				case ir.Bitcast:
-					regs[in.ID] = x
-				}
-			case ir.OpCall:
-				// The arguments go straight into the callee's activation
-				// buffer; an intrinsic borrows it, as it makes no call.
-				callee := it.activation(depth + 1)
-				vals := callee.args[:0]
-				for _, a := range in.Args {
-					v, err := it.eval(a, regs, args)
-					if err != nil {
-						return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
+			case opLoad8:
+				addr := slots[d.a]
+				var v uint64
+				var o *Object
+				if m := it.direct; m != nil {
+					if o = it.last[d.aux]; o == nil || !o.holds(addr, 8) {
+						var err error
+						if o, _, err = m.locateCached(addr, 8, "load"); err != nil {
+							return 0, c.fail(pc, err)
+						}
+						it.last[d.aux] = o
 					}
-					vals = append(vals, v)
+					v = binary.LittleEndian.Uint64(o.Data[addr-o.Base:])
+				} else {
+					if it.memIA != nil {
+						it.memIA.SetInstr(c.src[pc])
+					}
+					var err error
+					if v, o, err = it.mem.Load(addr, 8); err != nil {
+						return 0, c.fail(pc, err)
+					}
+				}
+				slots[d.dst] = v
+				for _, ob := range it.on[onLoad] {
+					ob.Load(c.src[pc], addr, 8, v, o)
+				}
+			case opLoad:
+				addr := slots[d.a]
+				if it.memIA != nil {
+					it.memIA.SetInstr(c.src[pc])
+				}
+				v, o, err := it.mem.Load(addr, d.imm)
+				if err != nil {
+					return 0, c.fail(pc, err)
+				}
+				slots[d.dst] = v
+				for _, ob := range it.on[onLoad] {
+					ob.Load(c.src[pc], addr, d.imm, v, o)
+				}
+			case opStore8:
+				val, addr := slots[d.a], slots[d.b]
+				var o *Object
+				if m := it.direct; m != nil {
+					if o = it.last[d.aux]; o == nil || !o.holds(addr, 8) {
+						var err error
+						if o, _, err = m.locateCached(addr, 8, "store"); err != nil {
+							return 0, c.fail(pc, err)
+						}
+						it.last[d.aux] = o
+					}
+					binary.LittleEndian.PutUint64(o.Data[addr-o.Base:], val)
+				} else {
+					if it.memIA != nil {
+						it.memIA.SetInstr(c.src[pc])
+					}
+					var err error
+					if o, err = it.mem.Store(addr, 8, val); err != nil {
+						return 0, c.fail(pc, err)
+					}
+				}
+				for _, ob := range it.on[onStore] {
+					ob.Store(c.src[pc], addr, 8, val, o)
+				}
+			case opStore:
+				val, addr := slots[d.a], slots[d.b]
+				if it.memIA != nil {
+					it.memIA.SetInstr(c.src[pc])
+				}
+				o, err := it.mem.Store(addr, d.imm, val)
+				if err != nil {
+					return 0, c.fail(pc, err)
+				}
+				for _, ob := range it.on[onStore] {
+					ob.Store(c.src[pc], addr, d.imm, val, o)
+				}
+			case opIndex:
+				slots[d.dst] = slots[d.a] + uint64(int64(slots[d.b])*d.imm)
+			case opAddImm:
+				slots[d.dst] = slots[d.a] + uint64(d.imm)
+			case opAddI:
+				slots[d.dst] = slots[d.a] + slots[d.b]
+			case opSubI:
+				slots[d.dst] = slots[d.a] - slots[d.b]
+			case opMulI:
+				slots[d.dst] = uint64(int64(slots[d.a]) * int64(slots[d.b]))
+			case opDivI:
+				y := int64(slots[d.b])
+				if y == 0 {
+					return 0, c.fail(pc, errors.New("integer division by zero"))
+				}
+				slots[d.dst] = uint64(int64(slots[d.a]) / y)
+			case opRemI:
+				y := int64(slots[d.b])
+				if y == 0 {
+					return 0, c.fail(pc, errors.New("integer remainder by zero"))
+				}
+				slots[d.dst] = uint64(int64(slots[d.a]) % y)
+			case opAndI:
+				slots[d.dst] = slots[d.a] & slots[d.b]
+			case opOrI:
+				slots[d.dst] = slots[d.a] | slots[d.b]
+			case opXorI:
+				slots[d.dst] = slots[d.a] ^ slots[d.b]
+			case opShlI:
+				slots[d.dst] = uint64(int64(slots[d.a]) << (slots[d.b] & 63))
+			case opShrI:
+				slots[d.dst] = uint64(int64(slots[d.a]) >> (slots[d.b] & 63))
+			case opAddF:
+				slots[d.dst] = f2b(b2f(slots[d.a]) + b2f(slots[d.b]))
+			case opSubF:
+				slots[d.dst] = f2b(b2f(slots[d.a]) - b2f(slots[d.b]))
+			case opMulF:
+				slots[d.dst] = f2b(b2f(slots[d.a]) * b2f(slots[d.b]))
+			case opDivF:
+				slots[d.dst] = f2b(b2f(slots[d.a]) / b2f(slots[d.b])) // IEEE: inf/nan allowed
+			case opEqI:
+				slots[d.dst] = b2u(slots[d.a] == slots[d.b])
+			case opNeI:
+				slots[d.dst] = b2u(slots[d.a] != slots[d.b])
+			case opLtI:
+				slots[d.dst] = b2u(int64(slots[d.a]) < int64(slots[d.b]))
+			case opLeI:
+				slots[d.dst] = b2u(int64(slots[d.a]) <= int64(slots[d.b]))
+			case opGtI:
+				slots[d.dst] = b2u(int64(slots[d.a]) > int64(slots[d.b]))
+			case opGeI:
+				slots[d.dst] = b2u(int64(slots[d.a]) >= int64(slots[d.b]))
+			case opEqF:
+				slots[d.dst] = b2u(b2f(slots[d.a]) == b2f(slots[d.b]))
+			case opNeF:
+				slots[d.dst] = b2u(b2f(slots[d.a]) != b2f(slots[d.b]))
+			case opLtF:
+				slots[d.dst] = b2u(b2f(slots[d.a]) < b2f(slots[d.b]))
+			case opLeF:
+				slots[d.dst] = b2u(b2f(slots[d.a]) <= b2f(slots[d.b]))
+			case opGtF:
+				slots[d.dst] = b2u(b2f(slots[d.a]) > b2f(slots[d.b]))
+			case opGeF:
+				slots[d.dst] = b2u(b2f(slots[d.a]) >= b2f(slots[d.b]))
+			case opZero:
+				slots[d.dst] = 0
+			case opIntToFloat:
+				slots[d.dst] = f2b(float64(int64(slots[d.a])))
+			case opFloatToInt:
+				slots[d.dst] = uint64(int64(b2f(slots[d.a])))
+			case opMove:
+				slots[d.dst] = slots[d.a]
+			case opNop:
+			case opCall:
+				// The arguments go straight into the callee's activation
+				// buffer.
+				cs := &c.calls[d.aux]
+				callee := it.activation(fr.Depth + 1)
+				vals := callee.args[:0]
+				for _, s := range cs.args {
+					vals = append(vals, slots[s])
 				}
 				callee.args = vals
-				if in.Callee == nil {
-					v, err := it.intrinsic(in, vals)
-					if err != nil {
-						return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-					}
-					regs[in.ID] = v
-					break
+				for _, ob := range it.on[onCall] {
+					ob.Call(c.src[pc], cs.f)
 				}
-				for _, ob := range it.obs {
-					ob.Call(in, in.Callee)
-				}
-				v, err := it.call(in.Callee, vals, depth+1)
+				v, err := it.call(cs.f, cs.fn, vals, fr.Depth+1)
 				if err != nil {
 					return 0, err
 				}
-				for _, ob := range it.obs {
-					ob.Return(in.Callee)
+				for _, ob := range it.on[onReturn] {
+					ob.Return(cs.f)
 				}
-				regs[in.ID] = v
-			case ir.OpBr:
-				next := block.Succs[0]
-				if region != nil && region.stop(block, next) {
-					region.From, region.To = block, next
+				slots[d.dst] = v
+			case opPrintInt:
+				it.output = append(it.output, fmt.Sprintf("%d", int64(slots[d.a])))
+				slots[d.dst] = 0
+			case opPrintFloat:
+				it.output = append(it.output, fmt.Sprintf("%g", b2f(slots[d.a])))
+				slots[d.dst] = 0
+			case opSqrt:
+				slots[d.dst] = f2b(math.Sqrt(b2f(slots[d.a])))
+			case opFabs:
+				slots[d.dst] = f2b(math.Abs(b2f(slots[d.a])))
+			case opBr, opCondBr:
+				e := &c.edges[d.aux]
+				if d.op == opCondBr && slots[d.a] == 0 {
+					e = &c.edges[d.aux+1]
+				}
+				next := c.blocks[e.to].blk
+				if region != nil && region.stop(b.blk, next) {
+					region.From, region.To = b.blk, next
 					return 0, nil
 				}
-				for _, ob := range it.obs {
-					ob.Edge(f, block, next)
+				for _, ob := range it.on[onEdge] {
+					ob.Edge(c.fn, b.blk, next)
 				}
-				prev, block = block, next
-				goto nextBlock
-			case ir.OpCondBr:
-				c, err := it.eval(in.Args[0], regs, args)
-				if err != nil {
-					return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
+				prev, bi, pred = b.blk, e.to, e.pred
+				continue blocks
+			case opRet:
+				v := slots[d.a]
+				if region != nil {
+					region.Returned, region.RetVal = true, v
 				}
-				next := block.Succs[0]
-				if c == 0 {
-					next = block.Succs[1]
-				}
-				if region != nil && region.stop(block, next) {
-					region.From, region.To = block, next
-					return 0, nil
-				}
-				for _, ob := range it.obs {
-					ob.Edge(f, block, next)
-				}
-				prev, block = block, next
-				goto nextBlock
-			case ir.OpRet:
-				if len(in.Args) > 0 {
-					v, err := it.eval(in.Args[0], regs, args)
-					if err != nil {
-						return 0, fmt.Errorf("%s: %s: %w", f.Name, ir.FormatInstr(in), err)
-					}
-					if region != nil {
-						region.Returned, region.RetVal = true, v
-					}
-					return v, nil
-				}
+				return v, nil
+			case opRetVoid:
 				if region != nil {
 					region.Returned = true
 				}
 				return 0, nil
-			case ir.OpPhi:
-				return 0, fmt.Errorf("%s: phi after non-phi in %s", f.Name, block)
-			default:
-				return 0, fmt.Errorf("%s: cannot execute %s", f.Name, ir.FormatInstr(in))
 			}
 		}
-		return 0, fmt.Errorf("%s: block %s fell through without terminator", f.Name, block)
-	nextBlock:
 	}
 }
 
-func evalBin(in *ir.Instr, x, y uint64) (uint64, error) {
-	if ir.Equal(in.Ty, ir.Float) {
-		a, b := b2f(x), b2f(y)
-		switch in.Bin {
-		case ir.Add:
-			return f2b(a + b), nil
-		case ir.Sub:
-			return f2b(a - b), nil
-		case ir.Mul:
-			return f2b(a * b), nil
-		case ir.Div:
-			return f2b(a / b), nil // IEEE semantics: inf/nan allowed
-		}
-		return 0, fmt.Errorf("float %s unsupported", in.Bin)
-	}
-	a, b := b2i(x), b2i(y)
-	switch in.Bin {
-	case ir.Add:
-		return i2b(a + b), nil
-	case ir.Sub:
-		return i2b(a - b), nil
-	case ir.Mul:
-		return i2b(a * b), nil
-	case ir.Div:
-		if b == 0 {
-			return 0, fmt.Errorf("integer division by zero")
-		}
-		return i2b(a / b), nil
-	case ir.Rem:
-		if b == 0 {
-			return 0, fmt.Errorf("integer remainder by zero")
-		}
-		return i2b(a % b), nil
-	case ir.And:
-		return i2b(a & b), nil
-	case ir.Or:
-		return i2b(a | b), nil
-	case ir.Xor:
-		return i2b(a ^ b), nil
-	case ir.Shl:
-		return i2b(a << uint(b&63)), nil
-	case ir.Shr:
-		return i2b(a >> uint(b&63)), nil
-	}
-	return 0, fmt.Errorf("unknown binop")
-}
+// Raw value conversions: every value is a raw 8-byte word.
+func b2f(v uint64) float64 { return math.Float64frombits(v) }
+func f2b(v float64) uint64 { return math.Float64bits(v) }
 
-func evalCmp(in *ir.Instr, x, y uint64) uint64 {
-	var r bool
-	if ir.Equal(in.Args[0].Type(), ir.Float) {
-		a, b := b2f(x), b2f(y)
-		switch in.Cmp {
-		case ir.Eq:
-			r = a == b
-		case ir.Ne:
-			r = a != b
-		case ir.Lt:
-			r = a < b
-		case ir.Le:
-			r = a <= b
-		case ir.Gt:
-			r = a > b
-		case ir.Ge:
-			r = a >= b
-		}
-	} else {
-		a, b := b2i(x), b2i(y)
-		switch in.Cmp {
-		case ir.Eq:
-			r = a == b
-		case ir.Ne:
-			r = a != b
-		case ir.Lt:
-			r = a < b
-		case ir.Le:
-			r = a <= b
-		case ir.Gt:
-			r = a > b
-		case ir.Ge:
-			r = a >= b
-		}
-	}
-	if r {
+func b2u(b bool) uint64 {
+	if b {
 		return 1
 	}
 	return 0
-}
-
-func (it *Interp) intrinsic(in *ir.Instr, vals []uint64) (uint64, error) {
-	switch in.Intrinsic {
-	case "print_int":
-		it.output = append(it.output, fmt.Sprintf("%d", b2i(vals[0])))
-		return 0, nil
-	case "print_float":
-		it.output = append(it.output, fmt.Sprintf("%g", b2f(vals[0])))
-		return 0, nil
-	case "sqrt":
-		return f2b(math.Sqrt(b2f(vals[0]))), nil
-	case "fabs":
-		return f2b(math.Abs(b2f(vals[0]))), nil
-	}
-	return 0, fmt.Errorf("unknown intrinsic %s", in.Intrinsic)
 }

@@ -1,9 +1,12 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"scaf/internal/cfg"
 	"scaf/internal/ir"
 	"scaf/internal/lower"
 )
@@ -214,6 +217,130 @@ func TestStepBudget(t *testing.T) {
 	_, err = Run(m, Options{MaxSteps: 1000})
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("expected budget error, got %v", err)
+	}
+}
+
+// TestStepBudgetBoundary: a run of exactly its step count within budget
+// succeeds and reports that count; any smaller budget fails with the
+// budget's error. Phis are charged on block entry and only instructions
+// check the budget, so every budget from 1 to the count is tried.
+func TestStepBudgetBoundary(t *testing.T) {
+	m, err := lower.Compile("b", `
+int f(int x) { return x * 2 + 1; }
+void main() {
+    int s = 0;
+    for (int i = 0; i < 12; i++) {
+        if (i % 3 == 0) { s = s + f(i); } else { s = s - i; }
+    }
+    print(s);
+}`)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	res, err := Run(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := res.Steps
+	if at, err := Run(m, Options{MaxSteps: n}); err != nil || at.Steps != n {
+		t.Fatalf("budget %d: steps %v, err %v; want %d steps", n, at, err, n)
+	}
+	for max := int64(1); max < n; max++ {
+		_, err := Run(m, Options{MaxSteps: max})
+		if want := fmt.Sprintf("interp: instruction budget exceeded (%d)", max); err == nil || err.Error() != want {
+			t.Fatalf("budget %d of %d steps: err %v, want %q", max, n, err, want)
+		}
+	}
+}
+
+// loadOnly counts every event it receives but asks only for loads.
+type loadOnly struct{ countingObserver }
+
+func (*loadOnly) Events() Event { return LoadEvent }
+
+// TestSelectiveObserverGetsOnlyItsEvents: an observer that names its
+// events receives only those; one that does not receives every event.
+func TestSelectiveObserverGetsOnlyItsEvents(t *testing.T) {
+	sel, all := &loadOnly{}, &countingObserver{}
+	run(t, `
+int g;
+int get() { return g; }
+void main() {
+    g = 77;
+    int* p = malloc(int, 1);
+    *p = get();
+    free(p);
+}`, Options{Observers: []Observer{sel, all}})
+	if sel.loads != all.loads || sel.loads == 0 {
+		t.Errorf("selective observer saw %d loads, the other %d", sel.loads, all.loads)
+	}
+	if got := sel.stores + sel.allocs + sel.frees + sel.edges + sel.calls + sel.rets; got != 0 {
+		t.Errorf("selective observer received %d events it did not ask for", got)
+	}
+	if all.stores == 0 || all.allocs == 0 || all.frees == 0 || all.calls == 0 || all.rets == 0 {
+		t.Errorf("plain observer missed events: %+v", all)
+	}
+}
+
+// TestForksRunRegionsConcurrently: forks share the parent's decoded
+// functions and decode the ones the parent never called on their own.
+// When main first enters its loop, eight forks run the whole loop at
+// once; the loop calls a function main has not called yet. Each must
+// write what the serial run writes. Run it under -race.
+func TestForksRunRegionsConcurrently(t *testing.T) {
+	m, err := lower.Compile("forks", `
+int a[64];
+int sq(int x) { return x * x; }
+void main() {
+    for (int i = 0; i < 64; i++) { a[i] = sq(i); }
+    print(a[63]);
+}`)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	main := m.FuncNamed("main")
+	loops := cfg.NewProgram(m).Forests[main].All
+	if len(loops) != 1 {
+		t.Fatalf("main has %d loops, want 1", len(loops))
+	}
+	loop := loops[0]
+	var writes [8]int
+	var errs [8]error
+	hook := func(fr *Frame, block, prev *ir.Block) (*ir.Block, *ir.Block, error) {
+		if block != loop.Header || loop.Blocks[prev] {
+			return nil, nil, nil
+		}
+		base := fr.It.Heap()
+		var wg sync.WaitGroup
+		for k := range writes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				view := NewView(base)
+				fork := fr.It.Fork(view)
+				cfr := &Frame{It: fork, Fn: fr.Fn, Regs: append([]uint64(nil), fr.Regs...), Args: fr.Args, Depth: fr.Depth}
+				end, err := fork.RunRegion(cfr, block, prev, func(from, to *ir.Block) bool { return !loop.Blocks[to] })
+				if err == nil && end.Returned {
+					err = fmt.Errorf("region returned")
+				}
+				writes[k], errs[k] = len(view.Writes()), err
+			}()
+		}
+		wg.Wait()
+		return nil, nil, nil // the parent then runs the loop itself
+	}
+	res, err := Run(m, Options{Hook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOutput(t, res, "3969")
+	for k := range writes {
+		if errs[k] != nil {
+			t.Fatalf("fork %d: %v", k, errs[k])
+		}
+		if writes[k] != 64*8 {
+			t.Fatalf("fork %d wrote %d bytes, want %d", k, writes[k], 64*8)
+		}
 	}
 }
 

@@ -161,7 +161,7 @@ func putWord(b []byte, size int64, val uint64) {
 // concurrent forks, so it goes through the uncached locate, which writes
 // nothing.
 func (m *Memory) locateCached(addr uint64, size int64, what string) (*Object, int64, error) {
-	if o := m.last; o != nil && !o.Freed && size > 0 && addr >= o.Base && size <= o.Size && addr-o.Base <= uint64(o.Size-size) {
+	if o := m.last; o != nil && o.holds(addr, size) {
 		return o, int64(addr - o.Base), nil
 	}
 	o, off, err := m.locate(addr, size, what)
@@ -169,6 +169,12 @@ func (m *Memory) locateCached(addr uint64, size int64, what string) (*Object, in
 		m.last = o
 	}
 	return o, off, err
+}
+
+// holds reports whether o is live and the size bytes at addr lie in it
+// (size > 0: a zero-byte access goes through locate).
+func (o *Object) holds(addr uint64, size int64) bool {
+	return !o.Freed && size > 0 && addr >= o.Base && size <= o.Size && addr-o.Base <= uint64(o.Size-size)
 }
 
 func (m *Memory) locate(addr uint64, size int64, what string) (*Object, int64, error) {

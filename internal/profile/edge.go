@@ -36,6 +36,9 @@ func NewEdgeProfile(m *ir.Module) *EdgeProfile {
 	}
 }
 
+// Events implements interp.Selective.
+func (p *EdgeProfile) Events() interp.Event { return interp.EdgeEvent | interp.CallEvent }
+
 func (p *EdgeProfile) Edge(fn *ir.Func, from, to *ir.Block) {
 	if fn != p.fn {
 		if p.byFn[fn] == nil {

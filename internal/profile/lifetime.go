@@ -74,6 +74,11 @@ func (p *LifetimeProfile) repeats(in *ir.Instr, site Site) bool {
 	return false
 }
 
+// Events implements interp.Selective.
+func (p *LifetimeProfile) Events() interp.Event {
+	return interp.LoadEvent | interp.StoreEvent | interp.AllocEvent | interp.FreeEvent
+}
+
 func (p *LifetimeProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	site := SiteOf(o)
 	if p.repeats(in, site) {

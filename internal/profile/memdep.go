@@ -201,6 +201,11 @@ func sameRec(a, b accessRec) bool {
 	return true
 }
 
+// Events implements interp.Selective.
+func (p *MemDepProfile) Events() interp.Event {
+	return interp.LoadEvent | interp.StoreEvent | interp.FreeEvent
+}
+
 func (p *MemDepProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	rec := accessRec{p.tracker.snapshot(), in}
 	if len(rec.snap.tags) == 0 {

@@ -185,6 +185,9 @@ func (p *PointsToProfile) SitesOfCtx(v ir.Value, sites []*ir.Instr) map[Site]boo
 	return p.ctxSets[ctxKey{v: v, ctx: CtxSuffixHash(sites)}]
 }
 
+// Events implements interp.Selective.
+func (p *PointsToProfile) Events() interp.Event { return interp.LoadEvent | interp.StoreEvent }
+
 func (p *PointsToProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	p.record(in, o)
 }

@@ -46,6 +46,9 @@ func (p *ResidueProfile) record(in *ir.Instr, addr uint64) {
 	st.count++
 }
 
+// Events implements interp.Selective.
+func (p *ResidueProfile) Events() interp.Event { return interp.LoadEvent | interp.StoreEvent }
+
 func (p *ResidueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	p.record(in, addr)
 }

@@ -322,6 +322,11 @@ func (t *Tracker) ctxSuffixes() *ctxSuffixes {
 	return c
 }
 
+// Events implements interp.Selective.
+func (t *Tracker) Events() interp.Event {
+	return interp.EdgeEvent | interp.CallEvent | interp.ReturnEvent
+}
+
 func (t *Tracker) Call(site *ir.Instr, callee *ir.Func) {
 	if top := t.Top(); top != nil {
 		top.CallSite = site

@@ -29,6 +29,9 @@ func NewValueProfile() *ValueProfile {
 // release drops the state only the run needs.
 func (p *ValueProfile) release() { p.instrs = InstrTable[*valueStat]{} }
 
+// Events implements interp.Selective.
+func (p *ValueProfile) Events() interp.Event { return interp.LoadEvent }
+
 func (p *ValueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	r := p.instrs.At(in)
 	s := *r
