@@ -832,8 +832,17 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 	rt.relay(w, id, st, hdr, resp)
 }
 
-// handleAnalyze fans a batch request out loop-by-loop across the fleet
-// and splices the results back in request order.
+// maxLoopsPerBackend bounds the sub-requests one analyze has in flight
+// to one backend. A backend runs Workers requests (default 4), queues
+// MaxQueue more (default 16) and sheds the rest with 429, which the
+// router would relay to a client that sent one request. At 8, two
+// analyzes at once (perfbench's two clients) fit a backend's default
+// admission even when every loop of both lives on it.
+const maxLoopsPerBackend = 8
+
+// handleAnalyze fans a batch request out loop-by-loop across the fleet,
+// at most maxLoopsPerBackend sub-requests to a backend at a time, and
+// splices the results back in request order.
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("id")
 	body, ok := readBody(w, r)
@@ -895,17 +904,27 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		body   []byte
 	}
 	parts := make([]part, len(loops))
+	byTarget := map[string][]int{}
+	for i, id := range targets {
+		byTarget[id] = append(byTarget[id], i)
+	}
 	var wg sync.WaitGroup
-	for i := range loops {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub, _ := json.Marshal(AnalyzeRequest{
-				Scheme: req.Scheme, Loops: loops[i : i+1], DeadlineMS: req.DeadlineMS,
-			})
-			st, hdr, b := rt.send(targets[i], http.MethodPost, r.URL.Path, sub)
-			parts[i] = part{id: targets[i], status: st, hdr: hdr, body: b}
-		}(i)
+	for id, idx := range byTarget {
+		var next atomic.Int32
+		for range min(len(idx), maxLoopsPerBackend) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := int(next.Add(1)) - 1; k < len(idx); k = int(next.Add(1)) - 1 {
+					i := idx[k]
+					sub, _ := json.Marshal(AnalyzeRequest{
+						Scheme: req.Scheme, Loops: loops[i : i+1], DeadlineMS: req.DeadlineMS,
+					})
+					st, hdr, b := rt.send(id, http.MethodPost, r.URL.Path, sub)
+					parts[i] = part{id: id, status: st, hdr: hdr, body: b}
+				}
+			}()
+		}
 	}
 	wg.Wait()
 
