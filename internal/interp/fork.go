@@ -107,9 +107,6 @@ func (it *Interp) Fork(mem MemOps) *Interp {
 	f.opts.Observers = nil
 	f.opts.Hook = nil
 	f.memIA, _ = mem.(instrAware)
-	if f.direct, _ = mem.(*Memory); f.direct != nil {
-		f.last = make([]*Object, len(it.last))
-	}
 	return f
 }
 

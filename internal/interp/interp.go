@@ -151,9 +151,10 @@ type Interp struct {
 	output  []string
 	// on lists, per event (bit i of Event), the observers it goes to.
 	on [7][]Observer
-	// direct is mem when mem is a concrete Memory: loads and stores of
-	// eight bytes then try last[their slot], the object the instruction
-	// last touched, before Memory's own last-object check and search.
+	// direct is the concrete Memory a Run loads from and stores to (nil
+	// in forks): loads and stores of eight bytes then try last[their
+	// slot], the object the instruction last touched, before Memory's own
+	// last-object check and search.
 	direct *Memory
 	last   []*Object
 	// fns holds the decoded functions by position in mod.Funcs; a Fork
