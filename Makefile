@@ -176,7 +176,7 @@ bench-check:
 	$(GO) run ./cmd/scaf-bench $(BENCH_GATE_ARGS) -json BENCH.fresh.json
 	$(GO) run ./cmd/scaf-benchdiff $(BENCH_BASELINE) BENCH.fresh.json
 
-# Allocation gate on eight hot paths whose allocs/op are exact. Each
+# Allocation gate on ten hot paths whose allocs/op are exact. Each
 # ceiling is a literal in its pin line below, so no variable from the
 # environment or the command line can loosen it; raise one only with a
 # justification in the commit that does.
@@ -220,17 +220,27 @@ bench-check:
 #     ceiling is 205: 25% headroom, since net/http allocates differently
 #     under the CI matrix's Go 1.22 and 1.23.
 #   - BenchmarkProfiling (root package) times scaf.Load of 129.compress:
-#     compile, CFG and the profiling run under all six profilers, the
-#     work every session create does on every backend. Records built per
-#     memory access cost 224,788 allocs/op; per-version loop snapshots
-#     and per-instruction records brought it to 15,937, and reusable call
-#     activations, dense memdep records and interned call contexts to
-#     2,946 with Go 1.24 at GOMAXPROCS 1, 2 and 4 and at 20 and 50
-#     iterations, and one pointer type per global and dense dominator
-#     tables to 2,794-2,796. Part of the rest is map growth, which
-#     allocates differently under the CI matrix's Go 1.22 and 1.23, so the ceiling
-#     is 3,700: 25% headroom over the measured count, and still four
-#     times below the count before this pin was lowered.
+#     compile, CFG and the profiling run under the five profilers the
+#     speculation modules read, the work every session create does on
+#     every backend. Records built per memory access cost 224,788
+#     allocs/op; per-version loop snapshots and per-instruction records
+#     brought it to 15,937, and reusable call activations, dense memdep
+#     records and interned call contexts to 2,946, and one pointer type
+#     per global and dense dominator tables to 2,794-2,796. Leaving the
+#     memory-dependence profiler to memspec's own run took it to 1,558
+#     (1.11 MB to 150 KB per op); decoding each function once per run
+#     adds a few per function: 1,602 with Go 1.24 at GOMAXPROCS 1, 2 and
+#     4 and at 20 and 50 iterations. Part of the rest is map growth,
+#     which allocates differently under the CI matrix's Go 1.22 and
+#     1.23, so the ceiling is 2,000: the same 25% headroom over the
+#     measured count.
+#   - BenchmarkRun/175.vpr and BenchmarkRun/429.mcf (root package) time
+#     a bare interp.Run, the interpreter under both program runs of a
+#     session create. Reusable activations left 42 and 207 allocs/op to
+#     the tree-walking interpreter; the decoded one pays a few per
+#     function decoded: 84 and 246 with Go 1.24 at GOMAXPROCS 1, 2 and 4
+#     and at 20 and 50 iterations. The ceilings are 105 and 310, 25%
+#     headroom for the CI matrix's map growth.
 #   - BenchmarkValidation (root package) times System.Validate of
 #     183.equake's session plan, whose control-spec, read-only,
 #     short-lived and value-prediction checks make the run pay for the
@@ -238,9 +248,10 @@ bench-check:
 #     entries allocated one by one cost 25,133 allocs/op; activation
 #     buffers and chunked loop entries brought it to 1,254 with Go 1.24
 #     at GOMAXPROCS 1, 2 and 4 and at 20 and 50 iterations, most of it
-#     the program's own objects. The ceiling is 1,600: 28% headroom for
-#     the map growth of Go 1.22 and 1.23, and fifteen times below the
-#     per-call cost.
+#     the program's own objects; the decoded interpreter's few per
+#     function took it to 1,305-1,306. The ceiling is 1,600: 23%
+#     headroom for the map growth of Go 1.22 and 1.23, and fifteen times
+#     below the per-call cost.
 #   - BenchmarkPlanResolve (root package) times the planning resolve of a
 #     session create on 175.vpr: a fresh SCAF orchestrator under JoinAll
 #     and BailExhaustive resolving every hot loop. Path searches that
@@ -275,7 +286,9 @@ bench-mem:
 	$(call bench_mem_pin,./internal/core/,BenchmarkSharedCache/publish,2000x,1)
 	$(call bench_mem_pin,./internal/server/,BenchmarkAnalyzeWarmHit,200x,50)
 	$(call bench_mem_pin,./internal/server/,BenchmarkRouterAnalyzeWarm,200x,205)
-	$(call bench_mem_pin,.,BenchmarkProfiling,20x,3700)
+	$(call bench_mem_pin,.,BenchmarkProfiling,20x,2000)
+	$(call bench_mem_pin,.,BenchmarkRun/175.vpr,20x,105)
+	$(call bench_mem_pin,.,BenchmarkRun/429.mcf,20x,310)
 	$(call bench_mem_pin,.,BenchmarkValidation,20x,1600)
 	$(call bench_mem_pin,.,BenchmarkPlanResolve,20x,44000)
 

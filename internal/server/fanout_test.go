@@ -27,11 +27,10 @@ func (stallModule) ModRef(q *core.ModRefQuery, h core.Handle) core.ModRefRespons
 	return core.ModRefConservative()
 }
 
-// TestRouterAnalyzeFanOutFitsAdmission: an analyze whose loops all live
-// on one backend sends it at most maxLoopsPerBackend sub-requests at a
-// time. Unbounded, 25 loops overran the backend's default admission (4
-// workers, 16 queued), and the router relayed the 429 it shed to a
-// client that had sent one request.
+// TestRouterAnalyzeFanOutFitsAdmission: an analyze whose 25 loops all
+// live on one backend is answered 200. Its sub-requests, sent at once,
+// would exceed the backend's default admission (4 workers, 16 queued),
+// and the 429 it sheds would reach a client that sent one request.
 func TestRouterAnalyzeFanOutFitsAdmission(t *testing.T) {
 	fl, err := StartLoopbackFleet(1, false, "", Config{
 		ExtraModules: func() []core.Module { return []core.Module{stallModule{}} },
