@@ -22,12 +22,14 @@ const Name = "memory-spec"
 type MemSpec struct {
 	core.BaseModule
 	data *profile.Data
+	dep  *profile.MemDepProfile
 }
 
-// New creates the baseline from profiles. It answers from d.MemDep,
-// which profile.Collect leaves nil (see profile.CollectMemDep); with no
-// memory-dependence profile it speculates nothing.
-func New(d *profile.Data) *MemSpec { return &MemSpec{data: d} }
+// New creates the baseline from the training run's profiles and the
+// memory-dependence profile of the same execution (profile.CollectMemDep).
+func New(d *profile.Data, dep *profile.MemDepProfile) *MemSpec {
+	return &MemSpec{data: d, dep: dep}
+}
 
 func (m *MemSpec) Name() string          { return Name }
 func (m *MemSpec) Kind() core.ModuleKind { return core.Speculation }
@@ -35,8 +37,7 @@ func (m *MemSpec) Kind() core.ModuleKind { return core.Speculation }
 // NoDep reports whether no dependence i1→i2 with the given temporal
 // relation manifested during profiling within loop l.
 func (m *MemSpec) NoDep(l *cfg.Loop, i1, i2 *ir.Instr, rel core.TemporalRelation) bool {
-	dep := m.data.MemDep
-	return dep != nil && !dep.Observed(l, i1, i2, rel == core.Before)
+	return !m.dep.Observed(l, i1, i2, rel == core.Before)
 }
 
 // execCount estimates how often instruction in accessed memory.

@@ -11,7 +11,9 @@ import (
 	"scaf/internal/profile"
 )
 
-func load(t *testing.T, src string) (*profile.Data, *cfg.Program) {
+// load builds the baseline over src's profiles, taking the dependences
+// from a run of their own, as scaf.System.MemSpec does.
+func load(t *testing.T, src string) (*MemSpec, *cfg.Program) {
 	t.Helper()
 	mod, err := lower.Compile("test", src)
 	if err != nil {
@@ -22,12 +24,11 @@ func load(t *testing.T, src string) (*profile.Data, *cfg.Program) {
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
-	// Collect leaves the dependences out; they come from a run of their
-	// own, as scaf.System.MemSpec collects them.
-	if data.MemDep, err = profile.CollectMemDep(prog, interp.Options{}); err != nil {
+	dep, err := profile.CollectMemDep(prog, interp.Options{})
+	if err != nil {
 		t.Fatalf("memdep: %v", err)
 	}
-	return data, prog
+	return New(data, dep), prog
 }
 
 const src = `
@@ -70,8 +71,7 @@ func findOps(t *testing.T, prog *cfg.Program) (loop *cfg.Loop, bufStore, bufLoad
 }
 
 func TestMemSpecObservedVsNot(t *testing.T) {
-	data, prog := load(t, src)
-	ms := New(data)
+	ms, prog := load(t, src)
 	loop, bufStore, bufLoad, accStore := findOps(t, prog)
 
 	// Intra-iteration flow buf-store -> buf-load manifests.
@@ -90,8 +90,7 @@ func TestMemSpecObservedVsNot(t *testing.T) {
 }
 
 func TestMemSpecModuleInterface(t *testing.T) {
-	data, prog := load(t, src)
-	ms := New(data)
+	ms, prog := load(t, src)
 	loop, bufStore, bufLoad, _ := findOps(t, prog)
 
 	if ms.Kind() != core.Speculation || ms.Name() != Name {
@@ -119,8 +118,7 @@ func TestMemSpecModuleInterface(t *testing.T) {
 }
 
 func TestMemSpecCostDominatesCheapChecks(t *testing.T) {
-	data, prog := load(t, src)
-	ms := New(data)
+	ms, prog := load(t, src)
 	_, bufStore, bufLoad, _ := findOps(t, prog)
 	a := ms.Assertion(bufStore, bufLoad)
 	if a.Cost <= core.CostHeapCheck*400 {

@@ -34,16 +34,14 @@ func TestProfileDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: collect: %v", p.name, err)
 		}
-		if d.MemDep != nil {
-			t.Fatalf("%s: Collect attached the memory-dependence profiler", p.name)
-		}
 		// The dependences come from a run of their own; the literals,
 		// computed when one run recorded every profile, prove that the
 		// second run records the same ones.
-		if d.MemDep, err = profile.CollectMemDep(prog, interp.Options{}); err != nil {
+		dep, err := profile.CollectMemDep(prog, interp.Options{})
+		if err != nil {
 			t.Fatalf("%s: collect memdep: %v", p.name, err)
 		}
-		if got, want := profileDigest(d), digestWant[p.name]; got != want {
+		if got, want := profileDigest(d, dep), digestWant[p.name]; got != want {
 			t.Errorf("%s: profile digest %s, want %s", p.name, got, want)
 		}
 	}
@@ -93,8 +91,9 @@ void main() {
 }
 `
 
-// profileDigest renders d as sorted lines and returns their SHA-256.
-func profileDigest(d *profile.Data) string {
+// profileDigest renders d and dep as sorted lines and returns their
+// SHA-256.
+func profileDigest(d *profile.Data, dep *profile.MemDepProfile) string {
 	var lines []string
 	add := func(format string, args ...interface{}) {
 		lines = append(lines, fmt.Sprintf(format, args...))
@@ -145,7 +144,7 @@ func profileDigest(d *profile.Data) string {
 			add("%s %s %s %t", name, k.Loop.Name(), siteName(k.Site), ok)
 		}
 	}
-	for k, n := range d.MemDep.Deps() {
+	for k, n := range dep.Deps() {
 		add("memdep %s %s %s %s cross=%t %d", k.Loop.Name(), instrName(k.Src), instrName(k.Dst), k.Kind, k.Cross, n)
 	}
 	sort.Strings(lines)

@@ -11,16 +11,12 @@ import (
 // Data bundles every profile one training run produces. It is the input
 // the speculation modules consume.
 type Data struct {
-	Prog     *cfg.Program
-	Edge     *EdgeProfile
-	Value    *ValueProfile
-	PointsTo *PointsToProfile
-	Residue  *ResidueProfile
-	Lifetime *LifetimeProfile
-	// MemDep is nil after Collect. Only the memory-speculation baseline
-	// reads it, so it comes from a run of its own (CollectMemDep) that
-	// scaf.System.MemSpec makes on first call.
-	MemDep    *MemDepProfile
+	Prog      *cfg.Program
+	Edge      *EdgeProfile
+	Value     *ValueProfile
+	PointsTo  *PointsToProfile
+	Residue   *ResidueProfile
+	Lifetime  *LifetimeProfile
 	Steps     int64
 	Output    []string
 	LoopStats map[*cfg.Loop]*LoopStat
@@ -28,6 +24,8 @@ type Data struct {
 
 // Collect runs the program once under the profilers the speculation
 // modules read ("the train input run") and returns the gathered profiles.
+// The memory-dependence profile is not among them: only the memspec
+// baseline reads it, from a run of its own (CollectMemDep).
 func Collect(prog *cfg.Program, opts interp.Options) (*Data, error) {
 	tracker := NewTracker(prog)
 	d := &Data{

@@ -25,15 +25,14 @@ func collect(t *testing.T, src string) *Data {
 
 // collectMemDep is collect plus the memory-dependence profile, taken
 // from its own run as scaf.System.MemSpec takes it.
-func collectMemDep(t *testing.T, src string) *Data {
+func collectMemDep(t *testing.T, src string) (*Data, *MemDepProfile) {
 	t.Helper()
 	d := collect(t, src)
 	dep, err := CollectMemDep(d.Prog, interp.Options{})
 	if err != nil {
 		t.Fatalf("memdep: %v", err)
 	}
-	d.MemDep = dep
-	return d
+	return d, dep
 }
 
 // findLoop returns the single loop of the named function whose header
@@ -259,7 +258,7 @@ void main() {
 `
 
 func TestMemDepProfile(t *testing.T) {
-	d := collectMemDep(t, depProg)
+	d, dep := collectMemDep(t, depProg)
 	l := findLoop(t, d, "main", "")
 	main := d.Prog.Mod.FuncNamed("main")
 	bufG := d.Prog.Mod.GlobalNamed("buf")
@@ -288,22 +287,22 @@ func TestMemDepProfile(t *testing.T) {
 		t.Fatalf("buf accesses not found:\n%s", ir.FormatFunc(main))
 	}
 	// Intra-iteration flow dep store->load must be observed.
-	if !d.MemDep.Observed(l, bufStore, bufLoad, false) {
+	if !dep.Observed(l, bufStore, bufLoad, false) {
 		t.Error("intra-iteration flow dep not observed")
 	}
 	// Cross-iteration output dep store->store (same slot 128 iterations
 	// later) must be observed.
-	if !d.MemDep.Observed(l, bufStore, bufStore, true) {
+	if !dep.Observed(l, bufStore, bufStore, true) {
 		t.Error("cross-iteration output dep not observed")
 	}
 	// Cross-iteration anti dep load->store.
-	if !d.MemDep.Observed(l, bufLoad, bufStore, true) {
+	if !dep.Observed(l, bufLoad, bufStore, true) {
 		t.Error("cross-iteration anti dep not observed")
 	}
 	// No intra-iteration dep load->store on the same slot (load happens
 	// after the store within an iteration... anti load->store intra would
 	// require a second store after the load).
-	if d.MemDep.Observed(l, bufLoad, bufStore, false) {
+	if dep.Observed(l, bufLoad, bufStore, false) {
 		t.Error("unexpected intra-iteration anti dep")
 	}
 }
@@ -322,7 +321,7 @@ void main() {
 `
 
 func TestCalleeDepsAttributedToCallSite(t *testing.T) {
-	d := collectMemDep(t, calleeDepProg)
+	d, dep := collectMemDep(t, calleeDepProg)
 	l := findLoop(t, d, "main", "")
 	main := d.Prog.Mod.FuncNamed("main")
 	var call *ir.Instr
@@ -336,7 +335,7 @@ func TestCalleeDepsAttributedToCallSite(t *testing.T) {
 	}
 	// The cross-iteration dependence through `state` must surface as
 	// call->call at the loop level.
-	if !d.MemDep.Observed(l, call, call, true) {
+	if !dep.Observed(l, call, call, true) {
 		t.Error("cross-iteration dep between call sites not observed")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -492,7 +493,13 @@ func TestCreateRunsNoMemDepProfiler(t *testing.T) {
 	if sess == nil {
 		t.Fatalf("no session %s", info.ID)
 	}
-	if sess.sys.Profiles.MemDep != nil {
+	// System keeps the profile MemSpec collects unexported; read it
+	// through reflect, failing if the field is renamed away.
+	memdep := reflect.ValueOf(sess.sys).Elem().FieldByName("memdep")
+	if !memdep.IsValid() {
+		t.Fatal("scaf.System has no memdep field")
+	}
+	if !memdep.IsNil() {
 		t.Fatal("a session create collected the memory-dependence profile")
 	}
 }

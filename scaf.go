@@ -18,6 +18,7 @@
 package scaf
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -75,11 +76,13 @@ type System struct {
 	Prog     *cfg.Program
 	Profiles *profile.Data
 	hot      profile.HotLoopParams
-	maxSteps int64 // Options.MaxSteps, the budget of MemSpec's run
 
 	internOnce sync.Once
 	intern     *core.Interner
+
 	memdepOnce sync.Once
+	memdep     *profile.MemDepProfile // MemSpec's, nil until its first call
+	memdepErr  error
 }
 
 // Interner returns the system's session-scoped assertion-identity table,
@@ -111,7 +114,7 @@ func Load(name, source string, opts Options) (*System, error) {
 	if opts.HotLoops != nil {
 		hot = *opts.HotLoops
 	}
-	return &System{Mod: mod, Prog: prog, Profiles: data, hot: hot, maxSteps: opts.MaxSteps}, nil
+	return &System{Mod: mod, Prog: prog, Profiles: data, hot: hot}, nil
 }
 
 // HotLoops returns the loops the paper evaluates on: ≥10% of execution
@@ -122,18 +125,21 @@ func (s *System) HotLoops() []*cfg.Loop { return s.Profiles.HotLoops(s.hot) }
 func (s *System) Client() *pdg.Client { return pdg.NewClient(s.Prog) }
 
 // MemSpec returns the memory-speculation baseline. Its first call
-// collects the memory-dependence profile it answers from into
-// s.Profiles.MemDep: one more run of the program, under the loop tracker
-// and that profiler alone. No session reads the profile, so Load leaves
-// it out. Should the run fail, MemDep stays nil and the baseline
-// speculates nothing.
+// collects the memory-dependence profile the baseline answers from: one
+// more run of the program, under the loop tracker and that profiler
+// alone, once per System. No session reads the profile, so Load leaves
+// it out. The run repeats the training run step for step, so the
+// training run's step count is its budget; should it fail all the same,
+// the two runs diverged, and MemSpec panics with the run's error rather
+// than answer from no profile.
 func (s *System) MemSpec() *memspec.MemSpec {
 	s.memdepOnce.Do(func() {
-		if dep, err := collectMemDep(s.Prog, interp.Options{MaxSteps: s.maxSteps}); err == nil {
-			s.Profiles.MemDep = dep
-		}
+		s.memdep, s.memdepErr = collectMemDep(s.Prog, interp.Options{MaxSteps: s.Profiles.Steps})
 	})
-	return memspec.New(s.Profiles)
+	if s.memdepErr != nil {
+		panic(fmt.Sprintf("scaf: %s: the memory-dependence run failed where the training run passed: %v", s.Mod.Name, s.memdepErr))
+	}
+	return memspec.New(s.Profiles, s.memdep)
 }
 
 // collectMemDep is MemSpec's profiling run; tests count its calls.

@@ -1,7 +1,9 @@
 package scaf
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,7 +235,7 @@ func TestMemSpecCollectsOnce(t *testing.T) {
 		return profile.CollectMemDep(prog, opts)
 	}
 	s := loadMotivating(t)
-	if s.Profiles.MemDep != nil || runs.Load() != 0 {
+	if s.memdep != nil || runs.Load() != 0 {
 		t.Fatal("Load collected the memory-dependence profile")
 	}
 	answers := make([][]bool, 8)
@@ -249,7 +251,7 @@ func TestMemSpecCollectsOnce(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("memory-dependence profile collected %d times, want 1", n)
 	}
-	if s.Profiles.MemDep == nil {
+	if s.memdep == nil {
 		t.Fatal("MemSpec left no memory-dependence profile")
 	}
 	if len(answers[0]) == 0 {
@@ -279,7 +281,7 @@ func TestMemSpecStructLiteralSystem(t *testing.T) {
 	}
 	lit := &System{Mod: mod, Prog: prog, Profiles: data}
 	got := memSpecAnswers(lit, lit.MemSpec())
-	if data.MemDep == nil {
+	if lit.memdep == nil {
 		t.Fatal("MemSpec left no memory-dependence profile")
 	}
 	want := memSpecAnswers(loaded, loaded.MemSpec())
@@ -290,5 +292,28 @@ func TestMemSpecStructLiteralSystem(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("answer %d: struct-literal System says %t, loaded System %t", i, got[i], want[i])
 		}
+	}
+}
+
+// TestMemSpecPanicsWhenRunsDiverge: MemSpec's run has the training run's
+// step count as its budget, so profiles that claim fewer steps than the
+// program takes make the run fail, and every call panics with its error
+// instead of answering from no profile.
+func TestMemSpecPanicsWhenRunsDiverge(t *testing.T) {
+	s := loadMotivating(t)
+	s.Profiles.Steps /= 2
+	for call := 1; call <= 2; call++ {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("call %d: MemSpec answered after its run failed", call)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "instruction budget exceeded") {
+					t.Fatalf("call %d: panic %q does not carry the run's error", call, msg)
+				}
+			}()
+			s.MemSpec()
+		}()
 	}
 }
