@@ -102,3 +102,21 @@ func TestMalformedCodeThatNeverRunsRunsClean(t *testing.T) {
 		t.Errorf("steps = %d, want 3", res.Steps)
 	}
 }
+
+// TestLoadIntoMissingRegister: a load of any width whose result has no
+// register fails with the out-of-range error instead of writing past
+// the registers.
+func TestLoadIntoMissingRegister(t *testing.T) {
+	for _, elem := range []ir.Type{ir.Int, &ir.ArrayType{Elem: ir.Int, Len: 2}} {
+		m := ir.NewModule("badreg")
+		f := m.NewFunc("main", ir.Int)
+		b := f.NewBlock("entry")
+		ld := b.Load(b.Alloca(elem, "x"))
+		b.Ret(ir.CI(0))
+		ld.ID = 40
+
+		if _, err := Run(m, Options{}); err == nil || !strings.Contains(err.Error(), "instruction id 40 out of range") {
+			t.Errorf("load of %v: err = %v, want out-of-range error", elem, err)
+		}
+	}
+}

@@ -510,7 +510,7 @@ func (d *decoder) inst(in *ir.Instr) inst {
 		return d.fail(opFail, fmt.Errorf("%s: cannot execute %s", c.fn.Name, ir.FormatInstr(in)))
 	}
 	switch out.op {
-	case opFail, opFree, opLoad, opStore, opStore8, opBr, opCondBr, opRet, opRetVoid:
+	case opFail, opFree, opStore, opStore8, opBr, opCondBr, opRet, opRetVoid:
 	default: // the instruction writes its register
 		if err := d.register(in); err != nil {
 			return d.failf(in, err)
