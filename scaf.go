@@ -137,7 +137,7 @@ func (s *System) MemSpec() *memspec.MemSpec {
 		s.memdep, s.memdepErr = collectMemDep(s.Prog, interp.Options{MaxSteps: s.Profiles.Steps})
 	})
 	if s.memdepErr != nil {
-		panic(fmt.Sprintf("scaf: %s: the memory-dependence run failed where the training run passed: %v", s.Mod.Name, s.memdepErr))
+		panic(fmt.Sprintf("scaf: %s: the memory-dependence run failed where the training run passed: %v", s.Prog.Mod.Name, s.memdepErr))
 	}
 	return memspec.New(s.Profiles, s.memdep)
 }
