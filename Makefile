@@ -40,7 +40,7 @@ runtime:
 # own suite, the server's fleet tests (cross-instance remote hits,
 # fleet-wide quarantine invalidation with the guaranteed-miss proof), and
 # the router suite (broadcast consensus, sharded-read byte-identity vs a
-# single cold instance, backend loss + journal-replay rejoin, connection
+# single cold instance, backend loss + reconcile rejoin, connection
 # reuse: TestRouterReusesConnections fails if a second batch of session
 # lifecycles dials more router or peer connections than its fan-out
 # needs, and an oversized backend reply must become a 502; the churn
@@ -109,7 +109,10 @@ loadgen:
 # identical warm boots, a snapshot above the shard budget booting to
 # within it, a restart straddling an /observe quarantine with
 # the physical-miss proof, journal-blocked resurrection after a crash,
-# idempotent shutdown, periodic snapshots, router journal persistence),
+# idempotent shutdown, periodic snapshots, and the router's snapshot of
+# its live sessions and ID counter: a restarted router catches up an
+# empty backend, the snapshot does not grow with create/delete history,
+# and a router booted from one older than the fleet keeps creating),
 # the tier Close regressions — then a 25-seed warm-restart oracle sweep,
 # again at a 1 KiB shard budget (a warm hit is demanded only of a
 # surviving entry the replay did not evict), and a 30s corruption-fuzz

@@ -1,15 +1,16 @@
 // Command scaf-router fronts a fleet of scaf-serve instances: it speaks
-// the exact scaf-serve HTTP surface, broadcasts session mutations to every
-// backend in one serialized order (keeping their session registries and
-// IDs identical), and shards analyze/query traffic across the fleet by
-// consistent hash or round-robin.
+// the exact scaf-serve HTTP surface, broadcasts session creates and
+// deletes to every backend in one serialized order, each create under a
+// session ID it mints (keeping their session registries identical), and
+// shards analyze/query traffic across the fleet by consistent hash or
+// round-robin.
 //
 //	scaf-router -addr :8400 \
 //	  -backends b0=http://127.0.0.1:8347,b1=http://127.0.0.1:8348
 //
 // A down backend's shard is refused with 503 + Retry-After (no failover);
-// the prober replays the session journal and re-syncs quarantine state
-// when the backend comes back.
+// when the backend answers again, the prober reconciles it to the live
+// sessions and re-syncs quarantine state.
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 	probe := flag.Duration("probe", 2*time.Second, "down-backend health probe period (the backoff base)")
 	probeMax := flag.Duration("probe-max", 0, "cap on the probe backoff for persistently down backends (0: 16x the probe period)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "bound on waiting out in-flight reads during a membership cutover; exceeding it rolls the move back (0: 30s)")
-	cacheDir := flag.String("cache-dir", "", "directory for the session-journal snapshot; reboots resume session IDs, rejoin replay, and live-joined members")
+	cacheDir := flag.String("cache-dir", "", "directory for the router's snapshot (members, session-ID counter, live sessions), written on shutdown and after each join or leave; reboots resume session IDs, catch-up of empty backends, and live-joined members")
 	flag.Parse()
 
 	bk := map[string]string{}

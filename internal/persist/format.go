@@ -57,8 +57,8 @@ const (
 const (
 	KindEntry    byte = 'e' // one fleet cache entry
 	KindRevoked  byte = 'r' // a batch of revoked assertion keys
-	KindJournal  byte = 'j' // one router journal mutation
-	KindSessions byte = 's' // router session→loops map record
+	KindCounter  byte = 'n' // the router's session-ID counter
+	KindSessions byte = 's' // one live router session: its create body and info
 	KindMembers  byte = 'm' // one router fleet-membership record (id=url)
 )
 

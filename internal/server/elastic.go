@@ -19,17 +19,18 @@ import (
 // 503 on the segments that are moving:
 //
 //   - pending: the newcomer is registered but excluded from broadcasts
-//     and placement; it is caught up like a rejoining backend (journal
-//     replay rebuilds the same session IDs in the same order, quarantine
-//     is re-synced as the union over live peers).
+//     and placement; it is caught up like a rejoining backend (reconcile
+//     makes its sessions the live ones under the same IDs, quarantine is
+//     re-synced as the union over live peers).
 //   - streaming: each current owner exports the cache segment the
 //     newcomer will own under the next ring, through the persist codec,
 //     so the transfer inherits the corruption-to-miss ladder — a torn
 //     stream yields a cold segment, never a wrong entry.
-//   - draining: mutations serialize behind the broadcast lock, a segment
-//     fence refuses reads whose owner changes between the rings (503 +
-//     Retry-After), and the read generation in flight under the old
-//     placement is drained to completion.
+//   - draining: mutations serialize behind the broadcast lock, a second
+//     reconcile catches the newcomer up on what changed while streaming,
+//     a segment fence refuses reads whose owner changes between the rings
+//     (503 + Retry-After), and the read generation in flight under the
+//     old placement is drained to completion.
 //   - owned: the ring flips; no request was ever answered by two owners.
 //
 // Any failure that cannot be attributed and repaired rolls the move back
@@ -51,10 +52,12 @@ type LeaveRequest struct {
 }
 
 // MoveReport is the admin-visible outcome of a completed join or leave.
+// Reconciled counts the session creates and deletes sent to catch a
+// joiner up.
 type MoveReport struct {
 	Op              string         `json:"op"`
 	ID              string         `json:"id"`
-	JournalReplayed int            `json:"journal_replayed"`
+	Reconciled      int            `json:"reconciled"`
 	Segments        map[string]int `json:"segments,omitempty"` // counterpart -> entries restored
 	EntriesInserted int            `json:"entries_inserted"`
 	EntriesRejected int            `json:"entries_rejected"`
@@ -166,50 +169,15 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError) {
 	rt.hook("join", "pending", id)
 
-	// The joiner must be alive, and either empty (fresh process: replay
-	// the journal into it) or already holding exactly our session set (a
-	// retry after a rollback later in the move). Anything else is foreign
-	// state we must not own.
-	if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
-		return nil, moveErr(http.StatusBadGateway, "join_failed", "joiner %s is unreachable", id)
-	}
-	st, _, body := rt.probeSend(id, http.MethodGet, "/sessions", nil)
-	if st != http.StatusOK {
-		return nil, moveErr(http.StatusBadGateway, "join_failed", "joiner %s cannot list sessions", id)
-	}
-	var have []SessionInfo
-	if err := json.Unmarshal(body, &have); err != nil {
-		return nil, moveErr(http.StatusBadGateway, "join_failed", "joiner %s returned a malformed session list", id)
-	}
-
-	rt.mu.Lock()
-	j0 := len(rt.journal)
-	journal := append([]routerJournalEntry(nil), rt.journal...)
-	want := make(map[string]bool, len(rt.sessions))
-	for sid := range rt.sessions {
-		want[sid] = true
-	}
-	rt.mu.Unlock()
-
+	// Catch the joiner up while traffic keeps flowing: broadcasts do not
+	// reach it yet, and the fenced phase catches it up again on what
+	// changed meanwhile. Whatever sessions it holds, reconcile makes
+	// them the live ones.
 	rep := &MoveReport{Op: "join", ID: id, Segments: map[string]int{}}
-	switch {
-	case len(have) == 0:
-		for _, e := range journal {
-			if st, _, _ := rt.probeSend(id, e.method, e.path, e.body); st == 0 {
-				return nil, moveErr(http.StatusBadGateway, "join_failed",
-					"joiner %s died during journal replay", id)
-			}
-			rep.JournalReplayed++
-		}
-	case matchesSessionSet(have, want):
-		// Already caught up; only the segments need (re)streaming.
-	default:
-		return nil, moveErr(http.StatusConflict, "joiner_state",
-			"joiner %s holds sessions that are not ours; restart it empty", id)
-	}
-	if !rt.syncQuarantine(id, want) {
-		return nil, moveErr(http.StatusBadGateway, "join_failed",
-			"quarantine sync to joiner %s failed", id)
+	n, err := rt.reconcile(id)
+	rep.Reconciled += n
+	if err != nil {
+		return nil, moveErr(http.StatusBadGateway, "join_failed", "catching up joiner %s: %v", id, err)
 	}
 
 	// Stream the joiner's future segments from their current owners,
@@ -230,12 +198,12 @@ func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError)
 			rep.OwnersSkipped++
 			continue
 		}
-		st, _, seg := rt.probeSend(ob, http.MethodPost, "/fleet/segment", segReq)
+		st, _, seg := rt.send(ob, hop{method: http.MethodPost, path: "/fleet/segment", body: segReq, probe: true})
 		if st != http.StatusOK {
 			rep.OwnersSkipped++
 			continue
 		}
-		st, _, resp := rt.probeSend(id, http.MethodPost, "/fleet/restore", seg)
+		st, _, resp := rt.send(id, hop{method: http.MethodPost, path: "/fleet/restore", body: seg, probe: true})
 		if st != http.StatusOK {
 			return nil, moveErr(http.StatusBadGateway, "join_failed",
 				"joiner %s failed to restore the segment streamed from %s", id, ob)
@@ -247,29 +215,15 @@ func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError)
 		rep.EntriesRejected += rr.Rejected
 	}
 
-	// Fenced phase: serialize against mutations, replay the journal tail
-	// that accumulated while streaming, fence the moving segments, drain
-	// the in-flight reads, and only then flip ownership.
+	// Fenced phase: serialize against mutations, catch the joiner up on
+	// what changed while streaming, fence the moving segments, drain the
+	// in-flight reads, and only then flip ownership.
 	rt.bmu.Lock()
 	defer rt.bmu.Unlock()
-
-	rt.mu.Lock()
-	tail := append([]routerJournalEntry(nil), rt.journal[j0:]...)
-	want = make(map[string]bool, len(rt.sessions))
-	for sid := range rt.sessions {
-		want[sid] = true
-	}
-	rt.mu.Unlock()
-	for _, e := range tail {
-		if st, _, _ := rt.probeSend(id, e.method, e.path, e.body); st == 0 {
-			return nil, moveErr(http.StatusBadGateway, "join_failed",
-				"joiner %s died during tail catch-up", id)
-		}
-		rep.JournalReplayed++
-	}
-	if len(tail) > 0 && !rt.syncQuarantine(id, want) {
-		return nil, moveErr(http.StatusBadGateway, "join_failed",
-			"quarantine re-sync to joiner %s failed", id)
+	n, err = rt.reconcile(id)
+	rep.Reconciled += n
+	if err != nil {
+		return nil, moveErr(http.StatusBadGateway, "join_failed", "catching up joiner %s: %v", id, err)
 	}
 
 	rt.hook("join", "draining", id)
@@ -282,7 +236,7 @@ func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError)
 
 	// Last look before the point of no return: a joiner that died during
 	// the drain must not be handed segments.
-	if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
+	if st, _, _ := rt.send(id, hop{method: http.MethodGet, path: "/healthz", probe: true}); st != http.StatusOK {
 		return nil, moveErr(http.StatusBadGateway, "join_failed",
 			"joiner %s died before cutover", id)
 	}
@@ -380,7 +334,7 @@ func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpErr
 	rt.hook("leave", "streaming", id)
 	alive := !rt.isDown(id)
 	if alive {
-		if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
+		if st, _, _ := rt.send(id, hop{method: http.MethodGet, path: "/healthz", probe: true}); st != http.StatusOK {
 			alive = false
 		}
 	}
@@ -391,12 +345,12 @@ func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpErr
 				continue
 			}
 			segReq, _ := json.Marshal(segmentRequest{Nodes: remaining, Owner: s})
-			st, _, seg := rt.probeSend(id, http.MethodPost, "/fleet/segment", segReq)
+			st, _, seg := rt.send(id, hop{method: http.MethodPost, path: "/fleet/segment", body: segReq, probe: true})
 			if st != http.StatusOK {
 				rep.OwnersSkipped++
 				continue
 			}
-			st, _, resp := rt.probeSend(s, http.MethodPost, "/fleet/restore", seg)
+			st, _, resp := rt.send(s, hop{method: http.MethodPost, path: "/fleet/restore", body: seg, probe: true})
 			if st != http.StatusOK {
 				rep.OwnersSkipped++
 				continue
@@ -441,7 +395,7 @@ func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpErr
 	// already fails open).
 	rm, _ := json.Marshal(fleet.MembersRequest{Remove: []string{id}})
 	for _, s := range remaining {
-		rt.probeSend(s, http.MethodPost, "/fleet/members", rm)
+		rt.send(s, hop{method: http.MethodPost, path: "/fleet/members", body: rm, probe: true})
 	}
 	if rt.cfg.CacheDir != "" {
 		rt.savePersist()

@@ -36,8 +36,8 @@ func warmElasticFleet(t *testing.T, fl *LoopbackFleet, n int) ([]SessionInfo, []
 	return infos, golds
 }
 
-// TestElasticJoin is the tentpole happy path: a live join streams the
-// session journal and warm cache segments into the spare, flips the
+// TestElasticJoin is the tentpole happy path: a live join creates the
+// live sessions and streams warm cache segments into the spare, flips the
 // ring, and afterwards (a) answers are byte-identical to the pre-join
 // fleet, (b) the joiner serves warm hits from its streamed segments
 // (nonvacuity), and (c) the grown membership survives a router restart.
@@ -55,14 +55,14 @@ func TestElasticJoin(t *testing.T) {
 	if rep.Op != "join" || len(rep.Members) != 3 {
 		t.Fatalf("join report: %+v", rep)
 	}
-	if rep.JournalReplayed == 0 {
-		t.Fatalf("join replayed no journal entries: %+v", rep)
+	if rep.Reconciled != len(infos) {
+		t.Fatalf("join sent %d session creates and deletes to the empty joiner, want %d: %+v", rep.Reconciled, len(infos), rep)
 	}
 	if rep.EntriesInserted == 0 {
 		t.Fatalf("join streamed no warm entries — the cutover is vacuous: %+v", rep)
 	}
 
-	// The joiner holds the replayed session registry.
+	// The joiner holds the live sessions.
 	direct := fl.BackendURL(SpareID)
 	_, sraw := do(t, direct, "GET", "/sessions", nil)
 	if got := decode[[]SessionInfo](t, sraw); len(got) != len(infos) {

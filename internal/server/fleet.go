@@ -379,15 +379,7 @@ func (sess *session) fleetBroadcast(asserts, modules []string) {
 // as a local observe report would — minus the re-broadcast, which the
 // origin already did.
 func (s *Server) applyFleetRecovery(req fleet.RecoveryRequest) {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.order))
-	for _, id := range s.order {
-		if sess := s.sessions[id]; sess != nil {
-			sessions = append(sessions, sess)
-		}
-	}
-	s.mu.Unlock()
-	for _, sess := range sessions {
+	for _, sess := range s.registered() {
 		if sess.fleetDigest != req.Scope {
 			continue
 		}

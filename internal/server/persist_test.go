@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -277,26 +280,30 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	srv1.Shutdown(ctx)
 }
 
-// TestRouterPersistJournal proves a restarted router keeps its rejoin
-// power: the session journal and session map survive Close, and the new
-// router can still replay the full mutation history into an empty
-// backend and serve the same bytes.
-func TestRouterPersistJournal(t *testing.T) {
+// TestRouterPersistLiveSessions proves a restarted router keeps its
+// catch-up power: the live sessions and the ID counter survive Close, and
+// the new router makes the live sessions again on an empty backend under
+// their IDs, serving the same bytes, while a deleted session stays gone
+// and its ID is not minted again.
+func TestRouterPersistLiveSessions(t *testing.T) {
 	dir := t.TempDir()
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
-	bsrv1, bts1 := newTestServer(t, Config{})
+	_, bts1 := newTestServer(t, Config{})
 	rt1 := NewRouter(RouterConfig{Backends: map[string]string{"b0": bts1.URL}, CacheDir: dir})
 	rts1 := httptest.NewServer(rt1.Handler())
 	info := createSession(t, rts1.URL, req)
+	gone := createSession(t, rts1.URL, req)
+	if st, raw := do(t, rts1.URL, "DELETE", "/sessions/"+gone.ID, nil); st != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", st, raw)
+	}
 	gold := analyzeJSON(t, rts1.URL, info.ID)
 	rts1.Close()
 	rt1.Close()
 	rt1.Close() // double Close: must be a no-op
-	_ = bsrv1
 
 	// The old backend dies with the router; the restarted router fronts a
-	// brand-new empty backend and must rebuild it from the loaded journal.
+	// brand-new empty backend and must rebuild it from the loaded state.
 	bts1.Close()
 	_, bts2 := newTestServer(t, Config{})
 	rt2 := NewRouter(RouterConfig{Backends: map[string]string{"b0": bts2.URL}, CacheDir: dir})
@@ -305,7 +312,7 @@ func TestRouterPersistJournal(t *testing.T) {
 	defer rts2.Close()
 
 	rt2.markDown("b0")
-	rt2.Probe() // rejoin: replays the persisted journal into the empty backend
+	rt2.Probe() // rejoin: reconcile makes the live session on the empty backend
 
 	status, raw := do(t, rts2.URL, "GET", "/metrics", nil)
 	if status != http.StatusOK {
@@ -313,10 +320,116 @@ func TestRouterPersistJournal(t *testing.T) {
 	}
 	m := decode[RouterMetrics](t, raw)
 	if m.Router.Sessions != 1 || m.Router.Rejoins != 1 || len(m.Router.Down) != 0 {
-		t.Fatalf("restarted router did not rejoin from the persisted journal: %+v", m.Router)
+		t.Fatalf("restarted router did not rejoin from the persisted sessions: %+v", m.Router)
+	}
+	_, raw = do(t, bts2.URL, "GET", "/sessions", nil)
+	if list := decode[[]SessionInfo](t, raw); len(list) != 1 || !reflect.DeepEqual(list[0], info) {
+		t.Fatalf("caught-up backend lists %+v, want only %+v", list, info)
 	}
 	if got := analyzeJSON(t, rts2.URL, info.ID); !bytes.Equal(got, gold) {
-		t.Fatalf("replayed backend serves different bytes than the original fleet")
+		t.Fatalf("caught-up backend serves different bytes than the original fleet")
+	}
+	if next := createSession(t, rts2.URL, req); next.ID != "s3" {
+		t.Fatalf("restarted router minted %s, want s3", next.ID)
+	}
+}
+
+// TestRouterPersistHoldsNoHistory: the router's replay state is the live
+// sessions and the ID counter, whatever came before. After 200
+// create/delete cycles router.snap holds the member and the counter, no
+// session record, and is as long as after one cycle but for the
+// counter's digits; a router booted from it in front of a fresh backend
+// mints s201 next.
+func TestRouterPersistHoldsNoHistory(t *testing.T) {
+	dir := t.TempDir()
+	req := CreateSessionRequest{Name: "tiny", Source: "int main() {\n  return 0;\n}\n", Plan: "off"}
+	_, bts := newTestServer(t, Config{})
+	rt := NewRouter(RouterConfig{Backends: map[string]string{"b0": bts.URL}, CacheDir: dir})
+	rts := httptest.NewServer(rt.Handler())
+	snap := filepath.Join(dir, routerSnapFile)
+	const cycles = 200
+	var oneCycle int
+	for i := 0; i < cycles; i++ {
+		info := createSession(t, rts.URL, req)
+		if st, raw := do(t, rts.URL, "DELETE", "/sessions/"+info.ID, nil); st != http.StatusNoContent {
+			t.Fatalf("delete %s: %d %s", info.ID, st, raw)
+		}
+		if i == 0 {
+			rt.savePersist()
+			data, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneCycle = len(data)
+		}
+	}
+	rts.Close()
+	rt.Close()
+
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, trunc := persist.DecodeFile(data)
+	if trunc != "" {
+		t.Fatalf("router.snap: %s", trunc)
+	}
+	var kinds []byte
+	for _, r := range records {
+		kinds = append(kinds, r.Kind)
+	}
+	if string(kinds) != string([]byte{persist.KindMembers, persist.KindCounter}) {
+		t.Fatalf("router.snap holds records of kinds %q, want one member and the counter", kinds)
+	}
+	if grown := len(data) - oneCycle; grown != len("200")-len("1") {
+		t.Fatalf("router.snap grew %d bytes from 1 cycle to %d", grown, cycles)
+	}
+
+	_, fresh := newTestServer(t, Config{})
+	rt2 := NewRouter(RouterConfig{Backends: map[string]string{"b0": fresh.URL}, CacheDir: dir})
+	defer rt2.Close()
+	rts2 := httptest.NewServer(rt2.Handler())
+	defer rts2.Close()
+	if info := createSession(t, rts2.URL, req); info.ID != "s201" {
+		t.Fatalf("router booted after %d cycles minted %s, want s201", cycles, info.ID)
+	}
+}
+
+// TestRouterPersistStaleSnapshot: a router booted from a router.snap
+// older than the fleet (its predecessor was killed without Close) keeps
+// creating. Every backend refuses the IDs it already holds, and the
+// router mints past them.
+func TestRouterPersistStaleSnapshot(t *testing.T) {
+	dir, stale := t.TempDir(), t.TempDir()
+	fl := startFleet(t, 2, false, RouterConfig{CacheDir: dir})
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	createSession(t, fl.URL, req)
+	fl.Router.savePersist()
+	data, err := os.ReadFile(filepath.Join(dir, routerSnapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, routerSnapFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, fl.URL, req)
+	createSession(t, fl.URL, req)
+
+	rt := NewRouter(RouterConfig{
+		Backends: map[string]string{"b0": fl.BackendURL("b0"), "b1": fl.BackendURL("b1")},
+		CacheDir: stale,
+	})
+	defer rt.Close()
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+	if info := createSession(t, rts.URL, req); info.ID != "s4" {
+		t.Fatalf("router booted from a stale snapshot created %s, want s4", info.ID)
+	}
+	for _, id := range fl.IDs() {
+		_, raw := do(t, fl.BackendURL(id), "GET", "/sessions", nil)
+		if n := len(decode[[]SessionInfo](t, raw)); n != 4 {
+			t.Fatalf("%s holds %d sessions, want 4", id, n)
+		}
 	}
 }
 

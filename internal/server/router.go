@@ -3,14 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,19 +26,22 @@ import (
 
 // The fleet's front tier: a Router speaks the exact scaf-serve HTTP
 // surface and spreads it across N backend instances. Session mutations
-// (create, delete) broadcast to every backend in one serialized order, so
-// the backends' session registries — and their sequential session IDs —
-// stay identical; read traffic (analyze, query) shards across backends by
-// consistent hash (or round-robin), which is sound because every answer
-// is a pure function of (session state, proposition): any backend serves
-// the same bytes, the fleet cache tier only changes who computes them.
+// (create, delete) broadcast to every backend in one serialized order,
+// each create under a session ID the router mints from one counter, so
+// the backends' session registries stay identical; read traffic
+// (analyze, query) shards across backends by consistent hash (or
+// round-robin), which is sound because every answer is a pure function of
+// (session state, proposition): any backend serves the same bytes, the
+// fleet cache tier only changes who computes them.
 //
 // There is deliberately no failover: a request for a down backend's shard
 // is refused with 503 + Retry-After rather than silently re-homed, so a
-// partition degrades capacity, never placement determinism. A restarted
-// backend is caught up by replaying the session journal (rebuilding the
-// same IDs in the same order) and re-synchronizing quarantine state from
-// a live peer before it takes traffic again.
+// partition degrades capacity, never placement determinism. A backend
+// that answers again is reconciled before it takes traffic: the router
+// keeps each live session's create body and the SessionInfo its create
+// returned, deletes what the backend holds that is not live, creates what
+// it lacks under the same IDs, and re-synchronizes quarantine state from
+// the live peers.
 
 // RouterConfig configures a fleet front tier.
 type RouterConfig struct {
@@ -60,23 +67,27 @@ type RouterConfig struct {
 	// (0: 30s). If in-flight reads have not finished by then, the move
 	// rolls back to the old owner instead of wedging the fleet.
 	DrainTimeout time.Duration
-	// CacheDir, when non-empty, persists the router's session journal and
-	// session→loops map there on Close and loads them on boot, so a
-	// restarted router keeps its rejoin power: it can still replay the
-	// full mutation history into an empty backend. Validated with the
-	// same checksummed framing as the cache snapshots — a corrupt file
-	// degrades to the valid prefix (at worst a cold router), never a
-	// wrong replay. Membership changes are persisted too, so a restarted
-	// router serves the post-elasticity fleet, not the boot-time one.
+	// CacheDir, when non-empty, persists the router's replay state there
+	// on Close and after each membership change, and loads it on boot: the
+	// members, the session-ID counter and the live sessions (each one's
+	// create body and SessionInfo). A restarted router so keeps minting
+	// where it stopped and can still reconcile an empty backend; the file
+	// holds no history, so its size follows the live sessions. Validated
+	// with the same checksummed framing as the cache snapshots — a corrupt
+	// file degrades to the valid prefix (at worst a cold router), never a
+	// wrong session. Membership is persisted too, so a restarted router
+	// serves the post-elasticity fleet, not the boot-time one.
 	CacheDir string
 }
 
 const defaultDrainTimeout = 30 * time.Second
 
-// routerJournalEntry is one replayable session mutation.
-type routerJournalEntry struct {
-	method, path string
-	body         []byte
+// liveSession is one session the fleet holds: the body of the create
+// that made it and the SessionInfo that create returned, which is all
+// reconcile needs to make it again on a backend that lacks it.
+type liveSession struct {
+	body []byte
+	info SessionInfo
 }
 
 // ProbeInfo is one down backend's prober state as exposed in /metrics:
@@ -143,8 +154,7 @@ type Router struct {
 
 	// bmu serializes session mutations, rejoins, and the fenced phase of
 	// membership moves: every backend sees creates and deletes in the
-	// same order, which is what keeps their sequential session-ID
-	// counters aligned.
+	// same order, and no reconcile sees the live sessions change under it.
 	bmu sync.Mutex
 
 	// mu guards the mutable fleet view. Membership is live: join/leave
@@ -161,8 +171,12 @@ type Router struct {
 	moveOp   string // "join" or "leave"
 	down     map[string]bool
 	probe    map[string]*probeState
-	sessions map[string][]string // session id -> hot loop names
-	journal  []routerJournalEntry
+	// sessions holds the live sessions by ID, and minted counts the
+	// session IDs the fleet has consumed: the next create is
+	// s<minted+1>. Both change under bmu as well, so a holder of bmu may
+	// read them without mu.
+	sessions map[string]*liveSession
+	minted   int
 
 	rrNext                                           atomic.Uint64
 	proxied, fanouts, refused, inconsistent, rejoins atomic.Int64
@@ -189,7 +203,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		gen:      &readGen{},
 		down:     map[string]bool{},
 		probe:    map[string]*probeState{},
-		sessions: map[string][]string{},
+		sessions: map[string]*liveSession{},
 		stop:     make(chan struct{}),
 	}
 	rt.hc = &http.Client{Timeout: cfg.Timeout, Transport: fleet.NewTransport(&rt.dials)}
@@ -225,17 +239,15 @@ func NewRouter(cfg RouterConfig) *Router {
 	return rt
 }
 
-// routerJournalRecord / routerSessionRecord are the on-disk forms of
-// the router's replay state.
-type routerJournalRecord struct {
-	Method string `json:"method"`
-	Path   string `json:"path"`
-	Body   []byte `json:"body,omitempty"`
+// routerCounterRecord / routerSessionRecord are the on-disk forms of
+// the router's replay state: the ID counter, and one live session.
+type routerCounterRecord struct {
+	Minted int `json:"minted"`
 }
 
 type routerSessionRecord struct {
-	ID    string   `json:"id"`
-	Loops []string `json:"loops"`
+	Body []byte      `json:"body"`
+	Info SessionInfo `json:"info"`
 }
 
 // routerMemberRecord is one fleet member on disk: membership is live
@@ -253,32 +265,31 @@ func (rt *Router) persistPath() string {
 	return filepath.Join(rt.cfg.CacheDir, routerSnapFile)
 }
 
-// savePersist writes the journal and session map with the persist
-// framing (atomic temp+rename via a full re-encode — the journal is
-// small relative to cache shards, and a single atomic file keeps the
-// two structures consistent with each other).
+// savePersist writes the members, the ID counter and the live sessions
+// with the persist framing (atomic temp+rename via a full re-encode — the
+// state is small relative to cache shards, and a single atomic file
+// keeps the three consistent with each other).
 func (rt *Router) savePersist() {
 	if err := os.MkdirAll(rt.cfg.CacheDir, 0o755); err != nil {
 		log.Printf("router: persist save: %v", err)
 		return
 	}
 	rt.mu.Lock()
-	records := make([]persist.Record, 0, len(rt.ids)+len(rt.journal)+len(rt.sessions))
+	records := make([]persist.Record, 0, len(rt.ids)+1+len(rt.sessions))
 	for _, id := range rt.ids {
 		p, _ := json.Marshal(routerMemberRecord{ID: id, URL: rt.base[id]})
 		records = append(records, persist.Record{Kind: persist.KindMembers, Payload: p})
 	}
-	for _, je := range rt.journal {
-		p, _ := json.Marshal(routerJournalRecord{Method: je.method, Path: je.path, Body: je.body})
-		records = append(records, persist.Record{Kind: persist.KindJournal, Payload: p})
-	}
+	p, _ := json.Marshal(routerCounterRecord{Minted: rt.minted})
+	records = append(records, persist.Record{Kind: persist.KindCounter, Payload: p})
 	sids := make([]string, 0, len(rt.sessions))
 	for sid := range rt.sessions {
 		sids = append(sids, sid)
 	}
-	sort.Strings(sids)
+	sortSessionIDs(sids)
 	for _, sid := range sids {
-		p, _ := json.Marshal(routerSessionRecord{ID: sid, Loops: rt.sessions[sid]})
+		ls := rt.sessions[sid]
+		p, _ := json.Marshal(routerSessionRecord{Body: ls.body, Info: ls.info})
 		records = append(records, persist.Record{Kind: persist.KindSessions, Payload: p})
 	}
 	rt.mu.Unlock()
@@ -287,11 +298,13 @@ func (rt *Router) savePersist() {
 	}
 }
 
-// loadPersist restores the journal and session map from a prior
-// graceful Close. Corruption degrades to the valid prefix; since the
-// journal is replayed only into empty backends (rejoin), a short
-// journal can at worst fail a future rejoin's session-set check — it
-// cannot desynchronize a live fleet.
+// loadPersist restores the members, the ID counter and the live
+// sessions from a prior graceful Close. Corruption degrades to the valid
+// prefix, and so does a snapshot older than the fleet (a router killed
+// without Close): the router then knows fewer sessions and a lower
+// counter than the backends. Its creates walk the counter past the IDs
+// the backends hold (each refuses a held ID with 409), and a reconcile
+// removes the sessions it does not know from a backend it catches up.
 func (rt *Router) loadPersist() {
 	data, err := os.ReadFile(rt.persistPath())
 	if err != nil {
@@ -330,18 +343,21 @@ func (rt *Router) loadPersist() {
 				return
 			}
 			members[mr.ID] = mr.URL
-		case persist.KindJournal:
-			var jr routerJournalRecord
-			if err := json.Unmarshal(r.Payload, &jr); err != nil {
+		case persist.KindCounter:
+			var cr routerCounterRecord
+			if err := json.Unmarshal(r.Payload, &cr); err != nil {
 				return
 			}
-			rt.journal = append(rt.journal, routerJournalEntry{method: jr.Method, path: jr.Path, body: jr.Body})
+			rt.minted = cr.Minted
 		case persist.KindSessions:
 			var sr routerSessionRecord
-			if err := json.Unmarshal(r.Payload, &sr); err != nil {
+			if err := json.Unmarshal(r.Payload, &sr); err != nil || len(sr.Body) == 0 {
 				return
 			}
-			rt.sessions[sr.ID] = sr.Loops
+			if n, ok := sessionNum(sr.Info.ID); !ok || n > rt.minted {
+				return
+			}
+			rt.sessions[sr.Info.ID] = &liveSession{body: sr.Body, info: sr.Info}
 		default:
 			return
 		}
@@ -352,7 +368,7 @@ func (rt *Router) loadPersist() {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Close stops the background prober, drops pooled backend connections,
-// and persists the session journal when a CacheDir is configured.
+// and persists the replay state when a CacheDir is configured.
 // Closing the pool matters for orderly teardown: a spare never-used
 // connection parked on a backend reads as StateNew there, and
 // http.Server.Shutdown only reaps those after a five-second grace.
@@ -426,7 +442,7 @@ func (rt *Router) probeDue(now time.Time) {
 	}
 	rt.mu.Unlock()
 	for _, id := range due {
-		rt.tryRejoin(id)
+		rt.rejoin(id)
 		rt.mu.Lock()
 		if rt.down[id] {
 			st := rt.probe[id]
@@ -566,26 +582,45 @@ func (rt *Router) baseURL(id string) string {
 	return rt.base[id]
 }
 
-// send issues one backend request. A transport error marks the backend
-// down and is reported as (0, nil, nil); a reply longer than
-// maxPeerResponse is reported as a 502 reply_too_large.
-func (rt *Router) send(id, method, path string, body []byte) (int, http.Header, []byte) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, rt.baseURL(id)+path, rd)
-	if err != nil {
-		rt.markDown(id)
+// hop is one request the router sends a backend.
+type hop struct {
+	method, path string
+	body         []byte
+	// sid is the minted session ID a create carries in sessionIDHeader.
+	sid string
+	// probe marks traffic to a backend being probed, caught up or moved:
+	// a transport error does not mark it down, and proxied does not count
+	// the hop.
+	probe bool
+}
+
+// send issues one backend request. A transport error is reported as
+// (0, nil, nil) and, unless h is a probe, marks the backend down; a reply
+// longer than maxPeerResponse is reported as a 502 reply_too_large.
+func (rt *Router) send(id string, h hop) (int, http.Header, []byte) {
+	failed := func() (int, http.Header, []byte) {
+		if !h.probe {
+			rt.markDown(id)
+		}
 		return 0, nil, nil
 	}
-	if body != nil {
+	var rd io.Reader
+	if h.body != nil {
+		rd = bytes.NewReader(h.body)
+	}
+	req, err := http.NewRequest(h.method, rt.baseURL(id)+h.path, rd)
+	if err != nil {
+		return failed()
+	}
+	if h.body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if h.sid != "" {
+		req.Header.Set(sessionIDHeader, h.sid)
 	}
 	resp, err := rt.hc.Do(req)
 	if err != nil {
-		rt.markDown(id)
-		return 0, nil, nil
+		return failed()
 	}
 	defer resp.Body.Close()
 	// One byte past the limit tells a reply that fits from one that was
@@ -593,10 +628,11 @@ func (rt *Router) send(id, method, path string, body []byte) (int, http.Header, 
 	// status. The backend did answer, so it stays up.
 	raw, err := readReply(resp, maxPeerResponse)
 	if err != nil {
-		rt.markDown(id)
-		return 0, nil, nil
+		return failed()
 	}
-	rt.proxied.Add(1)
+	if !h.probe {
+		rt.proxied.Add(1)
+	}
 	if len(raw) > maxPeerResponse {
 		return errorReply(&httpError{status: http.StatusBadGateway,
 			detail: ErrorDetail{Code: "reply_too_large",
@@ -644,8 +680,10 @@ func errorReply(he *httpError) (int, http.Header, []byte) {
 	return he.status, http.Header{"Content-Type": {"application/json"}}, b.Bytes()
 }
 
-// relay writes a backend response through verbatim; status 0 (transport
-// failure) becomes a 503.
+// relay writes a backend response through verbatim, but for its headers:
+// only Content-Type and Retry-After pass, so the session-ID header of a
+// create never reaches a client. Status 0 (transport failure) becomes a
+// 503.
 func (rt *Router) relay(w http.ResponseWriter, id string, status int, hdr http.Header, body []byte) {
 	if status == 0 {
 		he := &httpError{status: http.StatusServiceUnavailable,
@@ -680,7 +718,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // byte-identical responses: the backends hold replicated state, so any
 // divergence is a fleet inconsistency, surfaced as 502 rather than papered
 // over.
-func (rt *Router) broadcast(method, path string, body []byte) (int, http.Header, []byte, *httpError) {
+func (rt *Router) broadcast(h hop) (int, http.Header, []byte, *httpError) {
 	up := rt.upIDs()
 	if len(up) == 0 {
 		return 0, nil, nil, rt.errNoBackends()
@@ -697,7 +735,7 @@ func (rt *Router) broadcast(method, path string, body []byte) (int, http.Header,
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			st, hdr, b := rt.send(id, method, path, body)
+			st, hdr, b := rt.send(id, h)
 			replies[i] = reply{id: id, status: st, hdr: hdr, body: b}
 		}(i, id)
 	}
@@ -706,7 +744,7 @@ func (rt *Router) broadcast(method, path string, body []byte) (int, http.Header,
 	first := -1
 	for i, rp := range replies {
 		if rp.status == 0 {
-			// Died mid-broadcast: the journal replay at rejoin restores it.
+			// Died mid-broadcast: reconcile catches it up at rejoin.
 			continue
 		}
 		if first < 0 {
@@ -719,7 +757,7 @@ func (rt *Router) broadcast(method, path string, body []byte) (int, http.Header,
 			return 0, nil, nil, &httpError{status: http.StatusBadGateway,
 				detail: ErrorDetail{Code: "fleet_inconsistent",
 					Message: fmt.Sprintf("backends %s and %s disagree on %s %s (%d vs %d)",
-						f.id, rp.id, method, path, f.status, rp.status)}}
+						f.id, rp.id, h.method, h.path, f.status, rp.status)}}
 		}
 	}
 	if first < 0 {
@@ -728,6 +766,10 @@ func (rt *Router) broadcast(method, path string, body []byte) (int, http.Header,
 	return replies[first].status, replies[first].hdr, replies[first].body, nil
 }
 
+// handleCreate broadcasts a create under the next minted ID. A backend
+// names the ID in its reply when the create consumed it, and only then
+// does the counter advance, so it moves exactly where a single
+// instance's counter would.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -736,46 +778,60 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	rt.bmu.Lock()
 	defer rt.bmu.Unlock()
 
-	status, hdr, resp, he := rt.broadcast(http.MethodPost, "/sessions", body)
-	if he != nil {
-		writeError(w, he)
+	for {
+		sid := "s" + strconv.Itoa(rt.minted+1)
+		status, hdr, resp, he := rt.broadcast(hop{method: http.MethodPost, path: "/sessions", body: body, sid: sid})
+		if he != nil {
+			if he.detail.Code == "fleet_inconsistent" {
+				// Some backends may have consumed the ID: burn it, so no
+				// later create collides with it.
+				rt.consume(sid, nil)
+			}
+			writeError(w, he)
+			return
+		}
+		if status == http.StatusConflict {
+			// The one 409 a create answers: every backend already holds
+			// the ID, because this router booted from a snapshot older
+			// than the fleet. Burn it and mint the next.
+			rt.consume(sid, nil)
+			continue
+		}
+		if hdr.Get(sessionIDHeader) == sid {
+			var live *liveSession
+			var info SessionInfo
+			if status == http.StatusCreated && json.Unmarshal(resp, &info) == nil {
+				live = &liveSession{body: body, info: info}
+			}
+			rt.consume(sid, live)
+		}
+		rt.relay(w, "", status, hdr, resp)
 		return
 	}
-	// Journal every create, including failed ones: a rejected create still
-	// consumed a session-ID counter slot on the live backends, and replay
-	// must reproduce that on a restarted one.
-	rt.mu.Lock()
-	rt.journal = append(rt.journal, routerJournalEntry{method: http.MethodPost, path: "/sessions", body: body})
-	rt.mu.Unlock()
+}
 
-	if status == http.StatusCreated {
-		var info SessionInfo
-		if err := json.Unmarshal(resp, &info); err == nil && info.ID != "" {
-			loops := make([]string, 0, len(info.HotLoops))
-			for _, l := range info.HotLoops {
-				loops = append(loops, l.Name)
-			}
-			rt.mu.Lock()
-			rt.sessions[info.ID] = loops
-			rt.mu.Unlock()
-		}
+// consume advances the ID counter past sid and records live, the session
+// sid's create made, when it made one.
+func (rt *Router) consume(sid string, live *liveSession) {
+	rt.mu.Lock()
+	rt.minted++
+	if live != nil {
+		rt.sessions[sid] = live
 	}
-	rt.relay(w, "", status, hdr, resp)
+	rt.mu.Unlock()
 }
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("id")
-	path := "/sessions/" + sid
 	rt.bmu.Lock()
 	defer rt.bmu.Unlock()
 
-	status, hdr, resp, he := rt.broadcast(http.MethodDelete, path, nil)
+	status, hdr, resp, he := rt.broadcast(hop{method: http.MethodDelete, path: "/sessions/" + sid})
 	if he != nil {
 		writeError(w, he)
 		return
 	}
 	rt.mu.Lock()
-	rt.journal = append(rt.journal, routerJournalEntry{method: http.MethodDelete, path: path})
 	delete(rt.sessions, sid)
 	rt.mu.Unlock()
 	rt.relay(w, "", status, hdr, resp)
@@ -790,7 +846,7 @@ func (rt *Router) handleReadAny(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := up[rt.rrNext.Add(1)%uint64(len(up))]
-	st, hdr, body := rt.send(id, r.Method, r.URL.Path, nil)
+	st, hdr, body := rt.send(id, hop{method: r.Method, path: r.URL.Path})
 	rt.relay(w, id, st, hdr, body)
 }
 
@@ -811,7 +867,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he)
 		return
 	}
-	st, hdr, resp := rt.send(id, http.MethodPost, r.URL.Path, body)
+	st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
 	rt.relay(w, id, st, hdr, resp)
 }
 
@@ -828,7 +884,7 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he)
 		return
 	}
-	st, hdr, resp := rt.send(id, http.MethodPost, r.URL.Path, body)
+	st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
 	rt.relay(w, id, st, hdr, resp)
 }
 
@@ -860,7 +916,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			writeError(w, he)
 			return
 		}
-		st, hdr, resp := rt.send(id, http.MethodPost, r.URL.Path, body)
+		st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
 		rt.relay(w, id, st, hdr, resp)
 		return
 	}
@@ -868,7 +924,12 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	loops := req.Loops
 	if len(loops) == 0 {
 		rt.mu.Lock()
-		loops = append([]string(nil), rt.sessions[sid]...)
+		if ls := rt.sessions[sid]; ls != nil {
+			loops = make([]string, len(ls.info.HotLoops))
+			for i, l := range ls.info.HotLoops {
+				loops[i] = l.Name
+			}
+		}
 		rt.mu.Unlock()
 	}
 	if len(loops) == 0 {
@@ -879,7 +940,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			writeError(w, he)
 			return
 		}
-		st, hdr, resp := rt.send(id, http.MethodPost, r.URL.Path, body)
+		st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
 		rt.relay(w, id, st, hdr, resp)
 		return
 	}
@@ -920,7 +981,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 					sub, _ := json.Marshal(AnalyzeRequest{
 						Scheme: req.Scheme, Loops: loops[i : i+1], DeadlineMS: req.DeadlineMS,
 					})
-					st, hdr, b := rt.send(id, http.MethodPost, r.URL.Path, sub)
+					st, hdr, b := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: sub})
 					parts[i] = part{id: id, status: st, hdr: hdr, body: b}
 				}
 			}()
@@ -971,7 +1032,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			h.Backends[id] = "down"
 			continue
 		}
-		if st, _, _ := rt.send(id, http.MethodGet, "/healthz", nil); st == http.StatusOK {
+		if st, _, _ := rt.send(id, hop{method: http.MethodGet, path: "/healthz"}); st == http.StatusOK {
 			h.Backends[id] = "ok"
 			upCount++
 		} else {
@@ -999,7 +1060,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := RouterMetrics{Backends: map[string]json.RawMessage{}}
 	for _, id := range rt.upIDs() {
-		if st, _, body := rt.send(id, http.MethodGet, "/metrics", nil); st == http.StatusOK {
+		if st, _, body := rt.send(id, hop{method: http.MethodGet, path: "/metrics"}); st == http.StatusOK {
 			m.Backends[id] = json.RawMessage(body)
 		}
 	}
@@ -1047,62 +1108,25 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-// ---- rejoin ----
+// ---- rejoin and catch-up ----
 
-// Probe re-checks every down backend and rejoins the ones that answer:
-// a restarted (empty) backend gets the session journal replayed — the
-// same mutations in the same order rebuild the same session IDs — and its
-// quarantine state re-synchronized from a live peer; a backend that was
-// only unreachable (state intact) is simply marked up. A backend whose
-// session registry matches neither is left down: its state cannot be
-// reconciled without operator intervention.
+// Probe re-checks every down backend and rejoins the ones reconcile can
+// catch up: a restarted (empty) backend gets the live sessions made
+// again under their IDs, one that missed a create or a delete gets just
+// that, and either gets its quarantine state re-synchronized. A backend
+// that cannot be caught up stays down until a later probe.
 func (rt *Router) Probe() {
 	rt.probeDue(time.Time{})
 }
 
-func (rt *Router) tryRejoin(id string) {
-	// Serialize against mutations: the journal must not grow mid-replay.
+func (rt *Router) rejoin(id string) {
+	// Serialize against mutations: the live sessions must not change
+	// mid-reconcile.
 	rt.bmu.Lock()
 	defer rt.bmu.Unlock()
-
-	if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
+	if _, err := rt.reconcile(id); err != nil {
 		return
 	}
-	st, _, body := rt.probeSend(id, http.MethodGet, "/sessions", nil)
-	if st != http.StatusOK {
-		return
-	}
-	var have []SessionInfo
-	if err := json.Unmarshal(body, &have); err != nil {
-		return
-	}
-
-	rt.mu.Lock()
-	want := make(map[string]bool, len(rt.sessions))
-	for sid := range rt.sessions {
-		want[sid] = true
-	}
-	journal := append([]routerJournalEntry(nil), rt.journal...)
-	rt.mu.Unlock()
-
-	switch {
-	case len(have) == 0 && len(journal) > 0:
-		// Fresh restart: replay the journal to rebuild the registry with
-		// the same session-ID sequence.
-		for _, e := range journal {
-			if st, _, _ := rt.probeSend(id, e.method, e.path, e.body); st == 0 {
-				return // died again mid-replay; next probe retries from scratch
-			}
-		}
-		if !rt.syncQuarantine(id, want) {
-			return
-		}
-	case matchesSessionSet(have, want):
-		// Transient unreachability: state intact, nothing to replay.
-	default:
-		return
-	}
-
 	rt.mu.Lock()
 	delete(rt.down, id)
 	rt.mu.Unlock()
@@ -1111,6 +1135,56 @@ func (rt *Router) tryRejoin(id string) {
 	// it may have been away across a join or leave and its cache tier's
 	// peer set would otherwise still reflect the old fleet.
 	rt.pushMembers(id)
+}
+
+// reconcile makes backend id hold exactly the live sessions. It deletes
+// each session id holds that is not live or whose SessionInfo differs
+// from the one its create returned, creates the live sessions id lacks
+// under their IDs, in ID order, and re-syncs quarantine. An empty
+// backend, a diverged one and a joiner are all caught up this way. It
+// returns how many creates and deletes it sent. The caller holds bmu,
+// unless broadcasts do not reach id yet (a pending joiner).
+func (rt *Router) reconcile(id string) (int, error) {
+	st, _, body := rt.send(id, hop{method: http.MethodGet, path: "/sessions", probe: true})
+	var have []SessionInfo
+	if st != http.StatusOK || json.Unmarshal(body, &have) != nil {
+		return 0, fmt.Errorf("listing its sessions answered %d", st)
+	}
+	rt.mu.Lock()
+	live := maps.Clone(rt.sessions)
+	rt.mu.Unlock()
+
+	sent := 0
+	held := make(map[string]bool, len(have))
+	for _, info := range have {
+		if ls := live[info.ID]; ls != nil && reflect.DeepEqual(info, ls.info) {
+			held[info.ID] = true
+			continue
+		}
+		if st, _, _ := rt.send(id, hop{method: http.MethodDelete, path: "/sessions/" + info.ID, probe: true}); st != http.StatusNoContent {
+			return sent, fmt.Errorf("deleting %s answered %d", info.ID, st)
+		}
+		sent++
+	}
+	var missing []string
+	for sid := range live {
+		if !held[sid] {
+			missing = append(missing, sid)
+		}
+	}
+	sortSessionIDs(missing)
+	for _, sid := range missing {
+		st, _, resp := rt.send(id, hop{method: http.MethodPost, path: "/sessions", body: live[sid].body, sid: sid, probe: true})
+		var info SessionInfo
+		if st != http.StatusCreated || json.Unmarshal(resp, &info) != nil || !reflect.DeepEqual(info, live[sid].info) {
+			return sent, fmt.Errorf("creating %s answered %d", sid, st)
+		}
+		sent++
+	}
+	if !rt.syncQuarantine(id, live) {
+		return sent, errors.New("quarantine sync failed")
+	}
+	return sent, nil
 }
 
 // pushMembers sends the full membership map to one backend's cache-tier
@@ -1124,33 +1198,21 @@ func (rt *Router) pushMembers(id string) {
 	}
 	rt.mu.Unlock()
 	b, _ := json.Marshal(req)
-	rt.probeSend(id, http.MethodPost, "/fleet/members", b)
-}
-
-func matchesSessionSet(have []SessionInfo, want map[string]bool) bool {
-	if len(have) != len(want) {
-		return false
-	}
-	for _, info := range have {
-		if !want[info.ID] {
-			return false
-		}
-	}
-	return true
+	rt.send(id, hop{method: http.MethodPost, path: "/fleet/members", body: b, probe: true})
 }
 
 // syncQuarantine replays quarantine state onto a rejoined or joining
 // backend, merged across every live peer's /metrics: quarantine is
 // monotone, so the union over peers is always a safe target state, and
 // merging protects the sync against one peer that itself missed a
-// broadcast. Every quarantined assertion and module of every session is
-// re-reported through the normal observe path, which is monotone and
-// idempotent. This covers events from any origin (observe reports,
-// misspeculating executions, module panics) that fired while the
-// backend was away. At least one peer must answer; peers that do not
-// are skipped (their state is a subset of the union by monotonicity or
-// they are dying, and a dying peer must not block recovery).
-func (rt *Router) syncQuarantine(id string, sessions map[string]bool) bool {
+// broadcast. Every quarantined assertion and module of every live
+// session is re-reported through the normal observe path, which is
+// monotone and idempotent. This covers events from any origin (observe
+// reports, misspeculating executions, module panics) that fired while
+// the backend was away. At least one peer must answer; peers that do
+// not are skipped (their state is a subset of the union by monotonicity
+// or they are dying, and a dying peer must not block recovery).
+func (rt *Router) syncQuarantine(id string, live map[string]*liveSession) bool {
 	up := rt.upIDs()
 	if len(up) == 0 {
 		return true // nobody to sync from; the empty fleet has no quarantine
@@ -1158,7 +1220,7 @@ func (rt *Router) syncQuarantine(id string, sessions map[string]bool) bool {
 	perSession := map[string][]*recovery.Snapshot{}
 	answered := 0
 	for _, peer := range up {
-		st, _, body := rt.probeSend(peer, http.MethodGet, "/metrics", nil)
+		st, _, body := rt.send(peer, hop{method: http.MethodGet, path: "/metrics", probe: true})
 		if st != http.StatusOK {
 			continue
 		}
@@ -1168,7 +1230,7 @@ func (rt *Router) syncQuarantine(id string, sessions map[string]bool) bool {
 		}
 		answered++
 		for sid, sm := range m.Sessions {
-			if !sessions[sid] || sm.Quarantine == nil {
+			if live[sid] == nil || sm.Quarantine == nil {
 				continue
 			}
 			perSession[sid] = append(perSession[sid], sm.Quarantine)
@@ -1188,35 +1250,9 @@ func (rt *Router) syncQuarantine(id string, sessions map[string]bool) bool {
 				Assertion: k, Detail: "fleet: rejoin sync"})
 		}
 		b, _ := json.Marshal(req)
-		if st, _, _ := rt.probeSend(id, http.MethodPost, "/sessions/"+sid+"/observe", b); st != http.StatusOK {
+		if st, _, _ := rt.send(id, hop{method: http.MethodPost, path: "/sessions/" + sid + "/observe", body: b, probe: true}); st != http.StatusOK {
 			return false
 		}
 	}
 	return true
-}
-
-// probeSend is send without the down-marking side effect: probe and
-// replay traffic to a backend that is already down must not churn state.
-func (rt *Router) probeSend(id, method, path string, body []byte) (int, http.Header, []byte) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, rt.baseURL(id)+path, rd)
-	if err != nil {
-		return 0, nil, nil
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return 0, nil, nil
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
-	if err != nil {
-		return 0, nil, nil
-	}
-	return resp.StatusCode, resp.Header, raw
 }

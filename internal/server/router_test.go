@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scaf"
@@ -239,13 +241,55 @@ func TestRouterViolatingCreateMatchesSingleInstance(t *testing.T) {
 			t.Fatalf("create %d through the router: %d %.300s\nwant %d %.300s", i, st, body, refStatus, refBody)
 		}
 	}
+
+	// Each refused create consumed an ID and a malformed body none, on the
+	// router as on a single instance: after the same sequence, a good
+	// create gets the same ID from both.
+	for i := 1; i < 5; i++ {
+		do(t, ref.URL, "POST", "/sessions", req)
+	}
+	good := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	var infos []SessionInfo
+	for _, base := range []string{ref.URL, fl.URL} {
+		resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader("{"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed create: status %d, want 400", resp.StatusCode)
+		}
+		infos = append(infos, createSession(t, base, good))
+	}
+	if infos[0].ID != "s6" || infos[1].ID != infos[0].ID {
+		t.Fatalf("good create got %s through the router and %s from a single instance, want s6 from both", infos[1].ID, infos[0].ID)
+	}
+}
+
+// TestRouterInconsistentCreateBurnsID: a create the backends disagree on
+// (one of them holds the minted ID already, from a create behind the
+// router's back) is a 502, and it burns the ID, so the next create
+// through the router lands on an ID neither backend holds.
+func TestRouterInconsistentCreateBurnsID(t *testing.T) {
+	fl := startFleet(t, 2, false, RouterConfig{})
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	if st, raw := do(t, fl.BackendURL("b0"), "POST", "/sessions", req); st != http.StatusCreated {
+		t.Fatalf("direct create: %d %s", st, raw)
+	}
+	if st, raw := do(t, fl.URL, "POST", "/sessions", req); st != http.StatusBadGateway {
+		t.Fatalf("create over skewed fleet: status %d, want 502 (body %.300s)", st, raw)
+	}
+	if info := createSession(t, fl.URL, req); info.ID != "s2" {
+		t.Fatalf("create after the burned ID got %s, want s2", info.ID)
+	}
 }
 
 // TestRouterBackendLossAndRejoin: killing a backend mid-service refuses
 // exactly its shard (503 + Retry-After) while the other keeps answering;
-// after a restart the router replays the session journal (same IDs,
-// including sessions created during the outage) and re-syncs quarantine
-// state, and the rejoined backend serves byte-identical answers.
+// after a restart the router makes the live sessions again on it (same
+// IDs, including sessions created during the outage) and re-syncs
+// quarantine state, and the rejoined backend serves byte-identical
+// answers.
 func TestRouterBackendLossAndRejoin(t *testing.T) {
 	fl := startFleet(t, 2, false, RouterConfig{})
 	rt := fl.Router
@@ -303,7 +347,7 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	}
 
 	// Mutations during the outage: a new session is created on the
-	// surviving backend and journaled for the dead one.
+	// surviving backend only.
 	info2 := createSession(t, fl.URL, CreateSessionRequest{Name: "small2", Source: smallSource, Plan: "off"})
 
 	// A violation reported during the outage must reach b1 at rejoin. The
@@ -320,7 +364,7 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	}
 	_, wantQAafter := do(t, directA, "POST", "/sessions/"+info.ID+"/query", *qA)
 
-	// Restart b1 and rejoin: journal replay + quarantine sync.
+	// Restart b1 and rejoin: reconcile + quarantine sync.
 	if err := fl.Restart("b1"); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +379,7 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	_, raw = do(t, fl.BackendURL("b1"), "GET", "/sessions", nil)
 	sessions := decode[[]SessionInfo](t, raw)
 	if len(sessions) != 2 || sessions[0].ID != info.ID || sessions[1].ID != info2.ID {
-		t.Fatalf("replayed registry = %+v, want [%s %s]", sessions, info.ID, info2.ID)
+		t.Fatalf("reconciled registry = %+v, want [%s %s]", sessions, info.ID, info2.ID)
 	}
 
 	// The rejoined backend serves its shard again, with the quarantine
@@ -368,7 +412,8 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 // maxPeerResponse reaches the client as a bounded 502, not as the
 // backend's 200 over a cut body, and the backend that sent it stays up:
 // whether the reply is chunked or declares its length up front, which
-// the router otherwise sizes its read buffer from.
+// the router otherwise sizes its read buffer from. A probe hop (rejoin,
+// catch-up, segment streaming) gets the same 502, uncounted in proxied.
 func TestRouterRefusesOversizedReply(t *testing.T) {
 	chunk := bytes.Repeat([]byte(" "), 1<<20)
 	for _, declared := range []bool{false, true} {
@@ -399,6 +444,15 @@ func TestRouterRefusesOversizedReply(t *testing.T) {
 			}
 			if rt.isDown("b0") {
 				t.Fatal("a backend that answered was marked down")
+			}
+
+			proxied := rt.proxied.Load()
+			st, _, body := rt.send("b0", hop{method: http.MethodPost, path: "/fleet/segment", body: []byte("{}"), probe: true})
+			if st != http.StatusBadGateway || decode[ErrorResponse](t, body).Error.Code != "reply_too_large" {
+				t.Fatalf("oversized probe reply: status %d, %.200s; want 502 reply_too_large", st, body)
+			}
+			if rt.proxied.Load() != proxied {
+				t.Fatal("a probe hop counted toward proxied")
 			}
 		})
 	}
@@ -515,5 +569,76 @@ func TestRouterReusesConnections(t *testing.T) {
 	if router2-router1 > bound || peers2-peers1 > bound {
 		t.Fatalf("second batch of %d requests dialed %d router and %d peer connections, want each <= %d",
 			requests, router2-router1, peers2-peers1, bound)
+	}
+}
+
+// startDropFleet puts a router in front of two plain backends. b1 aborts
+// the n-th request whose method and path match before its handler runs,
+// as a connection that breaks on the way in.
+func startDropFleet(t *testing.T, method, path string, n int32) (rt *Router, url, b0, b1 string) {
+	t.Helper()
+	_, ts0 := newTestServer(t, Config{})
+	srv1 := New(Config{})
+	var seen atomic.Int32
+	ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == method && r.URL.Path == path && seen.Add(1) == n {
+			panic(http.ErrAbortHandler)
+		}
+		srv1.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts1.Close)
+	rt = NewRouter(RouterConfig{Backends: map[string]string{"b0": ts0.URL, "b1": ts1.URL}})
+	t.Cleanup(rt.Close)
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	return rt, rts.URL, ts0.URL, ts1.URL
+}
+
+// requireCaughtUp probes the fleet once and requires b1 back up, rejoined
+// once, and listing its sessions byte for byte as b0 does.
+func requireCaughtUp(t *testing.T, rt *Router, b0, b1 string) []SessionInfo {
+	t.Helper()
+	if !rt.isDown("b1") {
+		t.Fatal("vacuous: the dropped request did not mark b1 down")
+	}
+	rt.Probe()
+	if rt.isDown("b1") || rt.rejoins.Load() != 1 {
+		t.Fatalf("after a probe b1 is down=%v with rejoins=%d, want up and 1", rt.isDown("b1"), rt.rejoins.Load())
+	}
+	_, want := do(t, b0, "GET", "/sessions", nil)
+	_, got := do(t, b1, "GET", "/sessions", nil)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("b1 lists\n%s\nwhere b0 lists\n%s", got, want)
+	}
+	return decode[[]SessionInfo](t, want)
+}
+
+// TestRouterRejoinAfterDroppedCreate: a create that never reaches one
+// live backend must not strand it. b1 holds the first session, loses the
+// second create on the way in (which marks it down) and misses the
+// third; one probe catches it up.
+func TestRouterRejoinAfterDroppedCreate(t *testing.T) {
+	rt, url, b0, b1 := startDropFleet(t, http.MethodPost, "/sessions", 2)
+	for i := 0; i < 3; i++ {
+		createSession(t, url, CreateSessionRequest{Name: fmt.Sprintf("small%d", i), Source: smallSource, Plan: "off"})
+	}
+	if got := requireCaughtUp(t, rt, b0, b1); len(got) != 3 {
+		t.Fatalf("b0 lists %d sessions, want 3", len(got))
+	}
+}
+
+// TestRouterRejoinAfterDroppedDelete: a delete that never reaches one
+// live backend leaves it holding a session the fleet deleted; one probe
+// removes it.
+func TestRouterRejoinAfterDroppedDelete(t *testing.T) {
+	rt, url, b0, b1 := startDropFleet(t, http.MethodDelete, "/sessions/s1", 1)
+	for i := 0; i < 2; i++ {
+		createSession(t, url, CreateSessionRequest{Name: fmt.Sprintf("small%d", i), Source: smallSource, Plan: "off"})
+	}
+	if st, raw := do(t, url, "DELETE", "/sessions/s1", nil); st != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", st, raw)
+	}
+	if got := requireCaughtUp(t, rt, b0, b1); len(got) != 1 || got[0].ID != "s2" {
+		t.Fatalf("b0 lists %+v, want only s2", got)
 	}
 }

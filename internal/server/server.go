@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,9 +91,10 @@ type Server struct {
 	persistDone sync.WaitGroup
 
 	// mu guards the lifecycle state: session registry and drain tracking.
+	// nextID is the highest session number claimed so far, minted here or
+	// handed over by a router.
 	mu       sync.Mutex
 	sessions map[string]*session
-	order    []string
 	nextID   int
 	inflight int
 	draining bool
@@ -408,30 +411,74 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *httpError {
 	return nil
 }
 
-// createSession allocates an id, builds the session (compile, profile,
-// plan-validate, warm pools) and registers it.
-func (s *Server) createSession(req *CreateSessionRequest) (*session, *httpError) {
+// sessionIDHeader carries a session ID on a create: the router sends the
+// ID it minted, and the reply names the ID the create consumed.
+const sessionIDHeader = "X-Scaf-Session-Id"
+
+// sessionNum returns N for a session ID "s<N>" (N >= 1, no leading
+// zeros) and false for any other string.
+func sessionNum(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "s"))
+	return n, err == nil && n > 0 && id == "s"+strconv.Itoa(n)
+}
+
+// sortSessionIDs orders session IDs by number, the order every backend
+// lists its sessions in.
+func sortSessionIDs(ids []string) {
+	sort.Slice(ids, func(i, j int) bool {
+		a, _ := sessionNum(ids[i])
+		b, _ := sessionNum(ids[j])
+		return a < b
+	})
+}
+
+// createSession claims a session ID, builds the session (compile,
+// profile, plan-validate, warm pools) and registers it. The ID is minted
+// when a router sent one, else the instance's next; either way nextID
+// ends at or past it, so a create without one never reuses an ID the
+// instance was handed. Every outcome but one consumes the ID and returns
+// it, a failed build included: a minted ID the instance already holds is
+// refused with 409 and returns "".
+func (s *Server) createSession(req *CreateSessionRequest, minted string) (string, *session, *httpError) {
 	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("s%d", s.nextID)
+	id := minted
+	switch {
+	case id == "":
+		s.nextID++
+		id = "s" + strconv.Itoa(s.nextID)
+	case s.sessions[id] != nil:
+		s.mu.Unlock()
+		return "", nil, errSessionHeld(id)
+	default:
+		n, _ := sessionNum(id)
+		s.nextID = max(s.nextID, n)
+	}
 	s.mu.Unlock()
 
 	sess, he := newSession(id, req, s.cfg, s.fleet)
 	if he != nil {
-		return nil, he
+		return id, nil, he
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sessions[id] != nil {
+		// A concurrent create registered the ID while this one built.
+		return "", nil, errSessionHeld(id)
+	}
 	s.sessions[id] = sess
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-	return sess, nil
+	return id, sess, nil
+}
+
+func errSessionHeld(id string) *httpError {
+	return &httpError{status: http.StatusConflict,
+		detail: ErrorDetail{Code: "session_exists", Message: fmt.Sprintf("session %s already exists", id)}}
 }
 
 // Preload loads an embedded benchmark as a session outside the HTTP path
 // (startup convenience; plan validation applies exactly as on POST
 // /sessions).
 func (s *Server) Preload(bench string) (SessionInfo, error) {
-	sess, he := s.createSession(&CreateSessionRequest{Bench: bench})
+	_, sess, he := s.createSession(&CreateSessionRequest{Bench: bench}, "")
 	if he != nil {
 		return SessionInfo{}, fmt.Errorf("%s: %s", he.detail.Code, he.detail.Message)
 	}
@@ -444,6 +491,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he)
 		return
 	}
+	minted := r.Header.Get(sessionIDHeader)
+	if _, ok := sessionNum(minted); minted != "" && !ok {
+		writeError(w, errBadRequest("%s %q is not a session ID", sessionIDHeader, minted))
+		return
+	}
 	release, he := s.admit(r)
 	if he != nil {
 		writeError(w, he)
@@ -451,7 +503,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	sess, he := s.createSession(&req)
+	id, sess, he := s.createSession(&req, minted)
+	if id != "" {
+		w.Header().Set(sessionIDHeader, id)
+	}
 	if he != nil {
 		writeError(w, he)
 		return
@@ -459,15 +514,28 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, sess.info())
 }
 
-func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
+// registered returns the registered sessions in ID order.
+func (s *Server) registered() []*session {
 	s.mu.Lock()
-	out := make([]SessionInfo, 0, len(s.order))
-	for _, id := range s.order {
-		if sess := s.sessions[id]; sess != nil {
-			out = append(out, sess.info())
-		}
+	ids := make([]string, 0, len(s.sessions))
+	for id := range s.sessions {
+		ids = append(ids, id)
+	}
+	sortSessionIDs(ids)
+	out := make([]*session, len(ids))
+	for i, id := range ids {
+		out[i] = s.sessions[id]
 	}
 	s.mu.Unlock()
+	return out
+}
+
+func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
+	sessions := s.registered()
+	out := make([]SessionInfo, len(sessions))
+	for i, sess := range sessions {
+		out[i] = sess.info()
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -485,12 +553,6 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	_, ok := s.sessions[id]
 	delete(s.sessions, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, errNotFound("no session %q", id))
@@ -724,13 +786,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	sessions := s.registered()
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.order))
-	for _, id := range s.order {
-		if sess := s.sessions[id]; sess != nil {
-			sessions = append(sessions, sess)
-		}
-	}
 	draining := s.draining
 	inflight := s.inflight
 	s.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +127,70 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if e := decode[ErrorResponse](t, raw); e.Error.Code != "not_found" {
 		t.Fatalf("error code = %q, want not_found", e.Error.Code)
+	}
+}
+
+// TestSessionMintedID pins the backend's half of the router's ID
+// contract: a create takes the ID sent in sessionIDHeader, a held one is
+// refused with 409, a create without one skips past every ID handed
+// over, the reply names the ID a create consumed (a refused build
+// consumes it, a malformed body does not), and the list is in numeric ID
+// order.
+func TestSessionMintedID(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	good := string(mustJSON(t, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}))
+	post := func(minted, body string) (int, string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/sessions", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if minted != "" {
+			req.Header.Set(sessionIDHeader, minted)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get(sessionIDHeader), raw
+	}
+	for _, c := range []struct {
+		minted, body string
+		status       int
+		consumed     string
+	}{
+		{"s10", good, http.StatusCreated, "s10"},
+		{"s10", good, http.StatusConflict, ""},
+		{"s9", good, http.StatusCreated, "s9"},
+		{"", good, http.StatusCreated, "s11"},
+		{"s12", "{", http.StatusBadRequest, ""},
+		{"s012", good, http.StatusBadRequest, ""},
+		{"s12", `{"name":"none"}`, http.StatusBadRequest, "s12"},
+		{"", good, http.StatusCreated, "s13"},
+	} {
+		status, consumed, raw := post(c.minted, c.body)
+		if status != c.status || consumed != c.consumed {
+			t.Fatalf("create with %q %.20s: %d naming %q, want %d naming %q (%s)",
+				c.minted, c.body, status, consumed, c.status, c.consumed, raw)
+		}
+		if status == http.StatusCreated {
+			if info := decode[SessionInfo](t, raw); info.ID != consumed {
+				t.Fatalf("created %s under header %q", info.ID, consumed)
+			}
+		}
+	}
+	_, raw := do(t, ts.URL, "GET", "/sessions", nil)
+	var ids []string
+	for _, info := range decode[[]SessionInfo](t, raw) {
+		ids = append(ids, info.ID)
+	}
+	if want := []string{"s9", "s10", "s11", "s13"}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("list order %v, want %v", ids, want)
 	}
 }
 

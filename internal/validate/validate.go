@@ -270,6 +270,12 @@ func (m *monitor) addDeadEdge(from, to *ir.Block, a *core.Assertion) {
 	}
 }
 
+// Events names the events the checks read; Free, Call and Return are not
+// dispatched to the monitor.
+func (m *monitor) Events() interp.Event {
+	return interp.EdgeEvent | interp.LoadEvent | interp.StoreEvent | interp.AllocEvent
+}
+
 func (m *monitor) Edge(fn *ir.Func, from, to *ir.Block) {
 	if m.deadEdges == nil {
 		return
