@@ -45,7 +45,9 @@ runtime:
 # lifecycles dials more router or peer connections than its fan-out
 # needs, and an oversized backend reply must become a 502; the churn
 # gate TestFleetChurnMemoryLevelsOff fails if a shard passes its byte
-# budget or the heap keeps growing with the fleet's history) — then a
+# budget or the heap keeps growing with the fleet's history), then
+# TestRouterConcurrentProbes ten times over (probes that run at once must
+# catch a backend up exactly once) — then a
 # fleet byte-identity oracle sweep: generated programs served through
 # router + 2 peer backends must byte-equal a single instance, serially
 # and under concurrent fire. The sweep runs twice: at the default shard
@@ -60,6 +62,7 @@ runtime:
 fleet:
 	$(GO) test -race -count=1 ./internal/fleet/...
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestFleet|TestRouter'
+	$(GO) test -race -count=10 ./internal/server/ -run '^TestRouterConcurrentProbes$$'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet -cache-bytes 1024
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzValidJSON$$' -fuzztime 30s -fuzzminimizetime 1s

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,32 +14,33 @@ import (
 )
 
 // Live fleet elasticity: the router can grow and shrink the backend set
-// while serving traffic. A membership change is a per-segment cutover
-// state machine — pending → streaming → draining → owned — built so the
+// while serving traffic. Join and leave are one per-segment cutover state
+// machine, move — pending → streaming → draining → owned — built so the
 // only client-visible effect of a planned move is a bounded, retryable
 // 503 on the segments that are moving:
 //
-//   - pending: the newcomer is registered but excluded from broadcasts
-//     and placement; it is caught up like a rejoining backend (reconcile
-//     makes its sessions the live ones under the same IDs, quarantine is
-//     re-synced as the union over live peers).
-//   - streaming: each current owner exports the cache segment the
-//     newcomer will own under the next ring, through the persist codec,
-//     so the transfer inherits the corruption-to-miss ladder — a torn
-//     stream yields a cold segment, never a wrong entry.
-//   - draining: mutations serialize behind the broadcast lock, a second
-//     reconcile catches the newcomer up on what changed while streaming,
-//     a segment fence refuses reads whose owner changes between the rings
-//     (503 + Retry-After), and the read generation in flight under the
-//     old placement is drained to completion.
-//   - owned: the ring flips; no request was ever answered by two owners.
+//   - pending: a joiner is registered in the address book but excluded
+//     from broadcasts and placement.
+//   - streaming: each segment that changes owner is exported by its old
+//     owner and restored on its new one, through the persist codec, so
+//     the transfer inherits the corruption-to-miss ladder — a torn stream
+//     yields a cold segment, never a wrong entry.
+//   - draining: a joiner is caught up as a rejoining backend is (catchUp:
+//     its sessions become the live ones under the same IDs, quarantine is
+//     re-synced as the union over live peers), mutations serialize behind
+//     the broadcast lock, a segment fence refuses reads whose owner
+//     changes between the rings (503 + Retry-After), and the read
+//     generation in flight under the old placement is drained.
+//   - owned: the new membership is pushed and the ring flips; no request
+//     was ever answered by two owners.
 //
 // Any failure that cannot be attributed and repaired rolls the move back
-// to the old owners: membership is unchanged, the newcomer's registration
-// is dropped, and the fence comes down. Leave is the dual, with one
-// asymmetry: a leaver that is already dead is removed without streaming —
-// dead-member removal is the permanent-loss recovery path and must never
-// wedge on the corpse.
+// to the old owners: membership is unchanged, a joiner's registration is
+// dropped, and the fence comes down. Only a join catches its backend up
+// and checks its health once more before the flip. Only a leave streams
+// nothing from a mover that is already dead, and skips a successor that
+// fails to restore a segment, where a joiner that fails to restore one
+// rolls the join back.
 
 // JoinRequest admits one backend into the fleet.
 type JoinRequest struct {
@@ -77,21 +79,76 @@ func (rt *Router) hook(op, phase, id string) {
 	}
 }
 
+// handleMove serves POST /fleet/join and POST /fleet/leave: it registers
+// the move, runs it, and rolls it back if it fails.
+func (rt *Router) handleMove(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		var req JoinRequest // a LeaveRequest is its ID alone
+		if err := json.Unmarshal(body, &req); err != nil || req.ID == "" || (op == "join" && req.URL == "") {
+			need := "id"
+			if op == "join" {
+				need = "id and url"
+			}
+			writeError(w, errBadRequest("%s needs a JSON body with %s", op, need))
+			return
+		}
+		from, to, he := rt.beginMove(op, req.ID, req.URL)
+		if he == nil {
+			var rep *MoveReport
+			if rep, he = rt.move(op, req.ID, from, to); he == nil {
+				writeJSON(w, http.StatusOK, rep)
+				return
+			}
+			rt.rollbackMove(op, req.ID)
+		}
+		writeError(w, he)
+	}
+}
+
+// beginMove checks op on backend id against the membership, registers it
+// as the one move in progress (a joiner also in the address book, at
+// url), and returns the members before and after it.
+func (rt *Router) beginMove(op, id, url string) (from, to []string, he *httpError) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	_, known := rt.base[id]
+	switch {
+	case rt.moveID != "":
+		return nil, nil, moveErr(http.StatusConflict, "move_in_progress",
+			"%s of %s is in progress; one membership change at a time", rt.moveOp, rt.moveID)
+	case op == "join" && known:
+		return nil, nil, moveErr(http.StatusConflict, "already_member",
+			"backend %s is already a fleet member", id)
+	case op == "leave" && !slices.Contains(rt.ids, id):
+		return nil, nil, moveErr(http.StatusNotFound, "not_a_member",
+			"backend %s is not a fleet member", id)
+	case op == "leave" && len(rt.ids) == 1:
+		return nil, nil, moveErr(http.StatusConflict, "last_member",
+			"refusing to remove the last backend %s", id)
+	}
+	from = slices.Clone(rt.ids)
+	if op == "join" {
+		rt.base[id] = url
+		to = append(slices.Clone(from), id)
+		sort.Strings(to)
+	} else {
+		to = slices.DeleteFunc(slices.Clone(from), func(x string) bool { return x == id })
+	}
+	rt.moveID, rt.moveOp = id, op
+	return from, to, nil
+}
+
 // rollbackMove abandons an in-progress move: the fence comes down, the
 // old ring keeps ownership, and a joiner that never became a member
 // loses its registration. The fleet is exactly as before the request.
 func (rt *Router) rollbackMove(op, id string) {
 	rt.mu.Lock()
-	if op == "join" {
-		member := false
-		for _, x := range rt.ids {
-			if x == id {
-				member = true
-			}
-		}
-		if !member {
-			delete(rt.base, id)
-		}
+	if !slices.Contains(rt.ids, id) {
+		delete(rt.base, id)
 	}
 	rt.nextRing = nil
 	rt.moveID, rt.moveOp = "", ""
@@ -126,277 +183,118 @@ func (rt *Router) fenceAndDrain(next *fleet.Ring) bool {
 	}
 }
 
-// ---- join ----
-
-func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req JoinRequest
-	if err := json.Unmarshal(body, &req); err != nil || req.ID == "" || req.URL == "" {
-		writeError(w, errBadRequest("join needs a JSON body with id and url"))
-		return
-	}
-	rt.mu.Lock()
-	if rt.moveID != "" {
-		op, mid := rt.moveOp, rt.moveID
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "move_in_progress",
-			"%s of %s is in progress; one membership change at a time", op, mid))
-		return
-	}
-	if _, exists := rt.base[req.ID]; exists {
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "already_member",
-			"backend %s is already a fleet member", req.ID))
-		return
-	}
-	rt.moveID, rt.moveOp = req.ID, "join"
-	rt.base[req.ID] = req.URL
-	members := append([]string(nil), rt.ids...)
-	rt.mu.Unlock()
-
-	rep, he := rt.runJoin(req.ID, members)
-	if he != nil {
-		rt.rollbackMove("join", req.ID)
-		writeError(w, he)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+// healthy reports whether backend id answers its health check.
+func (rt *Router) healthy(id string) bool {
+	st, _, _ := rt.send(id, hop{method: http.MethodGet, path: "/healthz", probe: true})
+	return st == http.StatusOK
 }
 
-func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError) {
-	rt.hook("join", "pending", id)
+// move changes the membership from the members from to the members to,
+// where id is the one backend that joins (op "join") or leaves ("leave").
+// beginMove registered it; the caller rolls it back on an error.
+func (rt *Router) move(op, id string, from, to []string) (*MoveReport, *httpError) {
+	rt.hook(op, "pending", id)
+	rep := &MoveReport{Op: op, ID: id, Segments: map[string]int{}}
+	next := fleet.NewRing(to, 0)
 
-	// Catch the joiner up while traffic keeps flowing: broadcasts do not
-	// reach it yet, and the fenced phase catches it up again on what
-	// changed meanwhile. Whatever sessions it holds, reconcile makes
-	// them the live ones.
-	rep := &MoveReport{Op: "join", ID: id, Segments: map[string]int{}}
-	n, err := rt.reconcile(id)
-	rep.Reconciled += n
-	if err != nil {
-		return nil, moveErr(http.StatusBadGateway, "join_failed", "catching up joiner %s: %v", id, err)
-	}
-
-	// Stream the joiner's future segments from their current owners,
-	// un-fenced: traffic keeps flowing under the old placement, and
-	// entries published meanwhile merely miss the transfer (warmth, not
-	// correctness — the fenced phase below catches up sessions, and
-	// cache keys are self-validating). An owner that cannot export is
-	// tolerated (those segments start cold); a joiner that cannot
-	// restore is not — that failure is unattributable, so the move rolls
-	// back to the old owners.
-	rt.hook("join", "streaming", id)
-	newMembers := append(append([]string(nil), members...), id)
-	sort.Strings(newMembers)
-	newRing := fleet.NewRing(newMembers, 0)
-	segReq, _ := json.Marshal(segmentRequest{Nodes: newMembers, Owner: id})
-	for _, ob := range members {
-		if rt.isDown(ob) {
+	// Stream each segment that changes owner, un-fenced: traffic keeps
+	// flowing under the old placement, and entries published meanwhile
+	// merely miss the transfer (warmth, not correctness: cache keys are
+	// self-validating). Only the mover's segments change owner, so each
+	// other member is one counterpart: an old owner streaming to a
+	// joiner, or a successor taking a leaver's segment. A counterpart
+	// that is down or fails is skipped (its segment starts cold), and so
+	// is every one of a dead leaver's: the leave path is the recovery
+	// path for permanent loss and must not wedge on the corpse. A joiner
+	// that cannot restore is not skipped: that failure is
+	// unattributable, so the join rolls back.
+	rt.hook(op, "streaming", id)
+	dead := op == "leave" && (rt.isDown(id) || !rt.healthy(id))
+	for _, c := range to {
+		if c == id {
+			continue
+		}
+		src, dst := c, id
+		if op == "leave" {
+			src, dst = id, c
+		}
+		if dead || rt.isDown(c) {
 			rep.OwnersSkipped++
 			continue
 		}
-		st, _, seg := rt.send(ob, hop{method: http.MethodPost, path: "/fleet/segment", body: segReq, probe: true})
+		segReq, _ := json.Marshal(segmentRequest{Nodes: to, Owner: dst})
+		st, _, seg := rt.send(src, hop{method: http.MethodPost, path: "/fleet/segment", body: segReq, probe: true})
 		if st != http.StatusOK {
 			rep.OwnersSkipped++
 			continue
 		}
-		st, _, resp := rt.send(id, hop{method: http.MethodPost, path: "/fleet/restore", body: seg, probe: true})
+		st, _, resp := rt.send(dst, hop{method: http.MethodPost, path: "/fleet/restore", body: seg, probe: true})
 		if st != http.StatusOK {
-			return nil, moveErr(http.StatusBadGateway, "join_failed",
-				"joiner %s failed to restore the segment streamed from %s", id, ob)
+			if op == "join" {
+				return nil, moveErr(http.StatusBadGateway, "join_failed",
+					"joiner %s failed to restore the segment streamed from %s", id, c)
+			}
+			rep.OwnersSkipped++
+			continue
 		}
 		var rr SegmentRestoreResponse
 		_ = json.Unmarshal(resp, &rr)
-		rep.Segments[ob] = rr.Inserted
+		rep.Segments[c] = rr.Inserted
 		rep.EntriesInserted += rr.Inserted
 		rep.EntriesRejected += rr.Rejected
 	}
 
-	// Fenced phase: serialize against mutations, catch the joiner up on
-	// what changed while streaming, fence the moving segments, drain the
-	// in-flight reads, and only then flip ownership.
-	rt.bmu.Lock()
+	// Fenced phase: serialize against mutations (a joiner's catch-up
+	// takes bmu for its second pass), fence the moving segments, drain
+	// the in-flight reads, and only then flip ownership.
+	var err error
+	if op == "join" {
+		rep.Reconciled, err = rt.catchUp(id)
+	} else {
+		rt.bmu.Lock()
+	}
 	defer rt.bmu.Unlock()
-	n, err = rt.reconcile(id)
-	rep.Reconciled += n
 	if err != nil {
 		return nil, moveErr(http.StatusBadGateway, "join_failed", "catching up joiner %s: %v", id, err)
 	}
-
-	rt.hook("join", "draining", id)
+	rt.hook(op, "draining", id)
 	start := time.Now()
-	if !rt.fenceAndDrain(newRing) {
+	if !rt.fenceAndDrain(next) {
 		return nil, moveErr(http.StatusGatewayTimeout, "drain_timeout",
-			"in-flight reads did not drain; join of %s rolled back", id)
+			"in-flight reads did not drain; %s of %s rolled back", op, id)
 	}
 	rep.DrainMS = time.Since(start).Milliseconds()
 
 	// Last look before the point of no return: a joiner that died during
 	// the drain must not be handed segments.
-	if st, _, _ := rt.send(id, hop{method: http.MethodGet, path: "/healthz", probe: true}); st != http.StatusOK {
+	if op == "join" && !rt.healthy(id) {
 		return nil, moveErr(http.StatusBadGateway, "join_failed",
 			"joiner %s died before cutover", id)
 	}
 
-	// Teach every cache tier the full membership (including the joiner)
-	// before its segments take traffic, so recovery broadcasts and peer
-	// lookups reach it from the first post-flip request. Best effort.
-	for _, m := range newMembers {
-		rt.pushMembers(m)
-	}
+	// Teach every cache tier the new membership before the flip, so
+	// recovery broadcasts and peer lookups reach a joiner from the first
+	// post-flip request and skip a leaver. Best effort: a stale peer
+	// entry costs timeouts that the per-op budget already fails open.
+	gone := slices.DeleteFunc(slices.Clone(from), func(x string) bool { return slices.Contains(to, x) })
+	rt.pushMembers(to, to, gone)
 
 	rt.mu.Lock()
-	rt.ids = newMembers
-	rt.ring = newRing
-	rt.nextRing = nil
+	rt.ids, rt.ring, rt.nextRing = to, next, nil
 	rt.moveID, rt.moveOp = "", ""
-	rt.mu.Unlock()
-	rt.joins.Add(1)
-	rt.hook("join", "owned", id)
-	rep.Members = newMembers
-	if rt.cfg.CacheDir != "" {
-		rt.savePersist()
-	}
-	return rep, nil
-}
-
-// ---- leave ----
-
-func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req LeaveRequest
-	if err := json.Unmarshal(body, &req); err != nil || req.ID == "" {
-		writeError(w, errBadRequest("leave needs a JSON body with id"))
-		return
-	}
-	rt.mu.Lock()
-	if rt.moveID != "" {
-		op, mid := rt.moveOp, rt.moveID
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "move_in_progress",
-			"%s of %s is in progress; one membership change at a time", op, mid))
-		return
-	}
-	member := false
-	for _, x := range rt.ids {
-		if x == req.ID {
-			member = true
-		}
-	}
-	if !member {
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusNotFound, "not_a_member",
-			"backend %s is not a fleet member", req.ID))
-		return
-	}
-	if len(rt.ids) == 1 {
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "last_member",
-			"refusing to remove the last backend %s", req.ID))
-		return
-	}
-	rt.moveID, rt.moveOp = req.ID, "leave"
-	var remaining []string
-	for _, x := range rt.ids {
-		if x != req.ID {
-			remaining = append(remaining, x)
-		}
+	for _, g := range gone {
+		delete(rt.base, g)
+		delete(rt.down, g)
+		delete(rt.probe, g)
 	}
 	rt.mu.Unlock()
-
-	rep, he := rt.runLeave(req.ID, remaining)
-	if he != nil {
-		rt.rollbackMove("leave", req.ID)
-		writeError(w, he)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpError) {
-	rt.hook("leave", "pending", id)
-	newRing := fleet.NewRing(remaining, 0)
-	rep := &MoveReport{Op: "leave", ID: id, Segments: map[string]int{}}
-
-	// Stream the leaver's warm shard to its successors — unless it is
-	// already dead. Removing a dead member IS the permanent-loss recovery
-	// path; it must never wedge on the corpse, so its segments simply
-	// start cold on the successors. Streaming failures on a live leaver
-	// are tolerated for the same reason: the entries still exist nowhere
-	// else after the flip, and cold is an acceptable (counted) outcome of
-	// an explicit departure.
-	rt.hook("leave", "streaming", id)
-	alive := !rt.isDown(id)
-	if alive {
-		if st, _, _ := rt.send(id, hop{method: http.MethodGet, path: "/healthz", probe: true}); st != http.StatusOK {
-			alive = false
-		}
-	}
-	if alive {
-		for _, s := range remaining {
-			if rt.isDown(s) {
-				rep.OwnersSkipped++
-				continue
-			}
-			segReq, _ := json.Marshal(segmentRequest{Nodes: remaining, Owner: s})
-			st, _, seg := rt.send(id, hop{method: http.MethodPost, path: "/fleet/segment", body: segReq, probe: true})
-			if st != http.StatusOK {
-				rep.OwnersSkipped++
-				continue
-			}
-			st, _, resp := rt.send(s, hop{method: http.MethodPost, path: "/fleet/restore", body: seg, probe: true})
-			if st != http.StatusOK {
-				rep.OwnersSkipped++
-				continue
-			}
-			var rr SegmentRestoreResponse
-			_ = json.Unmarshal(resp, &rr)
-			rep.Segments[s] = rr.Inserted
-			rep.EntriesInserted += rr.Inserted
-			rep.EntriesRejected += rr.Rejected
-		}
+	if op == "join" {
+		rt.joins.Add(1)
 	} else {
-		rep.OwnersSkipped = len(remaining)
+		rt.leaves.Add(1)
 	}
-
-	// Fenced phase: mutations hold, moving segments refuse, in-flight
-	// reads drain, then the leaver is gone from placement.
-	rt.bmu.Lock()
-	defer rt.bmu.Unlock()
-	rt.hook("leave", "draining", id)
-	start := time.Now()
-	if !rt.fenceAndDrain(newRing) {
-		return nil, moveErr(http.StatusGatewayTimeout, "drain_timeout",
-			"in-flight reads did not drain; leave of %s rolled back", id)
-	}
-	rep.DrainMS = time.Since(start).Milliseconds()
-
-	rt.mu.Lock()
-	rt.ids = remaining
-	delete(rt.base, id)
-	delete(rt.down, id)
-	delete(rt.probe, id)
-	rt.ring = newRing
-	rt.nextRing = nil
-	rt.moveID, rt.moveOp = "", ""
-	rt.mu.Unlock()
-	rt.leaves.Add(1)
-	rt.hook("leave", "owned", id)
-	rep.Members = remaining
-
-	// Drop the departed peer from the survivors' cache tiers (best
-	// effort; a stale peer entry costs timeouts that the per-op budget
-	// already fails open).
-	rm, _ := json.Marshal(fleet.MembersRequest{Remove: []string{id}})
-	for _, s := range remaining {
-		rt.send(s, hop{method: http.MethodPost, path: "/fleet/members", body: rm, probe: true})
-	}
+	rt.hook(op, "owned", id)
+	rep.Members = to
 	if rt.cfg.CacheDir != "" {
 		rt.savePersist()
 	}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -41,7 +42,9 @@ import (
 // keeps each live session's create body and the SessionInfo its create
 // returned, deletes what the backend holds that is not live, creates what
 // it lacks under the same IDs, and re-synchronizes quarantine state from
-// the live peers.
+// the live peers. It does so once while mutations flow and once more
+// under the mutation lock, for what changed meanwhile. A broadcast the
+// backends split on is repaired the same way before its 502 goes out.
 
 // RouterConfig configures a fleet front tier.
 type RouterConfig struct {
@@ -152,10 +155,17 @@ type Router struct {
 	hc  *http.Client
 	mux *http.ServeMux
 
-	// bmu serializes session mutations, rejoins, and the fenced phase of
-	// membership moves: every backend sees creates and deletes in the
-	// same order, and no reconcile sees the live sessions change under it.
+	// bmu serializes session mutations, the second pass of every
+	// catch-up, and the fenced phase of membership moves: every backend
+	// sees creates and deletes in the same order, and a backend is marked
+	// up or flipped into the ring only after a reconcile that no mutation
+	// interleaved with.
 	bmu sync.Mutex
+	// pmu serializes probe passes, so at most one catch-up of a backend
+	// runs at a time: a pass finds a backend down only once any earlier
+	// catch-up of it has ended, and a stale first pass never writes to a
+	// backend that broadcasts reach.
+	pmu sync.Mutex
 
 	// mu guards the mutable fleet view. Membership is live: join/leave
 	// rewrite ids/base/ring, and during a cutover nextRing carries the
@@ -225,8 +235,8 @@ func NewRouter(cfg RouterConfig) *Router {
 	mux.HandleFunc("POST /sessions/{id}/query", rt.handleQuery)
 	mux.HandleFunc("POST /sessions/{id}/observe", rt.handleMutation)
 	mux.HandleFunc("POST /sessions/{id}/execute", rt.handleMutation)
-	mux.HandleFunc("POST /fleet/join", rt.handleJoin)
-	mux.HandleFunc("POST /fleet/leave", rt.handleLeave)
+	mux.HandleFunc("POST /fleet/join", rt.handleMove("join"))
+	mux.HandleFunc("POST /fleet/leave", rt.handleMove("leave"))
 	rt.mux = mux
 
 	if cfg.CacheDir != "" {
@@ -429,6 +439,8 @@ func (rt *Router) backoffDelay(id string, fails int) time.Duration {
 // probeDue probes only the down backends whose backoff has elapsed; a
 // zero now forces all of them (explicit Probe()).
 func (rt *Router) probeDue(now time.Time) {
+	rt.pmu.Lock()
+	defer rt.pmu.Unlock()
 	rt.mu.Lock()
 	var due []string
 	for _, id := range rt.ids {
@@ -717,7 +729,10 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // backend sees at most one in-flight mutation thanks to bmu) and demands
 // byte-identical responses: the backends hold replicated state, so any
 // divergence is a fleet inconsistency, surfaced as 502 rather than papered
-// over.
+// over. Before the 502 goes out, every backend that answered is
+// reconciled to the live sessions, which a refused mutation leaves as
+// they were, and one that reconcile cannot finish is marked down, so a
+// split create or delete leaves no backend holding what the others lack.
 func (rt *Router) broadcast(h hop) (int, http.Header, []byte, *httpError) {
 	up := rt.upIDs()
 	if len(up) == 0 {
@@ -754,6 +769,14 @@ func (rt *Router) broadcast(h hop) (int, http.Header, []byte, *httpError) {
 		f := replies[first]
 		if rp.status != f.status || !bytes.Equal(rp.body, f.body) {
 			rt.inconsistent.Add(1)
+			for _, r := range replies {
+				if r.status == 0 {
+					continue
+				}
+				if _, err := rt.reconcile(r.id); err != nil {
+					rt.markDown(r.id)
+				}
+			}
 			return 0, nil, nil, &httpError{status: http.StatusBadGateway,
 				detail: ErrorDetail{Code: "fleet_inconsistent",
 					Message: fmt.Sprintf("backends %s and %s disagree on %s %s (%d vs %d)",
@@ -1119,22 +1142,41 @@ func (rt *Router) Probe() {
 	rt.probeDue(time.Time{})
 }
 
+// rejoin catches up one down backend and marks it up. The caller holds
+// pmu.
 func (rt *Router) rejoin(id string) {
-	// Serialize against mutations: the live sessions must not change
-	// mid-reconcile.
-	rt.bmu.Lock()
+	_, err := rt.catchUp(id)
 	defer rt.bmu.Unlock()
-	if _, err := rt.reconcile(id); err != nil {
+	if err != nil {
 		return
 	}
 	rt.mu.Lock()
 	delete(rt.down, id)
+	members := slices.Clone(rt.ids)
 	rt.mu.Unlock()
 	rt.rejoins.Add(1)
-	// Best effort: teach the rejoined backend the current membership —
-	// it may have been away across a join or leave and its cache tier's
-	// peer set would otherwise still reflect the old fleet.
-	rt.pushMembers(id)
+	// Teach the rejoined backend the current membership: it may have been
+	// away across a join or leave, and its cache tier's peer set would
+	// otherwise still reflect the old fleet.
+	rt.pushMembers([]string{id}, members, nil)
+}
+
+// catchUp makes backend id hold exactly the live sessions without
+// holding mutations up for the whole catch-up. A first reconcile runs
+// while creates and deletes flow, which reach neither a down backend nor
+// a pending joiner; then catchUp takes bmu, and a second reconcile sends
+// only what changed meanwhile. It returns holding bmu, whatever the
+// outcome, so the caller can mark id up or flip it into the ring before
+// any mutation can miss it. It returns the creates and deletes both
+// passes sent.
+func (rt *Router) catchUp(id string) (int, error) {
+	n, err := rt.reconcile(id)
+	rt.bmu.Lock()
+	if err != nil {
+		return n, err
+	}
+	m, err := rt.reconcile(id)
+	return n + m, err
 }
 
 // reconcile makes backend id hold exactly the live sessions. It deletes
@@ -1143,7 +1185,8 @@ func (rt *Router) rejoin(id string) {
 // under their IDs, in ID order, and re-syncs quarantine. An empty
 // backend, a diverged one and a joiner are all caught up this way. It
 // returns how many creates and deletes it sent. The caller holds bmu,
-// unless broadcasts do not reach id yet (a pending joiner).
+// unless broadcasts do not reach id (a down backend or a pending
+// joiner).
 func (rt *Router) reconcile(id string) (int, error) {
 	st, _, body := rt.send(id, hop{method: http.MethodGet, path: "/sessions", probe: true})
 	var have []SessionInfo
@@ -1187,18 +1230,21 @@ func (rt *Router) reconcile(id string) (int, error) {
 	return sent, nil
 }
 
-// pushMembers sends the full membership map to one backend's cache-tier
-// membership endpoint. Best effort: a backend running without the fleet
-// tier answers 404, and peer-set drift costs warmth, never correctness.
-func (rt *Router) pushMembers(id string) {
+// pushMembers teaches each backend in targets, through its cache tier's
+// membership endpoint, the members and their URLs, and to drop the IDs in
+// gone. Best effort: a backend running without the fleet tier answers
+// 404, and peer-set drift costs warmth, never correctness.
+func (rt *Router) pushMembers(targets, members, gone []string) {
+	req := fleet.MembersRequest{Add: make(map[string]string, len(members)), Remove: gone}
 	rt.mu.Lock()
-	req := fleet.MembersRequest{Add: make(map[string]string, len(rt.base))}
-	for mid, u := range rt.base {
-		req.Add[mid] = u
+	for _, m := range members {
+		req.Add[m] = rt.base[m]
 	}
 	rt.mu.Unlock()
 	b, _ := json.Marshal(req)
-	rt.send(id, hop{method: http.MethodPost, path: "/fleet/members", body: b, probe: true})
+	for _, id := range targets {
+		rt.send(id, hop{method: http.MethodPost, path: "/fleet/members", body: b, probe: true})
+	}
 }
 
 // syncQuarantine replays quarantine state onto a rejoined or joining

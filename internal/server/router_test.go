@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"scaf"
 	"scaf/internal/ir"
@@ -155,9 +157,10 @@ func TestRouterByteIdentity(t *testing.T) {
 }
 
 // TestRouterFleetInconsistency: backends whose replicated state has
-// drifted (here: a session created behind the router's back skews one
-// backend's session-ID counter) must surface as 502 fleet_inconsistent on
-// the next broadcast, never as silently divergent state.
+// drifted (here: a session created behind the router's back makes b0
+// hold the ID the router mints next, so b0 answers 409 where b1 creates)
+// must surface as 502 fleet_inconsistent on the next broadcast, never as
+// silently divergent state.
 func TestRouterFleetInconsistency(t *testing.T) {
 	fl := startFleet(t, 2, false, RouterConfig{})
 
@@ -268,19 +271,56 @@ func TestRouterViolatingCreateMatchesSingleInstance(t *testing.T) {
 
 // TestRouterInconsistentCreateBurnsID: a create the backends disagree on
 // (one of them holds the minted ID already, from a create behind the
-// router's back) is a 502, and it burns the ID, so the next create
-// through the router lands on an ID neither backend holds.
+// router's back) is a 502, and it burns the ID. The split is repaired
+// before the 502 goes out: both backends list the same sessions, and
+// neither holds the burned ID. The next create through the router lands
+// on an ID neither backend holds.
 func TestRouterInconsistentCreateBurnsID(t *testing.T) {
 	fl := startFleet(t, 2, false, RouterConfig{})
-	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	if st, raw := do(t, fl.BackendURL("b0"), "POST", "/sessions", req); st != http.StatusCreated {
+	direct := CreateSessionRequest{Name: "direct", Source: smallSource, Plan: "off"}
+	if st, raw := do(t, fl.BackendURL("b0"), "POST", "/sessions", direct); st != http.StatusCreated {
 		t.Fatalf("direct create: %d %s", st, raw)
 	}
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 	if st, raw := do(t, fl.URL, "POST", "/sessions", req); st != http.StatusBadGateway {
 		t.Fatalf("create over skewed fleet: status %d, want 502 (body %.300s)", st, raw)
 	}
+	held := requireSameSessions(t, fl.BackendURL("b0"), fl.BackendURL("b1"))
+	for _, info := range held {
+		if info.ID == "s1" {
+			t.Fatalf("after the split create the backends still hold the burned ID: %+v", held)
+		}
+	}
 	if info := createSession(t, fl.URL, req); info.ID != "s2" {
 		t.Fatalf("create after the burned ID got %s, want s2", info.ID)
+	}
+}
+
+// TestRouterInconsistentDeleteKeepsSession: a delete the backends
+// disagree on (b0 lost the session behind the router's back) is a 502,
+// and it leaves the session live and held by every backend, so a retry
+// deletes it everywhere.
+func TestRouterInconsistentDeleteKeepsSession(t *testing.T) {
+	fl := startFleet(t, 2, false, RouterConfig{})
+	info := createSession(t, fl.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	if st, raw := do(t, fl.BackendURL("b0"), "DELETE", "/sessions/"+info.ID, nil); st != http.StatusNoContent {
+		t.Fatalf("direct delete: %d %s", st, raw)
+	}
+	st, raw := do(t, fl.URL, "DELETE", "/sessions/"+info.ID, nil)
+	if st != http.StatusBadGateway {
+		t.Fatalf("delete over skewed fleet: status %d, want 502 (body %.300s)", st, raw)
+	}
+	if e := decode[ErrorResponse](t, raw); e.Error.Code != "fleet_inconsistent" {
+		t.Fatalf("code %q, want fleet_inconsistent", e.Error.Code)
+	}
+	if held := requireSameSessions(t, fl.BackendURL("b0"), fl.BackendURL("b1")); len(held) != 1 || !reflect.DeepEqual(held[0], info) {
+		t.Fatalf("after the split delete the backends hold %+v, want only %+v", held, info)
+	}
+	if st, raw := do(t, fl.URL, "DELETE", "/sessions/"+info.ID, nil); st != http.StatusNoContent {
+		t.Fatalf("retried delete: %d %s", st, raw)
+	}
+	if held := requireSameSessions(t, fl.BackendURL("b0"), fl.BackendURL("b1")); len(held) != 0 {
+		t.Fatalf("after the retried delete the backends hold %+v", held)
 	}
 }
 
@@ -572,15 +612,19 @@ func TestRouterReusesConnections(t *testing.T) {
 	}
 }
 
-// startDropFleet puts a router in front of two plain backends. b1 aborts
-// the n-th request whose method and path match before its handler runs,
-// as a connection that breaks on the way in.
-func startDropFleet(t *testing.T, method, path string, n int32) (rt *Router, url, b0, b1 string) {
+// startDropFleet puts a router in front of two plain backends. b1 hands
+// each request to hold first, when hold is set, and aborts the n-th
+// request whose method and path match before its handler runs, as a
+// connection that breaks on the way in.
+func startDropFleet(t *testing.T, method, path string, n int32, hold func(*http.Request)) (rt *Router, url, b0, b1 string) {
 	t.Helper()
 	_, ts0 := newTestServer(t, Config{})
 	srv1 := New(Config{})
 	var seen atomic.Int32
 	ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hold != nil {
+			hold(r)
+		}
 		if r.Method == method && r.URL.Path == path && seen.Add(1) == n {
 			panic(http.ErrAbortHandler)
 		}
@@ -598,13 +642,33 @@ func startDropFleet(t *testing.T, method, path string, n int32) (rt *Router, url
 // once, and listing its sessions byte for byte as b0 does.
 func requireCaughtUp(t *testing.T, rt *Router, b0, b1 string) []SessionInfo {
 	t.Helper()
+	requireDown(t, rt)
+	rt.Probe()
+	return requireRejoined(t, rt, b0, b1)
+}
+
+// requireDown requires the dropped request to have marked b1 down.
+func requireDown(t *testing.T, rt *Router) {
+	t.Helper()
 	if !rt.isDown("b1") {
 		t.Fatal("vacuous: the dropped request did not mark b1 down")
 	}
-	rt.Probe()
+}
+
+// requireRejoined requires b1 up, rejoined once, and listing its sessions
+// byte for byte as b0 does.
+func requireRejoined(t *testing.T, rt *Router, b0, b1 string) []SessionInfo {
+	t.Helper()
 	if rt.isDown("b1") || rt.rejoins.Load() != 1 {
 		t.Fatalf("after a probe b1 is down=%v with rejoins=%d, want up and 1", rt.isDown("b1"), rt.rejoins.Load())
 	}
+	return requireSameSessions(t, b0, b1)
+}
+
+// requireSameSessions requires b1 to list its sessions byte for byte as
+// b0 does, and returns them.
+func requireSameSessions(t *testing.T, b0, b1 string) []SessionInfo {
+	t.Helper()
 	_, want := do(t, b0, "GET", "/sessions", nil)
 	_, got := do(t, b1, "GET", "/sessions", nil)
 	if !bytes.Equal(got, want) {
@@ -618,7 +682,7 @@ func requireCaughtUp(t *testing.T, rt *Router, b0, b1 string) []SessionInfo {
 // second create on the way in (which marks it down) and misses the
 // third; one probe catches it up.
 func TestRouterRejoinAfterDroppedCreate(t *testing.T) {
-	rt, url, b0, b1 := startDropFleet(t, http.MethodPost, "/sessions", 2)
+	rt, url, b0, b1 := startDropFleet(t, http.MethodPost, "/sessions", 2, nil)
 	for i := 0; i < 3; i++ {
 		createSession(t, url, CreateSessionRequest{Name: fmt.Sprintf("small%d", i), Source: smallSource, Plan: "off"})
 	}
@@ -631,7 +695,7 @@ func TestRouterRejoinAfterDroppedCreate(t *testing.T) {
 // live backend leaves it holding a session the fleet deleted; one probe
 // removes it.
 func TestRouterRejoinAfterDroppedDelete(t *testing.T) {
-	rt, url, b0, b1 := startDropFleet(t, http.MethodDelete, "/sessions/s1", 1)
+	rt, url, b0, b1 := startDropFleet(t, http.MethodDelete, "/sessions/s1", 1, nil)
 	for i := 0; i < 2; i++ {
 		createSession(t, url, CreateSessionRequest{Name: fmt.Sprintf("small%d", i), Source: smallSource, Plan: "off"})
 	}
@@ -640,5 +704,78 @@ func TestRouterRejoinAfterDroppedDelete(t *testing.T) {
 	}
 	if got := requireCaughtUp(t, rt, b0, b1); len(got) != 1 || got[0].ID != "s2" {
 		t.Fatalf("b0 lists %+v, want only s2", got)
+	}
+}
+
+// TestRouterRejoinLetsMutationsThrough: catching a backend up does not
+// hold the fleet's creates and deletes. b1 loses the second create, so
+// a probe catches it up; while the catch-up's create is held in b1's
+// handler, a create through the router must answer within a client
+// deadline, and the probe then catches b1 up on that create too.
+func TestRouterRejoinLetsMutationsThrough(t *testing.T) {
+	var holding atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unhold := func() { releaseOnce.Do(func() { close(release) }) }
+	rt, url, b0, b1 := startDropFleet(t, http.MethodPost, "/sessions", 2, func(r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/sessions" && holding.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	})
+	t.Cleanup(unhold)
+	for i := 0; i < 2; i++ {
+		createSession(t, url, CreateSessionRequest{Name: fmt.Sprintf("small%d", i), Source: smallSource, Plan: "off"})
+	}
+	requireDown(t, rt)
+
+	holding.Store(true)
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		rt.Probe()
+	}()
+	select {
+	case <-entered:
+	case <-probed:
+		t.Fatal("vacuous: the probe sent b1 no create")
+	}
+	client := &http.Client{Timeout: 3 * time.Second}
+	body := mustJSON(t, CreateSessionRequest{Name: "during", Source: smallSource, Plan: "off"})
+	resp, err := client.Post(url+"/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("create during b1's catch-up: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create during b1's catch-up: status %d, want 201", resp.StatusCode)
+	}
+	unhold()
+	<-probed
+	if got := requireRejoined(t, rt, b0, b1); len(got) != 3 {
+		t.Fatalf("b0 lists %d sessions, want 3", len(got))
+	}
+}
+
+// TestRouterConcurrentProbes: probes that run at once catch a backend up
+// once. b1 loses a create; several goroutines then probe together, and
+// exactly one rejoin is counted, with b1 listing what b0 lists.
+func TestRouterConcurrentProbes(t *testing.T) {
+	rt, url, b0, b1 := startDropFleet(t, http.MethodPost, "/sessions", 2, nil)
+	for i := 0; i < 3; i++ {
+		createSession(t, url, CreateSessionRequest{Name: fmt.Sprintf("small%d", i), Source: smallSource, Plan: "off"})
+	}
+	requireDown(t, rt)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.Probe()
+		}()
+	}
+	wg.Wait()
+	if got := requireRejoined(t, rt, b0, b1); len(got) != 3 {
+		t.Fatalf("b0 lists %d sessions, want 3", len(got))
 	}
 }

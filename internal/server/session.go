@@ -137,22 +137,6 @@ type session struct {
 	latDropped int64
 }
 
-// addCounters folds the counter fields of delta into dst (slices and
-// LatencyDropped are handled separately by the reservoir).
-func addCounters(dst *core.Stats, delta core.Stats) {
-	dst.TopQueries += delta.TopQueries
-	dst.PremiseQueries += delta.PremiseQueries
-	dst.Conflicts += delta.Conflicts
-	dst.ModuleEvals += delta.ModuleEvals
-	dst.CacheHits += delta.CacheHits
-	dst.SharedHits += delta.SharedHits
-	dst.RemoteHits += delta.RemoteHits
-	dst.Timeouts += delta.Timeouts
-	dst.CycleBreaks += delta.CycleBreaks
-	dst.DepthLimits += delta.DepthLimits
-	dst.ModulePanics += delta.ModulePanics
-}
-
 // subCounters returns cur − last over the counter fields.
 func subCounters(cur, last core.Stats) core.Stats {
 	return core.Stats{
@@ -369,7 +353,8 @@ func (sess *session) checkin(pool *orchPool, po *pooledOrch) core.Stats {
 	delta := subCounters(cur, po.last)
 
 	sess.mu.Lock()
-	addCounters(&sess.stats, delta)
+	// delta carries no latency samples: the reservoir below takes them.
+	sess.stats.Merge(&delta)
 	for i, d := range st.Latencies {
 		if len(sess.latNS) >= latReservoir {
 			sess.latDropped++
