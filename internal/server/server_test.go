@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -689,14 +690,9 @@ func TestSessionHotLoopOverride(t *testing.T) {
 	}
 }
 
-// TestExecuteEndpoint: POST /execute runs the session's program under the
-// speculative-parallel runtime and the result must match a serial
-// interpretation byte-for-byte — output and memory digest — while the
-// report shows actual speculation happened on the DOALL loop.
-func TestExecuteEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	src := `
+// execSource is a program with one DOALL loop and one reduction, and
+// execHotLoops thresholds low enough to make both hot.
+const execSource = `
 int a[64];
 void main() {
     for (int i = 0; i < 64; i++) {
@@ -709,7 +705,18 @@ void main() {
     print(s);
 }
 `
-	hot := &WireHotLoopParams{MinWeightFrac: 0.001, MinAvgIters: 1.5}
+
+var execHotLoops = &WireHotLoopParams{MinWeightFrac: 0.001, MinAvgIters: 1.5}
+
+// TestExecuteEndpoint: POST /execute runs the session's program under the
+// speculative-parallel runtime and the result must match a serial
+// interpretation byte-for-byte — output and memory digest — while the
+// report shows actual speculation happened on the DOALL loop.
+func TestExecuteEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	src := execSource
+	hot := execHotLoops
 	info := createSession(t, ts.URL, CreateSessionRequest{Name: "exec", Source: src, HotLoops: hot})
 
 	sys, err := scaf.Load("exec", src, scaf.Options{HotLoops: &profile.HotLoopParams{
@@ -758,5 +765,47 @@ void main() {
 	}
 	if m := decode[MetricsResponse](t, raw); m.Server.Executions != 1 {
 		t.Fatalf("executions counter = %d, want 1", m.Server.Executions)
+	}
+}
+
+// TestWireBodiesPinned pins two wire bodies byte for byte on a fresh
+// session of execSource: the session's /metrics "stats" object after one
+// SCAF /analyze, and the /execute "report" object with its wall-clock
+// value masked. Both are compact JSON encoded from live records, so a
+// change to a field's name, order, tag or value shows here.
+func TestWireBodiesPinned(t *testing.T) {
+	h := New(Config{}).Handler()
+	serve := func(method, path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("%s %s: status %d, body %.300s", method, path, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	create, err := json.Marshal(CreateSessionRequest{Name: "exec", Source: execSource, HotLoops: execHotLoops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := decode[SessionInfo](t, serve("POST", "/sessions", string(create))).ID
+	serve("POST", "/sessions/"+id+"/analyze", `{"scheme":"scaf"}`)
+	exec := decode[struct {
+		Report json.RawMessage `json:"report"`
+	}](t, serve("POST", "/sessions/"+id+"/execute", `{"scheme":"scaf","workers":4,"min_iters":2}`))
+	metrics := decode[struct {
+		Sessions map[string]struct {
+			Stats json.RawMessage `json:"stats"`
+		} `json:"sessions"`
+	}](t, serve("GET", "/metrics", ""))
+
+	const wantStats = `{"top_queries":1,"premise_queries":1,"module_evals":19,"conflicts":0,"cache_hits":0,"shared_hits":0,"remote_hits":0,"timeouts":0,"cycle_breaks":0,"depth_limits":0,"module_panics":0}`
+	if got := string(metrics.Sessions[id].Stats); got != wantStats {
+		t.Errorf("/metrics stats:\n got %s\nwant %s", got, wantStats)
+	}
+	const wantReport = `{"output":["14304"],"steps":1420,"mem_digest":8758152533244847033,"loops":[{"loop":"main/for_head.2","invocations":1,"spec_invocations":1,"chunks":4,"committed_chunks":4,"aborted_chunks":0,"spec_iters":64,"serial_iters":0,"misspecs":0},{"loop":"main/for_head.6","refusal":"shape: 2 header phis (loop-carried values)","invocations":0,"spec_invocations":0,"chunks":0,"committed_chunks":0,"aborted_chunks":0,"spec_iters":0,"serial_iters":0,"misspecs":0}],"doall_loops":1,"refused_loops":1,"spec_invocations":1,"chunks":4,"committed_chunks":4,"aborted_chunks":0,"spec_iters":64,"serial_iters":0,"misspecs":0,"replan_rounds":0,"wall_nanos":0}`
+	report := regexp.MustCompile(`"wall_nanos":[0-9]+`).ReplaceAllString(string(exec.Report), `"wall_nanos":0`)
+	if report != wantReport {
+		t.Errorf("/execute report:\n got %s\nwant %s", report, wantReport)
 	}
 }
