@@ -196,27 +196,18 @@ func BenchmarkRun(b *testing.B) {
 }
 
 // BenchmarkValidation measures the validation run of a session create
-// (System.Validate) over 183.equake's plan, built the way a session
-// builds it. The plan holds control-spec, read-only, short-lived and
-// value-prediction checks, so the run pays for the loop tracker too.
+// (System.Validate) over 183.equake's session plan (System.Plan). The
+// plan holds control-spec, read-only, short-lived and value-prediction
+// checks, so the run pays for the loop tracker too.
 func BenchmarkValidation(b *testing.B) {
 	sys, err := scaf.Load("183.equake", bench.Sources["183.equake"], scaf.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := sys.Orchestrator(scaf.SchemeSCAF, scaf.WithJoin(core.JoinAll), scaf.WithBailout(core.BailExhaustive))
-	client := sys.Client()
-	var asserts []core.Assertion
-	seen := map[string]bool{}
+	_, asserts := sys.Plan(scaf.SchemeSCAF)
 	kinds := map[string]bool{}
-	for _, l := range sys.HotLoops() {
-		for _, a := range pdg.BuildPlan(client.ResolveLoop(o, l).Queries).Assertions {
-			if k := a.String(); !seen[k] {
-				seen[k] = true
-				kinds[a.Module] = true
-				asserts = append(asserts, a)
-			}
-		}
+	for _, a := range asserts {
+		kinds[a.Module] = true
 	}
 	for _, k := range []string{spec.NameControlSpec, spec.NameReadOnly, spec.NameShortLived, spec.NameValuePred} {
 		if !kinds[k] {

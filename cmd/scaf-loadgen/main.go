@@ -42,7 +42,6 @@ func main() {
 	workers := flag.Int("workers", 4, "in-process server worker count")
 	saturate := flag.Bool("saturate", false, "run the fleet saturation sweep instead of a single run")
 	sizes := flag.String("sizes", "1,2,4", "fleet sizes for -saturate")
-	persist := flag.Bool("persist", false, "with -saturate: drain each fleet to snapshots, reboot warm, and report the warm-boot hit rate")
 	membership := flag.Bool("membership", false, "with -saturate: rerun each size with a scripted live join and leave mid-run; digests must match the static run, transfer-window 503s are reported separately")
 	jsonOut := flag.String("json", "", "write the report as JSON to this path ('-' for stdout)")
 	flag.Parse()
@@ -78,7 +77,7 @@ func main() {
 			ns = append(ns, n)
 		}
 		rep, err := loadgen.Saturate(loadgen.SaturationConfig{
-			Sizes: ns, Load: cfg, Workers: *workers, Persist: *persist, Membership: *membership,
+			Sizes: ns, Load: cfg, Workers: *workers, Membership: *membership,
 		})
 		if err != nil {
 			log.Fatalf("scaf-loadgen: %v", err)
@@ -161,12 +160,6 @@ func printSaturation(rep *loadgen.SaturationReport) {
 			fmt.Printf("fleet n=%d membership: %.1f qps p99=%dus joins=%d leaves=%d rollbacks=%d moved_503=%d answers=%s\n",
 				pt.Instances, mp.Measured.QPS, mp.Measured.P99US,
 				mp.Joins, mp.Leaves, mp.Rollbacks, mp.Moved503, mp.Deterministic.AnswerDigest)
-		}
-		if w := pt.Warm; w != nil {
-			fmt.Printf("fleet n=%d warm: %.1f qps p99=%dus remote_hit_rate=%.3f (local=%d remote=%d miss=%d loop_hits=%d snapshot_loaded=%d) answers=%s\n",
-				pt.Instances, w.Measured.QPS, w.Measured.P99US, w.RemoteHitRate,
-				w.FleetLocalHits, w.FleetRemoteHits, w.FleetMisses, w.FleetLoopHits,
-				w.SnapshotLoaded, w.Deterministic.AnswerDigest)
 		}
 	}
 	fmt.Printf("consistent across sizes: %v\n", rep.Consistent)

@@ -43,8 +43,8 @@ func TestAblationTreeSubstitution(t *testing.T) {
 }
 
 // TestCachingPreservesResultsAndCutsWork re-runs a benchmark's PDG with a
-// memoizing orchestrator: identical per-query outcomes, far fewer module
-// evaluations on the second pass.
+// memoizing orchestrator (one batch armed across both passes): identical
+// per-query outcomes, far fewer module evaluations on the second pass.
 func TestCachingPreservesResultsAndCutsWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("caching test in -short mode")
@@ -55,7 +55,9 @@ func TestCachingPreservesResultsAndCutsWork(t *testing.T) {
 	}
 	client := b.Sys.Client()
 	plain := b.Sys.Orchestrator(scaf.SchemeSCAF)
-	cached := b.Sys.Orchestrator(scaf.SchemeSCAF, scaf.WithCache())
+	cached := b.Sys.Orchestrator(scaf.SchemeSCAF)
+	cached.BeginBatch()
+	defer cached.EndBatch()
 
 	for _, l := range b.Hot {
 		want := client.AnalyzeLoop(plain, l)

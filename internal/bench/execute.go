@@ -35,7 +35,9 @@ type ReportExec struct {
 	AbortCostPct float64 `json:"abort_cost_pct"`
 	// Wall-clock measurements — informational only, never compared:
 	// SerialNS times a plain interpretation of the whole program, ExecNS
-	// is the speculative run's wall time, SpeedupX their ratio.
+	// is the speculative run's wall time, SpeedupX their ratio (0 when no
+	// iteration was speculated: both runs were then serial
+	// interpretations, and their ratio is noise).
 	SerialNS int64   `json:"serial_ns"`
 	ExecNS   int64   `json:"exec_ns"`
 	SpeedupX float64 `json:"speedup_x"`
@@ -106,9 +108,9 @@ func executeBench(b *Benchmark, workers int) (*ReportExec, error) {
 	}
 	if total := e.SpecIters + e.SerialIters; total > 0 {
 		e.AbortCostPct = 100 * float64(e.SerialIters) / float64(total)
-	}
-	if e.ExecNS > 0 {
-		e.SpeedupX = float64(e.SerialNS) / float64(e.ExecNS)
+		if e.ExecNS > 0 {
+			e.SpeedupX = float64(e.SerialNS) / float64(e.ExecNS)
+		}
 	}
 	return e, nil
 }
@@ -131,7 +133,9 @@ func AttachExec(r *Report, rows []ExecRow) {
 // iterations/sec speedup of the whole program plus the abort cost as the
 // serially re-executed iteration share. Iterations/sec uses the
 // speculated-loop iteration total over each run's wall time (both runs
-// execute the same iterations, since their results are byte-equal).
+// execute the same iterations, since their results are byte-equal). A
+// program that speculated no iteration prints "-" for both rates and the
+// speedup.
 func RenderExec(rows []ExecRow) string {
 	var sb strings.Builder
 	sb.WriteString("Speculative execution (SCAF plans)\n")
@@ -147,10 +151,14 @@ func RenderExec(rows []ExecRow) string {
 	for _, row := range rows {
 		e := row.Exec
 		total := e.SpecIters + e.SerialIters
-		sb.WriteString(fmt.Sprintf("%-16s %5d %7d %10d %10d %7d %12s %12s %7.2fx %9.1f%%\n",
+		speedup := "-"
+		if total > 0 {
+			speedup = fmt.Sprintf("%.2fx", e.SpeedupX)
+		}
+		sb.WriteString(fmt.Sprintf("%-16s %5d %7d %10d %10d %7d %12s %12s %8s %9.1f%%\n",
 			row.Name, e.DoallLoops, e.RefusedLoops, e.SpecIters, e.SerialIters,
 			e.AbortedChunks, itersPerSec(total, e.SerialNS), itersPerSec(total, e.ExecNS),
-			e.SpeedupX, e.AbortCostPct))
+			speedup, e.AbortCostPct))
 	}
 	return sb.String()
 }

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"scaf/internal/core"
 )
 
 // TestExecuteSuiteDeterministic pins the gate's premise: two speculative
@@ -44,7 +47,7 @@ func TestCompareExecCounters(t *testing.T) {
 		return &Report{Benchmarks: []ReportBench{{
 			Name:     "b",
 			NoDepPct: map[string]float64{},
-			Counters: map[string]ReportCounters{},
+			Counters: map[string]core.Counters{},
 			Exec:     exec,
 		}}}
 	}
@@ -75,5 +78,36 @@ func TestCompareExecCounters(t *testing.T) {
 	fails = CompareReports(mk(&e), mk(nil), DefaultWorkTolerance)
 	if len(fails) != 1 || !strings.Contains(fails[0], "run the gate with -execute") {
 		t.Fatalf("dropped exec section not caught: %v", fails)
+	}
+}
+
+// TestExecSpeedupOnlyWhenSpeculated: a program that speculates no
+// iteration runs serially twice, so its wall-clock ratio is noise: the
+// report leaves speedup_x at 0 and the table prints "-" there, while a
+// speculating program gets its ratio.
+func TestExecSpeedupOnlyWhenSpeculated(t *testing.T) {
+	s, err := LoadSuite("129.compress", "183.equake")
+	if err != nil {
+		t.Fatalf("LoadSuite: %v", err)
+	}
+	rows, err := ExecuteSuite(s, 4)
+	if err != nil {
+		t.Fatalf("ExecuteSuite: %v", err)
+	}
+	if rows[0].Exec.SpecIters != 0 || rows[1].Exec.SpecIters == 0 {
+		t.Fatalf("want 129.compress to speculate nothing and 183.equake to speculate: %+v %+v", rows[0].Exec, rows[1].Exec)
+	}
+	table := strings.Split(RenderExec(rows), "\n")
+	for i, row := range rows {
+		e := row.Exec
+		fields := strings.Fields(table[i+2])
+		speedup := fields[len(fields)-2]
+		if e.SpecIters+e.SerialIters == 0 {
+			if e.SpeedupX != 0 || speedup != "-" {
+				t.Errorf("%s speculated nothing: speedup_x %v, column %q", row.Name, e.SpeedupX, speedup)
+			}
+		} else if e.SpeedupX <= 0 || speedup != fmt.Sprintf("%.2fx", e.SpeedupX) {
+			t.Errorf("%s speculated: speedup_x %v, column %q", row.Name, e.SpeedupX, speedup)
+		}
 	}
 }

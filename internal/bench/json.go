@@ -10,37 +10,6 @@ import (
 	"scaf/internal/pdg"
 )
 
-// ReportCounters is the JSON shape of one scheme's orchestration counters
-// (core.Stats without the latency samples).
-type ReportCounters struct {
-	TopQueries     int64 `json:"top_queries"`
-	PremiseQueries int64 `json:"premise_queries"`
-	ModuleEvals    int64 `json:"module_evals"`
-	Conflicts      int64 `json:"conflicts"`
-	CacheHits      int64 `json:"cache_hits"`
-	SharedHits     int64 `json:"shared_hits"`
-	Timeouts       int64 `json:"timeouts"`
-	CycleBreaks    int64 `json:"cycle_breaks"`
-	DepthLimits    int64 `json:"depth_limits"`
-}
-
-func countersOf(st *core.Stats) ReportCounters {
-	if st == nil {
-		return ReportCounters{}
-	}
-	return ReportCounters{
-		TopQueries:     st.TopQueries,
-		PremiseQueries: st.PremiseQueries,
-		ModuleEvals:    st.ModuleEvals,
-		Conflicts:      st.Conflicts,
-		CacheHits:      st.CacheHits,
-		SharedHits:     st.SharedHits,
-		Timeouts:       st.Timeouts,
-		CycleBreaks:    st.CycleBreaks,
-		DepthLimits:    st.DepthLimits,
-	}
-}
-
 // ReportLatency summarizes one scheme's per-top-level-query cost. The
 // *_work_evals fields count module evaluations — a deterministic,
 // machine-independent work measure (identical across hosts and worker
@@ -101,7 +70,7 @@ type ReportBench struct {
 	// NoDepPct maps scheme name → weighted %NoDep over hot loops.
 	NoDepPct map[string]float64 `json:"nodep_pct"`
 	// Counters maps scheme name → orchestration counters.
-	Counters map[string]ReportCounters `json:"counters"`
+	Counters map[string]core.Counters `json:"counters"`
 	// Latency maps scheme name → per-query cost summary; present only
 	// when the suite ran with latency recording on.
 	Latency map[string]ReportLatency `json:"latency,omitempty"`
@@ -129,7 +98,7 @@ func BuildReport(s *Suite, as []*Analysis) *Report {
 			Name:     b.Name,
 			HotLoops: len(b.Hot),
 			NoDepPct: map[string]float64{},
-			Counters: map[string]ReportCounters{},
+			Counters: map[string]core.Counters{},
 		}
 		for scheme, byLoop := range map[string]map[*cfg.Loop]*pdg.LoopResult{
 			"CAF": a.CAF, "Confluence": a.Conf, "SCAF": a.SCAF,
@@ -141,7 +110,7 @@ func BuildReport(s *Suite, as []*Analysis) *Report {
 				}
 			}
 			rb.NoDepPct[scheme] = pdg.WeightedNoDep(results, weight)
-			rb.Counters[scheme] = countersOf(a.Stats[scheme])
+			rb.Counters[scheme] = a.Stats[scheme].Counters
 			if lat, ok := latencyOf(a.Stats[scheme]); ok {
 				if rb.Latency == nil {
 					rb.Latency = map[string]ReportLatency{}

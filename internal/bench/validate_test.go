@@ -4,17 +4,15 @@ import (
 	"testing"
 
 	"scaf"
-	"scaf/internal/core"
-	"scaf/internal/pdg"
 )
 
 // TestBenchmarkPlansValidate closes the speculation loop end to end for
-// every benchmark: build the SCAF PDG with all options exposed, select a
-// global validation plan per hot loop, then re-run the program with the
-// plan's checks enforced (never-taken edges watched, predicted values
-// compared, read-only/short-lived heaps protected, residues masked). On
-// the training input every assertion is high-confidence, so a single
-// violation anywhere is a framework bug.
+// every benchmark: build the session plan (System.Plan: the SCAF PDG with
+// all options exposed, a global validation plan per hot loop), then
+// re-run the program with the plan's checks enforced (never-taken edges
+// watched, predicted values compared, read-only/short-lived heaps
+// protected, residues masked). On the training input every assertion is
+// high-confidence, so a single violation anywhere is a framework bug.
 func TestBenchmarkPlansValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plan validation in -short mode")
@@ -26,24 +24,11 @@ func TestBenchmarkPlansValidate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			client := b.Sys.Client()
-			o := b.Sys.Orchestrator(scaf.SchemeSCAF,
-				scaf.WithJoin(core.JoinAll), scaf.WithBailout(core.BailExhaustive))
-
-			var asserts []core.Assertion
-			seen := map[string]bool{}
+			plans, asserts := b.Sys.Plan(scaf.SchemeSCAF)
 			covered, dropped := 0, 0
-			for _, l := range b.Hot {
-				res := client.AnalyzeLoop(o, l)
-				plan := pdg.BuildPlan(res.Queries)
-				covered += plan.Covered
-				dropped += plan.Dropped
-				for _, a := range plan.Assertions {
-					if !seen[a.String()] {
-						seen[a.String()] = true
-						asserts = append(asserts, a)
-					}
-				}
+			for _, lp := range plans {
+				covered += lp.Plan.Covered
+				dropped += lp.Plan.Dropped
 			}
 			if len(asserts) == 0 {
 				t.Logf("no speculative assertions needed (%d covered free)", covered)

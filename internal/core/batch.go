@@ -12,10 +12,16 @@ import "sync"
 // learned in one batch can leak into the next, so work partitioning across
 // workers cannot influence answers.
 //
-// Soundness is inherited from the lifetime memo (Config.EnableCache): the
-// taint machinery never memoizes resolutions degraded by cycle breaks,
-// depth limits, timeouts, or panics, so a memo hit is bit-identical to a
-// fresh resolution. See the EnableCache doc and TestBatchMatchesUnbatched.
+// Batches are the orchestrator's only memo. They are sound because the
+// program, profiles, and module set are immutable for the orchestrator's
+// lifetime, and because the taint machinery never memoizes a degraded
+// resolution: one degraded by an enclosing in-flight proposition
+// (conservative premise-cycle breaks), by having less remaining depth
+// than a fresh resolution would (depth-limit hits), by a timeout or by a
+// panic. A memo hit is therefore bit-identical to a fresh resolution —
+// the per-orchestrator analogue of SharedCache's canonical-entry rule
+// (pdg.TestResolveLoopMatchesAnalyzeLoop checks it on two benchmarks
+// under every scheme).
 //
 // The tables themselves are pooled process-wide: maps grown by one batch
 // are cleared (not reallocated) and handed to the next batch anywhere in
@@ -39,12 +45,10 @@ var batchTabs = sync.Pool{New: func() any {
 
 // BeginBatch starts a batch: until the matching EndBatch, query results are
 // memoized in pooled batch-scoped tables. Nested batches are flattened —
-// only the outermost pair arms and disarms. When the orchestrator already
-// memoizes for its lifetime (Config.EnableCache), batching is a no-op: the
-// lifetime cache subsumes it.
+// only the outermost pair arms and disarms.
 func (o *Orchestrator) BeginBatch() {
 	o.batchDepth++
-	if o.batchDepth > 1 || o.cfg.EnableCache {
+	if o.batchDepth > 1 {
 		return
 	}
 	t := batchTabs.Get().(*batchTab)
@@ -59,7 +63,7 @@ func (o *Orchestrator) EndBatch() {
 		return
 	}
 	o.batchDepth--
-	if o.batchDepth > 0 || o.batch == nil {
+	if o.batchDepth > 0 {
 		return
 	}
 	clear(o.batch.a)

@@ -91,22 +91,3 @@ func TestBatchNesting(t *testing.T) {
 	// Stray EndBatch is a no-op.
 	o.EndBatch()
 }
-
-// TestBatchNoopUnderLifetimeCache: with Config.EnableCache the lifetime
-// memo subsumes batching — Begin/EndBatch must not clear or replace it.
-func TestBatchNoopUnderLifetimeCache(t *testing.T) {
-	calls := 0
-	m := &fakeModule{name: "m", alias: func(q *AliasQuery, h Handle) AliasResponse {
-		calls++
-		return AliasFact(NoAlias, "m")
-	}}
-	o := NewOrchestrator(Config{Modules: []Module{m}, EnableCache: true})
-	q := aq()
-	o.BeginBatch()
-	o.Alias(q)
-	o.EndBatch()
-	o.Alias(q) // must hit the lifetime cache, not a cleared table
-	if calls != 1 {
-		t.Errorf("EndBatch damaged the lifetime cache (calls=%d, want 1)", calls)
-	}
-}

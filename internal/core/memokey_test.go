@@ -48,11 +48,12 @@ func TestCacheKeyIncludesAudience(t *testing.T) {
 		return MayAliasResponse()
 	}}
 	o := NewOrchestrator(Config{
-		Modules:     []Module{asker, answerer},
-		Groups:      map[string]string{"asker": "g1", "answerer": "g2"},
-		Routing:     RouteIsolated,
-		EnableCache: true,
+		Modules: []Module{asker, answerer},
+		Groups:  map[string]string{"asker": "g1", "answerer": "g2"},
+		Routing: RouteIsolated,
 	})
+	o.BeginBatch()
+	defer o.EndBatch()
 	o.Alias(trigger()) // memoizes P under asker's group audience
 	if r := o.Alias(propP()); r.Result != NoAlias {
 		t.Fatalf("top-level P = %s, want NoAlias: the group-confined premise resolution leaked into the full-ensemble ask", r.Result)
@@ -85,10 +86,9 @@ func TestCacheKeyIncludesDesired(t *testing.T) {
 		}
 		return MayAliasResponse()
 	}
-	o := NewOrchestrator(Config{
-		Modules:     []Module{asker, capped},
-		EnableCache: true,
-	})
+	o := NewOrchestrator(Config{Modules: []Module{asker, capped}})
+	o.BeginBatch()
+	defer o.EndBatch()
 	o.Alias(trigger()) // memoizes P under Desired == WantMustAlias
 	if r := o.Alias(propP()); r.Result != NoAlias {
 		t.Fatalf("top-level P = %s, want NoAlias: the desired-result-degraded premise resolution leaked into the desired-free ask", r.Result)

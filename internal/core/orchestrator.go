@@ -68,24 +68,15 @@ type Config struct {
 	// top-level query has run this long — the compilation-time-sensitive
 	// bail-out policy of §3.3. The best answer found so far is returned.
 	Timeout time.Duration
-	// EnableCache memoizes handle() results per proposition. Sound because
-	// the program, profiles, and module set are immutable for the
-	// orchestrator's lifetime. Resolutions degraded by an enclosing
-	// in-flight proposition (conservative premise-cycle breaks) or by
-	// having less remaining depth than a fresh resolution would (depth
-	// limit hits) are tainted and never published, so cached runs are
-	// answer-identical to uncached runs — the per-orchestrator analogue of
-	// SharedCache's canonical-entry rule.
-	EnableCache bool
 	// RecordLatency appends per-top-level-query wall-clock durations to
 	// Stats.Latencies (capped at MaxLatencySamples).
 	RecordLatency bool
 	// Shared, when non-nil, consults and populates a cross-orchestrator
-	// memo cache for top-level queries. Unlike EnableCache it is safe for
-	// concurrent use and only ever publishes canonical (complete, depth-0)
-	// entries, so results stay bit-identical to an uncached run; see
-	// SharedCache. All orchestrators attached to one SharedCache must share
-	// an identical configuration.
+	// memo cache for top-level queries. Unlike a batch's tables it is
+	// safe for concurrent use and only ever publishes canonical
+	// (complete, depth-0) entries, so results stay bit-identical to an
+	// uncached run; see SharedCache. All orchestrators attached to one
+	// SharedCache must share an identical configuration.
 	Shared *SharedCache
 	// Tracer, when non-nil, receives per-event resolution traces (see
 	// internal/trace for the collector, JSONL schema, and DOT rendering).
@@ -204,10 +195,6 @@ func NewOrchestrator(cfg Config) *Orchestrator {
 		groups:      map[string][]Module{},
 		windowMin:   noTaint,
 		peerLookups: true,
-	}
-	if cfg.EnableCache {
-		o.cacheA = map[aliasMemoKey]AliasResponse{}
-		o.cacheM = map[modrefMemoKey]ModRefResponse{}
 	}
 	for _, m := range cfg.Modules {
 		g := cfg.Groups[m.Name()]

@@ -127,10 +127,8 @@ func cycleFixture() (o *Orchestrator, q0, q1 *AliasQuery) {
 		}
 		return MayAliasResponse()
 	}
-	o = NewOrchestrator(Config{
-		Modules:     []Module{asker, cyclic, base},
-		EnableCache: true,
-	})
+	o = NewOrchestrator(Config{Modules: []Module{asker, cyclic, base}})
+	o.BeginBatch()
 	return o, q0, q1
 }
 
@@ -174,7 +172,9 @@ func TestCacheStillServesCompleteEntries(t *testing.T) {
 		same := *q
 		return h.PremiseAlias(&same) // self-cycle, internal to this resolution
 	}
-	o := NewOrchestrator(Config{Modules: []Module{loopy, inner}, EnableCache: true})
+	o := NewOrchestrator(Config{Modules: []Module{loopy, inner}})
+	o.BeginBatch()
+	defer o.EndBatch()
 	q := aq()
 	if r := o.Alias(q); r.Result != NoAlias {
 		t.Fatalf("first ask = %s", r.Result)
@@ -211,7 +211,9 @@ func TestDepthLimitTaintNotCached(t *testing.T) {
 		}
 		return MayAliasResponse()
 	}
-	o := NewOrchestrator(Config{Modules: []Module{chain}, EnableCache: true, MaxDepth: 3})
+	o := NewOrchestrator(Config{Modules: []Module{chain}, MaxDepth: 3})
+	o.BeginBatch()
+	defer o.EndBatch()
 	// Top-level size 1: needs 4 premise levels (2→5) but only 3 are
 	// allowed, so the size-2 resolution is truncated and degraded.
 	if r := o.Alias(mkq(1)); r.Result != MayAlias {

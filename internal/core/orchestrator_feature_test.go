@@ -11,7 +11,9 @@ func TestCacheHitsAndStability(t *testing.T) {
 		calls++
 		return AliasFact(NoAlias, "m")
 	}}
-	o := NewOrchestrator(Config{Modules: []Module{m}, EnableCache: true})
+	o := NewOrchestrator(Config{Modules: []Module{m}})
+	o.BeginBatch()
+	defer o.EndBatch()
 	q := aq()
 	r1 := o.Alias(q)
 	r2 := o.Alias(q)
@@ -57,7 +59,9 @@ func TestCacheDoesNotStoreCycleBreaks(t *testing.T) {
 		}
 		return MayAliasResponse()
 	}
-	o := NewOrchestrator(Config{Modules: []Module{loopy, inner}, EnableCache: true})
+	o := NewOrchestrator(Config{Modules: []Module{loopy, inner}})
+	o.BeginBatch()
+	defer o.EndBatch()
 	q := aq()
 	q.L1.Size = 99
 	r := o.Alias(q)
@@ -112,10 +116,11 @@ func TestTimeoutNeverCachesPartialResults(t *testing.T) {
 		return ModRefFact(NoModRef, "definite")
 	}}
 	o := NewOrchestrator(Config{
-		Modules:     []Module{slow, definite},
-		Timeout:     time.Millisecond,
-		EnableCache: true,
+		Modules: []Module{slow, definite},
+		Timeout: time.Millisecond,
 	})
+	o.BeginBatch()
+	defer o.EndBatch()
 	q := &ModRefQuery{}
 	if r := o.ModRef(q); r.Result == NoModRef {
 		t.Fatal("first ask should time out")

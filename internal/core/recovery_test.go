@@ -82,9 +82,10 @@ func TestPanicTaintBlocksPublication(t *testing.T) {
 	o := NewOrchestrator(Config{
 		Modules:       []Module{boom},
 		IsolatePanics: true,
-		EnableCache:   true,
 		Shared:        sc,
 	})
+	o.BeginBatch()
+	defer o.EndBatch()
 	o.Alias(aq())
 	o.Alias(aq())
 	if boom.queried != 2 {
@@ -113,9 +114,10 @@ func TestPremisePanicTaintsRoot(t *testing.T) {
 	o := NewOrchestrator(Config{
 		Modules:       []Module{asker, solver},
 		IsolatePanics: true,
-		EnableCache:   true,
 		Shared:        sc,
 	})
+	o.BeginBatch()
+	defer o.EndBatch()
 	r := o.ModRef(&ModRefQuery{})
 	if r.Result != NoModRef {
 		t.Errorf("result = %s", r.Result)

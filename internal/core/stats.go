@@ -8,39 +8,61 @@ import "time"
 // stats) stay bounded in memory.
 const MaxLatencySamples = 1 << 16
 
-// Stats accumulates orchestration counters.
-type Stats struct {
-	TopQueries     int64
-	PremiseQueries int64
-	Conflicts      int64
+// Counters are the orchestration counters. The field order and JSON tags
+// are the wire form: a session's /metrics "stats" object and each scheme's
+// counters in the scaf-bench -json report are a Counters, encoded as is.
+type Counters struct {
+	TopQueries     int64 `json:"top_queries"`
+	PremiseQueries int64 `json:"premise_queries"`
 	// ModuleEvals counts individual module consultations — the
 	// deterministic work measure behind query latency.
-	ModuleEvals int64
-	// CacheHits counts handle() invocations served from the per-orchestrator
-	// memo table (Config.EnableCache).
-	CacheHits int64
+	ModuleEvals int64 `json:"module_evals"`
+	Conflicts   int64 `json:"conflicts"`
+	// CacheHits counts handle() invocations served from the batch-scoped
+	// memo tables (BeginBatch).
+	CacheHits int64 `json:"cache_hits"`
 	// SharedHits counts top-level queries served from a cross-orchestrator
 	// SharedCache (Config.Shared).
-	SharedHits int64
+	SharedHits int64 `json:"shared_hits"`
 	// RemoteHits counts the subset of SharedHits answered by the cache's
 	// attached CachePeer — entries another instance of the fleet resolved
 	// and published. Always <= SharedHits.
-	RemoteHits int64
+	RemoteHits int64 `json:"remote_hits"`
 	// Timeouts counts top-level queries cut short by the timeout policy —
 	// at most one per top-level query, however many premise searches the
 	// expired budget subsequently stops.
-	Timeouts int64
+	Timeouts int64 `json:"timeouts"`
 	// CycleBreaks counts premise queries that re-asked an in-flight
 	// proposition and were answered conservatively (paper §3.3's
 	// termination rule).
-	CycleBreaks int64
+	CycleBreaks int64 `json:"cycle_breaks"`
 	// DepthLimits counts premise queries rejected at Config.MaxDepth.
-	DepthLimits int64
+	DepthLimits int64 `json:"depth_limits"`
 	// ModulePanics counts module evaluations that panicked and were
 	// converted into conservative answers (Config.IsolatePanics). A
 	// panicked resolution is tainted: it is never memoized or published,
 	// so the degraded answer is confined to the one query that hit it.
-	ModulePanics int64
+	ModulePanics int64 `json:"module_panics"`
+}
+
+// Add adds other's counters to c.
+func (c *Counters) Add(other *Counters) {
+	c.TopQueries += other.TopQueries
+	c.PremiseQueries += other.PremiseQueries
+	c.ModuleEvals += other.ModuleEvals
+	c.Conflicts += other.Conflicts
+	c.CacheHits += other.CacheHits
+	c.SharedHits += other.SharedHits
+	c.RemoteHits += other.RemoteHits
+	c.Timeouts += other.Timeouts
+	c.CycleBreaks += other.CycleBreaks
+	c.DepthLimits += other.DepthLimits
+	c.ModulePanics += other.ModulePanics
+}
+
+// Stats accumulates orchestration counters and latency samples.
+type Stats struct {
+	Counters
 	// Latencies holds per-top-level-query wall-clock durations when
 	// Config.RecordLatency is set, capped at MaxLatencySamples.
 	Latencies []time.Duration
@@ -76,17 +98,7 @@ func (s *Stats) Merge(other *Stats) {
 	if other == nil {
 		return
 	}
-	s.TopQueries += other.TopQueries
-	s.PremiseQueries += other.PremiseQueries
-	s.Conflicts += other.Conflicts
-	s.ModuleEvals += other.ModuleEvals
-	s.CacheHits += other.CacheHits
-	s.SharedHits += other.SharedHits
-	s.RemoteHits += other.RemoteHits
-	s.Timeouts += other.Timeouts
-	s.CycleBreaks += other.CycleBreaks
-	s.DepthLimits += other.DepthLimits
-	s.ModulePanics += other.ModulePanics
+	s.Counters.Add(&other.Counters)
 	s.LatencyDropped += other.LatencyDropped
 	for i, d := range other.Latencies {
 		// Hand-built Stats may carry latencies without work samples; treat

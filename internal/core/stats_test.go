@@ -10,12 +10,12 @@ import (
 )
 
 func TestStatsMergeCounters(t *testing.T) {
-	a := &Stats{TopQueries: 3, PremiseQueries: 5, Conflicts: 1, ModuleEvals: 10,
-		CacheHits: 2, SharedHits: 4, Timeouts: 1, CycleBreaks: 2, DepthLimits: 1,
+	a := &Stats{Counters: Counters{TopQueries: 3, PremiseQueries: 5, Conflicts: 1, ModuleEvals: 10,
+		CacheHits: 2, SharedHits: 4, Timeouts: 1, CycleBreaks: 2, DepthLimits: 1},
 		LatencyDropped: 7,
 		Latencies:      []time.Duration{time.Millisecond}}
-	b := &Stats{TopQueries: 4, PremiseQueries: 1, Conflicts: 2, ModuleEvals: 20,
-		CacheHits: 3, SharedHits: 1, Timeouts: 2, CycleBreaks: 3, DepthLimits: 4,
+	b := &Stats{Counters: Counters{TopQueries: 4, PremiseQueries: 1, Conflicts: 2, ModuleEvals: 20,
+		CacheHits: 3, SharedHits: 1, Timeouts: 2, CycleBreaks: 3, DepthLimits: 4},
 		LatencyDropped: 1,
 		Latencies:      []time.Duration{2 * time.Millisecond, 3 * time.Millisecond}}
 	m := &Stats{}
@@ -40,9 +40,9 @@ func TestStatsMergeCounters(t *testing.T) {
 
 func TestStatsMergeIsOrderIndependentForCounters(t *testing.T) {
 	parts := []*Stats{
-		{TopQueries: 1, ModuleEvals: 5},
-		{TopQueries: 2, ModuleEvals: 7, Conflicts: 1},
-		{TopQueries: 4, PremiseQueries: 9},
+		{Counters: Counters{TopQueries: 1, ModuleEvals: 5}},
+		{Counters: Counters{TopQueries: 2, ModuleEvals: 7, Conflicts: 1}},
+		{Counters: Counters{TopQueries: 4, PremiseQueries: 9}},
 	}
 	fwd, rev := &Stats{}, &Stats{}
 	for _, p := range parts {
@@ -99,9 +99,10 @@ func TestRecordLatencyWithTimeout(t *testing.T) {
 		Modules:       []Module{slow, never},
 		Timeout:       time.Microsecond,
 		RecordLatency: true,
-		EnableCache:   true,
 		Shared:        sc,
 	})
+	o.BeginBatch()
+	defer o.EndBatch()
 	const n = 3
 	for i := 0; i < n; i++ {
 		o.ModRef(&ModRefQuery{})

@@ -63,10 +63,13 @@ func (BaseObserver) Free(*ir.Instr, *Object)                         {}
 func (BaseObserver) Call(*ir.Instr, *ir.Func)                        {}
 func (BaseObserver) Return(*ir.Func)                                 {}
 
+// maxDepth is the call-stack depth limit: a call nested deeper fails the
+// run.
+const maxDepth = 10000
+
 // Options configures a run.
 type Options struct {
 	MaxSteps  int64 // dynamic instruction budget; 0 means 200M
-	MaxDepth  int   // call-stack depth limit; 0 means 10000
 	Observers []Observer
 	// Hook, when set, observes every top-level control transfer and may
 	// take over execution of a region (see Hook). Speculative runtimes
@@ -85,9 +88,6 @@ type Result struct {
 func Run(m *ir.Module, opts Options) (*Result, error) {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 200_000_000
-	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = 10000
 	}
 	main := m.FuncNamed("main")
 	if main == nil {
@@ -232,7 +232,7 @@ func (it *Interp) alloc(o *Object) {
 // in the activation buffer of its depth, whose args the caller has
 // filled (see opCall).
 func (it *Interp) call(f *ir.Func, fn int32, args []uint64, depth int) (uint64, error) {
-	if depth > it.opts.MaxDepth {
+	if depth > maxDepth {
 		return 0, fmt.Errorf("call depth limit exceeded in %s", f.Name)
 	}
 	c := it.code(f, fn, len(args))

@@ -180,6 +180,10 @@ void main() { print(fib(12)); }`, Options{})
 }
 
 func TestRuntimeErrors(t *testing.T) {
+	const recursion = `
+int down(int n) { if (n == 0) { return 0; } return down(n - 1) + 1; }
+int forever(int n) { return forever(n + 1); }
+`
 	cases := []struct {
 		name, src, want string
 	}{
@@ -190,7 +194,10 @@ func TestRuntimeErrors(t *testing.T) {
 		{"divzero", `void main() { int z = 0; print(3 / z); }`, "division by zero"},
 		{"remzero", `void main() { int z = 0; print(3 % z); }`, "remainder by zero"},
 		{"interior", `void main() { int* p = malloc(int, 4); free(p + 1); }`, "interior"},
-		{"depth", `int f(int n) { return f(n + 1); } void main() { print(f(0)); }`, "depth"},
+		// Calls nest at most 10,000 deep: main plus 9,999 nested calls
+		// run, one more fails, and so does an unbounded recursion.
+		{"depth", recursion + `void main() { print(down(9999)); print(forever(0)); }`, "call depth limit exceeded in forever"},
+		{"depth+1", recursion + `void main() { print(down(10000)); }`, "call depth limit exceeded in down"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

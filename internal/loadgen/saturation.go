@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"os"
 
 	"scaf/internal/server"
 )
@@ -23,12 +22,6 @@ type SaturationConfig struct {
 	Load Config `json:"load"`
 	// Workers is each backend's analysis worker count (default 4).
 	Workers int `json:"workers"`
-	// Persist gives every backend a snapshot directory and runs each size
-	// twice: a cold pass, a graceful drain (which writes the snapshots),
-	// and a warm pass against rebooted backends. The warm pass must serve
-	// the identical deterministic section; its cache economics land in
-	// SaturationPoint.Warm.
-	Persist bool `json:"persist,omitempty"`
 	// Membership reruns each size against a fresh fleet plus one spare
 	// backend, with a scripted live join (one third through the schedule)
 	// and leave (two thirds through) overlapping the workload. The
@@ -52,8 +45,6 @@ type SaturationPoint struct {
 	FleetLoopHits   int64 `json:"fleet_loop_hits"`
 	// RemoteHitRate is (local+remote tier hits) / all tier lookups.
 	RemoteHitRate float64 `json:"remote_hit_rate"`
-	// Warm is the warm-boot rerun (Persist mode only).
-	Warm *WarmPoint `json:"warm,omitempty"`
 	// Membership is the live join/leave rerun (Membership mode only).
 	Membership *MembershipPoint `json:"membership,omitempty"`
 }
@@ -71,22 +62,6 @@ type MembershipPoint struct {
 	Joins         int64         `json:"joins"`
 	Leaves        int64         `json:"leaves"`
 	Rollbacks     int64         `json:"rollbacks"`
-}
-
-// WarmPoint is the warm-boot rerun of one fleet size: the same workload
-// offered to backends rebooted from the snapshots the cold pass drained.
-// Its deterministic section must equal the cold pass's, and
-// SnapshotLoaded says how many entries the reboot actually restored —
-// the warm hit rate is meaningless if the boot was secretly cold.
-type WarmPoint struct {
-	Deterministic   Deterministic `json:"deterministic"`
-	Measured        Measured      `json:"measured"`
-	FleetLocalHits  int64         `json:"fleet_local_hits"`
-	FleetRemoteHits int64         `json:"fleet_remote_hits"`
-	FleetMisses     int64         `json:"fleet_misses"`
-	FleetLoopHits   int64         `json:"fleet_loop_hits"`
-	RemoteHitRate   float64       `json:"remote_hit_rate"`
-	SnapshotLoaded  int64         `json:"snapshot_loaded"`
 }
 
 // SaturationReport is the sweep outcome.
@@ -119,14 +94,10 @@ func Saturate(cfg SaturationConfig) (*SaturationReport, error) {
 			rep.Consistent = false
 		}
 	}
-	// A warm boot serving different bytes than its own cold pass is the
-	// same lie as cross-size divergence: the cache changed an answer. So
-	// is a live membership change: a planned move may cost retries, never
-	// bytes.
+	// A live membership change serving different bytes than its static
+	// pass is the same lie as cross-size divergence: a planned move may
+	// cost retries, never bytes.
 	for _, pt := range rep.Points {
-		if pt.Warm != nil && pt.Warm.Deterministic != pt.Deterministic {
-			rep.Consistent = false
-		}
 		if pt.Membership != nil && pt.Membership.Deterministic != pt.Deterministic {
 			rep.Consistent = false
 		}
@@ -135,17 +106,7 @@ func Saturate(cfg SaturationConfig) (*SaturationReport, error) {
 }
 
 func saturateOne(cfg SaturationConfig, n int) (*SaturationPoint, error) {
-	var dir string
-	if cfg.Persist {
-		d, err := os.MkdirTemp("", "scaf-loadgen-snap-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(d)
-		dir = d
-	}
-
-	pt, _, err := sweepFleet(cfg, n, dir)
+	pt, err := sweepFleet(cfg, n)
 	if err != nil {
 		return nil, err
 	}
@@ -155,24 +116,6 @@ func saturateOne(cfg SaturationConfig, n int) (*SaturationPoint, error) {
 			return nil, fmt.Errorf("membership run: %w", err)
 		}
 		pt.Membership = mp
-	}
-	if cfg.Persist {
-		// The cold pass's shutdown drained every backend, writing its
-		// snapshot; this boot reloads them and reruns the same workload.
-		wpt, loaded, err := sweepFleet(cfg, n, dir)
-		if err != nil {
-			return nil, fmt.Errorf("warm boot: %w", err)
-		}
-		pt.Warm = &WarmPoint{
-			Deterministic:   wpt.Deterministic,
-			Measured:        wpt.Measured,
-			FleetLocalHits:  wpt.FleetLocalHits,
-			FleetRemoteHits: wpt.FleetRemoteHits,
-			FleetMisses:     wpt.FleetMisses,
-			FleetLoopHits:   wpt.FleetLoopHits,
-			RemoteHitRate:   wpt.RemoteHitRate,
-			SnapshotLoaded:  loaded,
-		}
 	}
 	return pt, nil
 }
@@ -184,14 +127,12 @@ func backendConfig(cfg SaturationConfig) server.Config {
 	return server.Config{Workers: cfg.Workers, MaxQueue: max(4*cfg.Workers, cfg.Load.Requests)}
 }
 
-// sweepFleet boots one fleet (persistent when dir is non-empty), offers
-// the workload, collects the point, and drains the fleet before
-// returning — in persist mode the drain is what writes the snapshots the
-// next boot warms from, so it cannot be deferred past the caller.
-func sweepFleet(cfg SaturationConfig, n int, dir string) (*SaturationPoint, int64, error) {
-	fl, err := server.StartLoopbackFleet(n, false, dir, backendConfig(cfg), server.RouterConfig{})
+// sweepFleet boots one fleet, offers the workload, collects the point,
+// and drains the fleet before returning.
+func sweepFleet(cfg SaturationConfig, n int) (*SaturationPoint, error) {
+	fl, err := server.StartLoopbackFleet(n, false, "", backendConfig(cfg), server.RouterConfig{})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer fl.Close()
 
@@ -199,7 +140,7 @@ func sweepFleet(cfg SaturationConfig, n int, dir string) (*SaturationPoint, int6
 	load.BaseURL = fl.URL
 	run, err := Run(load)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	pt := &SaturationPoint{
@@ -207,24 +148,20 @@ func sweepFleet(cfg SaturationConfig, n int, dir string) (*SaturationPoint, int6
 		Deterministic: run.Deterministic,
 		Measured:      run.Measured,
 	}
-	var loaded int64
 	for _, id := range fl.IDs() {
 		m, err := fl.Metrics(id)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		pt.FleetLocalHits += m.Fleet.LocalHits
 		pt.FleetRemoteHits += m.Fleet.RemoteHits
 		pt.FleetMisses += m.Fleet.Misses
 		pt.FleetLoopHits += m.Server.FleetLoopHits
-		if m.Persist != nil {
-			loaded += m.Persist.Loaded
-		}
 	}
 	if total := pt.FleetLocalHits + pt.FleetRemoteHits + pt.FleetMisses; total > 0 {
 		pt.RemoteHitRate = float64(pt.FleetLocalHits+pt.FleetRemoteHits) / float64(total)
 	}
-	return pt, loaded, nil
+	return pt, nil
 }
 
 // sweepMembership reruns one fleet size with a spare backend and the

@@ -30,9 +30,7 @@ type ParallelClient struct {
 	// fresh, independent instance on every call — fresh module instances
 	// included, since modules carry lazily built caches of their own. For
 	// cross-worker memoization attach one core.SharedCache to every minted
-	// config. Per-orchestrator EnableCache, in contrast, makes results
-	// depend on which worker analyzed which loop first; leave it off when
-	// equivalence with a serial run matters.
+	// config.
 	NewOrchestrator func() *core.Orchestrator
 	// NewTracer, when non-nil, mints one core.Tracer per worker (worker
 	// indices are 0-based and dense) and attaches it to that worker's

@@ -43,9 +43,6 @@ type Config struct {
 	// MinIters declines speculation for invocations with fewer
 	// iterations than this. Default 2×Workers.
 	MinIters int64
-	// MaxSteps bounds the top-level interpreter (0: interp default).
-	// Each speculative chunk gets the same budget independently.
-	MaxSteps int64
 	// Quarantine receives assertions disproved by a misspeculation.
 	Quarantine *recovery.Quarantine
 	// Cache, when set, has entries predicated on newly quarantined
@@ -85,9 +82,10 @@ type LoopStats struct {
 	Misspecs int64 `json:"misspecs"`
 }
 
-// Report is the outcome of one speculative execution.
+// Report is the outcome of one speculative execution, and the "report"
+// object of the daemon's /execute reply as is.
 type Report struct {
-	Output    []string    `json:"-"`
+	Output    []string    `json:"output"`
 	Steps     int64       `json:"steps"`
 	MemDigest uint64      `json:"mem_digest"`
 	Loops     []LoopStats `json:"loops,omitempty"`
@@ -152,7 +150,7 @@ func Execute(prog *cfg.Program, plans []LoopPlan, cfg Config) (*Report, error) {
 	ex := &executor{cfg: cfg, stats: map[string]*LoopStats{}, disabled: map[string]bool{}}
 	ex.install(plans)
 	start := time.Now()
-	res, err := interp.Run(prog.Mod, interp.Options{MaxSteps: cfg.MaxSteps, Hook: ex.hook})
+	res, err := interp.Run(prog.Mod, interp.Options{Hook: ex.hook})
 	if err != nil {
 		return nil, err
 	}

@@ -327,7 +327,7 @@ func (sess *session) fleetLoopLookup(key string) ([]byte, bool) {
 // current state). The entry is indexed under every assertion its
 // queries are predicated on, so fleet-wide invalidation removes it
 // exactly.
-func (sess *session) fleetLoopPublish(key string, scheme scaf.Scheme, l *cfg.Loop, wr WireLoopResult, b []byte, delta core.Stats) {
+func (sess *session) fleetLoopPublish(key string, scheme scaf.Scheme, l *cfg.Loop, wr WireLoopResult, b []byte, delta core.Counters) {
 	if delta.Timeouts > 0 || delta.ModulePanics > 0 {
 		return
 	}

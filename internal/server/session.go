@@ -58,12 +58,12 @@ func parseScheme(s string) (scaf.Scheme, *httpError) {
 const latReservoir = 1 << 14
 
 // pooledOrch is one warm orchestrator of a session's per-scheme pool,
-// together with its tracer and the counter snapshot taken at its last
-// checkin (the delta since then is the work of exactly one request).
+// together with its tracer. Each checkin takes and zeroes the
+// orchestrator's counters, so what they hold at a checkin is the work of
+// exactly one request.
 type pooledOrch struct {
-	o    *core.Orchestrator
-	col  *trace.Collector
-	last core.Stats
+	o   *core.Orchestrator
+	col *trace.Collector
 }
 
 // orchPool hands out warm orchestrators for one (session, scheme) pair.
@@ -130,28 +130,11 @@ type session struct {
 
 	// mu guards the cumulative accounting below, folded in at checkin.
 	mu         sync.Mutex
-	stats      core.Stats
+	stats      core.Stats     // counters only: latencies go to the reservoir
 	metrics    *trace.Metrics // nil when tracing is disabled
 	latNS      []int64
 	latWork    []int64
 	latDropped int64
-}
-
-// subCounters returns cur − last over the counter fields.
-func subCounters(cur, last core.Stats) core.Stats {
-	return core.Stats{
-		TopQueries:     cur.TopQueries - last.TopQueries,
-		PremiseQueries: cur.PremiseQueries - last.PremiseQueries,
-		Conflicts:      cur.Conflicts - last.Conflicts,
-		ModuleEvals:    cur.ModuleEvals - last.ModuleEvals,
-		CacheHits:      cur.CacheHits - last.CacheHits,
-		SharedHits:     cur.SharedHits - last.SharedHits,
-		RemoteHits:     cur.RemoteHits - last.RemoteHits,
-		Timeouts:       cur.Timeouts - last.Timeouts,
-		CycleBreaks:    cur.CycleBreaks - last.CycleBreaks,
-		DepthLimits:    cur.DepthLimits - last.DepthLimits,
-		ModulePanics:   cur.ModulePanics - last.ModulePanics,
-	}
 }
 
 // newSession compiles, profiles, plan-validates and warms one session.
@@ -228,28 +211,20 @@ func newSession(id string, req *CreateSessionRequest, scfg Config, tier *fleet.T
 	// client-supplied assertions) enforced. A violating plan is rejected —
 	// never served.
 	var asserts []core.Assertion
-	seen := map[string]bool{}
 	switch req.Plan {
 	case "", "validate":
-		plan := &PlanInfo{}
-		o := sys.Orchestrator(scaf.SchemeSCAF,
-			scaf.WithJoin(core.JoinAll), scaf.WithBailout(core.BailExhaustive))
-		for _, l := range sess.hot {
-			res := sess.client.ResolveLoop(o, l)
-			p := pdg.BuildPlan(res.Queries)
-			plan.Free += p.Free
-			plan.Covered += p.Covered
-			plan.Dropped += p.Dropped
-			plan.Unresolved += p.Unresolved
-			for _, a := range p.Assertions {
-				if !seen[a.String()] {
-					seen[a.String()] = true
-					asserts = append(asserts, a)
-					plan.TotalCost += a.Cost
-				}
-			}
+		var plans []runtime.LoopPlan
+		plans, asserts = sys.Plan(scaf.SchemeSCAF)
+		plan := &PlanInfo{Assertions: len(asserts)}
+		for _, lp := range plans {
+			plan.Free += lp.Plan.Free
+			plan.Covered += lp.Plan.Covered
+			plan.Dropped += lp.Plan.Dropped
+			plan.Unresolved += lp.Plan.Unresolved
 		}
-		plan.Assertions = len(asserts)
+		for _, a := range asserts {
+			plan.TotalCost += a.Cost
+		}
 		sess.plan = plan
 	case "off":
 	default:
@@ -345,16 +320,14 @@ func (sess *session) info() SessionInfo {
 
 // checkin folds the orchestrator's work since its last checkin into the
 // session's cumulative accounting and returns it to the pool. The
-// returned delta is the request's own contribution (the Timeouts field is
-// the request's deadline misses).
-func (sess *session) checkin(pool *orchPool, po *pooledOrch) core.Stats {
+// returned counters are the request's own contribution (Timeouts is the
+// request's deadline misses).
+func (sess *session) checkin(pool *orchPool, po *pooledOrch) core.Counters {
 	st := po.o.Stats()
-	cur := *st
-	delta := subCounters(cur, po.last)
+	delta := st.Counters
 
 	sess.mu.Lock()
-	// delta carries no latency samples: the reservoir below takes them.
-	sess.stats.Merge(&delta)
+	sess.stats.Add(&delta)
 	for i, d := range st.Latencies {
 		if len(sess.latNS) >= latReservoir {
 			sess.latDropped++
@@ -375,19 +348,17 @@ func (sess *session) checkin(pool *orchPool, po *pooledOrch) core.Stats {
 	}
 	sess.mu.Unlock()
 
-	// The orchestrator stays warm; its sample buffers do not. Truncating
-	// them (and the overflow counter) at each checkin keeps long-lived
-	// orchestrators bounded and makes the next delta self-contained.
+	// The orchestrator stays warm; its counters and sample buffers do not.
+	// Zeroing them (and the overflow counter) at each checkin keeps
+	// long-lived orchestrators bounded and makes the next request's
+	// counters self-contained.
+	st.Counters = core.Counters{}
 	st.Latencies = st.Latencies[:0]
 	st.WorkSamples = st.WorkSamples[:0]
 	st.LatencyDropped = 0
 	if po.col != nil {
 		po.col.Reset()
 	}
-	cur.Latencies = nil
-	cur.WorkSamples = nil
-	cur.LatencyDropped = 0
-	po.last = cur
 	pool.put(po)
 	return delta
 }
@@ -412,8 +383,8 @@ func armDeadline(o *core.Orchestrator, deadline time.Time) func() {
 
 // analyzeLoop resolves one loop's PDG under scheme, optionally bounded by
 // an absolute deadline, and returns the wire result plus this request's
-// stats delta.
-func (sess *session) analyzeLoop(scheme scaf.Scheme, l *cfg.Loop, deadline time.Time) (WireLoopResult, core.Stats) {
+// counters.
+func (sess *session) analyzeLoop(scheme scaf.Scheme, l *cfg.Loop, deadline time.Time) (WireLoopResult, core.Counters) {
 	pool := sess.pools[scheme]
 	po := pool.get()
 	// Batched loop resolution would pay one peer RTT per proposition;
@@ -429,7 +400,7 @@ func (sess *session) analyzeLoop(scheme scaf.Scheme, l *cfg.Loop, deadline time.
 }
 
 // resolveQuery resolves one dependence query under scheme.
-func (sess *session) resolveQuery(scheme scaf.Scheme, l *cfg.Loop, i1, i2 *ir.Instr, rel core.TemporalRelation, deadline time.Time) (WireQuery, core.Stats) {
+func (sess *session) resolveQuery(scheme scaf.Scheme, l *cfg.Loop, i1, i2 *ir.Instr, rel core.TemporalRelation, deadline time.Time) (WireQuery, core.Counters) {
 	pool := sess.pools[scheme]
 	po := pool.get()
 	if hook := armDeadline(po.o, deadline); hook != nil {
@@ -569,7 +540,7 @@ func (sess *session) execute(req *ExecuteRequest) (*ExecuteResponse, *httpError)
 		return nil, &httpError{status: http.StatusUnprocessableEntity,
 			detail: ErrorDetail{Code: "execution_failed", Message: err.Error()}}
 	}
-	resp := &ExecuteResponse{Session: sess.id, Scheme: scheme.String(), Report: EncodeExecReport(rep)}
+	resp := &ExecuteResponse{Session: sess.id, Scheme: scheme.String(), Report: *rep}
 	var newKeys []string
 	for _, k := range rep.QuarantinedAsserts {
 		if !before[k] {
@@ -605,7 +576,7 @@ func (sess *session) lookupInstr(ref string) (*ir.Instr, *httpError) {
 func (sess *session) metricsSnapshot() SessionMetrics {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sm := SessionMetrics{Name: sess.name, Stats: EncodeCounters(&sess.stats)}
+	sm := SessionMetrics{Name: sess.name, Stats: sess.stats.Counters}
 	if n := len(sess.latNS); n > 0 {
 		ns := append([]int64(nil), sess.latNS...)
 		work := append([]int64(nil), sess.latWork...)

@@ -345,43 +345,6 @@ type ErrorResponse struct {
 	Error ErrorDetail `json:"error"`
 }
 
-// WireCounters mirrors core.Stats' counters on the wire.
-type WireCounters struct {
-	TopQueries     int64 `json:"top_queries"`
-	PremiseQueries int64 `json:"premise_queries"`
-	ModuleEvals    int64 `json:"module_evals"`
-	Conflicts      int64 `json:"conflicts"`
-	CacheHits      int64 `json:"cache_hits"`
-	SharedHits     int64 `json:"shared_hits"`
-	// RemoteHits is the subset of SharedHits served by the fleet's
-	// cross-instance cache tier (always 0 outside fleet mode).
-	RemoteHits   int64 `json:"remote_hits"`
-	Timeouts     int64 `json:"timeouts"`
-	CycleBreaks  int64 `json:"cycle_breaks"`
-	DepthLimits  int64 `json:"depth_limits"`
-	ModulePanics int64 `json:"module_panics"`
-}
-
-// EncodeCounters converts core.Stats counters to wire form.
-func EncodeCounters(st *core.Stats) WireCounters {
-	if st == nil {
-		return WireCounters{}
-	}
-	return WireCounters{
-		TopQueries:     st.TopQueries,
-		PremiseQueries: st.PremiseQueries,
-		ModuleEvals:    st.ModuleEvals,
-		Conflicts:      st.Conflicts,
-		CacheHits:      st.CacheHits,
-		SharedHits:     st.SharedHits,
-		RemoteHits:     st.RemoteHits,
-		Timeouts:       st.Timeouts,
-		CycleBreaks:    st.CycleBreaks,
-		DepthLimits:    st.DepthLimits,
-		ModulePanics:   st.ModulePanics,
-	}
-}
-
 // WireLatency summarizes per-query latency samples: wall-clock
 // percentiles plus the deterministic work measure (module evals).
 type WireLatency struct {
@@ -420,7 +383,7 @@ type WireTraceMetrics struct {
 // SessionMetrics is one session's entry in the /metrics report.
 type SessionMetrics struct {
 	Name    string            `json:"name"`
-	Stats   WireCounters      `json:"stats"`
+	Stats   core.Counters     `json:"stats"`
 	Latency *WireLatency      `json:"latency,omitempty"`
 	Trace   *WireTraceMetrics `json:"trace,omitempty"`
 	// Quarantine is present once the session has quarantined anything.
@@ -493,84 +456,12 @@ type ExecuteRequest struct {
 	MinIters int64 `json:"min_iters,omitempty"`
 }
 
-// WireExecLoop mirrors runtime.LoopStats on the wire.
-type WireExecLoop struct {
-	Loop            string `json:"loop"`
-	Refusal         string `json:"refusal,omitempty"`
-	Invocations     int64  `json:"invocations"`
-	SpecInvocations int64  `json:"spec_invocations"`
-	Chunks          int64  `json:"chunks"`
-	CommittedChunks int64  `json:"committed_chunks"`
-	AbortedChunks   int64  `json:"aborted_chunks"`
-	SpecIters       int64  `json:"spec_iters"`
-	SerialIters     int64  `json:"serial_iters"`
-	Misspecs        int64  `json:"misspecs"`
-}
-
-// WireExecReport mirrors runtime.Report on the wire, with the program's
-// observable output included (the library form excludes it from JSON so
-// deterministic counter gates can marshal reports directly).
-type WireExecReport struct {
-	Output             []string       `json:"output"`
-	Steps              int64          `json:"steps"`
-	MemDigest          uint64         `json:"mem_digest"`
-	Loops              []WireExecLoop `json:"loops,omitempty"`
-	DoallLoops         int            `json:"doall_loops"`
-	RefusedLoops       int            `json:"refused_loops"`
-	SpecInvocations    int64          `json:"spec_invocations"`
-	Chunks             int64          `json:"chunks"`
-	CommittedChunks    int64          `json:"committed_chunks"`
-	AbortedChunks      int64          `json:"aborted_chunks"`
-	SpecIters          int64          `json:"spec_iters"`
-	SerialIters        int64          `json:"serial_iters"`
-	Misspecs           int64          `json:"misspecs"`
-	ReplanRounds       int64          `json:"replan_rounds"`
-	QuarantinedAsserts []string       `json:"quarantined_asserts,omitempty"`
-	WallNanos          int64          `json:"wall_nanos"`
-}
-
-// EncodeExecReport converts a runtime report to wire form.
-func EncodeExecReport(r *runtime.Report) WireExecReport {
-	w := WireExecReport{
-		Output:             r.Output,
-		Steps:              r.Steps,
-		MemDigest:          r.MemDigest,
-		DoallLoops:         r.DoallLoops,
-		RefusedLoops:       r.RefusedLoops,
-		SpecInvocations:    r.SpecInvocations,
-		Chunks:             r.Chunks,
-		CommittedChunks:    r.CommittedChunks,
-		AbortedChunks:      r.AbortedChunks,
-		SpecIters:          r.SpecIters,
-		SerialIters:        r.SerialIters,
-		Misspecs:           r.Misspecs,
-		ReplanRounds:       r.ReplanRounds,
-		QuarantinedAsserts: r.QuarantinedAsserts,
-		WallNanos:          r.WallNanos,
-	}
-	for _, ls := range r.Loops {
-		w.Loops = append(w.Loops, WireExecLoop{
-			Loop:            ls.Loop,
-			Refusal:         ls.Refusal,
-			Invocations:     ls.Invocations,
-			SpecInvocations: ls.SpecInvocations,
-			Chunks:          ls.Chunks,
-			CommittedChunks: ls.CommittedChunks,
-			AbortedChunks:   ls.AbortedChunks,
-			SpecIters:       ls.SpecIters,
-			SerialIters:     ls.SerialIters,
-			Misspecs:        ls.Misspecs,
-		})
-	}
-	return w
-}
-
 // ExecuteResponse is the /execute body. A misspeculating execution is a
 // 200 — recovery is part of the contract; the report says what happened.
 type ExecuteResponse struct {
 	Session string         `json:"session"`
 	Scheme  string         `json:"scheme"`
-	Report  WireExecReport `json:"report"`
+	Report  runtime.Report `json:"report"`
 	// NewAsserts counts assertions the execution disproved and
 	// quarantined; Invalidated counts the session's analysis-cache entries
 	// dropped because they were predicated on them (summed over schemes).

@@ -63,11 +63,11 @@ func fixture() (*core.Orchestrator, *Collector, []*core.AliasQuery) {
 	follower := &stubModule{name: "follower"}
 	c := NewCollector()
 	o := core.NewOrchestrator(core.Config{
-		Modules:     []core.Module{asker, follower},
-		EnableCache: true,
-		MaxDepth:    3,
-		Tracer:      c,
+		Modules:  []core.Module{asker, follower},
+		MaxDepth: 3,
+		Tracer:   c,
 	})
+	o.BeginBatch()
 	// Queries: a depth-truncated premise chain, the same again (served by
 	// the memo table at the untainted root), and the self-cycle.
 	return o, c, []*core.AliasQuery{mkq(1), mkq(1), mkq(9)}

@@ -14,7 +14,6 @@ import (
 	"scaf/internal/interp"
 	"scaf/internal/ir"
 	"scaf/internal/mcgen"
-	"scaf/internal/pdg"
 	"scaf/internal/profile"
 	"scaf/internal/spec"
 	"scaf/internal/validate"
@@ -23,7 +22,7 @@ import (
 // TestValidationDigest pins every validation report, byte for byte: the
 // check count and each violation's assertion and detail, hashed per
 // program. The suite programs and mcgen seeds 1–60 validate the plan a
-// session create builds for them on their training input, where every
+// session create builds for them (System.Plan) on their training input, where every
 // check passes; the violating cases profile one input, change it, and
 // validate hand-built assertions of every kind against the changed
 // program. A change to how validation runs must leave every literal as
@@ -39,7 +38,8 @@ func TestValidationDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
-		checkDigest(t, name, sys.Prog, sys.Profiles, sessionPlan(sys), false)
+		_, asserts := sys.Plan(scaf.SchemeSCAF)
+		checkDigest(t, name, sys.Prog, sys.Profiles, asserts, false)
 	}
 	hot := profile.HotLoopParams{MinWeightFrac: 0.001, MinAvgIters: 1.5}
 	for seed := int64(1); seed <= 60; seed++ {
@@ -48,7 +48,8 @@ func TestValidationDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
-		checkDigest(t, name, sys.Prog, sys.Profiles, sessionPlan(sys), false)
+		_, asserts := sys.Plan(scaf.SchemeSCAF)
+		checkDigest(t, name, sys.Prog, sys.Profiles, asserts, false)
 	}
 
 	violated := map[string]bool{}
@@ -71,25 +72,6 @@ func TestValidationDigest(t *testing.T) {
 	if !capped {
 		t.Error("no violating case reaches the 100-violation cap")
 	}
-}
-
-// sessionPlan builds the validation plan the way a session create does:
-// a SCAF orchestrator joining every option and bailing out exhaustively,
-// one plan per hot loop, assertions deduplicated by their string.
-func sessionPlan(sys *scaf.System) []core.Assertion {
-	o := sys.Orchestrator(scaf.SchemeSCAF, scaf.WithJoin(core.JoinAll), scaf.WithBailout(core.BailExhaustive))
-	client := sys.Client()
-	var asserts []core.Assertion
-	seen := map[string]bool{}
-	for _, l := range sys.HotLoops() {
-		for _, a := range pdg.BuildPlan(client.ResolveLoop(o, l).Queries).Assertions {
-			if k := a.String(); !seen[k] {
-				seen[k] = true
-				asserts = append(asserts, a)
-			}
-		}
-	}
-	return asserts
 }
 
 // checkDigest validates asserts and compares the report's digest with

@@ -64,8 +64,6 @@ func (s Scheme) String() string {
 
 // Options configures Load.
 type Options struct {
-	// MaxSteps bounds the profiling run (0: interpreter default).
-	MaxSteps int64
 	// HotLoops overrides the paper's hot-loop thresholds.
 	HotLoops *profile.HotLoopParams
 }
@@ -106,7 +104,7 @@ func Load(name, source string, opts Options) (*System, error) {
 		return nil, err
 	}
 	prog := cfg.NewProgram(mod)
-	data, err := profile.Collect(prog, interp.Options{MaxSteps: opts.MaxSteps})
+	data, err := profile.Collect(prog, interp.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +190,6 @@ func WithGroupOverrides(groups map[string]string) OrchOption {
 			c.Groups[k] = v
 		}
 	}
-}
-
-// WithCache memoizes query results for the orchestrator's lifetime.
-func WithCache() OrchOption {
-	return func(c *core.Config) { c.EnableCache = true }
 }
 
 // WithSharedCache attaches a concurrency-safe memo cache shared across
