@@ -513,12 +513,9 @@ func (rt *Router) pick(key string) (string, *httpError) {
 	return rt.pickHash(key)
 }
 
-// queryKey places one dependence query of session sid on the ring.
-func queryKey(sid string, req QueryRequest) string {
-	return "q|" + sid + "|" + req.Scheme + "|" + req.Loop + "|" + req.I1 + "|" + req.I2 + "|" + req.Rel
-}
-
-// analyzeKey places one loop of session sid's analyze batch on the ring.
+// analyzeKey places one loop of session sid on the ring: the loop's
+// analyze sub-request and every /query about it, so a query lands on the
+// backend whose shared cache holds its loop's batch answers.
 func analyzeKey(sid, scheme, loop string) string {
 	return "a|" + sid + "|" + scheme + "|" + loop
 }
@@ -885,7 +882,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Lenient decode for the routing key only; the backend enforces the
 	// strict schema and produces the deterministic error if it is bad.
 	_ = json.Unmarshal(body, &req)
-	id, he := rt.pick(queryKey(sid, req))
+	id, he := rt.pick(analyzeKey(sid, req.Scheme, req.Loop))
 	if he != nil {
 		writeError(w, he)
 		return
