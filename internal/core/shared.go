@@ -18,28 +18,6 @@ import (
 // observed before a cache lookup is guaranteed to make that lookup miss.
 type Revoker = predstore.Revoker
 
-// CachePeer is a second-level lookaside tier behind a SharedCache's
-// mod-ref entries — the seam the fleet layer plugs a *remote* cache into.
-// On a local top-level miss the cache consults the peer; on a local
-// canonical publication it notifies the peer. Because the cache only ever
-// publishes canonical entries (complete, top-level, untainted — see the
-// publication rule below), everything a peer can return is a pure
-// function of the proposition and the configuration, so a remote hit is
-// byte-identical to a fresh local resolution by the same argument that
-// makes local shared hits safe. Alias entries have no peer: top-level
-// propositions in the serving path are mod-ref queries, and alias
-// propositions arise only as premises, which are never published.
-//
-// Implementations decide their own key space and serialization (the fleet
-// tier keys on process-independent wire refs and round-trips responses
-// through a codec); a peer that cannot represent a query exactly must
-// report a miss on Get and ignore the Put — partial coverage degrades hit
-// rate, never answers. Implementations must be safe for concurrent use.
-type CachePeer interface {
-	GetModRef(q *ModRefQuery) (ModRefResponse, bool)
-	PutModRef(q *ModRefQuery, asserts []string, r ModRefResponse)
-}
-
 // SharedCache is a concurrency-safe memo table for query results, shared
 // by several orchestrators (typically one per worker goroutine) analyzing
 // the same program under the same configuration. Cached propositions embed
@@ -74,10 +52,6 @@ type SharedCache struct {
 	revMu   sync.RWMutex
 	revoker Revoker
 
-	// peerMu guards peer — the optional remote lookaside tier.
-	peerMu sync.RWMutex
-	peer   CachePeer
-
 	// intern is the session's assertion-identity table: every orchestrator
 	// attached to this cache interns through it, so handle equality spans
 	// worker goroutines and published entries always carry handles.
@@ -109,12 +83,11 @@ func (p *plane[K, V]) get(k K, rev Revoker) (V, bool) {
 
 // put publishes r, resting on asserts, under the store's first-entry-wins
 // rule.
-func (p *plane[K, V]) put(k K, r V, asserts []string, rev Revoker) predstore.Outcome {
+func (p *plane[K, V]) put(k K, r V, asserts []string, rev Revoker) {
 	sh := &p[k.Hash()%sharedShards]
 	sh.mu.Lock()
-	out := sh.s.Put(k, r, asserts, 1, rev)
+	sh.s.Put(k, r, asserts, 1, rev)
 	sh.mu.Unlock()
-	return out
 }
 
 // invalidate removes every entry resting on any of asserts and returns
@@ -155,22 +128,6 @@ func NewSharedCache() *SharedCache {
 // Interner returns the cache's session-scoped assertion-identity table.
 func (c *SharedCache) Interner() *Interner { return c.intern }
 
-// SetPeer attaches (or, with nil, detaches) the remote lookaside tier.
-// Safe to call concurrently with queries; typically set once at session
-// construction.
-func (c *SharedCache) SetPeer(p CachePeer) {
-	c.peerMu.Lock()
-	c.peer = p
-	c.peerMu.Unlock()
-}
-
-func (c *SharedCache) currentPeer() CachePeer {
-	c.peerMu.RLock()
-	p := c.peer
-	c.peerMu.RUnlock()
-	return p
-}
-
 // SetRevoker attaches (or, with nil, detaches) the revocation source
 // consulted on every lookup and publication. Safe to call concurrently
 // with queries; typically set once at session construction.
@@ -192,54 +149,24 @@ func (c *SharedCache) Len() (alias, modref int) {
 	return c.alias.len(), c.modref.len()
 }
 
-// getAlias answers a top-level alias lookup from the local table.
+// getAlias answers a top-level alias lookup.
 func (c *SharedCache) getAlias(k aliasKey) (AliasResponse, bool) {
 	return c.alias.get(k, c.currentRevoker())
 }
 
-// putAlias publishes a canonical alias answer locally.
+// putAlias publishes a canonical alias answer.
 func (c *SharedCache) putAlias(k aliasKey, r AliasResponse) {
 	c.alias.put(k, r, optionAssertKeys(r.Options), c.currentRevoker())
 }
 
-// getModRef answers a top-level lookup: the local table first, then — when
-// the caller permits (usePeer) — the attached remote peer. A peer hit is
-// interned through the session's interner, installed locally (without
-// echoing back to the peer) and reported with remote=true so the
-// orchestrator can account for it.
-func (c *SharedCache) getModRef(k modrefKey, q *ModRefQuery, usePeer bool) (resp ModRefResponse, ok, remote bool) {
-	rev := c.currentRevoker()
-	if r, ok := c.modref.get(k, rev); ok || !usePeer {
-		return r, ok, false
-	}
-	p := c.currentPeer()
-	if p == nil {
-		return ModRefResponse{}, false, false
-	}
-	r, hit := p.GetModRef(q)
-	if !hit {
-		return ModRefResponse{}, false, false
-	}
-	r.Options = c.intern.options(r.Options)
-	// The peer's entry may predicate on an assertion this process has
-	// already revoked (recovery broadcasts race); the Revoker stays
-	// authoritative over anything remote.
-	if c.modref.put(k, r, optionAssertKeys(r.Options), rev) == predstore.Revoked {
-		return ModRefResponse{}, false, false
-	}
-	return r, true, true
+// getModRef answers a top-level mod-ref lookup.
+func (c *SharedCache) getModRef(k modrefKey) (ModRefResponse, bool) {
+	return c.modref.get(k, c.currentRevoker())
 }
 
-// putModRef publishes a canonical mod-ref answer locally and, when it
-// lands, to the peer.
+// putModRef publishes a canonical mod-ref answer.
 func (c *SharedCache) putModRef(k modrefKey, r ModRefResponse) {
-	asserts := optionAssertKeys(r.Options)
-	if c.modref.put(k, r, asserts, c.currentRevoker()) != predstore.Inserted {
-		return
-	}
-	if p := c.currentPeer(); p != nil {
-		p.PutModRef(k.query(), asserts, r)
-	}
+	c.modref.put(k, r, optionAssertKeys(r.Options), c.currentRevoker())
 }
 
 // Invalidated lists the canonical queries whose cached answers an

@@ -32,7 +32,7 @@ func BenchmarkSharedCache(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok, _ := sc.getModRef(keys[i%n], nil, false); !ok {
+			if _, ok := sc.getModRef(keys[i%n]); !ok {
 				b.Fatal("a resident entry missed")
 			}
 		}

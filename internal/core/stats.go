@@ -24,10 +24,6 @@ type Counters struct {
 	// SharedHits counts top-level queries served from a cross-orchestrator
 	// SharedCache (Config.Shared).
 	SharedHits int64 `json:"shared_hits"`
-	// RemoteHits counts the subset of SharedHits answered by the cache's
-	// attached CachePeer — entries another instance of the fleet resolved
-	// and published. Always <= SharedHits.
-	RemoteHits int64 `json:"remote_hits"`
 	// Timeouts counts top-level queries cut short by the timeout policy —
 	// at most one per top-level query, however many premise searches the
 	// expired budget subsequently stops.
@@ -53,7 +49,6 @@ func (c *Counters) Add(other *Counters) {
 	c.Conflicts += other.Conflicts
 	c.CacheHits += other.CacheHits
 	c.SharedHits += other.SharedHits
-	c.RemoteHits += other.RemoteHits
 	c.Timeouts += other.Timeouts
 	c.CycleBreaks += other.CycleBreaks
 	c.DepthLimits += other.DepthLimits

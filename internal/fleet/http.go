@@ -256,10 +256,10 @@ func (c *Client) Get(keys []string) ([]Entry, error) {
 	return c.GetCtx(context.Background(), keys)
 }
 
-// GetCtx is Get under a caller-supplied context: the query path uses it
-// to give each remote lookup a hard budget tighter than the client's
+// GetCtx is Get under a caller-supplied context: Tier.Get uses it to
+// give each remote lookup a hard budget tighter than the client's
 // transport timeout, so a stalled peer degrades to a miss instead of
-// blocking the query.
+// blocking the request.
 func (c *Client) GetCtx(ctx context.Context, keys []string) ([]Entry, error) {
 	var resp GetResponse
 	if err := c.roundTripCtx(ctx, http.MethodPost, "/fleet/cache/get", GetRequest{Keys: keys}, &resp); err != nil {

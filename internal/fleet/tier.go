@@ -21,10 +21,11 @@ type TierConfig struct {
 	// this period from a background goroutine. Zero means publications
 	// accumulate until an explicit Flush — what deterministic tests want.
 	AutoFlush time.Duration
-	// OpTimeout bounds each remote lookup issued from the query path
+	// OpTimeout bounds each remote lookup Get issues, which the server's
+	// /analyze loop lookaside does before it resolves a loop
 	// (0 = DefaultOpTimeout). Tighter than Timeout on purpose: a remote
 	// hit is an optimization, and a peer slow enough to miss this budget
-	// must degrade to a local miss rather than stall the query it was
+	// must degrade to a local miss rather than stall the request it was
 	// supposed to accelerate. Timed-out lookups count in peer_timeouts.
 	OpTimeout time.Duration
 	// CacheBytes is the local shard's byte budget (0 = DefaultCacheBytes).
@@ -36,7 +37,7 @@ type TierConfig struct {
 // large wire values; an overfull pending queue triggers an inline drain.
 const DefaultMaxBatch = 256
 
-// DefaultOpTimeout is the query-path remote-lookup budget: long enough
+// DefaultOpTimeout is the remote-lookup budget of Get: long enough
 // for a loopback or rack-local RTT, far shorter than the answer would
 // take to recompute — the only regime where blocking is worth it.
 const DefaultOpTimeout = 500 * time.Millisecond
@@ -229,8 +230,8 @@ func (t *Tier) Get(key string, check func([]byte) bool) ([]byte, bool) {
 	}
 	// Fail-open: the lookup gets a hard per-op budget, independent of the
 	// client's transport timeout. A peer that answers slower than this is
-	// indistinguishable from one that is down — the query path records a
-	// local miss and recomputes rather than waiting.
+	// indistinguishable from one that is down — the lookup records a
+	// local miss and the caller recomputes rather than waiting.
 	ctx, cancel := context.WithTimeout(context.Background(), t.opTimeout)
 	defer cancel()
 	entries, err := p.GetCtx(ctx, []string{key})

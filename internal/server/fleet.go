@@ -14,18 +14,18 @@ import (
 	"scaf/internal/fleet"
 )
 
-// This file joins the daemon to a fleet: it binds the session's
-// per-scheme core.SharedCaches to the cross-instance tier through a
-// codec, layers a whole-loop wire-bytes lookaside over /analyze, and
-// fans recovery events out to (and applies them from) the other
-// instances.
+// This file joins the daemon to a fleet: it layers a whole-loop
+// wire-bytes lookaside over /analyze, and fans recovery events out to
+// (and applies them from) the other instances. A loop's served bytes
+// are the one value the tier holds; single queries are answered from
+// the session's own core.SharedCaches, on the backend the router sends
+// every read of the loop to.
 //
 // Byte-identity across instances rests on three locks:
 //
-//   - only canonical entries travel (the SharedCache publication rule
-//     locally, the codec's representability rules on the wire), so a
-//     remote answer is the same pure function of the proposition any
-//     instance computes;
+//   - only canonical loop results travel (deadline-clean, panic-free,
+//     resolved under the key's recovery state), so a remote value is
+//     the bytes any instance serves for the loop;
 //   - every fleet key is prefixed by the session's program digest and
 //     quarantine fingerprint, so entries can only match between sessions
 //     holding the same program in the same recovery state;
@@ -130,180 +130,6 @@ func (sess *session) fleetLoopKey(scheme scaf.Scheme, l *cfg.Loop) string {
 func IsLoopKey(key string) bool {
 	parts := strings.SplitN(key, "|", 4)
 	return len(parts) == 4 && strings.HasPrefix(parts[3], loopKeyNS)
-}
-
-// fleetModRefKey keys one canonical top-level mod-ref proposition, or
-// reports the query unrepresentable (ok=false): the codec only speaks
-// instruction-pair queries in the session's hot loops under the canonical
-// dominator trees and no calling context. Unrepresentable queries miss
-// and are not published — partial coverage degrades hit rate, never
-// answers (the core.CachePeer contract).
-func (sess *session) fleetModRefKey(scheme scaf.Scheme, q *core.ModRefQuery) (string, bool) {
-	if q.I1 == nil || q.I2 == nil || q.Loc.Ptr != nil || q.Ctx != nil || q.Loop == nil {
-		return "", false
-	}
-	if sess.loops[q.Loop.Name()] != q.Loop {
-		return "", false
-	}
-	if q.DT != sess.client.Prog.Dom[q.Loop.Fn] || q.PDT != sess.client.Prog.PostDom[q.Loop.Fn] {
-		return "", false
-	}
-	return sess.fleetPrefix(scheme) + "|mr|" + q.Loop.Name() + "|" +
-		InstrRef(q.I1) + "|" + InstrRef(q.I2) + "|" + q.Rel.String(), true
-}
-
-// fleetAssert is an assertion in fleet wire form: process-independent
-// refs for every program point, exact float64 cost (Go's JSON encoding
-// round-trips float64 exactly), full content including conflict points so
-// the decoded assertion is String()- and key()-identical to the original.
-type fleetAssert struct {
-	Module    string      `json:"module"`
-	Kind      string      `json:"kind,omitempty"`
-	Points    []WirePoint `json:"points,omitempty"`
-	Conflicts []WirePoint `json:"conflicts,omitempty"`
-	Cost      float64     `json:"cost"`
-}
-
-type fleetOption struct {
-	Asserts []fleetAssert `json:"asserts,omitempty"`
-}
-
-// fleetModRef is a core.ModRefResponse in fleet wire form. Option and
-// assertion order are preserved exactly: wire identity of a served answer
-// depends on them.
-type fleetModRef struct {
-	Result   int           `json:"result"`
-	Options  []fleetOption `json:"options,omitempty"`
-	Contribs []string      `json:"contribs,omitempty"`
-}
-
-// encodeFleetPoint renders a core.Point as a WirePoint ref; ok=false
-// marks a shape the wire cannot name (making the whole response
-// unrepresentable).
-func encodeFleetPoint(p core.Point) (WirePoint, bool) {
-	switch {
-	case p.Instr != nil:
-		id := p.Instr.ID
-		return WirePoint{Fn: p.Instr.Blk.Fn.Name, Instr: &id}, true
-	case p.Block != nil && p.EdgeTo != nil:
-		return WirePoint{Fn: p.Block.Fn.Name, Block: p.Block.String(), EdgeTo: p.EdgeTo.String()}, true
-	case p.Block != nil:
-		return WirePoint{Fn: p.Block.Fn.Name, Block: p.Block.String()}, true
-	case p.G != nil:
-		return WirePoint{Global: p.G.GName}, true
-	}
-	return WirePoint{}, false
-}
-
-func encodeFleetPoints(ps []core.Point) ([]WirePoint, bool) {
-	if len(ps) == 0 {
-		return nil, true
-	}
-	out := make([]WirePoint, 0, len(ps))
-	for _, p := range ps {
-		wp, ok := encodeFleetPoint(p)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, wp)
-	}
-	return out, true
-}
-
-// encodeFleetModRef serializes a canonical response; ok=false when some
-// assertion point has no wire name.
-func encodeFleetModRef(r core.ModRefResponse) ([]byte, bool) {
-	w := fleetModRef{Result: int(r.Result), Contribs: r.Contribs}
-	for _, o := range r.Options {
-		fo := fleetOption{}
-		for _, a := range o.Asserts {
-			pts, ok := encodeFleetPoints(a.Points)
-			if !ok {
-				return nil, false
-			}
-			conf, ok := encodeFleetPoints(a.Conflicts)
-			if !ok {
-				return nil, false
-			}
-			fo.Asserts = append(fo.Asserts, fleetAssert{
-				Module: a.Module, Kind: a.Kind, Points: pts, Conflicts: conf, Cost: a.Cost,
-			})
-		}
-		w.Options = append(w.Options, fo)
-	}
-	b, err := json.Marshal(w)
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// decodeFleetModRef reconstructs a response against this session's
-// compiled module. Refs resolve to this process's ir objects, so the
-// decoded response renders (EncodeQuery) byte-identically to the
-// producer's. ok=false on any ref that does not resolve — a digest
-// collision or version skew turns into a miss, never a wrong answer.
-func (sess *session) decodeFleetModRef(b []byte) (core.ModRefResponse, bool) {
-	var w fleetModRef
-	if err := json.Unmarshal(b, &w); err != nil {
-		return core.ModRefResponse{}, false
-	}
-	r := core.ModRefResponse{Result: core.ModRefResult(w.Result), Contribs: w.Contribs}
-	for _, fo := range w.Options {
-		o := core.Option{}
-		for _, fa := range fo.Asserts {
-			a := core.Assertion{Module: fa.Module, Kind: fa.Kind, Cost: fa.Cost}
-			for _, wp := range fa.Points {
-				p, err := ResolvePoint(sess.sys.Mod, wp)
-				if err != nil {
-					return core.ModRefResponse{}, false
-				}
-				a.Points = append(a.Points, p)
-			}
-			for _, wp := range fa.Conflicts {
-				p, err := ResolvePoint(sess.sys.Mod, wp)
-				if err != nil {
-					return core.ModRefResponse{}, false
-				}
-				a.Conflicts = append(a.Conflicts, p)
-			}
-			o.Asserts = append(o.Asserts, a)
-		}
-		r.Options = append(r.Options, o)
-	}
-	return r, true
-}
-
-// fleetPeer implements core.CachePeer for one (session, scheme) pair over
-// the tier.
-type fleetPeer struct {
-	sess   *session
-	scheme scaf.Scheme
-	tier   *fleet.Tier
-}
-
-func (p *fleetPeer) GetModRef(q *core.ModRefQuery) (core.ModRefResponse, bool) {
-	key, ok := p.sess.fleetModRefKey(p.scheme, q)
-	if !ok {
-		return core.ModRefResponse{}, false
-	}
-	b, ok := p.tier.Get(key, nil)
-	if !ok {
-		return core.ModRefResponse{}, false
-	}
-	return p.sess.decodeFleetModRef(b)
-}
-
-func (p *fleetPeer) PutModRef(q *core.ModRefQuery, asserts []string, r core.ModRefResponse) {
-	key, ok := p.sess.fleetModRefKey(p.scheme, q)
-	if !ok {
-		return
-	}
-	b, ok := encodeFleetModRef(r)
-	if !ok {
-		return
-	}
-	p.tier.Put(key, asserts, b)
 }
 
 // fleetLoopLookup returns one loop's served bytes from the tier. The

@@ -7,14 +7,12 @@ import (
 	"testing"
 )
 
-// TestFleetLookasideAndCodec exercises the whole fleet data plane inside
-// one instance (no peers, purely local shard): a second identical session
-// must serve /analyze whole from the loop lookaside and /query through the
-// mod-ref codec, byte-identical to the first session's fresh resolution.
-// This is the codec round-trip test — the served bytes went through
-// encodeFleetModRef/decodeFleetModRef and the loop lookaside's stored
-// bytes, and any codec asymmetry would break the byte comparison.
-func TestFleetLookasideAndCodec(t *testing.T) {
+// TestFleetLookaside exercises the fleet data plane inside one instance
+// (no peers, purely local shard): a second identical session must serve
+// /analyze whole from the loop lookaside, byte-identical to the first
+// session's fresh resolution, and answer /query byte-identically to the
+// first session's analyze entry.
+func TestFleetLookaside(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "solo"}})
 	t.Cleanup(func() { srv.fleet.Close() })
 
@@ -46,9 +44,8 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 	}
 	ref := results[0].Queries[0]
 
-	// Session 2's core caches are cold (its analyze never resolved), so a
-	// single /query must be served through the mod-ref codec: encode on
-	// publish by session 1, decode against session 2's module, render.
+	// Session 2's core caches are cold (its analyze never resolved), so it
+	// resolves the query itself.
 	status, raw := do(t, ts.URL, "POST", "/sessions/"+info2.ID+"/query", QueryRequest{
 		Scheme: "scaf", Loop: results[0].Loop, I1: ref.I1, I2: ref.I2, Rel: ref.Rel,
 	})
@@ -59,7 +56,7 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 	refJSON, _ := json.Marshal(ref)
 	gotJSON, _ := json.Marshal(qr.Query)
 	if !bytes.Equal(gotJSON, refJSON) {
-		t.Fatalf("codec-served query diverged from its fresh twin:\ngot  %s\nwant %s", gotJSON, refJSON)
+		t.Fatalf("session 2's query diverged from its analyze twin:\ngot  %s\nwant %s", gotJSON, refJSON)
 	}
 
 	_, raw = do(t, ts.URL, "GET", "/metrics", nil)
@@ -67,22 +64,12 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 	if m.Server.FleetLoopHits == 0 {
 		t.Fatalf("fleet_loop_hits not surfaced: %+v", m.Server)
 	}
-	sm, ok := m.Sessions[info2.ID]
-	if !ok {
-		t.Fatalf("no metrics for session 2: %s", raw)
-	}
-	if sm.Stats.RemoteHits == 0 {
-		t.Fatalf("query served without a counted fleet hit: %+v", sm.Stats)
-	}
-	if sm.Stats.RemoteHits > sm.Stats.SharedHits {
-		t.Fatalf("remote hits %d exceed shared hits %d", sm.Stats.RemoteHits, sm.Stats.SharedHits)
-	}
 }
 
-// TestFleetCrossInstanceRemoteHit: instance B serves a session it never
-// analyzed from instance A's publications, over real HTTP, byte-identical
-// to A's fresh resolution — both the whole-loop lookaside on /analyze and
-// the mod-ref codec on /query.
+// TestFleetCrossInstanceRemoteHit: instance B serves /analyze of a
+// session it never analyzed from instance A's publications through the
+// whole-loop lookaside, over real HTTP, byte-identical to A's fresh
+// resolution, and answers /query byte-identically to A's analyze entry.
 func TestFleetCrossInstanceRemoteHit(t *testing.T) {
 	fl := startFleet(t, 2, false, RouterConfig{})
 	sA, sB := fl.Backend("b0"), fl.Backend("b1")
@@ -123,7 +110,7 @@ func TestFleetCrossInstanceRemoteHit(t *testing.T) {
 	refJSON, _ := json.Marshal(ref)
 	gotJSON, _ := json.Marshal(qr.Query)
 	if !bytes.Equal(gotJSON, refJSON) {
-		t.Fatalf("B's codec-served query diverged from A's batch twin:\ngot  %s\nwant %s", gotJSON, refJSON)
+		t.Fatalf("B's query diverged from A's batch twin:\ngot  %s\nwant %s", gotJSON, refJSON)
 	}
 
 	// The tier's counters are surfaced through /metrics on both sides.
@@ -137,9 +124,6 @@ func TestFleetCrossInstanceRemoteHit(t *testing.T) {
 	}
 	if m.Fleet.RemoteErrors != 0 {
 		t.Fatalf("peer RPC errors in a healthy fleet: %+v", m.Fleet)
-	}
-	if sm, ok := m.Sessions[infoB.ID]; !ok || sm.Stats.RemoteHits == 0 {
-		t.Fatalf("B's session did not count its fleet-served query: %+v", m.Sessions[infoB.ID])
 	}
 }
 

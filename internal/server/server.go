@@ -58,7 +58,7 @@ type Config struct {
 	// it returns shared instances of must be safe for concurrent use.
 	ExtraModules func() []core.Module
 	// Fleet, when non-nil, joins this instance to a fleet: sessions share
-	// canonical cache entries with peers and replicate recovery events to
+	// canonical loop results with peers and replicate recovery events to
 	// them (see fleet.go), and the peer protocol is mounted under /fleet/.
 	Fleet *FleetConfig
 }

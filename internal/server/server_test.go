@@ -799,7 +799,7 @@ func TestWireBodiesPinned(t *testing.T) {
 		} `json:"sessions"`
 	}](t, serve("GET", "/metrics", ""))
 
-	const wantStats = `{"top_queries":1,"premise_queries":1,"module_evals":19,"conflicts":0,"cache_hits":0,"shared_hits":0,"remote_hits":0,"timeouts":0,"cycle_breaks":0,"depth_limits":0,"module_panics":0}`
+	const wantStats = `{"top_queries":1,"premise_queries":1,"module_evals":19,"conflicts":0,"cache_hits":0,"shared_hits":0,"timeouts":0,"cycle_breaks":0,"depth_limits":0,"module_panics":0}`
 	if got := string(metrics.Sessions[id].Stats); got != wantStats {
 		t.Errorf("/metrics stats:\n got %s\nwant %s", got, wantStats)
 	}

@@ -265,19 +265,12 @@ func newSession(id string, req *CreateSessionRequest, scfg Config, tier *fleet.T
 	// safe alongside a SharedCache — incomplete resolutions are never
 	// published (see core.SharedCache).
 	for _, scheme := range []scaf.Scheme{scaf.SchemeCAF, scaf.SchemeConfluence, scaf.SchemeSCAF} {
-		scheme := scheme
 		sc := core.NewSharedCache()
 		// Recovery wiring: the quarantine revokes shared-cache entries at
 		// lookup time, filters quarantined options at the module boundary,
 		// and absorbs module panics (one faulty module degrades coverage,
 		// never the daemon).
 		sc.SetRevoker(sess.quarantine)
-		if sess.fleet != nil {
-			// Fleet wiring: top-level local misses consult the remote tier;
-			// canonical publications flow to it. The Revoker above stays
-			// authoritative over anything the peer returns.
-			sc.SetPeer(&fleetPeer{sess: sess, scheme: scheme, tier: sess.fleet})
-		}
 		sess.caches[scheme] = sc
 		opts := []scaf.OrchOption{
 			scaf.WithSharedCache(sc), scaf.WithLatency(),
@@ -387,13 +380,7 @@ func armDeadline(o *core.Orchestrator, deadline time.Time) func() {
 func (sess *session) analyzeLoop(scheme scaf.Scheme, l *cfg.Loop, deadline time.Time) (WireLoopResult, core.Counters) {
 	pool := sess.pools[scheme]
 	po := pool.get()
-	// Batched loop resolution would pay one peer RTT per proposition;
-	// the whole-loop lookaside (fleet.go) covers this path instead, so
-	// per-proposition remote lookups are disarmed. Publications still
-	// flow to the tier, and single /query requests keep remote lookups.
-	po.o.SetPeerLookups(false)
 	res := sess.client.ResolveLoopHook(po.o, l, armDeadline(po.o, deadline))
-	po.o.SetPeerLookups(true)
 	po.o.SetTimeout(0)
 	delta := sess.checkin(pool, po)
 	return EncodeLoopResult(res), delta
