@@ -60,11 +60,15 @@ func TestCacheKeyIncludesAudience(t *testing.T) {
 	}
 }
 
-// cappedModule answers NoAlias but declares (via AliasCaps) that it cannot
-// serve MustAlias-seeking premises, so those skip it entirely.
-type cappedModule struct {
-	fakeModule
-	NoAliasOnly
+// cappedModule answers NoAlias, except to a premise seeking MustAlias,
+// which it answers MayAlias: the desired result changes its answer.
+type cappedModule struct{ fakeModule }
+
+func (c *cappedModule) Alias(q *AliasQuery, h Handle) AliasResponse {
+	if q.Desired == WantMustAlias {
+		return MayAliasResponse()
+	}
+	return c.fakeModule.Alias(q, h)
 }
 
 func TestCacheKeyIncludesDesired(t *testing.T) {
@@ -81,7 +85,7 @@ func TestCacheKeyIncludesDesired(t *testing.T) {
 	asker.alias = func(q *AliasQuery, h Handle) AliasResponse {
 		if q.L1.Size != 99 {
 			p := propP()
-			p.Desired = WantMustAlias // capped is skipped; premise degrades
+			p.Desired = WantMustAlias // capped answers MayAlias; premise degrades
 			h.PremiseAlias(p)
 		}
 		return MayAliasResponse()

@@ -204,25 +204,6 @@ type Module interface {
 	ModRef(q *ModRefQuery, h Handle) ModRefResponse
 }
 
-// AliasCaps is an optional Module interface declaring which alias results
-// a module can ever produce. The Orchestrator uses it to implement the
-// desired-result parameter (§3.2.2): when a premise query only benefits
-// from one specific answer, modules that cannot produce it (or a stronger
-// containment) are skipped entirely, cutting query latency without
-// changing what the requester can use.
-type AliasCaps interface {
-	// CanAnswerAlias reports whether the module might produce a result
-	// useful to a requester with the given desired result.
-	CanAnswerAlias(d DesiredAlias) bool
-}
-
-// NoAliasOnly is an embeddable AliasCaps for modules whose only
-// non-conservative alias answer is NoAlias.
-type NoAliasOnly struct{}
-
-// CanAnswerAlias reports false exactly for MustAlias-seeking premises.
-func (NoAliasOnly) CanAnswerAlias(d DesiredAlias) bool { return d != WantMustAlias }
-
 // NoHelp is a Handle for isolated evaluation: every premise query gets
 // the conservative answer. It models self-contained prior-work techniques
 // (composition by confluence).

@@ -14,21 +14,14 @@ import "scaf/internal/core"
 // With an empty quarantine the wrappers are byte-exact pass-throughs
 // (original response, original slices), so wrapping is safe to apply
 // unconditionally: un-degraded sessions stay bit-identical to unwrapped
-// runs. Name, Kind, and (when the wrapped module declares it)
-// core.AliasCaps are forwarded, preserving premise routing and
-// desired-result bail-outs.
+// runs. Name and Kind are forwarded, preserving premise routing.
 //
 // Intended use is core.Config.WrapModules (scaf.WithModuleWrapper), which
 // applies after all other options have shaped the module list.
 func Wrap(mods []core.Module, q *Quarantine) []core.Module {
 	out := make([]core.Module, len(mods))
 	for i, m := range mods {
-		fm := filtered{inner: m, q: q}
-		if _, ok := m.(core.AliasCaps); ok {
-			out[i] = filteredCaps{fm}
-		} else {
-			out[i] = fm
-		}
+		out[i] = filtered{inner: m, q: q}
 	}
 	return out
 }
@@ -123,11 +116,4 @@ func (f filtered) optionQuarantined(o core.Option) bool {
 		}
 	}
 	return false
-}
-
-// filteredCaps adds AliasCaps forwarding for modules that declare it.
-type filteredCaps struct{ filtered }
-
-func (f filteredCaps) CanAnswerAlias(d core.DesiredAlias) bool {
-	return f.inner.(core.AliasCaps).CanAnswerAlias(d)
 }
