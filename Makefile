@@ -182,7 +182,7 @@ bench-check:
 	$(GO) run ./cmd/scaf-bench $(BENCH_GATE_ARGS) -json BENCH.fresh.json
 	$(GO) run ./cmd/scaf-benchdiff $(BENCH_BASELINE) BENCH.fresh.json
 
-# Allocation gate on ten hot paths whose allocs/op are exact. Each
+# Allocation gate on eleven hot paths whose allocs/op are exact. Each
 # ceiling is a literal in its pin line below, so no variable from the
 # environment or the command line can loosen it; raise one only with a
 # justification in the commit that does.
@@ -225,6 +225,14 @@ bench-check:
 #     at GOMAXPROCS 1, 2 and 4 and at 50, 200 and 1000 iterations. The
 #     ceiling is 205: 25% headroom, since net/http allocates differently
 #     under the CI matrix's Go 1.22 and 1.23.
+#   - BenchmarkRouterQueryWarm times one warm SCAF /query of 175.vpr
+#     through Router.Handler() in front of the same fleet, after one
+#     /analyze: the router's routing-key decode and its hop to the
+#     backend that resolved the query's loop, whose shared cache answers
+#     it (every iteration must evaluate no module). It costs 165-167
+#     allocs/op (about 18-26 KB and 0.06-0.14 ms per op) with Go 1.24 at
+#     GOMAXPROCS 1, 2 and 4 and at 200 and 1000 iterations, 169 at 50.
+#     The ceiling is 209: its neighbour's 25% headroom over 167.
 #   - BenchmarkProfiling (root package) times scaf.Load of 129.compress:
 #     compile, CFG and the profiling run under the five profilers the
 #     speculation modules read, the work every session create does on
@@ -292,6 +300,7 @@ bench-mem:
 	$(call bench_mem_pin,./internal/core/,BenchmarkSharedCache/publish,2000x,1)
 	$(call bench_mem_pin,./internal/server/,BenchmarkAnalyzeWarmHit,200x,50)
 	$(call bench_mem_pin,./internal/server/,BenchmarkRouterAnalyzeWarm,200x,205)
+	$(call bench_mem_pin,./internal/server/,BenchmarkRouterQueryWarm,200x,209)
 	$(call bench_mem_pin,.,BenchmarkProfiling,20x,2000)
 	$(call bench_mem_pin,.,BenchmarkRun/175.vpr,20x,105)
 	$(call bench_mem_pin,.,BenchmarkRun/429.mcf,20x,310)
