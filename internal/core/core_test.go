@@ -246,6 +246,48 @@ func TestStripDesired(t *testing.T) {
 	}
 }
 
+// The desired result gates slow paths inside modules, never a whole
+// module: a query seeking MustAlias is asked of every module in turn,
+// and an "undesired" definite answer still settles it.
+func TestDesiredResultSkipsNoModule(t *testing.T) {
+	var seen []DesiredAlias
+	gated := &fakeModule{name: "gated", alias: func(q *AliasQuery, h Handle) AliasResponse {
+		seen = append(seen, q.Desired)
+		if q.Desired == WantMustAlias {
+			return MayAliasResponse() // its MustAlias path is the slow one
+		}
+		return AliasFact(NoAlias, "gated")
+	}}
+	must := &fakeModule{name: "must", alias: func(q *AliasQuery, h Handle) AliasResponse {
+		seen = append(seen, q.Desired)
+		return AliasFact(MustAlias, "must")
+	}}
+	o := NewOrchestrator(Config{Modules: []Module{gated, must}})
+	q := aq()
+	q.Desired = WantMustAlias
+	if r := o.Alias(q); r.Result != MustAlias {
+		t.Fatalf("result = %s, want MustAlias from the second module", r.Result)
+	}
+	if len(seen) != 2 || seen[0] != WantMustAlias || seen[1] != WantMustAlias {
+		t.Fatalf("modules saw %v, want both asked with %s", seen, WantMustAlias)
+	}
+	if n := o.Stats().ModuleEvals; n != 2 {
+		t.Fatalf("ModuleEvals = %d, want 2", n)
+	}
+
+	undesired := &fakeModule{name: "undesired", alias: func(q *AliasQuery, h Handle) AliasResponse {
+		return AliasFact(NoAlias, "undesired")
+	}}
+	must.queried = 0
+	o = NewOrchestrator(Config{Modules: []Module{undesired, must}})
+	if r := o.Alias(q); r.Result != NoAlias {
+		t.Fatalf("result = %s, want the undesired NoAlias to settle the query", r.Result)
+	}
+	if must.queried != 0 {
+		t.Fatal("a module was asked after a free definite answer settled the query")
+	}
+}
+
 func TestConflictingResultsPreferFree(t *testing.T) {
 	m1 := &fakeModule{name: "spec", alias: func(q *AliasQuery, h Handle) AliasResponse {
 		return AliasSpec(NoAlias, "spec", Assertion{Module: "spec", Kind: "k", Cost: 1})
