@@ -515,14 +515,20 @@ func (rt *Router) pick(key string) (string, *httpError) {
 
 // analyzeKey places one loop of session sid on the ring: the loop's
 // analyze sub-request and every /query about it, so a query lands on the
-// backend whose shared cache holds its loop's batch answers.
+// backend whose shared cache holds its loop's batch answers. The scheme
+// counts by its canonical name, however the request spells it (a name
+// that does not parse counts as spelled; its backend refuses it), so a
+// backend can work out where the router places a loop.
 func analyzeKey(sid, scheme, loop string) string {
+	if sc, he := parseScheme(scheme); he == nil {
+		scheme = sc.String()
+	}
 	return "a|" + sid + "|" + scheme + "|" + loop
 }
 
 // AnalyzeOwner returns the member that hash routing sends loop to when
-// it fans out an analyze of session sid under scheme (spelled as in the
-// request), on the current ring.
+// it fans out an analyze of session sid under scheme (any spelling the
+// backends accept), on the current ring.
 func (rt *Router) AnalyzeOwner(sid, scheme, loop string) string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
