@@ -36,14 +36,17 @@ chaos:
 runtime:
 	$(GO) test -race -count=1 ./internal/runtime/...
 
-# Fleet-mode gate under the race detector: the distributed cache tier's
-# own suite, the server's fleet tests (cross-instance remote hits,
+# Fleet-mode gate under the race detector: the cache tier's own suite
+# (local shard, recovery broadcast, live peer set), the server's fleet
+# tests (a backend recomputing a loop another holds with no peer RPC,
 # fleet-wide quarantine invalidation with the guaranteed-miss proof), and
 # the router suite (broadcast consensus, sharded-read byte-identity vs a
-# single cold instance, backend loss + reconcile rejoin, connection
-# reuse: TestRouterReusesConnections fails if a second batch of session
+# single cold instance, one placement per loop whatever the scheme's
+# spelling, backend loss + reconcile rejoin, connection reuse:
+# TestRouterReusesConnections fails if a second batch of session
 # lifecycles dials more router or peer connections than its fan-out
-# needs, and an oversized backend reply must become a 502; the churn
+# and recovery broadcasts need, and an oversized backend reply must
+# become a 502; the churn
 # gate TestFleetChurnMemoryLevelsOff fails if a shard passes its byte
 # budget or the heap keeps growing with the fleet's history), then
 # TestRouterConcurrentProbes ten times over (probes that run at once must
@@ -68,12 +71,14 @@ fleet:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzValidJSON$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Elasticity gate under the race detector: live membership change. The
-# fleet tier's own suite (live peer add/remove, fail-open peer timeouts,
-# ring bounded-movement property), the membership chaos suite (joiner
-# killed mid-stream rolls back, old owner killed mid-drain degrades to
-# 503s, double-join and leave-during-join are refused, dead-member leave
-# never wedges, byte-identity and durable membership after a join, a
-# segment above the shard budget installing to within it), the
+# fleet tier's own suite (live peer add/remove reaching recovery
+# broadcasts, ring bounded-movement property), the membership chaos
+# suite (a join and a leave stream exactly the loops the router's
+# placement moves, joiner killed mid-stream rolls back, old owner killed
+# mid-drain degrades to 503s, double-join and leave-during-join are
+# refused, dead-member leave never wedges, byte-identity and durable
+# membership after a join, a segment above the shard budget installing
+# to within it), the
 # prober-backoff test, the loadgen membership schedule (live join/leave
 # mid-saturation must not change the deterministic digest) — then a
 # 25-seed live-membership oracle sweep: join and leave under concurrent

@@ -152,9 +152,9 @@ func printRun(rep *loadgen.Report) {
 
 func printSaturation(rep *loadgen.SaturationReport) {
 	for _, pt := range rep.Points {
-		fmt.Printf("fleet n=%d: %.1f qps p99=%dus remote_hit_rate=%.3f (local=%d remote=%d miss=%d loop_hits=%d) answers=%s\n",
-			pt.Instances, pt.Measured.QPS, pt.Measured.P99US, pt.RemoteHitRate,
-			pt.FleetLocalHits, pt.FleetRemoteHits, pt.FleetMisses, pt.FleetLoopHits,
+		fmt.Printf("fleet n=%d: %.1f qps p99=%dus hit_rate=%.3f (local=%d miss=%d loop_hits=%d) answers=%s\n",
+			pt.Instances, pt.Measured.QPS, pt.Measured.P99US, pt.HitRate,
+			pt.FleetLocalHits, pt.FleetMisses, pt.FleetLoopHits,
 			pt.Deterministic.AnswerDigest)
 		if mp := pt.Membership; mp != nil {
 			fmt.Printf("fleet n=%d membership: %.1f qps p99=%dus joins=%d leaves=%d rollbacks=%d moved_503=%d answers=%s\n",

@@ -56,7 +56,6 @@ func main() {
 	fleetSelf := flag.String("fleet-self", "", "fleet node ID; empty disables fleet mode")
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated id=url peer list (e.g. b1=http://127.0.0.1:8348)")
 	fleetSalt := flag.String("fleet-salt", "", "deployment salt folded into every fleet cache key")
-	fleetFlush := flag.Duration("fleet-flush", 250*time.Millisecond, "publication batch auto-flush period")
 	cacheDir := flag.String("cache-dir", "", "directory for cache snapshots and the revoked journal; boots warm, snapshots on drain")
 	snapEvery := flag.Duration("snapshot-every", 0, "also snapshot the cache shard on this period (0: only on drain)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget of the fleet cache shard, past which it evicts (0: 8 MiB)")
@@ -81,10 +80,9 @@ func main() {
 			peers[id] = url
 		}
 		cfg.Fleet = &server.FleetConfig{
-			Self:      *fleetSelf,
-			Peers:     peers,
-			Salt:      *fleetSalt,
-			AutoFlush: *fleetFlush,
+			Self:  *fleetSelf,
+			Peers: peers,
+			Salt:  *fleetSalt,
 		}
 	}
 	if *cacheDir != "" {

@@ -142,52 +142,19 @@ func (c *Cache) Get(key string, check func([]byte) bool) ([]byte, bool) {
 	return v.bytes, true
 }
 
-// GetBatch returns the entries present for keys, preserving key order.
-func (c *Cache) GetBatch(keys []string) []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Entry
-	for _, k := range keys {
-		if v, asserts, ok := c.entries.Get(predstore.String(k), nil); ok {
-			c.hits++
-			out = append(out, Entry{Key: k, Value: v.bytes, Asserts: asserts})
-		} else {
-			c.misses++
-		}
-	}
-	return out
-}
-
 // Put inserts e unless the key is already present (entries are canonical,
 // so the first writer wins and later identical writes are no-ops), any
 // of its assertions has been revoked (the monotone guaranteed-miss rule),
 // or it is larger than the whole budget (counted as an eviction). To make
 // room it evicts by CLOCK. Returns whether the entry was inserted.
-func (c *Cache) Put(e Entry) bool { return c.put(e, false) }
-
-// put is Put; checked marks a value that already passed the check its
-// key's Gets name, so its first hit does not run the check again.
-func (c *Cache) put(e Entry, checked bool) bool {
+func (c *Cache) Put(e Entry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(e, checked)
+	return c.putLocked(e)
 }
 
-// PutBatch inserts each entry under Put's rules and returns how many landed.
-func (c *Cache) PutBatch(es []Entry) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range es {
-		if c.putLocked(e, false) {
-			n++
-		}
-	}
-	return n
-}
-
-func (c *Cache) putLocked(e Entry, checked bool) bool {
-	switch c.entries.Put(predstore.String(e.Key), value{e.Value, checked}, e.Asserts, entryBytes(e), c.revoked) {
+func (c *Cache) putLocked(e Entry) bool {
+	switch c.entries.Put(predstore.String(e.Key), value{bytes: e.Value}, e.Asserts, entryBytes(e), c.revoked) {
 	case predstore.Inserted:
 		c.puts++
 		return true
@@ -292,7 +259,7 @@ func (c *Cache) Restore(revoked []string, entries []Entry) (inserted, rejected i
 	}
 	for _, e := range entries {
 		before := c.rejects
-		if c.putLocked(e, false) {
+		if c.putLocked(e) {
 			inserted++
 		} else if c.rejects > before {
 			rejected++

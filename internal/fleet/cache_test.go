@@ -88,7 +88,7 @@ func TestCacheInvariantsUnderMixedOps(t *testing.T) {
 		case r < 75:
 			c.Get(fmt.Sprintf("k%d", rng.Intn(60)), check)
 		case r < 80:
-			c.GetBatch([]string{fmt.Sprintf("k%d", rng.Intn(60)), fmt.Sprintf("k%d", rng.Intn(60))})
+			c.Get(fmt.Sprintf("k%d", rng.Intn(60)), nil)
 		case r < 84:
 			// Revoke rarely, so most assertions stay usable.
 			c.InvalidateAsserts([]string{fmt.Sprintf("a%d", 8+rng.Intn(3)), asserts[rng.Intn(len(asserts))]})
@@ -100,7 +100,8 @@ func TestCacheInvariantsUnderMixedOps(t *testing.T) {
 			}
 			c.Restore([]string{fmt.Sprintf("a%d", 100+rng.Intn(5))}, es)
 		case r < 97:
-			c.PutBatch([]Entry{entry(), entry(), {Key: "big", Value: make([]byte, 5<<10)}})
+			c.Put(entry())
+			c.Put(Entry{Key: "big", Value: make([]byte, 5<<10)})
 		default:
 			c.Flush()
 		}

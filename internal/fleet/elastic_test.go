@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
-	"time"
 )
 
 // TestRingBoundedMovement pins the consistent-hashing property the live
@@ -62,62 +62,31 @@ func TestRingBoundedMovement(t *testing.T) {
 	}
 }
 
-// TestTierPeerTimeoutFailOpen: a peer that accepts the connection and
-// then stalls must not block the query path — the lookup degrades to a
-// local miss within the per-op budget and is counted in peer_timeouts.
-func TestTierPeerTimeoutFailOpen(t *testing.T) {
-	stall := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-stall // hold the request until teardown
-	}))
-	defer ts.Close()
-	defer close(stall)
-
-	tier := NewTier(TierConfig{
-		Self:      "a",
-		Peers:     map[string]string{"b": ts.URL},
-		OpTimeout: 50 * time.Millisecond,
-	})
-	defer tier.Close()
-
-	key := ""
-	for i := 0; key == ""; i++ {
-		k := fmt.Sprintf("dig|scaf|fp|probe%d", i)
-		if tier.Owner(k) == "b" {
-			key = k
-		}
-	}
-	start := time.Now()
-	if _, ok := tier.Get(key, nil); ok {
-		t.Fatal("stalled peer produced a hit")
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("lookup blocked %v on a stalled peer; op budget was 50ms", el)
-	}
-	st := tier.Stats()
-	if st.PeerTimeouts < 1 {
-		t.Fatalf("peer_timeouts = %d, want >= 1", st.PeerTimeouts)
-	}
-	if st.Misses < 1 {
-		t.Fatalf("misses = %d, want >= 1 (timeout must read as a miss)", st.Misses)
-	}
-}
-
-// TestTierLiveMembership: AddPeer makes a running tier fetch remote hits
-// from a node it was not born knowing, and RemovePeer returns the moved
-// segments to self-ownership. Exercised both directly and through the
-// members endpoint the router drives.
+// TestTierLiveMembership: AddPeer makes a running tier broadcast
+// recovery to a node it was not born knowing, and RemovePeer stops it.
+// Exercised both directly and through the members endpoint the router
+// drives.
 func TestTierLiveMembership(t *testing.T) {
-	remote := NewCache(0)
+	var got []RecoveryRequest
+	var mu sync.Mutex
 	mux := http.NewServeMux()
-	(&Handler{Cache: remote}).Register(mux, "/fleet/")
+	(&Handler{Cache: NewCache(0), OnRecovery: func(r RecoveryRequest) {
+		mu.Lock()
+		got = append(got, r)
+		mu.Unlock()
+	}}).Register(mux, "/fleet/")
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
+	received := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got)
+	}
 
 	tier := NewTier(TierConfig{Self: "a"})
 	defer tier.Close()
-	if got := tier.Owner("dig|s|f|anything"); got != "a" {
-		t.Fatalf("peerless tier owner = %s, want a", got)
+	if failed := tier.BroadcastRecovery(RecoveryRequest{Asserts: []string{"r0"}}); len(failed) != 0 || received() != 0 {
+		t.Fatalf("peerless broadcast: failed %v, %d received", failed, received())
 	}
 
 	// Drive AddPeer the way the router does: over the members endpoint.
@@ -133,27 +102,18 @@ func TestTierLiveMembership(t *testing.T) {
 	if len(resp.Nodes) != 2 {
 		t.Fatalf("post-join nodes = %v, want [a b]", resp.Nodes)
 	}
-
-	key := ""
-	for i := 0; key == ""; i++ {
-		k := fmt.Sprintf("dig|scaf|fp|q%d", i)
-		if tier.Owner(k) == "b" {
-			key = k
-		}
+	if failed := tier.BroadcastRecovery(RecoveryRequest{Asserts: []string{"r1"}}); len(failed) != 0 {
+		t.Fatalf("broadcast after AddPeer failed to reach %v", failed)
 	}
-	remote.Put(Entry{Key: key, Value: []byte("v")})
-	if v, ok := tier.Get(key, nil); !ok || string(v) != "v" {
-		t.Fatalf("remote hit after AddPeer: ok=%v v=%q", ok, v)
-	}
-	if st := tier.Stats(); st.RemoteHits != 1 {
-		t.Fatalf("remote_hits = %d, want 1", st.RemoteHits)
+	if received() != 1 || got[0].Origin != "a" || got[0].Asserts[0] != "r1" {
+		t.Fatalf("the added peer received %+v, want r1 from a", got)
 	}
 
 	if _, err := cl.Members(MembersRequest{Remove: []string{"b"}}); err != nil {
 		t.Fatalf("members remove: %v", err)
 	}
-	if got := tier.Owner("dig|s|f|back-to-self"); got != "a" {
-		t.Fatalf("post-leave owner = %s, want a", got)
+	if failed := tier.BroadcastRecovery(RecoveryRequest{Asserts: []string{"r2"}}); len(failed) != 0 || received() != 1 {
+		t.Fatalf("broadcast after RemovePeer: failed %v, the removed peer received %d", failed, received())
 	}
 	// Idempotence: re-adding and re-removing are no-ops, not errors.
 	tier.AddPeer("a", "http://self") // self: ignored

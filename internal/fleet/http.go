@@ -12,37 +12,16 @@ import (
 	"time"
 )
 
-// The peer protocol: five endpoints, JSON bodies, mounted by each backend
-// under /fleet/. Everything is idempotent — cache puts are first-write-
-// wins, recovery is monotone — so peers retry or drop freely without
-// coordination.
+// The peer protocol: three endpoints, JSON bodies, mounted by each
+// backend under /fleet/. Everything is idempotent — recovery is monotone,
+// membership updates converge — so peers retry or drop freely without
+// coordination. Cache entries never travel over it: a backend reads and
+// publishes its own shard, and a membership move streams segments
+// through the server's /fleet/segment and /fleet/restore.
 //
-//	POST {prefix}cache/get  GetRequest -> GetResponse   batch lookup
-//	PUT  {prefix}cache      PutRequest -> PutResponse   batch publish
-//	POST {prefix}recovery   RecoveryRequest -> {}       revoke asserts fleet-wide
-//	GET  {prefix}state      StateResponse               revoked set, for rejoin
-//	GET  {prefix}stats      CacheStats                  shard counters
-
-// GetRequest asks a peer for the entries it holds for Keys.
-type GetRequest struct {
-	Keys []string `json:"keys"`
-}
-
-// GetResponse carries the subset of requested entries the peer holds.
-type GetResponse struct {
-	Entries []Entry `json:"entries,omitempty"`
-}
-
-// PutRequest publishes a batch of canonical entries to a peer.
-type PutRequest struct {
-	Entries []Entry `json:"entries"`
-}
-
-// PutResponse reports how many entries the peer inserted (duplicates and
-// revoked-predicate entries are silently skipped).
-type PutResponse struct {
-	Inserted int `json:"inserted"`
-}
+//	POST {prefix}recovery  RecoveryRequest -> {}              revoke asserts fleet-wide
+//	GET  {prefix}state     StateResponse                      revoked set, for rejoin
+//	POST {prefix}members   MembersRequest -> MembersResponse  live membership
 
 // RecoveryRequest replicates a recovery event: the assertion keys being
 // revoked, the modules being quarantined alongside them (if the event was
@@ -75,7 +54,7 @@ type MembersRequest struct {
 	Remove []string          `json:"remove,omitempty"`
 }
 
-// MembersResponse echoes the peer's post-update ring membership.
+// MembersResponse echoes the peer's post-update membership.
 type MembersResponse struct {
 	Nodes []string `json:"nodes"`
 }
@@ -85,24 +64,20 @@ type MembersResponse struct {
 // the event to its sessions (quarantine + epoch bump); it runs on the
 // request goroutine, so replication is synchronous end to end. Tier, when
 // set, additionally mounts the members endpoint so the router can push
-// live membership changes into this instance's ring.
+// live membership changes into this instance's peer set.
 type Handler struct {
 	Cache      *Cache
 	OnRecovery func(RecoveryRequest)
 	Tier       *Tier
 }
 
-// maxPeerBody bounds peer request bodies; batches are capped well below
-// this by DefaultMaxBatch.
+// maxPeerBody bounds peer request and reply bodies.
 const maxPeerBody = 32 << 20
 
 // Register mounts the protocol on mux under prefix (normally "/fleet/").
 func (h *Handler) Register(mux *http.ServeMux, prefix string) {
-	mux.HandleFunc(prefix+"cache/get", h.handleGet)
-	mux.HandleFunc(prefix+"cache", h.handlePut)
 	mux.HandleFunc(prefix+"recovery", h.handleRecovery)
 	mux.HandleFunc(prefix+"state", h.handleState)
-	mux.HandleFunc(prefix+"stats", h.handleStats)
 	if h.Tier != nil {
 		mux.HandleFunc(prefix+"members", h.handleMembers)
 	}
@@ -127,30 +102,6 @@ func (h *Handler) handleMembers(w http.ResponseWriter, r *http.Request) {
 	writePeerJSON(w, MembersResponse{Nodes: h.Tier.Stats().Nodes})
 }
 
-func (h *Handler) handleGet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	var req GetRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writePeerJSON(w, GetResponse{Entries: h.Cache.GetBatch(req.Keys)})
-}
-
-func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPut {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	var req PutRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writePeerJSON(w, PutResponse{Inserted: h.Cache.PutBatch(req.Entries)})
-}
-
 func (h *Handler) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -173,14 +124,6 @@ func (h *Handler) handleState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writePeerJSON(w, StateResponse{Revoked: h.Cache.RevokedKeys(), Entries: h.Cache.Len()})
-}
-
-func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	writePeerJSON(w, h.Cache.Stats())
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -233,9 +176,9 @@ type Client struct {
 	hc   *http.Client
 }
 
-// DefaultPeerTimeout bounds each peer RPC. Peer traffic is an
-// optimization (cache) or a small state transfer (recovery), never a
-// large compute — a second of silence means the peer is gone.
+// DefaultPeerTimeout bounds each peer RPC. Peer traffic is a small state
+// transfer (recovery, membership), never a large compute — a second of
+// silence means the peer is gone.
 const DefaultPeerTimeout = 2 * time.Second
 
 // NewClient returns a client for the peer at base (e.g.
@@ -248,41 +191,12 @@ func NewClient(base string, timeout time.Duration, rt http.RoundTripper) *Client
 	return &Client{base: base, hc: &http.Client{Timeout: timeout, Transport: rt}}
 }
 
-// Base returns the peer's base URL.
-func (c *Client) Base() string { return c.base }
-
-// Get fetches the entries the peer holds for keys.
-func (c *Client) Get(keys []string) ([]Entry, error) {
-	return c.GetCtx(context.Background(), keys)
-}
-
-// GetCtx is Get under a caller-supplied context: Tier.Get uses it to
-// give each remote lookup a hard budget tighter than the client's
-// transport timeout, so a stalled peer degrades to a miss instead of
-// blocking the request.
-func (c *Client) GetCtx(ctx context.Context, keys []string) ([]Entry, error) {
-	var resp GetResponse
-	if err := c.roundTripCtx(ctx, http.MethodPost, "/fleet/cache/get", GetRequest{Keys: keys}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
-}
-
 // Members pushes a membership update to the peer and returns its
-// post-update ring.
+// post-update membership.
 func (c *Client) Members(req MembersRequest) (MembersResponse, error) {
 	var resp MembersResponse
 	err := c.roundTrip(http.MethodPost, "/fleet/members", req, &resp)
 	return resp, err
-}
-
-// Put publishes entries to the peer, returning how many it inserted.
-func (c *Client) Put(entries []Entry) (int, error) {
-	var resp PutResponse
-	if err := c.roundTrip(http.MethodPut, "/fleet/cache", PutRequest{Entries: entries}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Inserted, nil
 }
 
 // Recovery replicates a recovery event to the peer.
@@ -298,18 +212,7 @@ func (c *Client) State() (StateResponse, error) {
 	return resp, err
 }
 
-// Stats fetches the peer's shard counters.
-func (c *Client) Stats() (CacheStats, error) {
-	var resp CacheStats
-	err := c.roundTrip(http.MethodGet, "/fleet/stats", nil, &resp)
-	return resp, err
-}
-
 func (c *Client) roundTrip(method, path string, reqBody, respBody any) error {
-	return c.roundTripCtx(context.Background(), method, path, reqBody, respBody)
-}
-
-func (c *Client) roundTripCtx(ctx context.Context, method, path string, reqBody, respBody any) error {
 	var body io.Reader
 	if reqBody != nil {
 		b, err := json.Marshal(reqBody)
@@ -318,7 +221,7 @@ func (c *Client) roundTripCtx(ctx context.Context, method, path string, reqBody,
 		}
 		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
 		return err
 	}

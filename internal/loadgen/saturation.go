@@ -7,10 +7,10 @@ import (
 )
 
 // The saturation sweep boots a complete in-process fleet — N scaf-serve
-// backends wired as cache peers plus a scaf-router front tier, all on
+// backends wired as fleet peers plus a scaf-router front tier, all on
 // loopback — for each requested size, offers the same open-loop Poisson
 // workload to each, and reports throughput, tail latency, and how much of
-// the fleet's serving came from the cross-instance cache. The workload's
+// the fleet's serving came from the backends' cache shards. The workload's
 // deterministic section must be identical across fleet sizes: any
 // divergence means a fleet served different bytes than a single instance.
 
@@ -36,15 +36,14 @@ type SaturationPoint struct {
 	Instances     int           `json:"instances"`
 	Deterministic Deterministic `json:"deterministic"`
 	Measured      Measured      `json:"measured"`
-	// FleetLocalHits/FleetRemoteHits/FleetMisses aggregate the backends'
-	// cache-tier lookups; FleetLoopHits counts whole /analyze loops served
-	// from the shared tier.
-	FleetLocalHits  int64 `json:"fleet_local_hits"`
-	FleetRemoteHits int64 `json:"fleet_remote_hits"`
-	FleetMisses     int64 `json:"fleet_misses"`
-	FleetLoopHits   int64 `json:"fleet_loop_hits"`
-	// RemoteHitRate is (local+remote tier hits) / all tier lookups.
-	RemoteHitRate float64 `json:"remote_hit_rate"`
+	// FleetLocalHits/FleetMisses aggregate the backends' cache-tier
+	// lookups, each in the backend's own shard; FleetLoopHits counts whole
+	// /analyze loops served from the tier.
+	FleetLocalHits int64 `json:"fleet_local_hits"`
+	FleetMisses    int64 `json:"fleet_misses"`
+	FleetLoopHits  int64 `json:"fleet_loop_hits"`
+	// HitRate is tier hits / all tier lookups.
+	HitRate float64 `json:"hit_rate"`
 	// Membership is the live join/leave rerun (Membership mode only).
 	Membership *MembershipPoint `json:"membership,omitempty"`
 }
@@ -154,12 +153,11 @@ func sweepFleet(cfg SaturationConfig, n int) (*SaturationPoint, error) {
 			return nil, err
 		}
 		pt.FleetLocalHits += m.Fleet.LocalHits
-		pt.FleetRemoteHits += m.Fleet.RemoteHits
 		pt.FleetMisses += m.Fleet.Misses
 		pt.FleetLoopHits += m.Server.FleetLoopHits
 	}
-	if total := pt.FleetLocalHits + pt.FleetRemoteHits + pt.FleetMisses; total > 0 {
-		pt.RemoteHitRate = float64(pt.FleetLocalHits+pt.FleetRemoteHits) / float64(total)
+	if total := pt.FleetLocalHits + pt.FleetMisses; total > 0 {
+		pt.HitRate = float64(pt.FleetLocalHits) / float64(total)
 	}
 	return pt, nil
 }

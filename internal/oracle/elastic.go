@@ -36,9 +36,6 @@ func checkElasticDrift(cfg Config, rep *Report, fl *server.LoopbackFleet, evs *e
 	if len(golds) == 0 {
 		return
 	}
-	// Deliver every queued publication to its ring owner, so the join
-	// has warm segments to stream.
-	fl.Flush()
 
 	// Join phase: grow the fleet while concurrent clients replay every
 	// gold. A bounded run of 503 backend_down on moving segments is the
@@ -111,14 +108,14 @@ func checkElasticDrift(cfg Config, rep *Report, fl *server.LoopbackFleet, evs *e
 
 	// Nonvacuity: if the grown ring places at least one analyze loop on
 	// the joiner, the post-join replay above routed it there and its loop
-	// lookaside — warmed by the streamed segments and its new peers —
-	// must have hit. Byte equality achieved by silently recomputing
-	// everything from scratch would pass the replay; this catches it.
-	// Under a budget a loop's entry may be gone when its loop replays, so
-	// a hit is demanded only for a moved loop whose entry was resident
-	// then: with no eviction anywhere, every one (each entry sat on the
-	// joiner or on its owner); otherwise, those the joiner held after the
-	// join and has not evicted since.
+	// lookaside — warmed by the streamed segments — must have hit. Byte
+	// equality achieved by silently recomputing everything from scratch
+	// would pass the replay; this catches it. Under a budget a loop's
+	// entry may be gone when its loop replays, so a hit is demanded only
+	// for a moved loop whose entry was resident then: with no eviction
+	// anywhere, every one (each entry sat on the member its reads went
+	// to, which streamed it to the joiner); otherwise, those the joiner
+	// held after the join and has not evicted since.
 	resident := len(moved)
 	if evs.count() > 0 {
 		resident = 0

@@ -93,23 +93,6 @@ func Encode(snap Snapshot) []byte {
 	return EncodeFile(records)
 }
 
-// Segment filters snap down to one node's slice of a ring: the entries
-// whose owner under ring is owner, plus the FULL revoked set. The
-// revoked set is deliberately not segmented — revocations are monotone,
-// global, and cheap, and handing a transfer target every revocation is
-// how a streamed segment inherits the guaranteed-miss rule (Restore
-// applies revocations before entries, so nothing quarantined can ride
-// a segment into a new home).
-func Segment(snap Snapshot, ring *fleet.Ring, owner string) Snapshot {
-	out := Snapshot{Revoked: snap.Revoked}
-	for _, e := range snap.Entries {
-		if ring.Owner(e.Key) == owner {
-			out.Entries = append(out.Entries, e)
-		}
-	}
-	return out
-}
-
 // Decode walks the validation ladder over data and returns whatever
 // survives. The result is always safe to Restore: entries are a subset
 // of what Encode wrote (byte-identical per surviving key), and extra or

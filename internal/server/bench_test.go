@@ -78,7 +78,6 @@ func routerBench(b *testing.B) (f *LoopbackFleet, info SessionInfo, analyzed []b
 // with headroom.
 func BenchmarkRouterAnalyzeWarm(b *testing.B) {
 	f, info, _, serve := routerBench(b)
-	f.Flush()
 	path := "/sessions/" + info.ID + "/analyze"
 	body := []byte(`{"scheme":"scaf"}`)
 	hits := func() int64 {

@@ -24,7 +24,9 @@ import (
 //   - streaming: each segment that changes owner is exported by its old
 //     owner and restored on its new one, through the persist codec, so
 //     the transfer inherits the corruption-to-miss ladder — a torn stream
-//     yields a cold segment, never a wrong entry.
+//     yields a cold segment, never a wrong entry. A segment is cut by the
+//     router's own placement (analyzeKey), which is where every loop
+//     entry lives.
 //   - draining: a joiner is caught up as a rejoining backend is (catchUp:
 //     its sessions become the live ones under the same IDs, quarantine is
 //     re-synced as the union over live peers), mutations serialize behind
@@ -273,9 +275,9 @@ func (rt *Router) move(op, id string, from, to []string) (*MoveReport, *httpErro
 	}
 
 	// Teach every cache tier the new membership before the flip, so
-	// recovery broadcasts and peer lookups reach a joiner from the first
-	// post-flip request and skip a leaver. Best effort: a stale peer
-	// entry costs timeouts that the per-op budget already fails open.
+	// recovery broadcasts reach a joiner from the first post-flip request
+	// and skip a leaver. Best effort: a stale peer entry costs one failed
+	// broadcast RPC per recovery event, which broadcasts tolerate.
 	gone := slices.DeleteFunc(slices.Clone(from), func(x string) bool { return slices.Contains(to, x) })
 	rt.pushMembers(to, to, gone)
 
@@ -304,7 +306,8 @@ func (rt *Router) move(op, id string, from, to []string) (*MoveReport, *httpErro
 // ---- backend-side segment transfer ----
 
 // segmentRequest asks a backend to export the slice of its local cache
-// shard that owner will hold under the ring built from nodes.
+// shard that owner will hold under the ring built from nodes: the loop
+// entries of the loops that ring places on owner.
 type segmentRequest struct {
 	Nodes []string `json:"nodes"`
 	Owner string   `json:"owner"`
@@ -319,12 +322,20 @@ type SegmentRestoreResponse struct {
 }
 
 // handleFleetSegment exports this backend's cache entries that owner
-// will hold under the requested ring, encoded with the persist framing:
-// the wire image carries the same per-record and per-entry checksums as
-// a disk snapshot, so a corrupted transfer degrades to the valid prefix
-// on the receiving end — cold segments, never wrong ones. The full
-// revoked set rides along (it is global and monotone; Restore applies
-// it before entries).
+// will hold under the requested ring. The router places every read of a
+// loop by analyzeKey, and a loop's entry lives on the backend its reads
+// went to, so the segment is the entries of every registered session's
+// loops, under each scheme, that the ring places on owner. A shard holds
+// only the loops it was sent (or restored), so an old owner streams
+// exactly what moves. Entries come from a snapshot of the shard, which
+// counts no hit and marks no entry recently used.
+//
+// The segment is encoded with the persist framing: the wire image
+// carries the same per-record and per-entry checksums as a disk
+// snapshot, so a corrupted transfer degrades to the valid prefix on the
+// receiving end — cold segments, never wrong ones. The full revoked set
+// rides along (it is global and monotone; Restore applies it before
+// entries).
 func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -335,11 +346,24 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("segment export needs {nodes, owner}"))
 		return
 	}
+	ring := fleet.NewRing(req.Nodes, 0)
+	moving := map[string]bool{}
+	for _, sess := range s.registered() {
+		for scheme := range sess.caches { // every scheme the session serves
+			for _, l := range sess.hot {
+				if ring.Owner(analyzeKey(sess.id, scheme.String(), l.Name())) == req.Owner {
+					moving[sess.fleetLoopKey(scheme, l)] = true
+				}
+			}
+		}
+	}
 	local := s.fleet.Local()
-	seg := persist.Segment(persist.Snapshot{
-		Revoked: local.RevokedKeys(),
-		Entries: local.SnapshotEntries(),
-	}, fleet.NewRing(req.Nodes, 0), req.Owner)
+	seg := persist.Snapshot{Revoked: local.RevokedKeys()}
+	for _, e := range local.SnapshotEntries() {
+		if moving[e.Key] {
+			seg.Entries = append(seg.Entries, e)
+		}
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(persist.Encode(seg))
 }

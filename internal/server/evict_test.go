@@ -69,7 +69,6 @@ func TestFleetChurnMemoryLevelsOff(t *testing.T) {
 				t.Fatalf("seed %d: delete: %d %.300s", seed, st, raw)
 			}
 		}
-		fl.Flush()
 		var entries int
 		var evicted int64
 		for _, id := range fl.IDs() {

@@ -17,22 +17,23 @@ import (
 // This file joins the daemon to a fleet: it layers a whole-loop
 // wire-bytes lookaside over /analyze, and fans recovery events out to
 // (and applies them from) the other instances. A loop's served bytes
-// are the one value the tier holds; single queries are answered from
-// the session's own core.SharedCaches, on the backend the router sends
-// every read of the loop to.
+// are the one value the tier holds, in the shard of the backend the
+// router sends every read of the loop to; single queries are answered
+// there from the session's own core.SharedCaches.
 //
-// Byte-identity across instances rests on three locks:
+// Byte-identity across sessions and instances rests on three locks:
 //
-//   - only canonical loop results travel (deadline-clean, panic-free,
-//     resolved under the key's recovery state), so a remote value is
-//     the bytes any instance serves for the loop;
+//   - only canonical loop results are published (deadline-clean,
+//     panic-free, resolved under the key's recovery state), so a stored
+//     value, whichever session published it and whichever backend
+//     streamed it, is the bytes any instance serves for the loop;
 //   - every fleet key is prefixed by the session's program digest and
 //     quarantine fingerprint, so entries can only match between sessions
 //     holding the same program in the same recovery state;
 //   - recovery broadcasts are synchronous — the violating request is not
 //     answered until every reachable peer has revoked — and the local
-//     revoked sets stay authoritative over anything remote, so a missed
-//     peer degrades hit rate, never answers.
+//     revoked sets stay authoritative over anything restored or
+//     streamed in, so a missed peer degrades hit rate, never answers.
 
 // FleetConfig joins a server to a fleet of scaf-serve instances.
 type FleetConfig struct {
@@ -44,8 +45,10 @@ type FleetConfig struct {
 	// modules, build variants) into every session digest. Instances with
 	// different salts never share cache entries.
 	Salt string
-	// Timeout and AutoFlush tune the tier (zeros pick fleet defaults).
-	Timeout   time.Duration
+	// Timeout bounds each peer RPC (0 = fleet.DefaultPeerTimeout).
+	Timeout time.Duration
+	// AutoFlush has no effect: a backend publishes into its own shard
+	// only, so there is no publication queue to drain.
 	AutoFlush time.Duration
 	// CacheDir, when non-empty, makes the local shard durable: the boot
 	// loads the directory's snapshot (validated end-to-end — corruption
@@ -67,8 +70,8 @@ type FleetConfig struct {
 // the program source, the plan mode, the client-supplied assertions, the
 // hot-loop thresholds, and the deployment salt. Sessions created from the
 // same request on any instance digest equal; anything that could change
-// an answer changes the digest, so cross-instance hits are confined to
-// genuinely identical sessions. The session name is deliberately
+// an answer changes the digest, so hits are confined to genuinely
+// identical sessions. The session name is deliberately
 // excluded — it labels the session, it does not shape answers.
 func fleetDigest(req *CreateSessionRequest, src, salt string) string {
 	h := fnv.New64a()
@@ -116,7 +119,8 @@ func (sess *session) fleetPrefix(scheme scaf.Scheme) string {
 // hot loop's whole result. The namespace names the value's encoding:
 // under "loopb" the value is encodeLoopResult's served bytes. An entry of
 // an older encoding (json.Marshal's, which HTML-escapes, under "loop"),
-// from a snapshot or an older peer, can therefore only miss.
+// from a snapshot or a segment an older backend streamed, can therefore
+// only miss.
 const loopKeyNS = "loopb|"
 
 // fleetLoopKey keys one hot loop's whole result.
@@ -137,10 +141,9 @@ func IsLoopKey(key string) bool {
 // the key pins the session's program, scheme and recovery state, so
 // any instance that published under it encoded the same result to the
 // same bytes. The tier holds every loop value to isJSONObject, once per
-// stored entry: on the entry's first local hit, or before it installs a
-// peer's reply. A value that fails, such as one truncated in a snapshot,
-// a streamed segment or a peer reply, is a miss, never served, and
-// leaves the shard, so the next publish of the loop lands.
+// stored entry, on the entry's first hit. A value that fails, such as
+// one truncated in a snapshot or a streamed segment, is a miss, never
+// served, and leaves the shard, so the next publish of the loop lands.
 func (sess *session) fleetLoopLookup(key string) ([]byte, bool) {
 	return sess.fleet.Get(key, isJSONObject)
 }

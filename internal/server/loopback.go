@@ -45,12 +45,8 @@ type loopbackBackend struct {
 // SpareID names a LoopbackFleet's spare backend.
 const SpareID = "j0"
 
-const (
-	// loopbackPeerTimeout bounds each peer RPC between backends.
-	loopbackPeerTimeout = 5 * time.Second
-	// loopbackAutoFlush is the backends' publication drain period.
-	loopbackAutoFlush = 20 * time.Millisecond
-)
+// loopbackPeerTimeout bounds each peer RPC between backends.
+const loopbackPeerTimeout = 5 * time.Second
 
 // StartLoopbackFleet boots members backends plus, with spare, the spare
 // backend. Each backend runs cfg with its Fleet replaced by the fleet's
@@ -98,7 +94,7 @@ func StartLoopbackFleet(members int, spare bool, dir string, cfg Config, rc Rout
 		}
 		b := f.backends[id]
 		b.cfg = cfg
-		b.cfg.Fleet = &FleetConfig{Self: id, Peers: peers, Timeout: loopbackPeerTimeout, AutoFlush: loopbackAutoFlush}
+		b.cfg.Fleet = &FleetConfig{Self: id, Peers: peers, Timeout: loopbackPeerTimeout}
 		if cfg.Fleet != nil {
 			b.cfg.Fleet.CacheBytes = cfg.Fleet.CacheBytes
 		}
@@ -137,8 +133,7 @@ func (f *LoopbackFleet) Backend(id string) *Server {
 }
 
 // Stop crash-stops backend id, as if its process died: its listener and
-// connections close at once, its tier stops publishing, and nothing is
-// drained or snapshotted.
+// connections close at once, and nothing is drained or snapshotted.
 func (f *LoopbackFleet) Stop(id string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -167,16 +162,6 @@ func (f *LoopbackFleet) Restart(id string) error {
 	}
 	b.serve(l)
 	return nil
-}
-
-// Flush delivers every running backend's pending publications to their
-// owners before it returns.
-func (f *LoopbackFleet) Flush() {
-	for _, id := range f.ids {
-		if srv := f.Backend(id); srv != nil {
-			srv.fleet.Flush()
-		}
-	}
 }
 
 // Metrics reads running backend id's /metrics document in process.
@@ -212,8 +197,8 @@ func readMetrics(h http.Handler, into any) error {
 // before any HTTP server shuts down; callers' clients on the default
 // transport (the package tests' do helper uses http.DefaultClient) are
 // dropped here first. Then the router stops (and saves its journal if
-// it persists), each running backend drains (a final publication flush
-// and snapshot), and the HTTP servers shut down. The router's goes last
+// it persists), each running backend drains (and snapshots, if it
+// persists), and the HTTP servers shut down. The router's goes last
 // and outside the lock, because a router request still in flight may
 // run a move hook that calls Stop.
 func (f *LoopbackFleet) Close() error {

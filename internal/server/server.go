@@ -58,8 +58,9 @@ type Config struct {
 	// it returns shared instances of must be safe for concurrent use.
 	ExtraModules func() []core.Module
 	// Fleet, when non-nil, joins this instance to a fleet: sessions share
-	// canonical loop results with peers and replicate recovery events to
-	// them (see fleet.go), and the peer protocol is mounted under /fleet/.
+	// canonical loop results through the instance's cache shard, recovery
+	// events replicate to the peers (see fleet.go), and the peer protocol
+	// and segment transfer are mounted under /fleet/.
 	Fleet *FleetConfig
 }
 
@@ -139,7 +140,6 @@ func New(cfg Config) *Server {
 			Self:       cfg.Fleet.Self,
 			Peers:      cfg.Fleet.Peers,
 			Timeout:    cfg.Fleet.Timeout,
-			AutoFlush:  cfg.Fleet.AutoFlush,
 			CacheBytes: cfg.Fleet.CacheBytes,
 		})
 		h := &fleet.Handler{Cache: s.fleet.Local(), OnRecovery: s.applyFleetRecovery, Tier: s.fleet}
@@ -315,9 +315,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// closeFleet drains pending publications, stops the tier's flusher,
-// and — when the shard is durable — writes the final drain snapshot.
-// Exactly once, however many shutdown paths reach it.
+// closeFleet drops the tier's peer connections and — when the shard is
+// durable — writes the final drain snapshot. Exactly once, however many
+// shutdown paths reach it.
 func (s *Server) closeFleet() {
 	s.fleetOnce.Do(func() {
 		if s.persistStop != nil {
@@ -614,7 +614,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			v, shared, _ := s.flights.do(key, func() (any, error) {
 				// Fleet lookaside: the loop's served bytes, keyed by
 				// (digest, scheme, quarantine fingerprint, loop), may have
-				// been resolved by a peer already.
+				// been resolved already by a session of the same program
+				// here, restored from a snapshot or streamed in by a move.
 				var fleetKey string
 				if sess.fleet != nil {
 					fleetKey = sess.fleetLoopKey(scheme, l)

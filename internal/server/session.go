@@ -118,7 +118,7 @@ type session struct {
 	// a recovery never joins a computation started before it.
 	epoch atomic.Int64
 
-	// fleet is the cross-instance cache tier (nil outside fleet mode);
+	// fleet is the instance's fleet cache tier (nil outside fleet mode);
 	// fleetDigest scopes every fleet key and recovery broadcast to
 	// sessions holding this exact program (see fleet.go).
 	fleet       *fleet.Tier
