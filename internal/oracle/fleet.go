@@ -8,7 +8,7 @@ package oracle
 // verbatim: the create envelope (broadcast consensus), the analyze
 // envelopes (the router splices per-shard fan-out results back into one
 // batch), and every dependence query, first serially and then under
-// concurrent fire, where remote cache hits and coalescing are actually
+// concurrent fire, where shard hits and coalescing are actually
 // exercised. The elastic pass continues on the same fleet.
 
 import (
@@ -92,7 +92,7 @@ func checkFleetDrift(cfg Config, rep *Report, gs *goldSet) {
 
 	if cfg.Fleet {
 		// Parallel phase: the query golds must survive concurrent fire
-		// through the router, where shard fan-out, remote cache hits, and
+		// through the router, where shard fan-out, shared-cache hits and
 		// query coalescing all interleave. Coalesce markers live in the
 		// response envelope's optional fields, so a coalesced hit that
 		// changed the bytes would be caught here.
