@@ -21,8 +21,9 @@ race:
 # Misspeculation-recovery fault-injection suite under the race detector:
 # chaos lies/stalls/panics against live server sessions with concurrent
 # query/analyze/observe traffic, the observe-equivalence and panic-
-# isolation tests, the quarantine/invalidation stress tests, and the
-# recovery package's own suite.
+# isolation tests (a report refused with 400 must change nothing), the
+# quarantine/invalidation stress tests, and the recovery package's own
+# suite.
 chaos:
 	$(GO) test -race -count=1 ./internal/recovery/...
 	$(GO) test -race -count=1 ./internal/core/ -run 'Quarantine|Invalidate|Revok'
@@ -37,22 +38,23 @@ runtime:
 	$(GO) test -race -count=1 ./internal/runtime/...
 
 # Fleet-mode gate under the race detector: the cache tier's own suite
-# (local shard, recovery broadcast, live peer set), the server's fleet
-# tests (a backend recomputing a loop another holds with no peer RPC,
-# fleet-wide quarantine invalidation with the guaranteed-miss proof), and
-# the router suite (broadcast consensus, sharded-read byte-identity vs a
-# single cold instance, one placement per loop whatever the scheme's
-# spelling, backend loss + reconcile rejoin, connection reuse:
-# TestRouterReusesConnections fails if a second batch of session
-# lifecycles dials more router or peer connections than its fan-out
-# and recovery broadcasts need, and an oversized backend reply must
-# become a 502; the churn
+# (local shard, ring), the server's fleet tests (a backend recomputing a
+# loop another holds, fleet-wide quarantine invalidation with the
+# guaranteed-miss proof), and the router suite (broadcast consensus,
+# sharded-read byte-identity vs a single cold instance, one placement per
+# loop whatever the scheme's spelling, backend loss + reconcile rejoin,
+# recovery replication: an observe or a module panic reaches the
+# session's copy on every backend and no other session, and a backend
+# that misses it is marked down until a probe catches it up; connection
+# reuse: TestRouterReusesConnections fails if a second batch of session
+# lifecycles dials more router connections than its fan-out needs, and
+# an oversized backend reply must become a 502; the churn
 # gate TestFleetChurnMemoryLevelsOff fails if a shard passes its byte
 # budget or the heap keeps growing with the fleet's history), then
 # TestRouterConcurrentProbes ten times over (probes that run at once must
 # catch a backend up exactly once) — then a
 # fleet byte-identity oracle sweep: generated programs served through
-# router + 2 peer backends must byte-equal a single instance, serially
+# router + 2 backends must byte-equal a single instance, serially
 # and under concurrent fire. The sweep runs twice: at the default shard
 # budget, and at a 1 KiB budget that makes every seed evict (a seed that
 # evicts nothing fails), so eviction is shown to cost hits, never bytes.
@@ -71,8 +73,8 @@ fleet:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzValidJSON$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Elasticity gate under the race detector: live membership change. The
-# fleet tier's own suite (live peer add/remove reaching recovery
-# broadcasts, ring bounded-movement property), the membership chaos
+# fleet tier's own suite (ring bounded-movement property; a tier has no
+# peer set to change), the membership chaos
 # suite (a join and a leave stream exactly the loops the router's
 # placement moves, joiner killed mid-stream rolls back, old owner killed
 # mid-drain degrades to 503s, double-join and leave-during-join are
@@ -121,14 +123,13 @@ loadgen:
 # its live sessions and ID counter: a restarted router catches up an
 # empty backend, the snapshot does not grow with create/delete history,
 # and a router booted from one older than the fleet keeps creating),
-# the tier Close regressions — then a 25-seed warm-restart oracle sweep,
+# then a 25-seed warm-restart oracle sweep,
 # again at a 1 KiB shard budget (a warm hit is demanded only of a
 # surviving entry the replay did not evict), and a 30s corruption-fuzz
 # smoke over the committed corpus.
 persist:
 	$(GO) test -race -count=1 ./internal/persist/...
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestServerWarmRestart|TestServerRestartStraddling|TestRevokedJournal|TestServerShutdownIdempotent|TestServerPeriodicSnapshot|TestRouterPersist|TestRouterCloseConcurrent'
-	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestTierClose'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -persist
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -persist -cache-bytes 1024
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzSnapshotCorruption$$' -fuzztime 30s

@@ -35,7 +35,7 @@ func main() {
 	fast := flag.Bool("fast", false, "soundness and monotonicity only (no drift or metamorphic checks)")
 	recov := flag.Bool("recovery", false, "force the misspeculation-recovery pass (fault injection + quarantine + equivalence); always on without -fast")
 	execute := flag.Bool("execute", false, "force the execution-equivalence pass (speculative-parallel runtime vs serial, plus chaos-forced misspeculation recovery); always on without -fast")
-	fleetPass := flag.Bool("fleet", false, "force the fleet byte-identity pass (router + 2 peer backends vs a single cold instance); always on without -fast")
+	fleetPass := flag.Bool("fleet", false, "force the fleet byte-identity pass (router + 2 backends vs a single cold instance); always on without -fast")
 	persistPass := flag.Bool("persist", false, "force the warm-restart pass (snapshot, restart, byte-compare against a cold instance); always on without -fast")
 	elasticPass := flag.Bool("elastic", false, "force the live-membership pass (join and leave under concurrent fire, byte-compare against the static fleet); always on without -fast")
 	transforms := flag.String("transforms", "all", `metamorphic transforms: "all", "none", or a comma-separated subset (rename,deadcode,reorder,peel)`)

@@ -26,6 +26,16 @@
 //	                                 ...}]}); quarantines them, invalidates
 //	                                 predicated answers, re-resolves under
 //	                                 the degraded plan
+//	POST   /sessions/{id}/execute    run the program under the speculative-
+//	                                 parallel runtime ({"scheme":"scaf",
+//	                                 "workers":4}); assertions it disproves
+//	                                 are quarantined as an observe would
+//
+// With -fleet-self the instance is a fleet backend behind scaf-router:
+// it keeps a cache shard and mounts /fleet/segment and /fleet/restore,
+// which the router streams a membership move's segments through.
+// Backends never talk to each other; the router carries each session's
+// recovery events to the session's copies on the other backends.
 //
 // SIGINT/SIGTERM starts a graceful drain: listeners stop accepting, new
 // requests get 503, and in-flight queries run to completion (bounded by
@@ -54,7 +64,6 @@ func main() {
 	preload := flag.String("preload", "", "comma-separated embedded benchmarks to load as sessions at startup")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	fleetSelf := flag.String("fleet-self", "", "fleet node ID; empty disables fleet mode")
-	fleetPeers := flag.String("fleet-peers", "", "comma-separated id=url peer list (e.g. b1=http://127.0.0.1:8348)")
 	fleetSalt := flag.String("fleet-salt", "", "deployment salt folded into every fleet cache key")
 	cacheDir := flag.String("cache-dir", "", "directory for cache snapshots and the revoked journal; boots warm, snapshots on drain")
 	snapEvery := flag.Duration("snapshot-every", 0, "also snapshot the cache shard on this period (0: only on drain)")
@@ -67,23 +76,7 @@ func main() {
 		DefaultDeadline: *deadline,
 	}
 	if *fleetSelf != "" {
-		peers := map[string]string{}
-		for _, kv := range strings.Split(*fleetPeers, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			id, url, ok := strings.Cut(kv, "=")
-			if !ok {
-				log.Fatalf("scaf-serve: -fleet-peers entry %q is not id=url", kv)
-			}
-			peers[id] = url
-		}
-		cfg.Fleet = &server.FleetConfig{
-			Self:  *fleetSelf,
-			Peers: peers,
-			Salt:  *fleetSalt,
-		}
+		cfg.Fleet = &server.FleetConfig{Self: *fleetSelf, Salt: *fleetSalt}
 	}
 	if *cacheDir != "" {
 		// The server degrades to memory-only on a bad directory; the CLI
@@ -93,7 +86,7 @@ func main() {
 		}
 		if cfg.Fleet == nil {
 			// Persistence rides on the cache tier; a standalone instance
-			// gets a fleet-of-one (local shard only, no peers).
+			// gets a fleet-of-one.
 			cfg.Fleet = &server.FleetConfig{Self: "solo"}
 		}
 		cfg.Fleet.CacheDir = *cacheDir
@@ -108,10 +101,7 @@ func main() {
 		log.Printf("scaf-serve: cache dir %s: %d entries loaded warm, %d rejected", *cacheDir, st.Loaded, st.Rejected)
 	}
 	if cfg.Fleet != nil {
-		if err := srv.FleetSync(); err != nil {
-			log.Printf("scaf-serve: fleet state sync (continuing degraded): %v", err)
-		}
-		log.Printf("scaf-serve: fleet node %s with %d peers", cfg.Fleet.Self, len(cfg.Fleet.Peers))
+		log.Printf("scaf-serve: fleet node %s", cfg.Fleet.Self)
 	}
 	if *preload != "" {
 		for _, name := range strings.Split(*preload, ",") {

@@ -216,8 +216,8 @@ func (c *Cache) SetEvictHook(fn func(key string)) {
 	c.mu.Unlock()
 }
 
-// RevokedKeys returns the revoked assertion keys in sorted order — the
-// state a rejoining instance pulls to catch up with fleet recovery.
+// RevokedKeys returns the revoked assertion keys in sorted order — what
+// a snapshot and a streamed segment carry besides the entries.
 func (c *Cache) RevokedKeys() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -3,9 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 )
 
@@ -59,66 +56,5 @@ func TestRingBoundedMovement(t *testing.T) {
 			// nowhere near half.
 			t.Fatalf("trial %d: %d/%d keys moved when %s joined %d nodes", trial, moved, total, extra, n)
 		}
-	}
-}
-
-// TestTierLiveMembership: AddPeer makes a running tier broadcast
-// recovery to a node it was not born knowing, and RemovePeer stops it.
-// Exercised both directly and through the members endpoint the router
-// drives.
-func TestTierLiveMembership(t *testing.T) {
-	var got []RecoveryRequest
-	var mu sync.Mutex
-	mux := http.NewServeMux()
-	(&Handler{Cache: NewCache(0), OnRecovery: func(r RecoveryRequest) {
-		mu.Lock()
-		got = append(got, r)
-		mu.Unlock()
-	}}).Register(mux, "/fleet/")
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	received := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got)
-	}
-
-	tier := NewTier(TierConfig{Self: "a"})
-	defer tier.Close()
-	if failed := tier.BroadcastRecovery(RecoveryRequest{Asserts: []string{"r0"}}); len(failed) != 0 || received() != 0 {
-		t.Fatalf("peerless broadcast: failed %v, %d received", failed, received())
-	}
-
-	// Drive AddPeer the way the router does: over the members endpoint.
-	selfMux := http.NewServeMux()
-	(&Handler{Cache: tier.Local(), Tier: tier}).Register(selfMux, "/fleet/")
-	selfTS := httptest.NewServer(selfMux)
-	defer selfTS.Close()
-	cl := NewClient(selfTS.URL, 0, nil)
-	resp, err := cl.Members(MembersRequest{Add: map[string]string{"b": ts.URL}})
-	if err != nil {
-		t.Fatalf("members push: %v", err)
-	}
-	if len(resp.Nodes) != 2 {
-		t.Fatalf("post-join nodes = %v, want [a b]", resp.Nodes)
-	}
-	if failed := tier.BroadcastRecovery(RecoveryRequest{Asserts: []string{"r1"}}); len(failed) != 0 {
-		t.Fatalf("broadcast after AddPeer failed to reach %v", failed)
-	}
-	if received() != 1 || got[0].Origin != "a" || got[0].Asserts[0] != "r1" {
-		t.Fatalf("the added peer received %+v, want r1 from a", got)
-	}
-
-	if _, err := cl.Members(MembersRequest{Remove: []string{"b"}}); err != nil {
-		t.Fatalf("members remove: %v", err)
-	}
-	if failed := tier.BroadcastRecovery(RecoveryRequest{Asserts: []string{"r2"}}); len(failed) != 0 || received() != 1 {
-		t.Fatalf("broadcast after RemovePeer: failed %v, the removed peer received %d", failed, received())
-	}
-	// Idempotence: re-adding and re-removing are no-ops, not errors.
-	tier.AddPeer("a", "http://self") // self: ignored
-	tier.RemovePeer("never-joined")  // unknown: ignored
-	if n := tier.Stats().Nodes; len(n) != 1 || n[0] != "a" {
-		t.Fatalf("membership after no-ops = %v, want [a]", n)
 	}
 }

@@ -1,14 +1,15 @@
 // Package fleet implements the cross-instance tier of scaf-serve: a
 // consistent-hash ring for placement, a wire-level cache shard holding
-// canonical entries as opaque bytes, an HTTP peer protocol, and a Tier
-// that composes them into one instance's lookaside cache with fleet-wide
-// recovery broadcast.
+// canonical entries as opaque bytes, a Tier that is one instance's
+// handle on its shard, and the pooled HTTP transport the router talks to
+// its backends through.
 //
 // The ring has two users, both in internal/server: the router, which
 // places every read of a loop on one backend, and segment export, which
 // works out that placement on a backend when a membership change moves
-// loops. A tier keeps no ring: it reads and publishes its own shard, and
-// its peers hear from it only recovery events and state syncs.
+// loops. A tier keeps no ring and knows no other instance: it reads and
+// publishes its own shard, and the router carries recovery events from
+// one backend to the others.
 //
 // The package is deliberately a leaf: it depends only on the standard
 // library and moves opaque keys/bytes, so internal/server (which already

@@ -7,8 +7,8 @@ import (
 )
 
 // The saturation sweep boots a complete in-process fleet — N scaf-serve
-// backends wired as fleet peers plus a scaf-router front tier, all on
-// loopback — for each requested size, offers the same open-loop Poisson
+// fleet backends, each with its own cache shard, plus a scaf-router front
+// tier, all on loopback — for each requested size, offers the same open-loop Poisson
 // workload to each, and reports throughput, tail latency, and how much of
 // the fleet's serving came from the backends' cache shards. The workload's
 // deterministic section must be identical across fleet sizes: any

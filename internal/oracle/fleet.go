@@ -2,8 +2,8 @@ package oracle
 
 // The fleet pass is the serving-tier analogue of checkServerDrift: where
 // that check proves one daemon's HTTP answers equal the library's, this
-// one proves a sharded fleet — two backends wired as cache peers behind a
-// consistent-hash scaf-router — is indistinguishable, at the byte level,
+// one proves a sharded fleet — two backends, each with its own cache
+// shard, behind a consistent-hash scaf-router — is indistinguishable, at the byte level,
 // from the seed's cold reference instance. Every gold is replayed
 // verbatim: the create envelope (broadcast consensus), the analyze
 // envelopes (the router splices per-shard fan-out results back into one

@@ -69,9 +69,9 @@ type Config struct {
 	// share one cold reference instance per program and its one set of
 	// golds (see goldSet).
 	Server bool
-	// Fleet re-resolves through a sharded fleet — two scaf-serve backends
-	// wired as cache peers behind a consistent-hash scaf-router on
-	// loopback — and byte-compares every response body (create, spliced
+	// Fleet re-resolves through a sharded fleet — two scaf-serve backends,
+	// each with its own cache shard, behind a consistent-hash scaf-router
+	// on loopback — and byte-compares every response body (create, spliced
 	// analyze envelopes, queries, serial and parallel) against the
 	// reference instance's. Incompatible with ExtraModules, like Server.
 	Fleet bool

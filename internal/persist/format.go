@@ -48,7 +48,7 @@ const (
 	frameSize = 1 + 4 + 4
 
 	// MaxRecord bounds one record's payload so a corrupt length field
-	// cannot force a huge allocation. Matches the fleet peer-body cap.
+	// cannot force a huge allocation.
 	MaxRecord = 32 << 20
 )
 

@@ -7,11 +7,11 @@ import (
 )
 
 // This file is the quarantine's fleet seam: a content fingerprint that
-// names the recovery state an answer was produced under, and the
-// fold-in operation a replicated recovery event applies. Together they
-// give a fleet of instances the single-process guarantee — an assertion
-// violated anywhere is revoked everywhere before the violating request
-// is answered, and cache keys carrying the fingerprint can only match
+// names the recovery state an answer was produced under, and the union
+// the fleet router replicates. Together they give a fleet of instances
+// the single-process guarantee — an assertion violated on one copy of a
+// session is revoked in every copy before the violating request is
+// answered, and cache keys carrying the fingerprint can only match
 // between instances in identical recovery states.
 
 // Fingerprint returns a stable, order-independent content hash of the
@@ -42,10 +42,11 @@ func fnvSum(s string) uint64 {
 // MergeSnapshots unions the withdrawn sets of several quarantine
 // snapshots into one (sorted, deduplicated; counters and event logs do
 // not merge — they describe each instance's history, not the state).
-// The fleet router uses it when re-syncing a joining or rejoining
-// backend: because quarantine is monotone, the union over every live
-// peer is always a safe target state, and it protects the sync against
-// one peer that missed a broadcast — the others supply what it lacks.
+// The fleet router uses it to bring every copy of a session to one
+// state, when a reply names a new fingerprint and when it catches up a
+// joining or rejoining backend: because quarantine is monotone, the
+// union over the backends is always a safe target state, and each copy
+// that lacks part of it is sent only what it lacks.
 func MergeSnapshots(snaps ...*Snapshot) Snapshot {
 	asserts := map[string]bool{}
 	modules := map[string]bool{}
@@ -73,24 +74,4 @@ func MergeSnapshots(snaps ...*Snapshot) Snapshot {
 	sort.Strings(out.Asserts)
 	sort.Strings(out.Modules)
 	return out
-}
-
-// ApplyRemote folds one replicated recovery event — assertion keys and
-// module names quarantined on another instance — into this quarantine,
-// recording the origin in the event log. It returns how many of each were
-// newly withdrawn here; zero/zero means this instance had already
-// observed everything (replication is idempotent).
-func (q *Quarantine) ApplyRemote(asserts, modules []string, origin string) (newAsserts, newModules int) {
-	detail := "fleet: replicated from " + origin
-	for _, k := range asserts {
-		if q.AddAssert(k, detail) {
-			newAsserts++
-		}
-	}
-	for _, m := range modules {
-		if q.AddModule(m, detail) {
-			newModules++
-		}
-	}
-	return newAsserts, newModules
 }

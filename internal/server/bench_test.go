@@ -15,7 +15,6 @@ import (
 // `make bench-mem` pins them.
 func BenchmarkAnalyzeWarmHit(b *testing.B) {
 	srv := New(Config{Fleet: &FleetConfig{Self: "solo"}})
-	defer srv.fleet.Close()
 	info, err := srv.Preload("129.compress")
 	if err != nil {
 		b.Fatal(err)

@@ -28,13 +28,13 @@ import (
 //     router's own placement (analyzeKey), which is where every loop
 //     entry lives.
 //   - draining: a joiner is caught up as a rejoining backend is (catchUp:
-//     its sessions become the live ones under the same IDs, quarantine is
-//     re-synced as the union over live peers), mutations serialize behind
-//     the broadcast lock, a segment fence refuses reads whose owner
-//     changes between the rings (503 + Retry-After), and the read
-//     generation in flight under the old placement is drained.
-//   - owned: the new membership is pushed and the ring flips; no request
-//     was ever answered by two owners.
+//     its sessions become the live ones under the same IDs, and each
+//     one's quarantine the union over it and the members), mutations and
+//     recovery replication serialize behind the broadcast lock, a segment
+//     fence refuses reads whose owner changes between the rings (503 +
+//     Retry-After), and the read generation in flight under the old
+//     placement is drained.
+//   - owned: the ring flips; no request was ever answered by two owners.
 //
 // Any failure that cannot be attributed and repaired rolls the move back
 // to the old owners: membership is unchanged, a joiner's registration is
@@ -274,13 +274,7 @@ func (rt *Router) move(op, id string, from, to []string) (*MoveReport, *httpErro
 			"joiner %s died before cutover", id)
 	}
 
-	// Teach every cache tier the new membership before the flip, so
-	// recovery broadcasts reach a joiner from the first post-flip request
-	// and skip a leaver. Best effort: a stale peer entry costs one failed
-	// broadcast RPC per recovery event, which broadcasts tolerate.
 	gone := slices.DeleteFunc(slices.Clone(from), func(x string) bool { return slices.Contains(to, x) })
-	rt.pushMembers(to, to, gone)
-
 	rt.mu.Lock()
 	rt.ids, rt.ring, rt.nextRing = to, next, nil
 	rt.moveID, rt.moveOp = "", ""

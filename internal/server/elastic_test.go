@@ -61,7 +61,6 @@ func placedLoopKeys(srv *Server, place func(sid, scheme, loop string) string, ow
 // shard's full revoked set; reading the shard for it counts no hit.
 func TestFleetSegmentExportByPlacement(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "b0"}})
-	t.Cleanup(func() { srv.fleet.Close() })
 	for i := 0; i < 4; i++ {
 		src := strings.Replace(smallSource, "r < 40", fmt.Sprintf("r < %d", 40+i), 1)
 		info := createSession(t, ts.URL, CreateSessionRequest{Name: fmt.Sprintf("seg-%d", i), Source: src, Plan: "off"})

@@ -11,15 +11,16 @@ import (
 	"scaf"
 	"scaf/internal/cfg"
 	"scaf/internal/core"
-	"scaf/internal/fleet"
 )
 
 // This file joins the daemon to a fleet: it layers a whole-loop
-// wire-bytes lookaside over /analyze, and fans recovery events out to
-// (and applies them from) the other instances. A loop's served bytes
-// are the one value the tier holds, in the shard of the backend the
-// router sends every read of the loop to; single queries are answered
-// there from the session's own core.SharedCaches.
+// wire-bytes lookaside over /analyze and revokes the assertions a
+// recovery event withdraws in the instance's shard. A loop's served
+// bytes are the one value the tier holds, in the shard of the backend
+// the router sends every read of the loop to; single queries are
+// answered there from the session's own core.SharedCaches. Backends
+// never talk to each other: the router carries each session's recovery
+// events to the session's other copies.
 //
 // Byte-identity across sessions and instances rests on three locks:
 //
@@ -30,22 +31,24 @@ import (
 //   - every fleet key is prefixed by the session's program digest and
 //     quarantine fingerprint, so entries can only match between sessions
 //     holding the same program in the same recovery state;
-//   - recovery broadcasts are synchronous — the violating request is not
-//     answered until every reachable peer has revoked — and the local
-//     revoked sets stay authoritative over anything restored or
-//     streamed in, so a missed peer degrades hit rate, never answers.
+//   - recovery replication is synchronous — the router does not relay
+//     the reply that carries an event until every other copy of the
+//     session holds it, and marks down a backend that fails to take it
+//     — and the local revoked sets stay authoritative over anything
+//     restored or streamed in.
 
 // FleetConfig joins a server to a fleet of scaf-serve instances.
 type FleetConfig struct {
 	// Self is this instance's node ID (e.g. "b0").
 	Self string
-	// Peers maps the other instances' node IDs to base URLs.
+	// Peers has no effect: backends never talk to each other, since the
+	// router carries recovery events between them.
 	Peers map[string]string
 	// Salt folds deployment configuration the digest cannot see (extra
 	// modules, build variants) into every session digest. Instances with
 	// different salts never share cache entries.
 	Salt string
-	// Timeout bounds each peer RPC (0 = fleet.DefaultPeerTimeout).
+	// Timeout has no effect: a backend sends no request to another.
 	Timeout time.Duration
 	// AutoFlush has no effect: a backend publishes into its own shard
 	// only, so there is no publication queue to drain.
@@ -185,54 +188,12 @@ func loopAssertKeys(wr WireLoopResult) []string {
 	return keys
 }
 
-// fleetBroadcast replicates a local recovery event (observe report,
-// misspeculating execution, module panic) to every peer, synchronously:
-// by the time the violating request is answered, every reachable
-// instance has revoked. Unreachable peers are tolerated — their entries
-// stay blocked by this instance's revoked sets and fingerprinted keys.
-func (sess *session) fleetBroadcast(asserts, modules []string) {
-	if sess.fleet == nil || (len(asserts) == 0 && len(modules) == 0) {
-		return
-	}
-	sess.fleet.BroadcastRecovery(fleet.RecoveryRequest{
-		Asserts: asserts,
-		Modules: modules,
-		Scope:   sess.fleetDigest,
-	})
-}
-
-// applyFleetRecovery is the receiving half of fleetBroadcast, invoked by
-// the tier's HTTP handler after the local shard has been invalidated. It
-// folds the event into every session holding the same program (digest
-// scope), invalidating predicated entries and bumping the epoch exactly
-// as a local observe report would — minus the re-broadcast, which the
-// origin already did.
-func (s *Server) applyFleetRecovery(req fleet.RecoveryRequest) {
-	for _, sess := range s.registered() {
-		if sess.fleetDigest != req.Scope {
-			continue
-		}
-		newA, newM := sess.quarantine.ApplyRemote(req.Asserts, req.Modules, req.Origin)
-		if newA+newM == 0 {
-			continue
-		}
-		sess.epoch.Add(1)
-		if newM > 0 {
-			// Module withdrawal changes answers that never name the module:
-			// flush, exactly as the local module-quarantine path does.
-			for _, sc := range sess.caches {
-				sc.Flush()
-			}
-		} else {
-			for _, sc := range sess.caches {
-				sc.InvalidateAsserts(req.Asserts)
-			}
-		}
-	}
-	if len(req.Modules) > 0 && s.fleet != nil {
-		// The shard's assertion index cannot attribute module-shaped
-		// entries; flushing is the blunt-but-sound rule (entries are a
-		// cache, and the revoked set survives a flush).
-		s.fleet.Local().Flush()
+// fleetRevoke revokes asserts in the instance's shard, after a recovery
+// event of this session withdrew them: an entry resting on one is
+// removed and never stored here again, so a fresh session of the same
+// program cannot be served it either.
+func (sess *session) fleetRevoke(asserts []string) {
+	if sess.fleet != nil && len(asserts) > 0 {
+		sess.fleet.Local().InvalidateAsserts(asserts)
 	}
 }

@@ -4,17 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 )
 
 // TestFleetLookaside exercises the fleet data plane inside one instance
-// (no peers, purely local shard): a second identical session must serve
+// (a fleet of one): a second identical session must serve
 // /analyze whole from the loop lookaside, byte-identical to the first
 // session's fresh resolution, and answer /query byte-identically to the
 // first session's analyze entry.
 func TestFleetLookaside(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "solo"}})
-	t.Cleanup(func() { srv.fleet.Close() })
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 	info1 := createSession(t, ts.URL, req)
@@ -68,9 +68,9 @@ func TestFleetLookaside(t *testing.T) {
 
 // TestFleetCrossInstanceComputesLocally: a backend reads its own shard
 // only. Instance B, asked to analyze a session instance A has already
-// analyzed, computes every loop itself, byte-identical to A's resolution,
-// with no peer RPC; its second analyze is served whole from its own
-// shard, and its /query answers byte-identically to A's analyze entry.
+// analyzed, computes every loop itself, byte-identical to A's
+// resolution; its second analyze is served whole from its own shard, and
+// its /query answers byte-identically to A's analyze entry.
 func TestFleetCrossInstanceComputesLocally(t *testing.T) {
 	fl := startFleet(t, 2, false, RouterConfig{})
 	sA, sB := fl.Backend("b0"), fl.Backend("b1")
@@ -87,11 +87,6 @@ func TestFleetCrossInstanceComputesLocally(t *testing.T) {
 	}
 	if a, b := sA.fleetLoopHits.Load(), sB.fleetLoopHits.Load(); a != 0 || b != 0 {
 		t.Fatalf("cold analyzes counted lookaside hits: A %d, B %d", a, b)
-	}
-	for _, s := range []*Server{sA, sB} {
-		if st := s.fleet.Stats(); st.RemoteErrors != 0 || st.Dials != 0 {
-			t.Fatalf("%s reached a peer: %+v", st.Self, st)
-		}
 	}
 	if got := analyzeJSON(t, tsB, infoB.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("B's warm analyze diverged:\ngot  %.400s\nwant %.400s", got, gold)
@@ -130,23 +125,25 @@ func TestFleetCrossInstanceComputesLocally(t *testing.T) {
 }
 
 // TestFleetInvalidationGuaranteedMiss is the fleet-wide recovery
-// guarantee, end to end over real HTTP: an assertion violated on instance
-// A (POST /observe) causes a guaranteed miss for every predicated entry on
-// instance B — B's next answers are byte-identical to a cold analysis that
-// had those assertions excluded from the start, even though B never saw a
-// local observe report.
+// guarantee, end to end over real HTTP: assertions violated in a
+// session (POST /observe through the router, which sends it to one
+// backend) cause a guaranteed miss for every predicated entry on every
+// backend. Before the observe's reply goes out, the router has carried
+// the event to the session's copy on the other backend, so both copies
+// answer byte-identically to a cold analysis that had those assertions
+// excluded from the start, and both shards have revoked them: a fresh
+// session of the same program is served no entry resting on one.
 func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 	fl := startFleet(t, 2, false, RouterConfig{})
 	sA, sB := fl.Backend("b0"), fl.Backend("b1")
 	tsA, tsB := fl.BackendURL("b0"), fl.BackendURL("b1")
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	infoA := createSession(t, tsA, req)
-	infoB := createSession(t, tsB, req)
+	info := createSession(t, fl.URL, req)
 
-	// Warm both shards: A and B each resolve and publish.
-	gold := analyzeJSON(t, tsA, infoA.ID)
-	if got := analyzeJSON(t, tsB, infoB.ID); !bytes.Equal(got, gold) {
+	// Warm both shards: A and B each resolve every loop and publish.
+	gold := analyzeJSON(t, tsA, info.ID)
+	if got := analyzeJSON(t, tsB, info.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("warmup: B diverged from A")
 	}
 
@@ -160,61 +157,57 @@ func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 	}
 	wantJSON := excludedRefs(t, smallSource, keys, nil)
 
-	// Violate every predicating assertion on A. The broadcast is
-	// synchronous: when /observe returns, B has already revoked.
 	var vs []WireViolation
 	for _, k := range keys {
-		vs = append(vs, WireViolation{Assertion: k, Detail: "observed on a"})
+		vs = append(vs, WireViolation{Assertion: k, Detail: "observed"})
 	}
-	status, raw := do(t, tsA, "POST", "/sessions/"+infoA.ID+"/observe", ObserveRequest{Violations: vs})
+	status, raw := do(t, fl.URL, "POST", "/sessions/"+info.ID+"/observe", ObserveRequest{Violations: vs})
 	if status != http.StatusOK {
-		t.Fatalf("observe on A: status %d, body %s", status, raw)
+		t.Fatalf("observe through the router: status %d, body %s", status, raw)
 	}
 
-	// B's answers must now be the cold excluded-assertion bytes — the old
-	// predicated entries are guaranteed misses fleet-wide — and A's must
-	// agree with them.
-	for pass := 0; pass < 2; pass++ {
-		if got := analyzeJSON(t, tsB, infoB.ID); !bytes.Equal(got, wantJSON) {
-			t.Fatalf("pass %d: B still serves pre-violation bytes\ngot  %.400s\nwant %.400s",
-				pass, got, wantJSON)
+	// Both copies now serve the cold excluded-assertion bytes: the old
+	// predicated entries are guaranteed misses on both backends.
+	for _, base := range []string{tsA, tsB} {
+		for pass := 0; pass < 2; pass++ {
+			if got := analyzeJSON(t, base, info.ID); !bytes.Equal(got, wantJSON) {
+				t.Fatalf("%s pass %d: still serves pre-violation bytes\ngot  %.400s\nwant %.400s",
+					base, pass, got, wantJSON)
+			}
 		}
 	}
-	if got := analyzeJSON(t, tsA, infoA.ID); !bytes.Equal(got, wantJSON) {
-		t.Fatalf("A diverged from the excluded-assertion reference")
+
+	// Both copies list the violated assertions, and both shards revoked
+	// them and removed the entries resting on them (each loop entry is
+	// indexed under every harvested key).
+	for _, srv := range []*Server{sA, sB} {
+		_, raw := do(t, fl.BackendURL(srv.cfg.Fleet.Self), "GET", "/metrics", nil)
+		m := decode[MetricsResponse](t, raw)
+		if q := m.Sessions[info.ID].Quarantine; q == nil || !reflect.DeepEqual(q.Asserts, keys) {
+			t.Fatalf("%s quarantines %+v, want %v", srv.cfg.Fleet.Self, q, keys)
+		}
+		st := srv.fleet.Local().Stats()
+		if st.Revoked != len(keys) || st.Invalidated == 0 {
+			t.Fatalf("%s's shard revoked %d keys and invalidated %d entries, want %d and more than 0",
+				srv.cfg.Fleet.Self, st.Revoked, st.Invalidated, len(keys))
+		}
 	}
 
-	// The violated assertions were replicated into B's quarantine, and at
-	// least one predicated shard entry was physically removed somewhere in
-	// the fleet (the loop entry is indexed under every harvested key).
-	_, raw = do(t, tsB, "GET", "/metrics", nil)
-	m := decode[MetricsResponse](t, raw)
-	sm, ok := m.Sessions[infoB.ID]
-	if !ok || sm.Quarantine == nil {
-		t.Fatalf("B's session has no quarantine after replication: %.300s", raw)
+	// A fresh session starts with an empty quarantine, so its fleet keys
+	// are exactly the pre-violation ones: if a revoked entry survived on
+	// either shard, or one were stored again, the lookaside would serve
+	// it. Instead each backend re-resolves from scratch (no new lookaside
+	// hit), reproducing the clean-slate bytes by fresh computation.
+	hitsA, hitsB := sA.fleetLoopHits.Load(), sB.fleetLoopHits.Load()
+	fresh := createSession(t, fl.URL, req)
+	for _, base := range []string{tsA, tsB, tsA} {
+		if got := analyzeJSON(t, base, fresh.ID); !bytes.Equal(got, gold) {
+			t.Fatalf("fresh session at %s did not reproduce the clean-slate analysis", base)
+		}
 	}
-	if len(sm.Quarantine.Asserts) != len(keys) {
-		t.Fatalf("B quarantined %v, want %v", sm.Quarantine.Asserts, keys)
-	}
-	invalidated := sA.fleet.Local().Stats().Invalidated + sB.fleet.Local().Stats().Invalidated
-	if invalidated == 0 {
-		t.Fatal("no shard entry was invalidated by the broadcast")
-	}
-
-	// The revoked entries are physically gone fleet-wide. A fresh session
-	// on B starts with an empty quarantine, so its fleet keys are exactly
-	// the pre-violation ones — if any revoked copy survived on any shard,
-	// the lookaside would serve it. Instead the session must re-resolve
-	// from scratch (no new lookaside hit), reproducing the clean-slate
-	// bytes by fresh computation.
-	hitsBefore := sB.fleetLoopHits.Load()
-	infoB2 := createSession(t, tsB, req)
-	if got := analyzeJSON(t, tsB, infoB2.ID); !bytes.Equal(got, gold) {
-		t.Fatalf("fresh session on B did not reproduce the clean-slate analysis")
-	}
-	if n := sB.fleetLoopHits.Load(); n != hitsBefore {
-		t.Fatalf("fresh session was served a revoked fleet entry (%d -> %d lookaside hits)",
-			hitsBefore, n)
+	if a, b := sA.fleetLoopHits.Load(), sB.fleetLoopHits.Load(); a != hitsA || b != hitsB {
+		t.Fatalf("fresh session was served a revoked fleet entry (%d -> %d and %d -> %d lookaside hits)",
+			hitsA, a, hitsB, b)
 	}
 }
 
@@ -228,7 +221,6 @@ func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 // bad entry kept the key and every later analyze recomputed.
 func TestFleetCorruptLoopValueMisses(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "solo"}})
-	t.Cleanup(func() { srv.fleet.Close() })
 	_, cold := newTestServer(t, Config{})
 
 	req := CreateSessionRequest{Bench: "129.compress"}

@@ -15,9 +15,9 @@ import (
 
 // LoopbackFleet is a whole fleet in one process, each node on its own
 // loopback listener and served through NewHTTPServer: member backends
-// "b0", "b1", … peered with each other, an optional spare SpareID that
-// knows the members as peers but stays outside the router's member set
-// until a live join admits it, and a Router in front of the members.
+// "b0", "b1", …, an optional spare SpareID that stays outside the
+// router's member set until a live join admits it, and a Router in front
+// of the members. The backends know nothing of each other.
 // The package's tests, the oracle and the load generator boot their
 // fleets through it, so the wiring and the shutdown order live in one
 // place.
@@ -44,9 +44,6 @@ type loopbackBackend struct {
 
 // SpareID names a LoopbackFleet's spare backend.
 const SpareID = "j0"
-
-// loopbackPeerTimeout bounds each peer RPC between backends.
-const loopbackPeerTimeout = 5 * time.Second
 
 // StartLoopbackFleet boots members backends plus, with spare, the spare
 // backend. Each backend runs cfg with its Fleet replaced by the fleet's
@@ -78,23 +75,12 @@ func StartLoopbackFleet(members int, spare bool, dir string, cfg Config, rc Rout
 	f := &LoopbackFleet{ids: ids, backends: map[string]*loopbackBackend{}}
 	memberURLs := map[string]string{}
 	for i, id := range ids {
-		f.backends[id] = &loopbackBackend{addr: listeners[i].Addr().String()}
+		b := &loopbackBackend{addr: listeners[i].Addr().String(), cfg: cfg}
+		f.backends[id] = b
 		if i < members {
 			memberURLs[id] = f.BackendURL(id)
 		}
-	}
-	for i, id := range ids {
-		// Members peer with each other; the spare knows every member, and
-		// they learn of it through the join's membership push.
-		peers := map[string]string{}
-		for pid, u := range memberURLs {
-			if pid != id {
-				peers[pid] = u
-			}
-		}
-		b := f.backends[id]
-		b.cfg = cfg
-		b.cfg.Fleet = &FleetConfig{Self: id, Peers: peers, Timeout: loopbackPeerTimeout}
+		b.cfg.Fleet = &FleetConfig{Self: id}
 		if cfg.Fleet != nil {
 			b.cfg.Fleet.CacheBytes = cfg.Fleet.CacheBytes
 		}
@@ -142,7 +128,6 @@ func (f *LoopbackFleet) Stop(id string) {
 		return
 	}
 	b.hs.Close()
-	b.srv.fleet.Close()
 	b.srv, b.hs = nil, nil
 }
 
@@ -192,15 +177,14 @@ func readMetrics(h http.Handler, into any) error {
 // Close shuts the fleet down. Client pools close first:
 // http.Server.Shutdown reaps a connection that never carried a request
 // (StateNew, which a spare pooled connection is on its server) only
-// after a five-second grace. The router and each backend's tier own
-// their transports and drop them in Router.Close and Server.Shutdown,
-// before any HTTP server shuts down; callers' clients on the default
-// transport (the package tests' do helper uses http.DefaultClient) are
-// dropped here first. Then the router stops (and saves its journal if
-// it persists), each running backend drains (and snapshots, if it
-// persists), and the HTTP servers shut down. The router's goes last
-// and outside the lock, because a router request still in flight may
-// run a move hook that calls Stop.
+// after a five-second grace. The router owns the one transport to the
+// backends and drops it in Router.Close, before any HTTP server shuts
+// down; callers' clients on the default transport (the package tests'
+// do helper uses http.DefaultClient) are dropped here first. Then the
+// router stops (and saves its journal if it persists), each running
+// backend drains (and snapshots, if it persists), and the HTTP servers
+// shut down. The router's goes last and outside the lock, because a
+// router request still in flight may run a move hook that calls Stop.
 func (f *LoopbackFleet) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -477,7 +477,6 @@ func TestSnapshotOldLoopEncodingNeverServed(t *testing.T) {
 	// The old entries: each loop result as json.Marshal encoded it, keyed
 	// by the prefix a fleet session of this create request has.
 	gen, gts := newTestServer(t, Config{Fleet: &FleetConfig{Self: "p0"}})
-	t.Cleanup(func() { gen.fleet.Close() })
 	createSession(t, gts.URL, req)
 	gen.mu.Lock()
 	prefix := gen.sessions[info.ID].fleetPrefix(scaf.SchemeSCAF)

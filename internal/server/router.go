@@ -41,10 +41,22 @@ import (
 // that answers again is reconciled before it takes traffic: the router
 // keeps each live session's create body and the SessionInfo its create
 // returned, deletes what the backend holds that is not live, creates what
-// it lacks under the same IDs, and re-synchronizes quarantine state from
-// the live peers. It does so once while mutations flow and once more
-// under the mutation lock, for what changed meanwhile. A broadcast the
-// backends split on is repaired the same way before its 502 goes out.
+// it lacks under the same IDs, and brings every session's quarantine to
+// the union the backends hold. It does so once while mutations flow and
+// once more under the mutation lock, for what changed meanwhile. A
+// broadcast the backends split on is repaired the same way before its
+// 502 goes out.
+//
+// The router is also the one path a recovery event takes between
+// backends, which never talk to each other. An event (an observe
+// report, a misspeculating execution, a module panic during a read)
+// happens on the one backend that serves the request, and that
+// backend's reply names the session's new quarantine fingerprint
+// (quarantineHeader). Before the router relays a reply naming a
+// fingerprint other than the one it last replicated for the session, it
+// brings the session's copies on every up backend to the union of their
+// quarantines, under the mutation lock, and marks down a backend that
+// fails to take it.
 
 // RouterConfig configures a fleet front tier.
 type RouterConfig struct {
@@ -87,10 +99,13 @@ const defaultDrainTimeout = 30 * time.Second
 
 // liveSession is one session the fleet holds: the body of the create
 // that made it and the SessionInfo that create returned, which is all
-// reconcile needs to make it again on a backend that lacks it.
+// reconcile needs to make it again on a backend that lacks it, and the
+// quarantine fingerprint the router last replicated ("" for none yet),
+// which changes under bmu and mu.
 type liveSession struct {
 	body []byte
 	info SessionInfo
+	fp   string
 }
 
 // ProbeInfo is one down backend's prober state as exposed in /metrics:
@@ -155,11 +170,11 @@ type Router struct {
 	hc  *http.Client
 	mux *http.ServeMux
 
-	// bmu serializes session mutations, the second pass of every
-	// catch-up, and the fenced phase of membership moves: every backend
-	// sees creates and deletes in the same order, and a backend is marked
-	// up or flipped into the ring only after a reconcile that no mutation
-	// interleaved with.
+	// bmu serializes session mutations, recovery replication, the second
+	// pass of every catch-up, and the fenced phase of membership moves:
+	// every backend sees creates and deletes in the same order, and a
+	// backend is marked up or flipped into the ring only after a
+	// reconcile that no mutation or replication interleaved with.
 	bmu sync.Mutex
 	// pmu serializes probe passes, so at most one catch-up of a backend
 	// runs at a time: a pass finds a backend down only once any earlier
@@ -603,9 +618,9 @@ type hop struct {
 	body         []byte
 	// sid is the minted session ID a create carries in sessionIDHeader.
 	sid string
-	// probe marks traffic to a backend being probed, caught up or moved:
-	// a transport error does not mark it down, and proxied does not count
-	// the hop.
+	// probe marks traffic to a backend being probed, caught up, moved or
+	// brought up to a session's quarantine: a transport error does not
+	// mark it down, and proxied does not count the hop.
 	probe bool
 }
 
@@ -883,18 +898,12 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := rt.beginRead()
-	defer g.wg.Done()
 	var req QueryRequest
 	// Lenient decode for the routing key only; the backend enforces the
 	// strict schema and produces the deterministic error if it is bad.
 	_ = json.Unmarshal(body, &req)
 	id, he := rt.pick(analyzeKey(sid, req.Scheme, req.Loop))
-	if he != nil {
-		writeError(w, he)
-		return
-	}
-	st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
-	rt.relay(w, id, st, hdr, resp)
+	rt.forward(w, g, sid, id, he, hop{method: http.MethodPost, path: r.URL.Path, body: body})
 }
 
 func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
@@ -904,13 +913,24 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := rt.beginRead()
-	defer g.wg.Done()
 	id, he := rt.owner(sid)
+	rt.forward(w, g, sid, id, he, hop{method: http.MethodPost, path: r.URL.Path, body: body})
+}
+
+// forward sends h, a request about session sid, to backend id, which was
+// picked under read generation g (he: refused instead), and ends the
+// read. It replicates a recovery event the reply names and then relays
+// the reply. The read ends first: a move drains reads while it holds
+// bmu, which replication takes.
+func (rt *Router) forward(w http.ResponseWriter, g *readGen, sid, id string, he *httpError, h hop) {
 	if he != nil {
+		g.wg.Done()
 		writeError(w, he)
 		return
 	}
-	st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
+	st, hdr, resp := rt.send(id, h)
+	g.wg.Done()
+	rt.replicate(sid, hdr)
 	rt.relay(w, id, st, hdr, resp)
 }
 
@@ -932,18 +952,12 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := rt.beginRead()
-	defer g.wg.Done()
 	var req AnalyzeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		// Forward undecodable bodies to one backend for its strict,
 		// deterministic 400.
 		id, he := rt.pickHash("s|" + sid)
-		if he != nil {
-			writeError(w, he)
-			return
-		}
-		st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
-		rt.relay(w, id, st, hdr, resp)
+		rt.forward(w, g, sid, id, he, hop{method: http.MethodPost, path: r.URL.Path, body: body})
 		return
 	}
 
@@ -962,12 +976,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// Unknown session or a session with no hot loops: one backend
 		// produces the deterministic answer (404, or an empty batch).
 		id, he := rt.pickHash("s|" + sid)
-		if he != nil {
-			writeError(w, he)
-			return
-		}
-		st, hdr, resp := rt.send(id, hop{method: http.MethodPost, path: r.URL.Path, body: body})
-		rt.relay(w, id, st, hdr, resp)
+		rt.forward(w, g, sid, id, he, hop{method: http.MethodPost, path: r.URL.Path, body: body})
 		return
 	}
 
@@ -977,6 +986,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for i, loop := range loops {
 		id, he := rt.pick(analyzeKey(sid, req.Scheme, loop))
 		if he != nil {
+			g.wg.Done()
 			writeError(w, he)
 			return
 		}
@@ -1014,6 +1024,10 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	wg.Wait()
+	g.wg.Done()
+	for _, p := range parts {
+		rt.replicate(sid, p.hdr)
+	}
 
 	// Splice: each sub-reply must be the one-result reply for this
 	// session and scheme; its result goes into the merged envelope as
@@ -1155,13 +1169,8 @@ func (rt *Router) rejoin(id string) {
 	}
 	rt.mu.Lock()
 	delete(rt.down, id)
-	members := slices.Clone(rt.ids)
 	rt.mu.Unlock()
 	rt.rejoins.Add(1)
-	// Teach the rejoined backend the current membership: it may have been
-	// away across a join or leave, and its cache tier's peer set would
-	// otherwise still reflect the old fleet.
-	rt.pushMembers([]string{id}, members, nil)
 }
 
 // catchUp makes backend id hold exactly the live sessions without
@@ -1185,7 +1194,8 @@ func (rt *Router) catchUp(id string) (int, error) {
 // reconcile makes backend id hold exactly the live sessions. It deletes
 // each session id holds that is not live or whose SessionInfo differs
 // from the one its create returned, creates the live sessions id lacks
-// under their IDs, in ID order, and re-syncs quarantine. An empty
+// under their IDs, in ID order, and brings every live session's
+// quarantine on id and the up backends to their union. An empty
 // backend, a diverged one and a joiner are all caught up this way. It
 // returns how many creates and deletes it sent. The caller holds bmu,
 // unless broadcasts do not reach id (a down backend or a pending
@@ -1233,75 +1243,122 @@ func (rt *Router) reconcile(id string) (int, error) {
 	return sent, nil
 }
 
-// pushMembers teaches each backend in targets, through its cache tier's
-// membership endpoint, the members and their URLs, and to drop the IDs in
-// gone. Best effort: a backend running without the fleet tier answers
-// 404, and peer-set drift costs warmth, never correctness.
-func (rt *Router) pushMembers(targets, members, gone []string) {
-	req := fleet.MembersRequest{Add: make(map[string]string, len(members)), Remove: gone}
+// replicate carries a recovery event of live session sid from the
+// backend that replied hdr to the session's copies on every up backend,
+// when hdr names a quarantine fingerprint other than the one the router
+// last replicated for the session. It syncs under bmu, so a catch-up
+// reads the fleet's quarantine before a replication or after it, never
+// in between. A backend that fails to take the union is marked down,
+// and reconcile catches it up before it serves again.
+func (rt *Router) replicate(sid string, hdr http.Header) {
+	fp := hdr.Get(quarantineHeader)
+	if fp == "" {
+		return
+	}
+	var ls *liveSession
+	stale := func() bool {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		ls = rt.sessions[sid]
+		return ls != nil && ls.fp != fp
+	}
+	if !stale() {
+		return
+	}
+	rt.bmu.Lock()
+	defer rt.bmu.Unlock()
+	if !stale() {
+		return
+	}
+	rt.syncQuarantine("", map[string]*liveSession{sid: ls})
 	rt.mu.Lock()
-	for _, m := range members {
-		req.Add[m] = rt.base[m]
-	}
+	ls.fp = fp
 	rt.mu.Unlock()
-	b, _ := json.Marshal(req)
-	for _, id := range targets {
-		rt.send(id, hop{method: http.MethodPost, path: "/fleet/members", body: b, probe: true})
-	}
 }
 
-// syncQuarantine replays quarantine state onto a rejoined or joining
-// backend, merged across every live peer's /metrics: quarantine is
-// monotone, so the union over peers is always a safe target state, and
-// merging protects the sync against one peer that itself missed a
-// broadcast. Every quarantined assertion and module of every live
-// session is re-reported through the normal observe path, which is
-// monotone and idempotent. This covers events from any origin (observe
-// reports, misspeculating executions, module panics) that fired while
-// the backend was away. At least one peer must answer; peers that do
-// not are skipped (their state is a subset of the union by monotonicity
-// or they are dying, and a dying peer must not block recovery).
+// syncQuarantine brings every session in live, on every up backend and
+// on backend id ("" for none), to the union of their quarantines. It
+// reads each backend's /metrics, merges each session's quarantine with
+// recovery.MergeSnapshots, and reports to each backend that lacks part
+// of the union what it lacks, through the observe path, which is
+// monotone and idempotent. Because quarantine is monotone, the union is
+// always a safe target state, whatever the event's origin (an observe
+// report, a misspeculating execution, a module panic). A backend that
+// does not list a session holds no copy to bring up to date: a delete
+// removed it meanwhile. An up backend other than id that fails is marked
+// down and sent nothing more. It returns whether id was brought to the
+// union.
 func (rt *Router) syncQuarantine(id string, live map[string]*liveSession) bool {
-	up := rt.upIDs()
-	if len(up) == 0 {
-		return true // nobody to sync from; the empty fleet has no quarantine
+	backends := rt.upIDs()
+	if id != "" && !slices.Contains(backends, id) {
+		backends = append(backends, id)
 	}
-	perSession := map[string][]*recovery.Snapshot{}
-	answered := 0
-	for _, peer := range up {
-		st, _, body := rt.send(peer, hop{method: http.MethodGet, path: "/metrics", probe: true})
-		if st != http.StatusOK {
-			continue
+	synced := true
+	skip := map[string]bool{}
+	failed := func(b string) {
+		skip[b] = true
+		if b == id {
+			synced = false
+		} else {
+			rt.markDown(b)
 		}
+	}
+	held := map[string]map[string]SessionMetrics{}
+	for _, b := range backends {
+		st, _, body := rt.send(b, hop{method: http.MethodGet, path: "/metrics", probe: true})
 		var m MetricsResponse
-		if err := json.Unmarshal(body, &m); err != nil {
+		if st != http.StatusOK || json.Unmarshal(body, &m) != nil {
+			failed(b)
 			continue
 		}
-		answered++
-		for sid, sm := range m.Sessions {
-			if live[sid] == nil || sm.Quarantine == nil {
+		held[b] = m.Sessions
+	}
+	sids := make([]string, 0, len(live))
+	for sid := range live {
+		sids = append(sids, sid)
+	}
+	sortSessionIDs(sids)
+	for _, sid := range sids {
+		snaps := make([]*recovery.Snapshot, 0, len(held))
+		for _, sessions := range held {
+			snaps = append(snaps, sessions[sid].Quarantine)
+		}
+		union := recovery.MergeSnapshots(snaps...)
+		for _, b := range backends {
+			sm, ok := held[b][sid]
+			if !ok || skip[b] {
 				continue
 			}
-			perSession[sid] = append(perSession[sid], sm.Quarantine)
+			req := lacking(union, sm.Quarantine)
+			if len(req.Violations) == 0 && len(req.Modules) == 0 {
+				continue
+			}
+			body, _ := json.Marshal(req)
+			if st, _, _ := rt.send(b, hop{method: http.MethodPost, path: "/sessions/" + sid + "/observe", body: body, probe: true}); st != http.StatusOK {
+				failed(b)
+			}
 		}
 	}
-	if answered == 0 {
-		return false
+	return synced
+}
+
+// lacking returns the observe report of what union withdraws and has,
+// a backend's quarantine of a session (nil: empty), does not.
+func lacking(union recovery.Snapshot, has *recovery.Snapshot) ObserveRequest {
+	var held recovery.Snapshot
+	if has != nil {
+		held = *has
 	}
-	for sid, snaps := range perSession {
-		merged := recovery.MergeSnapshots(snaps...)
-		if len(merged.Asserts) == 0 && len(merged.Modules) == 0 {
-			continue
-		}
-		req := ObserveRequest{Modules: merged.Modules}
-		for _, k := range merged.Asserts {
-			req.Violations = append(req.Violations, WireViolation{
-				Assertion: k, Detail: "fleet: rejoin sync"})
-		}
-		b, _ := json.Marshal(req)
-		if st, _, _ := rt.send(id, hop{method: http.MethodPost, path: "/sessions/" + sid + "/observe", body: b, probe: true}); st != http.StatusOK {
-			return false
+	var req ObserveRequest
+	for _, k := range union.Asserts {
+		if !slices.Contains(held.Asserts, k) {
+			req.Violations = append(req.Violations, WireViolation{Assertion: k, Detail: "fleet: router sync"})
 		}
 	}
-	return true
+	for _, m := range union.Modules {
+		if !slices.Contains(held.Modules, m) {
+			req.Modules = append(req.Modules, m)
+		}
+	}
+	return req
 }

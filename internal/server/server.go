@@ -58,9 +58,9 @@ type Config struct {
 	// it returns shared instances of must be safe for concurrent use.
 	ExtraModules func() []core.Module
 	// Fleet, when non-nil, joins this instance to a fleet: sessions share
-	// canonical loop results through the instance's cache shard, recovery
-	// events replicate to the peers (see fleet.go), and the peer protocol
-	// and segment transfer are mounted under /fleet/.
+	// canonical loop results through the instance's cache shard (see
+	// fleet.go), and the segment transfer a membership move streams
+	// through is mounted under /fleet/.
 	Fleet *FleetConfig
 }
 
@@ -136,14 +136,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /sessions/{id}/observe", s.handleObserve)
 	mux.HandleFunc("POST /sessions/{id}/execute", s.handleExecute)
 	if cfg.Fleet != nil {
-		s.fleet = fleet.NewTier(fleet.TierConfig{
-			Self:       cfg.Fleet.Self,
-			Peers:      cfg.Fleet.Peers,
-			Timeout:    cfg.Fleet.Timeout,
-			CacheBytes: cfg.Fleet.CacheBytes,
-		})
-		h := &fleet.Handler{Cache: s.fleet.Local(), OnRecovery: s.applyFleetRecovery, Tier: s.fleet}
-		h.Register(mux, "/fleet/")
+		s.fleet = fleet.NewTier(fleet.TierConfig{Self: cfg.Fleet.Self, CacheBytes: cfg.Fleet.CacheBytes})
 		// Segment transfer: the router streams warm cache segments
 		// between backends during a live join/leave through these.
 		mux.HandleFunc("POST /fleet/segment", s.handleFleetSegment)
@@ -217,16 +210,6 @@ func (s *Server) saveSnapshot() error {
 // Fleet returns the instance's cache tier (nil outside fleet mode) —
 // the seam tests and the load generator read counters through.
 func (s *Server) Fleet() *fleet.Tier { return s.fleet }
-
-// FleetSync pulls every reachable peer's recovery state into the local
-// shard — called once at boot when (re)joining a fleet, so revocations
-// broadcast while this instance was down take effect before it serves.
-func (s *Server) FleetSync() error {
-	if s.fleet == nil {
-		return nil
-	}
-	return s.fleet.SyncState()
-}
 
 // Handler returns the daemon's HTTP handler. Every request is tracked
 // for graceful drain; requests arriving after Shutdown begins get 503.
@@ -315,7 +298,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// closeFleet drops the tier's peer connections and — when the shard is
+// closeFleet stops the periodic snapshots and — when the shard is
 // durable — writes the final drain snapshot. Exactly once, however many
 // shutdown paths reach it.
 func (s *Server) closeFleet() {
@@ -323,9 +306,6 @@ func (s *Server) closeFleet() {
 		if s.persistStop != nil {
 			close(s.persistStop)
 			s.persistDone.Wait()
-		}
-		if s.fleet != nil {
-			s.fleet.Close()
 		}
 		if s.store != nil {
 			s.saveSnapshot()
@@ -414,6 +394,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *httpError {
 // sessionIDHeader carries a session ID on a create: the router sends the
 // ID it minted, and the reply names the ID the create consumed.
 const sessionIDHeader = "X-Scaf-Session-Id"
+
+// quarantineHeader carries, on a 200 reply about a session, the
+// session's quarantine fingerprint when its quarantine is not empty. A
+// router compares it with the fingerprint it last replicated for the
+// session; when they differ, it brings the session's other copies up to
+// the union of their quarantines before it relays the reply, which it
+// relays without the header.
+const quarantineHeader = "X-Scaf-Quarantine"
+
+// nameQuarantine sets quarantineHeader on w for sess, unless its
+// quarantine is empty.
+func (sess *session) nameQuarantine(w http.ResponseWriter) {
+	if !sess.quarantine.Empty() {
+		w.Header().Set(quarantineHeader, sess.fleetFingerprint())
+	}
+}
 
 // sessionNum returns N for a session ID "s<N>" (N >= 1, no leading
 // zeros) and false for any other string.
@@ -645,6 +641,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		results = append(results, b)
 		s.loopsServed.Add(1)
 	}
+	sess.nameQuarantine(w)
 	writeAnalyzeResponse(w, sess.id, scheme.String(), results, deadlineMisses, coalesceHits)
 }
 
@@ -715,6 +712,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.queriesServed.Add(1)
+	sess.nameQuarantine(w)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -746,6 +744,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observations.Add(1)
+	sess.nameQuarantine(w)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -776,6 +775,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.executions.Add(1)
+	sess.nameQuarantine(w)
 	writeJSON(w, http.StatusOK, resp)
 }
 

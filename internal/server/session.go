@@ -119,8 +119,8 @@ type session struct {
 	epoch atomic.Int64
 
 	// fleet is the instance's fleet cache tier (nil outside fleet mode);
-	// fleetDigest scopes every fleet key and recovery broadcast to
-	// sessions holding this exact program (see fleet.go).
+	// fleetDigest scopes every fleet key to sessions holding this exact
+	// program (see fleet.go).
 	fleet       *fleet.Tier
 	fleetDigest string
 	// fpMu guards the per-epoch quarantine-fingerprint cache.
@@ -409,13 +409,14 @@ func (sess *session) resolveQuery(scheme scaf.Scheme, l *cfg.Loop, i1, i2 *ir.In
 // answers through premises without appearing in their assertion sets, so
 // per-entry attribution would under-invalidate. Later queries degrade to
 // the module-less ensemble instead of re-consulting the faulty module.
+// The reply to the request that panicked names the new quarantine, and
+// a router replicates it from there.
 func (sess *session) onModulePanic(module string, recovered any) {
 	if sess.quarantine.AddModule(module, fmt.Sprintf("panic: %v", recovered)) {
 		sess.epoch.Add(1)
 		for _, sc := range sess.caches {
 			sc.Flush()
 		}
-		sess.fleetBroadcast(nil, []string{module})
 	}
 }
 
@@ -424,18 +425,27 @@ func (sess *session) onModulePanic(module string, recovered any) {
 // invalidate every cached answer predicated on them, and re-resolve the
 // invalidated queries under the degraded plan so the caches are warm —
 // and every served answer is recovery-consistent — before the response
-// is written. Safe to run concurrently with serving traffic.
+// is written. A report with a malformed entry is refused whole, before
+// anything is quarantined. Safe to run concurrently with serving
+// traffic.
 func (sess *session) observe(req *ObserveRequest) (*ObserveResponse, *httpError) {
 	if len(req.Violations) == 0 && len(req.Modules) == 0 {
 		return nil, errBadRequest("observe needs violations or modules")
 	}
-	resp := &ObserveResponse{Session: sess.id}
-	keys := make([]string, 0, len(req.Violations))
-	seen := map[string]bool{}
 	for i, v := range req.Violations {
 		if v.Assertion == "" {
 			return nil, errBadRequest("violation %d: empty assertion", i)
 		}
+	}
+	for i, m := range req.Modules {
+		if m == "" {
+			return nil, errBadRequest("module %d: empty name", i)
+		}
+	}
+	resp := &ObserveResponse{Session: sess.id}
+	keys := make([]string, 0, len(req.Violations))
+	seen := map[string]bool{}
+	for _, v := range req.Violations {
 		if !seen[v.Assertion] {
 			seen[v.Assertion] = true
 			keys = append(keys, v.Assertion)
@@ -444,10 +454,7 @@ func (sess *session) observe(req *ObserveRequest) (*ObserveResponse, *httpError)
 			resp.NewAsserts++
 		}
 	}
-	for i, m := range req.Modules {
-		if m == "" {
-			return nil, errBadRequest("module %d: empty name", i)
-		}
+	for _, m := range req.Modules {
 		if sess.quarantine.AddModule(m, "withdrawn via observe") {
 			resp.NewModules++
 		}
@@ -455,9 +462,7 @@ func (sess *session) observe(req *ObserveRequest) (*ObserveResponse, *httpError)
 	// New epoch: requests arriving after this report must not coalesce
 	// onto computations started before it.
 	sess.epoch.Add(1)
-	// Replicate before re-resolving or responding: once the client sees
-	// this response, every reachable instance has revoked (fleet mode).
-	sess.fleetBroadcast(keys, req.Modules)
+	sess.fleetRevoke(keys)
 
 	if resp.NewModules > 0 {
 		// Module withdrawal flushes wholesale (see onModulePanic); the
@@ -537,7 +542,7 @@ func (sess *session) execute(req *ExecuteRequest) (*ExecuteResponse, *httpError)
 	resp.NewAsserts = len(newKeys)
 	if len(newKeys) > 0 {
 		sess.epoch.Add(1)
-		sess.fleetBroadcast(newKeys, nil)
+		sess.fleetRevoke(newKeys)
 		for _, sc := range sess.caches {
 			resp.Invalidated += sc.InvalidateAsserts(newKeys).Total()
 		}
