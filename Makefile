@@ -37,22 +37,29 @@ chaos:
 runtime:
 	$(GO) test -race -count=1 ./internal/runtime/...
 
-# Fleet-mode gate under the race detector: the cache tier's own suite
-# (local shard, ring), the server's fleet tests (a backend recomputing a
+# Fleet-mode gate under the race detector: the fleet package's own suite
+# (local shard, ring, and the transport every fleet-internal client
+# uses: the peek before reuse, the retry rule, deadlines from the
+# request's context, what is never pooled, teardown), the server's fleet
+# tests (a backend recomputing a
 # loop another holds, fleet-wide quarantine invalidation with the
 # guaranteed-miss proof), and the router suite (broadcast consensus,
 # sharded-read byte-identity vs a single cold instance, one placement per
 # loop whatever the scheme's spelling, backend loss + reconcile rejoin,
-# recovery replication: an observe or a module panic reaches the
-# session's copy on every backend and no other session, and a backend
-# that misses it is marked down until a probe catches it up; connection
+# a backend that restarted between two requests refused and caught up
+# instead of answering 404, recovery replication: an observe or a module
+# panic reaches the session's copy on every backend and no other
+# session, a backend that misses it is marked down until a probe catches
+# it up, and a reply whose origin could not be read is refused; connection
 # reuse: TestRouterReusesConnections fails if a second batch of session
 # lifecycles dials more router connections than its fan-out needs, and
 # an oversized backend reply must become a 502; the churn
 # gate TestFleetChurnMemoryLevelsOff fails if a shard passes its byte
 # budget or the heap keeps growing with the fleet's history), then
 # TestRouterConcurrentProbes ten times over (probes that run at once must
-# catch a backend up exactly once) — then a
+# catch a backend up exactly once) and the transport tests twenty times
+# over (the router's fan-out goroutines share one pool, and a connection
+# lost or handed back twice shows only under repetition) — then a
 # fleet byte-identity oracle sweep: generated programs served through
 # router + 2 backends must byte-equal a single instance, serially
 # and under concurrent fire. The sweep runs twice: at the default shard
@@ -68,6 +75,7 @@ fleet:
 	$(GO) test -race -count=1 ./internal/fleet/...
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestFleet|TestRouter'
 	$(GO) test -race -count=10 ./internal/server/ -run '^TestRouterConcurrentProbes$$'
+	$(GO) test -race -count=20 ./internal/fleet/ -run '^TestTransport'
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet
 	$(GO) run ./cmd/scaf-oracle -seeds 25 -start 7000 -fast -fleet -cache-bytes 1024
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzValidJSON$$' -fuzztime 30s -fuzzminimizetime 1s
@@ -227,18 +235,22 @@ bench-check:
 #     assembled body and the router read each reply by doubling, it cost
 #     192-208 allocs/op (about 940 KB/op and 2.7-3.9 ms/op); stored values
 #     checked once, a faster validator and replies framed by length
-#     brought it to 161-165 (about 280 KB and 0.8 ms per op) with Go 1.24
-#     at GOMAXPROCS 1, 2 and 4 and at 50, 200 and 1000 iterations. The
-#     ceiling is 205: 25% headroom, since net/http allocates differently
-#     under the CI matrix's Go 1.22 and 1.23.
+#     brought it to 161-165 (about 280 KB and 0.8 ms per op). The fleet
+#     transport, which writes and reads each hop on the calling goroutine
+#     where net/http's Transport handed both to goroutines of its own,
+#     brought it to 132-136 with Go 1.24 at GOMAXPROCS 1, 2 and 4 and at
+#     50, 200 and 1000 iterations. The ceiling is 170: 25% headroom over
+#     136, since net/http parses replies and the server allocates
+#     differently under the CI matrix's Go 1.22 and 1.23.
 #   - BenchmarkRouterQueryWarm times one warm SCAF /query of 175.vpr
 #     through Router.Handler() in front of the same fleet, after one
 #     /analyze: the router's routing-key decode and its hop to the
 #     backend that resolved the query's loop, whose shared cache answers
-#     it (every iteration must evaluate no module). It costs 165-167
-#     allocs/op (about 18-26 KB and 0.06-0.14 ms per op) with Go 1.24 at
-#     GOMAXPROCS 1, 2 and 4 and at 200 and 1000 iterations, 169 at 50.
-#     The ceiling is 209: its neighbour's 25% headroom over 167.
+#     it (every iteration must evaluate no module). Through net/http's
+#     Transport it cost 165-169 allocs/op; through the fleet transport
+#     it costs 134-135 (about 16 KB and 0.05-0.12 ms per op) with Go
+#     1.24 at GOMAXPROCS 1, 2 and 4 and at 50, 200 and 1000 iterations.
+#     The ceiling is 168: the same 25% headroom over 134.
 #   - BenchmarkProfiling (root package) times scaf.Load of 129.compress:
 #     compile, CFG and the profiling run under the five profilers the
 #     speculation modules read, the work every session create does on
@@ -305,8 +317,8 @@ bench-mem:
 	$(call bench_mem_pin,./internal/core/,BenchmarkSharedCache/hit,2000x,0)
 	$(call bench_mem_pin,./internal/core/,BenchmarkSharedCache/publish,2000x,1)
 	$(call bench_mem_pin,./internal/server/,BenchmarkAnalyzeWarmHit,200x,50)
-	$(call bench_mem_pin,./internal/server/,BenchmarkRouterAnalyzeWarm,200x,205)
-	$(call bench_mem_pin,./internal/server/,BenchmarkRouterQueryWarm,200x,209)
+	$(call bench_mem_pin,./internal/server/,BenchmarkRouterAnalyzeWarm,200x,170)
+	$(call bench_mem_pin,./internal/server/,BenchmarkRouterQueryWarm,200x,168)
 	$(call bench_mem_pin,.,BenchmarkProfiling,20x,2000)
 	$(call bench_mem_pin,.,BenchmarkRun/175.vpr,20x,105)
 	$(call bench_mem_pin,.,BenchmarkRun/429.mcf,20x,310)

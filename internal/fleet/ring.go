@@ -1,8 +1,10 @@
 // Package fleet implements the cross-instance tier of scaf-serve: a
 // consistent-hash ring for placement, a wire-level cache shard holding
 // canonical entries as opaque bytes, a Tier that is one instance's
-// handle on its shard, and the pooled HTTP transport the router talks to
-// its backends through.
+// handle on its shard, and Transport, the pooled HTTP/1.1 round tripper
+// of every fleet-internal client (the router's hops to its backends,
+// and the load generator's and the oracle's requests to a router),
+// which does each round trip on the calling goroutine.
 //
 // The ring has two users, both in internal/server: the router, which
 // places every read of a loop on one backend, and segment export, which

@@ -14,6 +14,7 @@ package loadgen
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -185,11 +186,11 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// The open loop keeps many requests in flight to one host. A pool
 	// that keeps their connections open keeps dials out of the measured
-	// latencies.
-	hc := &http.Client{Timeout: 60 * time.Second, Transport: fleet.NewTransport(nil)}
-	// Drop pooled connections on return so a caller tearing down an
-	// in-process target isn't stalled by http.Server.Shutdown's grace
-	// period for never-used spare connections.
+	// latencies. Each request carries its bound (hopTimeout) in its
+	// context, where the fleet transport reads it.
+	hc := &http.Client{Transport: fleet.NewTransport(nil)}
+	// Drop pooled connections on return, before a caller tears down an
+	// in-process target.
 	defer hc.CloseIdleConnections()
 
 	// Session + warmup.
@@ -350,7 +351,7 @@ func fireEvent(hc *http.Client, cfg Config, ev MembershipEvent) error {
 	default:
 		return fmt.Errorf("loadgen: unknown membership op %q", ev.Op)
 	}
-	status, raw, err := post(hc, cfg.BaseURL+path, body)
+	status, _, raw, err := post(hc, cfg.BaseURL+path, body)
 	if err != nil {
 		return fmt.Errorf("loadgen: membership %s %s: %w", ev.Op, ev.ID, err)
 	}
@@ -393,7 +394,7 @@ func warmup(hc *http.Client, cfg Config) (string, int, []queryPair, error) {
 	body, _ := json.Marshal(map[string]any{
 		"name": "loadgen", "source": cfg.Source, "plan": "off",
 	})
-	status, raw, err := post(hc, cfg.BaseURL+"/sessions", body)
+	status, _, raw, err := post(hc, cfg.BaseURL+"/sessions", body)
 	if err != nil {
 		return "", 0, nil, fmt.Errorf("loadgen: create session: %w", err)
 	}
@@ -409,7 +410,7 @@ func warmup(hc *http.Client, cfg Config) (string, int, []queryPair, error) {
 	}
 
 	ab, _ := json.Marshal(map[string]any{"scheme": cfg.Scheme})
-	status, raw, err = post(hc, cfg.BaseURL+"/sessions/"+info.ID+"/analyze", ab)
+	status, _, raw, err = post(hc, cfg.BaseURL+"/sessions/"+info.ID+"/analyze", ab)
 	if err != nil {
 		return "", 0, nil, fmt.Errorf("loadgen: warmup analyze: %w", err)
 	}
@@ -451,17 +452,11 @@ func fire(hc *http.Client, cfg Config, sess string, p queryPair, a arrival) (int
 		req["deadline_ms"] = cfg.DeadlineMS
 	}
 	body, _ := json.Marshal(req)
-	resp, err := hc.Post(cfg.BaseURL+path, "application/json", bytes.NewReader(body))
+	status, hdr, raw, err := post(hc, cfg.BaseURL+path, body)
 	if err != nil {
 		return 0, nil, 0, true
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	resp.Body.Close()
-	if err != nil {
-		return 0, nil, 0, true
-	}
-	status := resp.StatusCode
-	retryAfter, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+	retryAfter, _ := strconv.Atoi(hdr.Get("Retry-After"))
 	if status != http.StatusOK {
 		return status, nil, retryAfter, false
 	}
@@ -483,17 +478,29 @@ func fire(hc *http.Client, cfg Config, sess string, p queryPair, a arrival) (int
 	return status, nil, 0, false
 }
 
-func post(hc *http.Client, url string, body []byte) (int, []byte, error) {
-	resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
+// hopTimeout bounds each request the generator sends.
+const hopTimeout = 60 * time.Second
+
+// post sends body to url as JSON, within hopTimeout, and returns the
+// reply's status, header and body.
+func post(hc *http.Client, url string, body []byte) (int, http.Header, []byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), hopTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := hc.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	return resp.StatusCode, raw, nil
+	return resp.StatusCode, resp.Header, raw, nil
 }
 
 func fnvSum(b []byte) uint64 {

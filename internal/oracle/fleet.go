@@ -13,6 +13,7 @@ package oracle
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,7 +48,7 @@ func checkFleetDrift(cfg Config, rep *Report, gs *goldSet) {
 		evs.watch(id, fl.Backend(id).Fleet().Local())
 	}
 	defer func() { rep.Evictions += evs.count() }()
-	c := routerClient{base: fl.URL, hc: &http.Client{Timeout: 30 * time.Second, Transport: fleet.NewTransport(nil)}}
+	c := routerClient{base: fl.URL, hc: &http.Client{Transport: fleet.NewTransport(nil)}}
 	// The client's pool is its own, so it closes before the fleet's
 	// servers shut down (deferred calls run last first).
 	defer c.hc.CloseIdleConnections()
@@ -203,11 +204,17 @@ type routerClient struct {
 	hc   *http.Client
 }
 
+// routerHopTimeout bounds each request a routerClient sends, through the
+// request's context, where the fleet transport reads it.
+const routerHopTimeout = 30 * time.Second
+
 // send issues one request and returns the status, the Retry-After
 // header and the body; a transport failure reads as status 0 with the
 // error as the body.
 func (c routerClient) send(method, path string, body []byte) (int, string, []byte) {
-	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+	ctx, cancel := context.WithTimeout(context.Background(), routerHopTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, "", []byte(err.Error())
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,8 +67,9 @@ type RouterConfig struct {
 	// Route picks the read-routing policy: "hash" (default; consistent
 	// hash, deterministic placement) or "rr" (round-robin, best spread).
 	Route string
-	// Timeout bounds each proxied backend request (0: unbounded — analyze
-	// batches can legitimately run long).
+	// Timeout bounds each backend request the router sends, through the
+	// request's context (0: unbounded — analyze batches can legitimately
+	// run long).
 	Timeout time.Duration
 	// Probe is the health-probe period for down backends (0: no background
 	// prober; Probe() can still be called explicitly).
@@ -167,7 +169,7 @@ type probeState struct {
 // Router is the fleet front tier.
 type Router struct {
 	cfg RouterConfig
-	hc  *http.Client
+	tr  *fleet.Transport
 	mux *http.ServeMux
 
 	// bmu serializes session mutations, recovery replication, the second
@@ -231,7 +233,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		sessions: map[string]*liveSession{},
 		stop:     make(chan struct{}),
 	}
-	rt.hc = &http.Client{Timeout: cfg.Timeout, Transport: fleet.NewTransport(&rt.dials)}
+	rt.tr = fleet.NewTransport(&rt.dials)
 	for id, base := range cfg.Backends {
 		rt.ids = append(rt.ids, id)
 		rt.base[id] = base
@@ -394,16 +396,13 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Close stops the background prober, drops pooled backend connections,
 // and persists the replay state when a CacheDir is configured.
-// Closing the pool matters for orderly teardown: a spare never-used
-// connection parked on a backend reads as StateNew there, and
-// http.Server.Shutdown only reaps those after a five-second grace.
 // Idempotent and safe under concurrent callers; every Close returns
 // only after the teardown has completed exactly once.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() {
 		close(rt.stop)
 		rt.done.Wait()
-		rt.hc.CloseIdleConnections()
+		rt.tr.CloseIdleConnections()
 		if rt.cfg.CacheDir != "" {
 			rt.savePersist()
 		}
@@ -568,21 +567,21 @@ func (rt *Router) pickHash(key string) (string, *httpError) {
 		// of a move — the key is never served from two owners at once.
 		rt.moved503.Add(1)
 		rt.refused.Add(1)
-		he := &httpError{status: http.StatusServiceUnavailable,
-			detail: ErrorDetail{Code: "backend_down",
-				Message: fmt.Sprintf("segment owned by %s is moving; retry shortly", id)}}
-		he.retryAfter = "1"
-		return "", he
+		return "", backendDown("segment owned by %s is moving; retry shortly", id)
 	}
 	if down {
 		rt.refused.Add(1)
-		he := &httpError{status: http.StatusServiceUnavailable,
-			detail: ErrorDetail{Code: "backend_down",
-				Message: fmt.Sprintf("backend %s owns this shard and is down", id)}}
-		he.retryAfter = "1"
-		return "", he
+		return "", backendDown("backend %s owns this shard and is down", id)
 	}
 	return id, nil
+}
+
+// backendDown is a retryable refusal: 503 backend_down with Retry-After.
+func backendDown(format string, args ...any) *httpError {
+	he := &httpError{status: http.StatusServiceUnavailable,
+		detail: ErrorDetail{Code: "backend_down", Message: fmt.Sprintf(format, args...)}}
+	he.retryAfter = "1"
+	return he
 }
 
 // beginRead joins the current read generation; the caller must call
@@ -599,10 +598,7 @@ func (rt *Router) beginRead() *readGen {
 
 func (rt *Router) errNoBackends() *httpError {
 	rt.refused.Add(1)
-	he := &httpError{status: http.StatusServiceUnavailable,
-		detail: ErrorDetail{Code: "backend_down", Message: "no live backends"}}
-	he.retryAfter = "1"
-	return he
+	return backendDown("no live backends")
 }
 
 // baseURL resolves a backend's base URL under the membership lock.
@@ -624,9 +620,10 @@ type hop struct {
 	probe bool
 }
 
-// send issues one backend request. A transport error is reported as
-// (0, nil, nil) and, unless h is a probe, marks the backend down; a reply
-// longer than maxPeerResponse is reported as a 502 reply_too_large.
+// send issues one backend request, bounded by RouterConfig.Timeout
+// through its context. A transport error is reported as (0, nil, nil)
+// and, unless h is a probe, marks the backend down; a reply longer than
+// maxPeerResponse is reported as a 502 reply_too_large.
 func (rt *Router) send(id string, h hop) (int, http.Header, []byte) {
 	failed := func() (int, http.Header, []byte) {
 		if !h.probe {
@@ -634,11 +631,17 @@ func (rt *Router) send(id string, h hop) (int, http.Header, []byte) {
 		}
 		return 0, nil, nil
 	}
+	ctx := context.Background()
+	if rt.cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, rt.cfg.Timeout)
+		defer cancel()
+	}
 	var rd io.Reader
 	if h.body != nil {
 		rd = bytes.NewReader(h.body)
 	}
-	req, err := http.NewRequest(h.method, rt.baseURL(id)+h.path, rd)
+	req, err := http.NewRequestWithContext(ctx, h.method, rt.baseURL(id)+h.path, rd)
 	if err != nil {
 		return failed()
 	}
@@ -648,7 +651,7 @@ func (rt *Router) send(id string, h hop) (int, http.Header, []byte) {
 	if h.sid != "" {
 		req.Header.Set(sessionIDHeader, h.sid)
 	}
-	resp, err := rt.hc.Do(req)
+	resp, err := rt.tr.RoundTrip(req)
 	if err != nil {
 		return failed()
 	}
@@ -716,11 +719,7 @@ func errorReply(he *httpError) (int, http.Header, []byte) {
 // 503.
 func (rt *Router) relay(w http.ResponseWriter, id string, status int, hdr http.Header, body []byte) {
 	if status == 0 {
-		he := &httpError{status: http.StatusServiceUnavailable,
-			detail: ErrorDetail{Code: "backend_down",
-				Message: fmt.Sprintf("backend %s did not answer", id)}}
-		he.retryAfter = "1"
-		writeError(w, he)
+		writeError(w, backendDown("backend %s did not answer", id))
 		return
 	}
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -888,6 +887,10 @@ func (rt *Router) handleReadAny(w http.ResponseWriter, r *http.Request) {
 	}
 	id := up[rt.rrNext.Add(1)%uint64(len(up))]
 	st, hdr, body := rt.send(id, hop{method: r.Method, path: r.URL.Path})
+	if sid := r.PathValue("id"); rt.lost(id, sid, st) {
+		writeError(w, errLost(id, sid))
+		return
+	}
 	rt.relay(w, id, st, hdr, body)
 }
 
@@ -919,9 +922,10 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 
 // forward sends h, a request about session sid, to backend id, which was
 // picked under read generation g (he: refused instead), and ends the
-// read. It replicates a recovery event the reply names and then relays
-// the reply. The read ends first: a move drains reads while it holds
-// bmu, which replication takes.
+// read. It refuses the request when id has lost the session, replicates
+// a recovery event the reply names, and then relays the reply. The read
+// ends first: a move drains reads while it holds bmu, which both of
+// those checks take.
 func (rt *Router) forward(w http.ResponseWriter, g *readGen, sid, id string, he *httpError, h hop) {
 	if he != nil {
 		g.wg.Done()
@@ -930,8 +934,59 @@ func (rt *Router) forward(w http.ResponseWriter, g *readGen, sid, id string, he 
 	}
 	st, hdr, resp := rt.send(id, h)
 	g.wg.Done()
-	rt.replicate(sid, hdr)
+	if rt.lost(id, sid, st) {
+		writeError(w, errLost(id, sid))
+		return
+	}
+	if !rt.replicate(sid, id, hdr) {
+		writeError(w, errUnreplicated(id, sid))
+		return
+	}
 	rt.relay(w, id, st, hdr, resp)
+}
+
+// lost reports whether backend id, which answered status to a request
+// about session sid, has lost a session the fleet holds. A backend that
+// restarts between two requests comes back empty, and its first sign is
+// a 404 about a live session. A 404 may also be about a loop, or about a
+// session a delete is removing, so lost asks id for the session itself
+// (a probe hop) and, when that answers 404 too, checks under bmu, which
+// a delete holds until its broadcast ends, that the session is still
+// live. Then it marks id down, and the prober catches it up.
+func (rt *Router) lost(id, sid string, status int) bool {
+	if status != http.StatusNotFound || !rt.isLive(sid) {
+		return false
+	}
+	if st, _, _ := rt.send(id, hop{method: http.MethodGet, path: "/sessions/" + sid, probe: true}); st != http.StatusNotFound {
+		return false
+	}
+	rt.bmu.Lock()
+	defer rt.bmu.Unlock()
+	if !rt.isLive(sid) {
+		return false
+	}
+	rt.markDown(id)
+	return true
+}
+
+func (rt *Router) isLive(sid string) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.sessions[sid] != nil
+}
+
+// errLost refuses a request that backend id could not serve because it
+// lost session sid: it is down until a probe catches it up.
+func errLost(id, sid string) *httpError {
+	return backendDown("backend %s lost session %s and is being caught up", id, sid)
+}
+
+// errUnreplicated refuses a reply that names a recovery event of session
+// sid the router could not read from id, the backend that took it: the
+// event may be on id alone, which is down until a probe catches the
+// fleet up on it.
+func errUnreplicated(id, sid string) *httpError {
+	return backendDown("backend %s could not be read to replicate a recovery event of session %s", id, sid)
 }
 
 // maxLoopsPerBackend bounds the sub-requests one analyze has in flight
@@ -1026,7 +1081,10 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	g.wg.Done()
 	for _, p := range parts {
-		rt.replicate(sid, p.hdr)
+		if !rt.replicate(sid, p.id, p.hdr) {
+			writeError(w, errUnreplicated(p.id, sid))
+			return
+		}
 	}
 
 	// Splice: each sub-reply must be the one-result reply for this
@@ -1041,7 +1099,12 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for _, p := range parts {
 		if p.status != http.StatusOK {
 			// Relay the first failure verbatim (deterministic 4xx from the
-			// backend, or our 503 for one that died mid-request).
+			// backend, or our 503 for one that died mid-request), unless
+			// its backend lost the session.
+			if rt.lost(p.id, sid, p.status) {
+				writeError(w, errLost(p.id, sid))
+				return
+			}
 			rt.relay(w, p.id, p.status, p.hdr, p.body)
 			return
 		}
@@ -1237,23 +1300,26 @@ func (rt *Router) reconcile(id string) (int, error) {
 		}
 		sent++
 	}
-	if !rt.syncQuarantine(id, live) {
+	if _, synced := rt.syncQuarantine(id, live); !synced {
 		return sent, errors.New("quarantine sync failed")
 	}
 	return sent, nil
 }
 
-// replicate carries a recovery event of live session sid from the
-// backend that replied hdr to the session's copies on every up backend,
-// when hdr names a quarantine fingerprint other than the one the router
-// last replicated for the session. It syncs under bmu, so a catch-up
-// reads the fleet's quarantine before a replication or after it, never
-// in between. A backend that fails to take the union is marked down,
-// and reconcile catches it up before it serves again.
-func (rt *Router) replicate(sid string, hdr http.Header) {
+// replicate carries a recovery event of live session sid from origin,
+// the backend that replied hdr, to the session's copies on every up
+// backend, when hdr names a quarantine fingerprint other than the one the
+// router last replicated for the session. It syncs under bmu, so a
+// catch-up reads the fleet's quarantine before a replication or after
+// it, never in between. A backend that fails to take the union is marked
+// down, and reconcile catches it up before it serves again. It reports
+// false when origin's quarantine could not be read: the event may be on
+// origin alone, so the reply must not reach the client, and no
+// fingerprint is recorded.
+func (rt *Router) replicate(sid, origin string, hdr http.Header) bool {
 	fp := hdr.Get(quarantineHeader)
 	if fp == "" {
-		return
+		return true
 	}
 	var ls *liveSession
 	stale := func() bool {
@@ -1263,37 +1329,45 @@ func (rt *Router) replicate(sid string, hdr http.Header) {
 		return ls != nil && ls.fp != fp
 	}
 	if !stale() {
-		return
+		return true
 	}
 	rt.bmu.Lock()
 	defer rt.bmu.Unlock()
 	if !stale() {
-		return
+		return true
 	}
-	rt.syncQuarantine("", map[string]*liveSession{sid: ls})
+	read, synced := rt.syncQuarantine(origin, map[string]*liveSession{sid: ls})
+	if !synced {
+		rt.markDown(origin)
+	}
+	if !read {
+		return false
+	}
 	rt.mu.Lock()
 	ls.fp = fp
 	rt.mu.Unlock()
+	return true
 }
 
 // syncQuarantine brings every session in live, on every up backend and
-// on backend id ("" for none), to the union of their quarantines. It
-// reads each backend's /metrics, merges each session's quarantine with
+// on backend id, to the union of their quarantines. It reads each
+// backend's /metrics, merges each session's quarantine with
 // recovery.MergeSnapshots, and reports to each backend that lacks part
 // of the union what it lacks, through the observe path, which is
 // monotone and idempotent. Because quarantine is monotone, the union is
 // always a safe target state, whatever the event's origin (an observe
 // report, a misspeculating execution, a module panic). A backend that
 // does not list a session holds no copy to bring up to date: a delete
-// removed it meanwhile. An up backend other than id that fails is marked
-// down and sent nothing more. It returns whether id was brought to the
-// union.
-func (rt *Router) syncQuarantine(id string, live map[string]*liveSession) bool {
+// removed it meanwhile. A backend other than id that fails is marked
+// down and sent nothing more. It returns whether id's quarantine was
+// read, so that the union includes it, and whether id was brought to
+// the union.
+func (rt *Router) syncQuarantine(id string, live map[string]*liveSession) (read, synced bool) {
 	backends := rt.upIDs()
-	if id != "" && !slices.Contains(backends, id) {
+	if !slices.Contains(backends, id) {
 		backends = append(backends, id)
 	}
-	synced := true
+	read, synced = true, true
 	skip := map[string]bool{}
 	failed := func(b string) {
 		skip[b] = true
@@ -1308,6 +1382,9 @@ func (rt *Router) syncQuarantine(id string, live map[string]*liveSession) bool {
 		st, _, body := rt.send(b, hop{method: http.MethodGet, path: "/metrics", probe: true})
 		var m MetricsResponse
 		if st != http.StatusOK || json.Unmarshal(body, &m) != nil {
+			if b == id {
+				read = false
+			}
 			failed(b)
 			continue
 		}
@@ -1339,7 +1416,7 @@ func (rt *Router) syncQuarantine(id string, live map[string]*liveSession) bool {
 			}
 		}
 	}
-	return synced
+	return read, synced
 }
 
 // lacking returns the observe report of what union withdraws and has,

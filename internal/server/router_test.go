@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -637,6 +638,278 @@ func TestRouterMarksDownWhatMissesAReplication(t *testing.T) {
 	}
 }
 
+// requireRefused requires a read's reply to be a retryable refusal: 503
+// backend_down with Retry-After.
+func requireRefused(t *testing.T, what string, st int, hdr http.Header, raw []byte) {
+	t.Helper()
+	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" ||
+		decode[ErrorResponse](t, raw).Error.Code != "backend_down" {
+		t.Fatalf("%s: %d with Retry-After %q, %.300s; want a 503 backend_down with Retry-After", what, st, hdr.Get("Retry-After"), raw)
+	}
+}
+
+// TestRouterCatchesUpASilentRestart: a backend that restarts between two
+// requests comes back empty, and the router learns it only from that
+// backend's replies. Six sessions are created through a two-backend
+// router and on a single instance; an analyze of a loop no session has
+// answers the single instance's 404 and marks no backend down. Then b1
+// is stopped and restarted with no request in between. No read through
+// the router may answer 404:
+// each session's analyze and GET either answers as the single instance
+// does or is refused with 503 and Retry-After. One probe then catches b1
+// up, and every analyze equals the single instance's bytes. Without the
+// check, most analyzes answered 404 and b1 was never marked down.
+func TestRouterCatchesUpASilentRestart(t *testing.T) {
+	fl := startFleet(t, 2, false, RouterConfig{})
+	_, ref := newTestServer(t, Config{})
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	var ids []string
+	for i := 0; i < 6; i++ {
+		want := createSession(t, ref.URL, req)
+		if got := createSession(t, fl.URL, req); got.ID != want.ID {
+			t.Fatalf("create %d: %s through the router, %s on the single instance", i, got.ID, want.ID)
+		}
+		ids = append(ids, want.ID)
+	}
+	// A 404 about a loop of a live session is relayed as it is: the
+	// backend still answers for the session.
+	for _, id := range ids {
+		nope := AnalyzeRequest{Scheme: "scaf", Loops: []string{"main/nope.0"}}
+		_, want := do(t, ref.URL, http.MethodPost, "/sessions/"+id+"/analyze", nope)
+		if st, got := do(t, fl.URL, http.MethodPost, "/sessions/"+id+"/analyze", nope); st != http.StatusNotFound || !bytes.Equal(got, want) {
+			t.Fatalf("analyze of an unknown loop of %s: %d %.300s, want the single instance's 404 %.300s", id, st, got, want)
+		}
+	}
+	if up := fl.Router.upIDs(); len(up) != 2 {
+		t.Fatalf("a 404 about a loop marked a backend down: up %v", up)
+	}
+
+	fl.Stop("b1")
+	if err := fl.Restart("b1"); err != nil {
+		t.Fatal(err)
+	}
+
+	refused := 0
+	for _, id := range ids {
+		for _, r := range []struct {
+			method, path string
+			body         any
+		}{
+			{http.MethodPost, "/sessions/" + id + "/analyze", AnalyzeRequest{Scheme: "scaf"}},
+			{http.MethodGet, "/sessions/" + id, nil},
+		} {
+			st, hdr, got := doHeader(t, fl.URL, r.method, r.path, r.body)
+			if st == http.StatusServiceUnavailable {
+				requireRefused(t, r.method+" "+r.path, st, hdr, got)
+				refused++
+				continue
+			}
+			if _, want := do(t, ref.URL, r.method, r.path, r.body); st != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("%s %s after b1's restart: %d %.300s\nwhere the single instance answers\n%.300s", r.method, r.path, st, got, want)
+			}
+		}
+	}
+	if refused == 0 || !fl.Router.isDown("b1") {
+		t.Fatalf("vacuous: %d reads refused, b1 down=%v; want the restarted b1 found out", refused, fl.Router.isDown("b1"))
+	}
+
+	fl.Router.Probe()
+	if fl.Router.isDown("b1") || fl.Router.rejoins.Load() != 1 {
+		t.Fatalf("after a probe b1 is down=%v with rejoins=%d, want up and 1", fl.Router.isDown("b1"), fl.Router.rejoins.Load())
+	}
+	for _, id := range ids {
+		if got, want := mustAnalyze(t, fl.URL, id), mustAnalyze(t, ref.URL, id); !bytes.Equal(got, want) {
+			t.Errorf("%s after the catch-up diverged from the single instance:\ngot  %.300s\nwant %.300s", id, got, want)
+		}
+	}
+}
+
+// TestRouterDeleteInFlightIsNotALostSession: a read that meets a session
+// a delete has already removed from its backend, while the delete's
+// broadcast has not ended, is answered with that backend's 404, and the
+// backend stays up. The backend that owns the read holds its reply to
+// the delete until the read's confirming GET has reached it, so the
+// read finds the session live before the delete ends; marking the
+// backend down without the recheck under bmu answered 503.
+func TestRouterDeleteInFlightIsNotALostSession(t *testing.T) {
+	sys, err := scaf.Load("small", smallSource, scaf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := sys.HotLoops()[0].Name()
+	owner := fleet.NewRing([]string{"b0", "b1"}, 0).Owner(analyzeKey("s1", "scaf", loop))
+	deleted, confirmed, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	urls := map[string]string{}
+	for _, id := range []string{"b0", "b1"} {
+		h := New(Config{}).Handler()
+		if id == owner {
+			next := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				next.ServeHTTP(w, r)
+				if r.URL.Path != "/sessions/s1" {
+					return
+				}
+				switch r.Method {
+				case http.MethodDelete:
+					close(deleted)
+					<-release
+				case http.MethodGet:
+					close(confirmed)
+				}
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		urls[id] = ts.URL
+	}
+	rt := NewRouter(RouterConfig{Backends: urls})
+	t.Cleanup(rt.Close)
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	// Cleanups run last first: the held delete is released before the
+	// servers wait for it, on a failure too.
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	if info := createSession(t, rts.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}); info.ID != "s1" {
+		t.Fatalf("created %s, want s1", info.ID)
+	}
+
+	type reply struct {
+		status int
+		body   []byte
+	}
+	post := func(method, path string, body []byte, into chan<- reply) {
+		req, err := http.NewRequest(method, rts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			into <- reply{}
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			into <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		into <- reply{resp.StatusCode, b}
+	}
+	del, read := make(chan reply, 1), make(chan reply, 1)
+	go post(http.MethodDelete, "/sessions/s1", nil, del)
+	<-deleted
+	go post(http.MethodPost, "/sessions/s1/analyze", mustJSON(t, AnalyzeRequest{Scheme: "scaf", Loops: []string{loop}}), read)
+	select {
+	case <-confirmed:
+	case r := <-read:
+		t.Fatalf("vacuous: the read answered %d %.300s without asking %s for the session", r.status, r.body, owner)
+	}
+	releaseOnce.Do(func() { close(release) })
+	if r := <-del; r.status != http.StatusNoContent {
+		t.Fatalf("delete: %d %.300s", r.status, r.body)
+	}
+	if r := <-read; r.status != http.StatusNotFound || decode[ErrorResponse](t, r.body).Error.Code != "not_found" {
+		t.Fatalf("read of a session being deleted: %d %.300s, want %s's 404", r.status, r.body, owner)
+	}
+	if rt.isDown(owner) {
+		t.Fatalf("%s was marked down for a session a delete removed", owner)
+	}
+}
+
+// TestRouterRefusesAnUnreplicatedEvent: a reply that names a recovery
+// event is not relayed when the router cannot read the quarantine of the
+// backend that took the event, since the event may live on that backend
+// alone. b1 answers its first GET /metrics with a 500. An observe that
+// b1 takes, and an analyze with a loop on b1 after an observe sent to b1
+// directly, are each refused with 503 and Retry-After, record no
+// fingerprint and mark b1 down; a probe then brings b0's copy to b1's
+// quarantine, and the retried request answers 200. Replication used to
+// leave b1 out of the union and relay the 200 while b0 lacked the event.
+func TestRouterRefusesAnUnreplicatedEvent(t *testing.T) {
+	sys, err := scaf.Load("small", smallSource, scaf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := fleet.NewRing([]string{"b0", "b1"}, 0)
+	for _, direct := range []bool{false, true} {
+		name := "observe through the router"
+		if direct {
+			name = "analyze after an observe on b1"
+		}
+		t.Run(name, func(t *testing.T) {
+			// A session the router homes on b1, with a loop it places there.
+			var sid string
+			var onB1 *AnalyzeRequest
+			for n := 1; onB1 == nil; n++ {
+				sid = "s" + strconv.Itoa(n)
+				if ring.Owner("s|"+sid) != "b1" {
+					continue
+				}
+				for _, l := range sys.HotLoops() {
+					if onB1 == nil && ring.Owner(analyzeKey(sid, "scaf", l.Name())) == "b1" {
+						onB1 = &AnalyzeRequest{Scheme: "scaf", Loops: []string{l.Name()}}
+					}
+				}
+			}
+			var reads atomic.Int32
+			rt, url, b0, b1 := startFaultFleet(t, func(w http.ResponseWriter, r *http.Request) bool {
+				if r.Method == http.MethodGet && r.URL.Path == "/metrics" && reads.Add(1) == 1 {
+					http.Error(w, "metrics unavailable", http.StatusInternalServerError)
+					return true
+				}
+				return false
+			})
+			for i := 1; ; i++ {
+				info := createSession(t, url, CreateSessionRequest{Name: fmt.Sprintf("small%d", i), Source: smallSource, Plan: "off"})
+				if info.ID == sid {
+					break
+				}
+			}
+			keys := harvestAsserts(decode[AnalyzeResponse](t, mustAnalyze(t, url, sid)))
+			if len(keys) == 0 {
+				t.Fatal("vacuous: no served answer was predicated on an assertion")
+			}
+			obs := ObserveRequest{Violations: []WireViolation{{Assertion: keys[0], Detail: "observed"}}}
+			send := func() (int, http.Header, []byte) {
+				return doHeader(t, url, http.MethodPost, "/sessions/"+sid+"/observe", obs)
+			}
+			if direct {
+				if st, raw := do(t, b1, http.MethodPost, "/sessions/"+sid+"/observe", obs); st != http.StatusOK {
+					t.Fatalf("observe on b1: %d %s", st, raw)
+				}
+				send = func() (int, http.Header, []byte) {
+					return doHeader(t, url, http.MethodPost, "/sessions/"+sid+"/analyze", *onB1)
+				}
+			}
+			st, hdr, raw := send()
+			requireRefused(t, name, st, hdr, raw)
+			requireDown(t, rt)
+			rt.mu.Lock()
+			fp := rt.sessions[sid].fp
+			rt.mu.Unlock()
+			if fp != "" {
+				t.Fatalf("the router recorded fingerprint %q for an event it could not replicate", fp)
+			}
+
+			rt.Probe()
+			requireRejoined(t, rt, b0, b1)
+			quarantine := func(base string) []string {
+				_, raw := do(t, base, "GET", "/metrics", nil)
+				if q := decode[MetricsResponse](t, raw).Sessions[sid].Quarantine; q != nil {
+					return q.Asserts
+				}
+				return nil
+			}
+			if q0, q1 := quarantine(b0), quarantine(b1); !reflect.DeepEqual(q0, []string{keys[0]}) || !reflect.DeepEqual(q1, q0) {
+				t.Fatalf("after a probe b0 quarantines %v and b1 %v, want both [%s]", q0, q1, keys[0])
+			}
+			if st, _, raw := send(); st != http.StatusOK {
+				t.Fatalf("retried after the probe: %d %.300s", st, raw)
+			}
+		})
+	}
+}
+
 // TestRouterReplicatesConcurrentEvents: observes of one session sent
 // through the router at once, beside analyzes of it, are all replicated:
 // once every reply is in, each backend's copy of the session lists every
@@ -1003,17 +1276,29 @@ func TestRouterReusesConnections(t *testing.T) {
 // connection that breaks on the way in.
 func startDropFleet(t *testing.T, method, path string, n int32, hold func(*http.Request)) (rt *Router, url, b0, b1 string) {
 	t.Helper()
-	_, ts0 := newTestServer(t, Config{})
-	srv1 := New(Config{})
 	var seen atomic.Int32
-	ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return startFaultFleet(t, func(w http.ResponseWriter, r *http.Request) bool {
 		if hold != nil {
 			hold(r)
 		}
 		if r.Method == method && r.URL.Path == path && seen.Add(1) == n {
 			panic(http.ErrAbortHandler)
 		}
-		srv1.Handler().ServeHTTP(w, r)
+		return false
+	})
+}
+
+// startFaultFleet puts a router in front of two plain backends. b1 hands
+// each request to fault first, and serves it only when fault did not
+// answer it (returned false).
+func startFaultFleet(t *testing.T, fault func(http.ResponseWriter, *http.Request) bool) (rt *Router, url, b0, b1 string) {
+	t.Helper()
+	_, ts0 := newTestServer(t, Config{})
+	srv1 := New(Config{})
+	ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !fault(w, r) {
+			srv1.Handler().ServeHTTP(w, r)
+		}
 	}))
 	t.Cleanup(ts1.Close)
 	rt = NewRouter(RouterConfig{Backends: map[string]string{"b0": ts0.URL, "b1": ts1.URL}})

@@ -50,6 +50,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // do issues one JSON request and returns status + body.
 func do(t *testing.T, base, method, path string, body any) (int, []byte) {
 	t.Helper()
+	st, _, out := doHeader(t, base, method, path, body)
+	return st, out
+}
+
+// doHeader is do that also returns the reply's headers.
+func doHeader(t *testing.T, base, method, path string, body any) (int, http.Header, []byte) {
+	t.Helper()
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -71,7 +78,7 @@ func do(t *testing.T, base, method, path string, body any) (int, []byte) {
 	if err != nil {
 		t.Fatalf("read body: %v", err)
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, resp.Header, out
 }
 
 func decode[T any](t *testing.T, raw []byte) T {
